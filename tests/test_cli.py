@@ -10,6 +10,7 @@ from intervalhinf.errors import ProblemFileError
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
+GOLDEN_DIR = REPO / "tests" / "golden"
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
 
@@ -229,6 +230,23 @@ class TestOracle:
         a = run("oracle", PROBLEMS / "widened_family.yaml", "--samples", "100", "--seed", "5")
         b = run("oracle", PROBLEMS / "widened_family.yaml", "--samples", "100", "--seed", "5")
         assert a.output == b.output
+
+
+class TestGoldens:
+    # command and flags per golden kind; the files are named <problem>.<kind>.txt
+    CASES = {
+        "vertices": ("vertices", "--format", "machine"),
+        "oracle": ("oracle", "--samples", "300", "--seed", "42"),
+        "valueset": ("valueset", "--delta", "0.5", "--theta", "0.7", "--sweep", "30:400"),
+    }
+
+    def test_outputs_match_goldens(self):
+        for name in ("widened_family", "point_plant"):
+            for kind, (command, *flags) in self.CASES.items():
+                res = run(command, PROBLEMS / f"{name}.yaml", *flags)
+                assert res.exit_code == 0
+                golden = (GOLDEN_DIR / f"{name}.{kind}.txt").read_text(encoding="utf-8")
+                assert res.output == golden, f"{name}.{kind}"
 
 
 class TestFormatting:
