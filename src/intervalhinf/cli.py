@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .hinf import RationalFunction, hinf_norm_exact, hinf_norm_grid, sensitivity
-from .interval import IntervalPolynomial, kharitonov_vertices
+from .interval import VERTEX_LABELS, IntervalPolynomial, vertex_rows
 from .poly import RealPolynomial
 from .theorem import (
     AnalysisOptions,
@@ -57,13 +57,25 @@ _NUMERICAL_ERRORS = (NoConvergenceError, NoUpperBracketError, DegenerateLeadingE
                      HullMismatchError, TheoremPreconditionGapError,
                      ZeroPolynomialError)
 
+_COUNT = click.IntRange(min=0)  # count flags; problem-file counts go through _count
+
+
+def _count(value) -> int:
+    """A non-negative whole number; booleans and fractions are rejected, not cast."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(value)
+    return value
+
+
+# option -> (parser, what the parser accepts)
 _OPTION_KEYS = {
-    "hurwitz_tol": float,
-    "theta_points": int,
-    "oracle_samples": int,
-    "seed": int,
-    "omega_max": float,
-    "grid_points": int,
+    "theta_points": (_count, "a non-negative integer"),
+    "oracle_samples": (_count, "a non-negative integer"),
+    "seed": (_count, "a non-negative integer"),
+    "omega_max": (float, "float"),
+    "grid_points": (_count, "a non-negative integer"),
 }
 
 
@@ -140,10 +152,11 @@ def load_problem(path: str) -> AnalysisProblem:
     for key, value in raw.items():
         if key not in _OPTION_KEYS:
             raise ProblemFileError(f"options.{key}: unknown option")
+        parse, expected = _OPTION_KEYS[key]
         try:
-            opts = replace(opts, **{key: _OPTION_KEYS[key](value)})
+            opts = replace(opts, **{key: parse(value)})
         except (TypeError, ValueError):
-            raise ProblemFileError(f"options.{key}: expected {_OPTION_KEYS[key].__name__}") from None
+            raise ProblemFileError(f"options.{key}: expected {expected}") from None
 
     if len(num_lo) >= len(den_lo):
         raise ProblemFileError(
@@ -274,22 +287,16 @@ def cmd_vertices(file, fmt_, output, digits):
     """Print the four Kharitonov vertex polynomials of each family."""
     prob = load_problem(file)
     names = {"denominator": prob.kf, "numerator": prob.kg}
-    machine = {
-        group: {f"{i}{j}": list(kharitonov_vertices(fam).vertex(i, j).coeffs)
-                for i in (1, 2) for j in (1, 2)}
-        for group, fam in names.items()
-    }
+    machine = {group: dict(zip(VERTEX_LABELS, vertex_rows(fam).tolist()))
+               for group, fam in names.items()}
     if fmt_ == "machine":
         click.echo(json.dumps(machine, sort_keys=True))
     else:
         prefix = {"denominator": "f", "numerator": "g"}
         for group, fam in names.items():
-            ks = kharitonov_vertices(fam)
             click.echo(f"{group} family (degree {fam.degree}):")
-            for i in (1, 2):
-                for j in (1, 2):
-                    poly = format_polynomial(ks.vertex(i, j).coeffs, digits)
-                    click.echo(f"  {prefix[group]}{i}{j}: {poly}")
+            for label, coeffs in machine[group].items():
+                click.echo(f"  {prefix[group]}{label}: {format_polynomial(coeffs, digits)}")
     _write_output(output, json.dumps(machine, sort_keys=True) + "\n")
 
 
@@ -297,9 +304,9 @@ def cmd_vertices(file, fmt_, output, digits):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt_", type=click.Choice(["text", "machine"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--theta-points", type=int, default=None)
+@click.option("--seed", type=_COUNT, default=None)
+@click.option("--samples", type=_COUNT, default=None)
+@click.option("--theta-points", type=_COUNT, default=None)
 @click.option("--tol", type=float, default=None)
 @click.option("--digits", type=int, default=9)
 @_guard
@@ -405,8 +412,8 @@ def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
 
 @main.command("oracle")
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--samples", type=_COUNT, default=None)
+@click.option("--seed", type=_COUNT, default=None)
 @click.option("--digits", type=int, default=9)
 @_guard
 def cmd_oracle(file, samples, seed, digits):

@@ -23,10 +23,10 @@ from .errors import (
     UnstableDenominatorError,
     UnstableFamilyError,
 )
-from .interval import IntervalPolynomial, vertex_sum
+from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared
 from .stability import HURWITZ_TOL, is_hurwitz_real, max_real_parts_batch, roots_complex
-from .valueset import perturbed_vertex_rows
+from .valueset import TWELVE_TUPLES, perturbed_rows, tuple_rows
 
 __all__ = [
     "RationalFunction",
@@ -149,8 +149,9 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
     if not omega_max > 0.0:
         raise ValueError("grid oracle needs omega_max > 0")
     omegas = np.geomspace(omega_max * 1e-12, omega_max, points - 1)
-    s = 1j * np.concatenate([[0.0], omegas])
-    mags = np.abs(eval_many(rf.num, s)) / np.abs(eval_many(rf.den, s))
+    s = 1j * np.concatenate([[0.0], omegas])[None, :]
+    mags = (np.abs(eval_many(np.array([rf.num.coeffs]), s))
+            / np.abs(eval_many(np.array([rf.den.coeffs]), s)))
     return float(max(mags.max(), rf.infinity_gain()))
 
 
@@ -159,6 +160,16 @@ def _theta_grid(theta_count: int) -> np.ndarray:
     if theta_count < 1:
         raise ValueError("theta grid needs at least one point")
     return np.linspace(-np.pi, np.pi, theta_count, endpoint=False)
+
+
+def _hurwitz_on_grid(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
+                     thetas: np.ndarray) -> bool:
+    """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta."""
+    for start in range(0, len(thetas), _THETA_CHUNK):
+        rows = perturbed_rows(g_rows, f_rows, delta, thetas[start : start + _THETA_CHUNK])
+        if (max_real_parts_batch(rows) >= -HURWITZ_TOL).any():
+            return False
+    return True
 
 
 def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
@@ -170,39 +181,13 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
-    closed = add(f, g)
-    if not is_hurwitz_real(closed).is_hurwitz:
+    if not is_hurwitz_real(add(f, g)).is_hurwitz:
         raise UnstableClosedLoopError("f + g must be Hurwitz for the equivalence")
     n = max(f.degree, g.degree)
-    base = np.zeros(n + 1)
-    base[: closed.degree + 1] = closed.coeffs[: closed.degree + 1]
-    frow = np.zeros(n + 1)
-    frow[: f.degree + 1] = f.coeffs[: f.degree + 1]
-    delta = 1.0 / gamma
-    thetas = _theta_grid(theta_count)
-    for start in range(0, len(thetas), _THETA_CHUNK):
-        chunk = thetas[start : start + _THETA_CHUNK]
-        rows = base[None, :] + delta * np.exp(1j * chunk)[:, None] * frow[None, :]
-        if (max_real_parts_batch(rows) >= -HURWITZ_TOL).any():
-            return False
-    return True
-
-
-def _matched_sums_hurwitz(kg: IntervalPolynomial, kf: IntervalPolynomial) -> bool:
-    return all(
-        is_hurwitz_real(vertex_sum(kg, kf, i, j)).is_hurwitz
-        for i in (1, 2) for j in (1, 2)
-    )
-
-
-def _twelve_stable_at(kg: IntervalPolynomial, kf: IntervalPolynomial, gamma: float,
-                      thetas: np.ndarray) -> bool:
-    delta = 1.0 / gamma
-    for start in range(0, len(thetas), _THETA_CHUNK):
-        rows = perturbed_vertex_rows(kg, kf, delta, thetas[start : start + _THETA_CHUNK])
-        if (max_real_parts_batch(rows) >= -HURWITZ_TOL).any():
-            return False
-    return True
+    g_row, f_row = np.zeros((1, n + 1)), np.zeros((1, n + 1))
+    g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
+    f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
+    return _hurwitz_on_grid(g_row, f_row, 1.0 / gamma, _theta_grid(theta_count))
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -216,11 +201,12 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     """
     if tol <= 0.0:
         raise ValueError("bisection needs a positive tolerance")
-    if not _matched_sums_hurwitz(kg, kf):
+    if not sum_family_hurwitz(kg, kf):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     thetas = _theta_grid(theta_count)
+    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     hi = 2.0
-    while not _twelve_stable_at(kg, kf, hi, thetas):
+    while not _hurwitz_on_grid(g_rows, f_rows, 1.0 / hi, thetas):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -229,7 +215,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _twelve_stable_at(kg, kf, mid, thetas):
+        if _hurwitz_on_grid(g_rows, f_rows, 1.0 / mid, thetas):
             hi = mid
         else:
             lo = mid

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegreeOrderError
 from .poly import EvenPolynomial, RealPolynomial
+from .stability import is_hurwitz_real
 
 __all__ = [
     "IntervalPolynomial",
@@ -101,49 +102,43 @@ class KharitonovSet:
         return (self.p11, self.p12, self.p21, self.p22)
 
 
-def _alternating(bounds_lo, bounds_hi, start_lower: bool) -> tuple[float, ...]:
-    # lower/upper alternation along one parity class: lower at k even when
-    # start_lower, flipped at k odd.
-    out = []
-    for k in range(len(bounds_lo)):
-        take_lower = start_lower if k % 2 == 0 else not start_lower
-        out.append(bounds_lo[k] if take_lower else bounds_hi[k])
-    return tuple(out)
+VERTEX_LABELS = ("11", "12", "21", "22")  # vertex p_ij sits in row 2*(i-1) + (j-1)
+
+# (i == 2, j == 2) per row: even powers follow alpha^(i), odd powers
+# beta^(j), and index 2 flips the lower/upper alternation.
+_SECOND_INDEX = np.array([[False, False], [False, True], [True, False], [True, True]])
+
+
+def vertex_rows(family: IntervalPolynomial, width: int | None = None) -> np.ndarray:
+    """(4, width) coefficients of the vertices p11, p12, p21, p22, ascending.
+
+    alpha^(1) takes lower, upper, lower, ... over the even coefficients
+    starting at the constant term and alpha^(2) is its complement; beta^(1)
+    and beta^(2) do the same over the odd coefficients. Columns past the
+    family's degree are zero, so numerator rows pad to the denominator width.
+    """
+    lo, hi = np.asarray(family.lower), np.asarray(family.upper)
+    k = np.arange(len(lo))
+    upper = ((k // 2) % 2 == 1) ^ _SECOND_INDEX[:, k % 2]
+    rows = np.zeros((4, len(lo) if width is None else width))
+    rows[:, : len(lo)] = np.where(upper, hi, lo)
+    return rows
 
 
 def kharitonov_vertices(family: IntervalPolynomial) -> KharitonovSet:
     """Build the four Kharitonov vertex polynomials of a coefficient box.
 
-    alpha^(1) takes lower, upper, lower, ... over the even coefficients
-    starting at the constant term; alpha^(2) is its complement. beta^(1)
-    and beta^(2) do the same over the odd coefficients.
+    The vertices are the rows of `vertex_rows`; alpha^(i) is the even half
+    of p_i1 and beta^(j) the odd half of p_1j.
     """
-    even_lo, even_hi = family.lower[0::2], family.upper[0::2]
-    odd_lo, odd_hi = family.lower[1::2], family.upper[1::2]
-    alpha1 = EvenPolynomial(_alternating(even_lo, even_hi, True))
-    alpha2 = EvenPolynomial(_alternating(even_lo, even_hi, False))
-    beta1 = EvenPolynomial(_alternating(odd_lo, odd_hi, True))
-    beta2 = EvenPolynomial(_alternating(odd_lo, odd_hi, False))
-
-    def assemble(alpha: EvenPolynomial, beta: EvenPolynomial) -> RealPolynomial:
-        coeffs = [0.0] * len(family.lower)
-        for k, a in enumerate(alpha.coeffs):
-            if 2 * k < len(coeffs):
-                coeffs[2 * k] = a
-        for k, b in enumerate(beta.coeffs):
-            if 2 * k + 1 < len(coeffs):
-                coeffs[2 * k + 1] = b
-        return RealPolynomial(coeffs)
-
+    rows = vertex_rows(family)
+    p11, p12, p21, p22 = (RealPolynomial(r) for r in rows)
     return KharitonovSet(
-        p11=assemble(alpha1, beta1),
-        p12=assemble(alpha1, beta2),
-        p21=assemble(alpha2, beta1),
-        p22=assemble(alpha2, beta2),
-        alpha1=alpha1,
-        alpha2=alpha2,
-        beta1=beta1,
-        beta2=beta2,
+        p11=p11, p12=p12, p21=p21, p22=p22,
+        alpha1=EvenPolynomial(rows[0, 0::2]),
+        alpha2=EvenPolynomial(rows[2, 0::2]),
+        beta1=EvenPolynomial(rows[0, 1::2]),
+        beta2=EvenPolynomial(rows[1, 1::2]),
     )
 
 
@@ -230,9 +225,22 @@ def sum_family(kg: IntervalPolynomial, kf: IntervalPolynomial) -> IntervalPolyno
 def vertex_sum(kg: IntervalPolynomial, kf: IntervalPolynomial,
                i: int, j: int) -> RealPolynomial:
     """Matched vertex sum g_ij + f_ij (zero-padded to the denominator degree)."""
-    g = kharitonov_vertices(kg).vertex(i, j)
-    f = kharitonov_vertices(kf).vertex(i, j)
-    coeffs = list(f.coeffs)
-    for k, c in enumerate(g.coeffs):
-        coeffs[k] += c
-    return RealPolynomial(coeffs)
+    r = VERTEX_LABELS.index(f"{i}{j}")
+    return RealPolynomial(vertex_rows(kg, len(kf.lower))[r] + vertex_rows(kf)[r])
+
+
+def sum_family_hurwitz(kg: IntervalPolynomial, kf: IntervalPolynomial) -> bool:
+    """Hurwitz test of the four matched vertex sums g_ij + f_ij.
+
+    Their stability certifies the whole closed-loop family, because they
+    are exactly the Kharitonov vertices of the coefficientwise interval sum;
+    that identity is re-verified here on every call.
+    """
+    matched = vertex_rows(kg, len(kf.lower)) + vertex_rows(kf)
+    mismatch = (matched != vertex_rows(sum_family(kg, kf))).any(axis=1)
+    if mismatch.any():
+        raise AssertionError(
+            f"matched vertex sum ({VERTEX_LABELS[mismatch.argmax()]}) disagrees "
+            "with the sum family vertex"
+        )
+    return all(is_hurwitz_real(RealPolynomial(row)).is_hurwitz for row in matched)

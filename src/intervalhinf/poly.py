@@ -136,11 +136,11 @@ def _horner(coeffs: Sequence, s):
     return acc
 
 
-def eval_many(p: AnyPolynomial, s: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at an array of points (grid sweeps)."""
-    acc = np.full_like(s, p.coeffs[-1], dtype=complex)
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * s + c
+def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of ascending coefficient rows (B, d+1) at points z (B, k)."""
+    acc = np.broadcast_to(coeffs[:, -1:], z.shape).astype(complex)
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        acc = acc * z + coeffs[:, k : k + 1]
     return acc
 
 

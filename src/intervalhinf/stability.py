@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLeadingError, NoConvergenceError, ZeroPolynomialError
-from .poly import ZERO_DEGREE, ComplexPolynomial, RealPolynomial
+from .poly import ZERO_DEGREE, ComplexPolynomial, RealPolynomial, eval_many
 
 __all__ = [
     "StabilityVerdict",
@@ -79,13 +79,6 @@ def is_hurwitz_real(p: RealPolynomial) -> StabilityVerdict:
     return StabilityVerdict(is_hurwitz=ok, margin=None, method="routh")
 
 
-def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.broadcast_to(coeffs[:, -1:], z.shape).astype(complex)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * z + coeffs[:, k : k + 1]
-    return acc
-
-
 def _start_circle(radius: np.ndarray, degree: int, phase: float) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(degree) / degree + phase
     return radius[:, None] * np.exp(1j * angles)[None, :]
@@ -104,8 +97,8 @@ def _iterate(coeffs: np.ndarray, z: np.ndarray, radius: np.ndarray,
             break
         za = z[act]
         with np.errstate(all="ignore"):
-            pv = _horner_batch(coeffs[act], za)
-            dv = _horner_batch(dcoeffs[act], za)
+            pv = eval_many(coeffs[act], za)
+            dv = eval_many(dcoeffs[act], za)
             newton = pv / dv
             diff = za[:, :, None] - za[:, None, :]
             diff[:, diag, diag] = np.inf
@@ -123,7 +116,7 @@ def _iterate(coeffs: np.ndarray, z: np.ndarray, radius: np.ndarray,
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    pv = np.abs(_horner_batch(coeffs, roots))
+    pv = np.abs(eval_many(coeffs, roots))
     mags = np.abs(coeffs)
     az = np.abs(roots)
     scale = np.broadcast_to(mags[:, -1:], roots.shape).copy()

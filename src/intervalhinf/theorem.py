@@ -14,17 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import RationalFunction, family_norm_bisection, hinf_norm_exact
-from .interval import (
-    IntervalPolynomial,
-    kharitonov_vertices,
-    sample_many,
-    sum_family,
-    vertex_sum,
-)
+from .hinf import NormResult, RationalFunction, family_norm_bisection, hinf_norm_exact
+from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import RealPolynomial
 from .stability import is_hurwitz_real, max_real_parts_batch
-from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple
+from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, tuple_rows
 
 __all__ = [
     "AnalysisOptions",
@@ -41,10 +35,13 @@ __all__ = [
 
 BORDERLINE_MARGIN = 1e-9  # closed-loop root margin below which a sample is skipped
 
+# All sixteen tuples, the twelve first: a precondition gap then names the
+# tuple that max_sensitivity_twelve would name.
+_TWELVE_FIRST = TWELVE_TUPLES + tuple(t for t in ALL_SIXTEEN if t not in TWELVE_TUPLES)
+
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    hurwitz_tol: float = 1e-9
     theta_points: int = 720
     oracle_samples: int = 2000
     seed: int = 0
@@ -108,45 +105,37 @@ def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
     exactly the Kharitonov vertices of the coefficientwise interval sum;
     that identity is re-verified here on every call.
     """
-    matched = {(i, j): vertex_sum(prob.kg, prob.kf, i, j)
-               for i in (1, 2) for j in (1, 2)}
-    summed = kharitonov_vertices(sum_family(prob.kg, prob.kf))
-    for (i, j), p in matched.items():
-        if p.coeffs != summed.vertex(i, j).coeffs:
-            raise AssertionError(
-                f"matched vertex sum ({i}{j}) disagrees with the sum family vertex"
+    return sum_family_hurwitz(prob.kg, prob.kf)
+
+
+def _vertex_norms(prob: AnalysisProblem,
+                  tuples: tuple[VertexTuple, ...]) -> dict[VertexTuple, NormResult]:
+    """Exact sensitivity norm f/(g + f) of each tuple's vertex pair, in order,
+    each closed loop Hurwitz-checked before its norm."""
+    norms: dict[VertexTuple, NormResult] = {}
+    for t, g, f in zip(tuples, *tuple_rows(prob.kg, prob.kf, tuples)):
+        den = RealPolynomial(g + f)
+        if not is_hurwitz_real(den).is_hurwitz:
+            raise TheoremPreconditionGapError(
+                f"mixed vertex sum for tuple {t.label} is not Hurwitz although the "
+                "matched sums are; the vertex reduction hypothesis does not extend"
             )
-    return all(is_hurwitz_real(p).is_hurwitz for p in matched.values())
+        norms[t] = hinf_norm_exact(RationalFunction(num=RealPolynomial(f), den=den))
+    return norms
 
 
-def _vertex_sensitivity(prob: AnalysisProblem, t: VertexTuple) -> RationalFunction:
-    g = kharitonov_vertices(prob.kg).vertex(t.i1, t.j1)
-    f = kharitonov_vertices(prob.kf).vertex(t.i2, t.j2)
-    coeffs = list(f.coeffs)
-    for k, c in enumerate(g.coeffs):
-        coeffs[k] += c
-    den = RealPolynomial(coeffs)
-    if not is_hurwitz_real(den).is_hurwitz:
-        raise TheoremPreconditionGapError(
-            f"mixed vertex sum for tuple {t.label} is not Hurwitz although the "
-            "matched sums are; the vertex reduction hypothesis does not extend"
-        )
-    return RationalFunction(num=f, den=den)
-
-
-def _max_over_tuples(prob: AnalysisProblem,
-                     tuples: tuple[VertexTuple, ...]) -> tuple[float, VertexTuple, float, dict]:
-    norms: dict[VertexTuple, float] = {}
-    attained: dict[VertexTuple, float] = {}
-    for t in tuples:
-        res = hinf_norm_exact(_vertex_sensitivity(prob, t))
-        norms[t] = res.value
-        attained[t] = res.attained_at
-    best = tuples[0]
-    for t in tuples[1:]:
-        if norms[t] > norms[best]:
-            best = t
-    return norms[best], best, attained[best], norms
+def _twelve_report(prob: AnalysisProblem,
+                   norms: dict[VertexTuple, NormResult]) -> AnalysisReport:
+    # max keeps the first of equal norms: ties go to the canonical listing
+    argmax = max(TWELVE_TUPLES, key=lambda t: norms[t].value)
+    return AnalysisReport(
+        family_stable=True,
+        seed=prob.options.seed,
+        worst_norm=norms[argmax].value,
+        argmax_tuple=argmax,
+        attained_omega=norms[argmax].attained_at,
+        per_tuple_norms={t: norms[t].value for t in TWELVE_TUPLES},
+    )
 
 
 def max_sensitivity_twelve(prob: AnalysisProblem) -> AnalysisReport:
@@ -158,38 +147,30 @@ def max_sensitivity_twelve(prob: AnalysisProblem) -> AnalysisReport:
     """
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    worst, argmax, at_omega, norms = _max_over_tuples(prob, TWELVE_TUPLES)
-    return AnalysisReport(
-        family_stable=True,
-        seed=prob.options.seed,
-        worst_norm=worst,
-        argmax_tuple=argmax,
-        attained_omega=at_omega,
-        per_tuple_norms=norms,
-    )
+    return _twelve_report(prob, _vertex_norms(prob, TWELVE_TUPLES))
 
 
 def max_sensitivity_sixteen(prob: AnalysisProblem) -> float:
     """Maximum over all sixteen tuples; must reproduce the twelve-tuple value."""
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    worst, _, _, _ = _max_over_tuples(prob, ALL_SIXTEEN)
-    return worst
+    return max(r.value for r in _vertex_norms(prob, ALL_SIXTEEN).values())
 
 
-def _probe_pairs(prob: AnalysisProblem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic oracle probes: 16 vertex pairs plus midpoint blends."""
-    gs = [np.array(v.coeffs) for v in kharitonov_vertices(prob.kg).all_vertices()]
-    fs = [np.array(v.coeffs) for v in kharitonov_vertices(prob.kf).all_vertices()]
-    pairs = [(g, f) for g in gs for f in fs]
-    g_mids = [0.5 * (gs[a] + gs[b]) for a in range(4) for b in range(a + 1, 4)]
-    f_mids = [0.5 * (fs[a] + fs[b]) for a in range(4) for b in range(a + 1, 4)]
-    pairs.extend((g, f) for g in g_mids for f in fs)
-    pairs.extend((g, f) for g in gs for f in f_mids)
-    center_g = 0.5 * (np.array(prob.kg.lower) + np.array(prob.kg.upper))
-    center_f = 0.5 * (np.array(prob.kf.lower) + np.array(prob.kf.upper))
-    pairs.append((center_g, center_f))
-    return pairs
+def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic oracle probes: 16 vertex pairs plus midpoint blends.
+
+    Returns the numerator and denominator rows of all 65 pairs.
+    """
+    gs, fs = vertex_rows(prob.kg), vertex_rows(prob.kf)
+    a, b = np.triu_indices(4, 1)
+    g_mids, f_mids = 0.5 * (gs[a] + gs[b]), 0.5 * (fs[a] + fs[b])
+    blocks = [(gs, fs), (g_mids, fs), (gs, f_mids)]
+    g_rows = [np.repeat(g, len(f), axis=0) for g, f in blocks]
+    f_rows = [np.tile(f, (len(g), 1)) for g, f in blocks]
+    g_rows.append(0.5 * (np.array(prob.kg.lower) + np.array(prob.kg.upper))[None, :])
+    f_rows.append(0.5 * (np.array(prob.kf.lower) + np.array(prob.kf.upper))[None, :])
+    return np.vstack(g_rows), np.vstack(f_rows)
 
 
 def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
@@ -206,36 +187,33 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
     if seed is None:
         seed = prob.options.seed
     rng = np.random.default_rng(seed)
-    n = prob.kf.degree
 
-    pairs = _probe_pairs(prob)
+    gs, fs = _probe_pairs(prob)
     if samples > 0:
         g_draws = sample_many(prob.kg, samples, rng)
         f_draws = sample_many(prob.kf, samples, rng)
-        pairs.extend((g_draws[k], f_draws[k]) for k in range(samples))
+        gs, fs = np.vstack([gs, g_draws]), np.vstack([fs, f_draws])
 
-    dens = np.zeros((len(pairs), n + 1))
-    for k, (g, f) in enumerate(pairs):
-        dens[k, : len(f)] = f
-        dens[k, : len(g)] += g
+    dens = fs.copy()
+    dens[:, : gs.shape[1]] += gs
     margins = -max_real_parts_batch(dens.astype(complex))
 
     best = -np.inf
-    best_pair = pairs[0]
+    best_k = 0
     skipped = 0
-    for k, (g, f) in enumerate(pairs):
+    for k in range(len(dens)):
         if margins[k] < BORDERLINE_MARGIN:
             skipped += 1
             continue
-        rf = RationalFunction(num=RealPolynomial(f), den=RealPolynomial(dens[k]))
+        rf = RationalFunction(num=RealPolynomial(fs[k]), den=RealPolynomial(dens[k]))
         value = hinf_norm_exact(rf).value
         if value > best:
             best = value
-            best_pair = (g, f)
+            best_k = k
     return OracleResult(
         oracle_max=float(best),
-        argmax_g=tuple(float(c) for c in best_pair[0]),
-        argmax_f=tuple(float(c) for c in best_pair[1]),
+        argmax_g=tuple(float(c) for c in gs[best_k]),
+        argmax_f=tuple(float(c) for c in fs[best_k]),
         samples=samples,
         skipped=skipped,
         seed=seed,
@@ -246,8 +224,9 @@ def analyze(prob: AnalysisProblem) -> AnalysisReport:
     """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks."""
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
-    partial = max_sensitivity_twelve(prob)
-    sixteen = max_sensitivity_sixteen(prob)
+    norms = _vertex_norms(prob, _TWELVE_FIRST)
+    partial = _twelve_report(prob, norms)
+    sixteen = max(norms[t].value for t in ALL_SIXTEEN)
     oracle = monte_carlo_oracle(prob)
     bisect = family_norm_bisection(
         prob.kg, prob.kf,

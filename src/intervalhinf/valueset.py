@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DeltaRangeError, HullMismatchError
-from .interval import IntervalPolynomial, KharitonovSet, kharitonov_vertices
+from .interval import IntervalPolynomial, KharitonovSet, kharitonov_vertices, vertex_rows
 from .poly import ComplexPolynomial, add, eval_many, scale
 from .stability import HURWITZ_TOL, is_hurwitz_complex, max_real_parts_batch
 
@@ -52,6 +52,16 @@ class VertexTuple:
         for v in (self.i1, self.j1, self.i2, self.j2):
             if v not in (1, 2):
                 raise ValueError(f"vertex indices must be 1 or 2, got {self!r}")
+
+    @property
+    def g_row(self) -> int:
+        """Row of the numerator vertex g_{i1 j1} in `interval.vertex_rows`."""
+        return 2 * (self.i1 - 1) + (self.j1 - 1)
+
+    @property
+    def f_row(self) -> int:
+        """Row of the denominator vertex f_{i2 j2} in `interval.vertex_rows`."""
+        return 2 * (self.i2 - 1) + (self.j2 - 1)
 
     @property
     def label(self) -> str:
@@ -184,19 +194,16 @@ def _polygon_from_points(point16: np.ndarray, omega: float, delta: float,
     return ValueSetPolygon(vertices=tuple(tagged), omega=omega, delta=delta, theta=theta)
 
 
-def _vertex_values(ks: KharitonovSet, omegas: np.ndarray) -> np.ndarray:
-    """(len(omegas), 4) evaluations of p11, p12, p21, p22 at j*omega."""
-    s = 1j * omegas
-    return np.column_stack([eval_many(v, s) for v in ks.all_vertices()])
-
-
-_G_COL = {t: (t.i1 - 1) * 2 + (t.j1 - 1) for t in ALL_SIXTEEN}
-_F_COL = {t: (t.i2 - 1) * 2 + (t.j2 - 1) for t in ALL_SIXTEEN}
+def _vertex_values(family: IntervalPolynomial, omegas: np.ndarray) -> np.ndarray:
+    """(4, len(omegas)) evaluations of p11, p12, p21, p22 at j*omega."""
+    return eval_many(vertex_rows(family), np.broadcast_to(1j * omegas, (4, len(omegas))))
 
 
 def _points16(gv: np.ndarray, fv: np.ndarray, factor: complex) -> np.ndarray:
     """16 perturbed evaluations from the 4 + 4 vertex values at one frequency."""
-    return np.array([gv[_G_COL[t]] + factor * fv[_F_COL[t]] for t in ALL_SIXTEEN])
+    # scalar products: numpy's vectorised complex multiply may fuse
+    # multiply-adds, which moves hull corners by an ulp
+    return np.array([gv[t.g_row] + factor * fv[t.f_row] for t in ALL_SIXTEEN])
 
 
 def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
@@ -209,9 +216,8 @@ def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     """
     _check_delta(delta)
     om = np.array([float(omega)])
-    gv = _vertex_values(kharitonov_vertices(kg), om)[0]
-    fv = _vertex_values(kharitonov_vertices(kf), om)[0]
-    pts = _points16(gv, fv, rotation_factor(delta, theta))
+    pts = _points16(_vertex_values(kg, om)[:, 0], _vertex_values(kf, om)[:, 0],
+                    rotation_factor(delta, theta))
     return _polygon_from_points(pts, float(omega), delta, theta)
 
 
@@ -252,27 +258,25 @@ def origin_excluded(polygon: ValueSetPolygon) -> OriginCheck:
     return OriginCheck(excluded=margin > 1e-12, margin=margin)
 
 
-def perturbed_vertex_rows(kg: IntervalPolynomial, kf: IntervalPolynomial,
-                          delta: float, thetas: np.ndarray,
-                          tuples: tuple[VertexTuple, ...] = TWELVE_TUPLES) -> np.ndarray:
-    """Coefficient rows of every perturbed vertex polynomial over a theta grid.
+def tuple_rows(kg: IntervalPolynomial, kf: IntervalPolynomial,
+               tuples: tuple[VertexTuple, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator vertex rows of each tuple, both (len(tuples), n + 1)."""
+    g = vertex_rows(kg, len(kf.lower))
+    f = vertex_rows(kf)
+    return g[[t.g_row for t in tuples]], f[[t.f_row for t in tuples]]
 
-    Shape (len(thetas) * len(tuples), n + 1); uniform degree n because the
-    leading coefficient is (1 + delta*e^{j theta}) * a_n with a_n > 0.
+
+def perturbed_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
+                   thetas: np.ndarray) -> np.ndarray:
+    """Perturbed vertex rows g + (1 + delta*e^{j theta}) * f over a theta grid.
+
+    Shape (len(thetas) * len(g_rows), n + 1), theta outer and row pair inner;
+    uniform degree n because the leading coefficient is
+    (1 + delta*e^{j theta}) * a_n with a_n > 0.
     """
-    n = kf.degree
-    ksg = kharitonov_vertices(kg)
-    ksf = kharitonov_vertices(kf)
-    g_rows = np.zeros((len(tuples), n + 1))
-    f_rows = np.zeros((len(tuples), n + 1))
-    for r, t in enumerate(tuples):
-        g = ksg.vertex(t.i1, t.j1).coeffs
-        f = ksf.vertex(t.i2, t.j2).coeffs
-        g_rows[r, : len(g)] = g
-        f_rows[r, : len(f)] = f
     factors = 1.0 + delta * np.exp(1j * thetas)
     rows = g_rows[None, :, :] + factors[:, None, None] * f_rows[None, :, :]
-    return rows.reshape(len(thetas) * len(tuples), n + 1)
+    return rows.reshape(len(thetas) * len(g_rows), g_rows.shape[1])
 
 
 def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -286,7 +290,7 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
     _check_delta(delta)
     if kf.lower[-1] <= 0:
         raise ValueError("denominator family needs a strictly positive leading interval")
-    rows = perturbed_vertex_rows(kg, kf, delta, np.array([theta]))
+    rows = perturbed_rows(*tuple_rows(kg, kf, TWELVE_TUPLES), delta, np.array([theta]))
     return bool((max_real_parts_batch(rows) < -tol).all())
 
 
@@ -311,11 +315,11 @@ def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
         raise ValueError("sweep needs at least 2 grid points")
     t = np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points)
     omegas = np.sinh(t)
-    gv = _vertex_values(kharitonov_vertices(kg), omegas)
-    fv = _vertex_values(kharitonov_vertices(kf), omegas)
+    gv = _vertex_values(kg, omegas)
+    fv = _vertex_values(kf, omegas)
     factor = rotation_factor(delta, theta)
     for k, om in enumerate(omegas):
-        poly = _polygon_from_points(_points16(gv[k], fv[k], factor), float(om),
+        poly = _polygon_from_points(_points16(gv[:, k], fv[:, k], factor), float(om),
                                     delta, theta)
         yield poly, origin_excluded(poly)
 

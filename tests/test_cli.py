@@ -43,11 +43,13 @@ class TestProblemFiles:
             load_problem(str(path))
 
     def test_unknown_option(self, tmp_path):
-        path = write(tmp_path, "bad.yaml",
-                     "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
-                     "options:\n  wat: 3\n")
-        with pytest.raises(ProblemFileError, match="options.wat"):
-            load_problem(str(path))
+        for option, message in (("wat: 3", "options.wat"),
+                                ("hurwitz_tol: -3", "options.hurwitz_tol: unknown option")):
+            path = write(tmp_path, "bad.yaml",
+                         "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
+                         f"options:\n  {option}\n")
+            with pytest.raises(ProblemFileError, match=message):
+                load_problem(str(path))
 
     def test_degree_order(self, tmp_path):
         path = write(tmp_path, "bad.yaml",
@@ -68,6 +70,15 @@ class TestProblemFiles:
         prob = load_problem(str(path))
         assert prob.options.seed == 9
         assert prob.options.oracle_samples == 11
+        # counts are taken whole or rejected with the field named, never truncated
+        for option in ("theta_points: 720.9", "seed: 2.5", "oracle_samples: true",
+                       "oracle_samples: -5", "grid_points: 1.5"):
+            path = write(tmp_path, "bad.yaml",
+                         "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
+                         f"options:\n  {option}\n")
+            field = option.split(":")[0]
+            with pytest.raises(ProblemFileError, match=f"options.{field}: expected"):
+                load_problem(str(path))
 
 
 class TestVertices:
@@ -225,6 +236,10 @@ class TestOracle:
         res = run("oracle", PROBLEMS / "point_plant.yaml", "--samples", "0")
         assert res.exit_code == 0
         assert "samples: 0" in res.output
+        for command in ("oracle", "analyze"):
+            res = run(command, PROBLEMS / "point_plant.yaml", "--samples", "-5")
+            assert res.exit_code == 2
+            assert "--samples" in res.output
 
     def test_seed_reproducibility(self):
         a = run("oracle", PROBLEMS / "widened_family.yaml", "--samples", "100", "--seed", "5")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_family
+from intervalhinf import theorem
 from intervalhinf.errors import UnstableFamilyError
 from intervalhinf.hinf import check_gamma_equivalence
 from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices
@@ -188,6 +189,36 @@ class TestAnalyze:
         kg, kf = random_stable_family(rng, n_min=2, n_max=4)
         prob = family_problem(kg, kf, seed=42, oracle_samples=300)
         assert analyze(prob) == analyze(prob)
+
+    def test_each_piece_of_work_runs_once(self, monkeypatch):
+        # one stability gate and the sixteen vertex norms, the twelve read from them
+        calls = {"gate": 0, "norms": 0}
+        in_oracle = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if not in_oracle:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def oracle(*args, **kwargs):
+            in_oracle.append(True)
+            try:
+                return monte_carlo_oracle(*args, **kwargs)
+            finally:
+                in_oracle.pop()
+
+        monkeypatch.setattr(theorem, "closed_loop_family_stable",
+                            counted("gate", theorem.closed_loop_family_stable))
+        monkeypatch.setattr(theorem, "hinf_norm_exact",
+                            counted("norms", theorem.hinf_norm_exact))
+        monkeypatch.setattr(theorem, "monte_carlo_oracle", oracle)
+        kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
+        kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
+        report = analyze(family_problem(kg, kf, seed=42, oracle_samples=20, theta_points=90))
+        assert report.family_stable
+        assert calls == {"gate": 1, "norms": 16}
 
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="strictly below"):
