@@ -26,7 +26,7 @@ from .errors import (
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared
 from .stability import HURWITZ_TOL, is_hurwitz_real, max_real_parts_batch, roots_complex
-from .valueset import TWELVE_TUPLES, perturbed_rows, tuple_rows
+from .valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
     "RationalFunction",
@@ -166,7 +166,8 @@ def _hurwitz_on_grid(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
                      thetas: np.ndarray) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta."""
     for start in range(0, len(thetas), _THETA_CHUNK):
-        rows = perturbed_rows(g_rows, f_rows, delta, thetas[start : start + _THETA_CHUNK])
+        chunk = thetas[start : start + _THETA_CHUNK]
+        rows = perturbed_vertex_rows(g_rows, f_rows, delta, chunk)
         if (max_real_parts_batch(rows) >= -HURWITZ_TOL).any():
             return False
     return True

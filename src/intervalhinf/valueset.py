@@ -266,8 +266,8 @@ def tuple_rows(kg: IntervalPolynomial, kf: IntervalPolynomial,
     return g[[t.g_row for t in tuples]], f[[t.f_row for t in tuples]]
 
 
-def perturbed_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
-                   thetas: np.ndarray) -> np.ndarray:
+def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
+                          thetas: np.ndarray) -> np.ndarray:
     """Perturbed vertex rows g + (1 + delta*e^{j theta}) * f over a theta grid.
 
     Shape (len(thetas) * len(g_rows), n + 1), theta outer and row pair inner;
@@ -290,7 +290,8 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
     _check_delta(delta)
     if kf.lower[-1] <= 0:
         raise ValueError("denominator family needs a strictly positive leading interval")
-    rows = perturbed_rows(*tuple_rows(kg, kf, TWELVE_TUPLES), delta, np.array([theta]))
+    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+    rows = perturbed_vertex_rows(g_rows, f_rows, delta, np.array([theta]))
     return bool((max_real_parts_batch(rows) < -tol).all())
 
 
