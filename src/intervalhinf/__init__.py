@@ -36,21 +36,10 @@ from .interval import (
     KharitonovSet,
     Rectangle,
     kharitonov_vertices,
-    sample,
     sum_family,
     value_rectangle,
 )
-from .poly import (
-    ComplexPolynomial,
-    EvenPolynomial,
-    RealPolynomial,
-    add,
-    derivative,
-    eval_at_jomega,
-    even_odd_split,
-    magnitude_squared,
-    scale,
-)
+from .poly import RealPolynomial, add, eval_at_jomega, magnitude_squared
 from .stability import (
     RootSet,
     StabilityVerdict,
@@ -74,7 +63,6 @@ from .valueset import (
     ValueSetPolygon,
     VertexTuple,
     family_complex_stability,
-    perturbed_vertex_polynomial,
     octagon,
     origin_excluded,
     zero_exclusion_sweep,

@@ -9,6 +9,7 @@ Exit codes are stable: 0 success, 2 input error, 3 instability,
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -60,22 +61,36 @@ _NUMERICAL_ERRORS = (NoConvergenceError, NoUpperBracketError, DegenerateLeadingE
 _COUNT = click.IntRange(min=0)  # count flags; problem-file counts go through _count
 
 
-def _count(value) -> int:
-    """A non-negative whole number; booleans and fractions are rejected, not cast."""
+def _count(value, least: int = 0) -> int:
+    """A whole number >= least; booleans and fractions are rejected, not cast."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(value)
     return value
 
 
-# option -> (parser, what the parser accepts)
+def _finite_positive(value) -> float:
+    """A finite float > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(value)
+    return value
+
+
+def _finite_positive_flag(_ctx, _param, value):
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise click.BadParameter("must be finite and > 0")
+    return value
+
+
+# option -> (parser, what the parser accepts); checked before any work runs
 _OPTION_KEYS = {
-    "theta_points": (_count, "a non-negative integer"),
+    "theta_points": (functools.partial(_count, least=1), "an integer >= 1"),
     "oracle_samples": (_count, "a non-negative integer"),
     "seed": (_count, "a non-negative integer"),
-    "omega_max": (float, "float"),
-    "grid_points": (_count, "a non-negative integer"),
+    "omega_max": (_finite_positive, "a finite float > 0"),
+    "grid_points": (functools.partial(_count, least=2), "an integer >= 2"),
 }
 
 
@@ -250,7 +265,6 @@ def _write_output(path: str | None, payload: str) -> None:
 
 def _guard(fn):
     """Map library errors onto the documented exit codes."""
-    import functools
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -306,8 +320,8 @@ def cmd_vertices(file, fmt_, output, digits):
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--seed", type=_COUNT, default=None)
 @click.option("--samples", type=_COUNT, default=None)
-@click.option("--theta-points", type=_COUNT, default=None)
-@click.option("--tol", type=float, default=None)
+@click.option("--theta-points", type=click.IntRange(min=1), default=None)
+@click.option("--tol", type=float, default=None, callback=_finite_positive_flag)
 @click.option("--digits", type=int, default=9)
 @_guard
 def cmd_analyze(file, fmt_, output, seed, samples, theta_points, tol, digits):

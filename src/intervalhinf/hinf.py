@@ -118,13 +118,13 @@ def hinf_norm_exact(rf: RationalFunction) -> NormResult:
     """
     if not is_hurwitz_real(rf.den).is_hurwitz:
         raise UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")
-    mn = np.asarray(magnitude_squared(rf.num).coeffs)
-    md = np.asarray(magnitude_squared(rf.den).coeffs)
+    mn = magnitude_squared(rf.num.coeffs)
+    md = magnitude_squared(rf.den.coeffs)
     station = _stationarity_polynomial(mn, md)
 
     xs = [0.0]
     if len(station) >= 2:
-        for r in roots_complex(RealPolynomial(station)).roots:
+        for r in roots_complex(station).roots:
             if abs(r.imag) <= 1e-8 * abs(r) and r.real > 0.0:
                 xs.append(r.real)
 
@@ -200,8 +200,8 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     so the transition point is the worst-case norm. Independent of the
     per-vertex stationary-point route by construction.
     """
-    if tol <= 0.0:
-        raise ValueError("bisection needs a positive tolerance")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
     if not sum_family_hurwitz(kg, kf):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     thetas = _theta_grid(theta_count)

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegreeOrderError
-from .poly import EvenPolynomial, RealPolynomial
+from .poly import RealPolynomial, eval_at_jomega
 from .stability import is_hurwitz_real
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "Rectangle",
     "kharitonov_vertices",
     "value_rectangle",
-    "sample",
+    "sample_many",
     "sum_family",
 ]
 
@@ -77,21 +77,12 @@ class IntervalPolynomial:
 
 @dataclass(frozen=True)
 class KharitonovSet:
-    """The four vertex polynomials p_ij = alpha^(i) + s*beta^(j).
-
-    alpha1/alpha2 and beta1/beta2 are the alternating even/odd halves
-    (polynomials in u = s^2) that generate the vertices; they double as
-    the rectangle bounds of the family's value set.
-    """
+    """The four vertex polynomials p_ij = alpha^(i)(s^2) + s*beta^(j)(s^2)."""
 
     p11: RealPolynomial
     p12: RealPolynomial
     p21: RealPolynomial
     p22: RealPolynomial
-    alpha1: EvenPolynomial
-    alpha2: EvenPolynomial
-    beta1: EvenPolynomial
-    beta2: EvenPolynomial
 
     def vertex(self, i: int, j: int) -> RealPolynomial:
         if i not in (1, 2) or j not in (1, 2):
@@ -126,20 +117,8 @@ def vertex_rows(family: IntervalPolynomial, width: int | None = None) -> np.ndar
 
 
 def kharitonov_vertices(family: IntervalPolynomial) -> KharitonovSet:
-    """Build the four Kharitonov vertex polynomials of a coefficient box.
-
-    The vertices are the rows of `vertex_rows`; alpha^(i) is the even half
-    of p_i1 and beta^(j) the odd half of p_1j.
-    """
-    rows = vertex_rows(family)
-    p11, p12, p21, p22 = (RealPolynomial(r) for r in rows)
-    return KharitonovSet(
-        p11=p11, p12=p12, p21=p21, p22=p22,
-        alpha1=EvenPolynomial(rows[0, 0::2]),
-        alpha2=EvenPolynomial(rows[2, 0::2]),
-        beta1=EvenPolynomial(rows[0, 1::2]),
-        beta2=EvenPolynomial(rows[1, 1::2]),
-    )
+    """The four Kharitonov vertex polynomials of a coefficient box, from `vertex_rows`."""
+    return KharitonovSet(*(RealPolynomial(r) for r in vertex_rows(family)))
 
 
 @dataclass(frozen=True)
@@ -169,27 +148,18 @@ class Rectangle:
 def value_rectangle(family: IntervalPolynomial, omega: float) -> Rectangle:
     """Value set of the family at s = j*omega.
 
-    Real extent [alpha^(1)(-w^2), alpha^(2)(-w^2)]; imaginary extent
-    omega * [beta^(1)(-w^2), beta^(2)(-w^2)], endpoints swapped for
-    omega < 0 because the negative factor reverses the order. Corners
-    coincide with the four vertex evaluations.
+    Real extent [alpha^(1)(-w^2), alpha^(2)(-w^2)], read off p11 and p21;
+    imaginary extent omega * [beta^(1)(-w^2), beta^(2)(-w^2)], read off
+    p11 and p12, endpoints swapped for omega < 0 because the negative
+    factor reverses the order. Corners coincide with the four vertex
+    evaluations.
     """
-    ks = kharitonov_vertices(family)
-    u = -(omega * omega)
-    re_lo, re_hi = ks.alpha1.eval(u), ks.alpha2.eval(u)
-    b1, b2 = omega * ks.beta1.eval(u), omega * ks.beta2.eval(u)
+    p11, p12, p21, _ = (eval_at_jomega(RealPolynomial(r), omega) for r in vertex_rows(family))
     if omega >= 0:
-        im_lo, im_hi = b1, b2
+        im_lo, im_hi = p11.imag, p12.imag
     else:
-        im_lo, im_hi = b2, b1
-    return Rectangle(re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi)
-
-
-def sample(family: IntervalPolynomial, rng: np.random.Generator) -> RealPolynomial:
-    """Draw one member uniformly from the coefficient box."""
-    coeffs = [rng.uniform(lo, hi) if hi > lo else lo
-              for lo, hi in zip(family.lower, family.upper)]
-    return RealPolynomial(coeffs)
+        im_lo, im_hi = p12.imag, p11.imag
+    return Rectangle(re_lo=p11.real, re_hi=p21.real, im_lo=im_lo, im_hi=im_hi)
 
 
 def sample_many(family: IntervalPolynomial, count: int,
@@ -220,13 +190,6 @@ def sum_family(kg: IntervalPolynomial, kf: IntervalPolynomial) -> IntervalPolyno
     lo = tuple(a + b for a, b in zip(kg.lower + (0.0,) * pad, kf.lower))
     hi = tuple(a + b for a, b in zip(kg.upper + (0.0,) * pad, kf.upper))
     return IntervalPolynomial(lo, hi)
-
-
-def vertex_sum(kg: IntervalPolynomial, kf: IntervalPolynomial,
-               i: int, j: int) -> RealPolynomial:
-    """Matched vertex sum g_ij + f_ij (zero-padded to the denominator degree)."""
-    r = VERTEX_LABELS.index(f"{i}{j}")
-    return RealPolynomial(vertex_rows(kg, len(kf.lower))[r] + vertex_rows(kf)[r])
 
 
 def sum_family_hurwitz(kg: IntervalPolynomial, kf: IntervalPolynomial) -> bool:

@@ -9,11 +9,12 @@ real parts, so one numeric engine serves verdicts, margins and sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateLeadingError, NoConvergenceError, ZeroPolynomialError
-from .poly import ZERO_DEGREE, ComplexPolynomial, RealPolynomial, eval_many
+from .poly import ZERO_DEGREE, RealPolynomial, check_finite, eval_many, last_nonzero
 
 __all__ = [
     "StabilityVerdict",
@@ -166,22 +167,23 @@ def roots_batch(coeffs: np.ndarray, *, max_iter: int = MAX_ITER,
     return z, res
 
 
-def roots_complex(p: ComplexPolynomial | RealPolynomial) -> RootSet:
-    """Roots of a single polynomial via the batched kernel."""
-    d = p.degree
+def roots_complex(coeffs: Sequence[complex]) -> RootSet:
+    """Roots of one polynomial, given ascending coefficients, via the batched kernel."""
+    c = [complex(v) for v in coeffs]
+    check_finite(c)
+    d = last_nonzero(c)
     if d == ZERO_DEGREE:
         raise ZeroPolynomialError("the zero polynomial has no defined root set")
     if d < 1:
         raise ValueError("root extraction needs degree >= 1")
-    coeffs = np.array([complex(c) for c in p.coeffs[: d + 1]])[None, :]
-    roots, res = roots_batch(coeffs)
+    roots, res = roots_batch(np.array(c[: d + 1])[None, :])
     return RootSet(roots=tuple(complex(z) for z in roots[0]), residual=float(res[0]))
 
 
-def is_hurwitz_complex(p: ComplexPolynomial | RealPolynomial,
+def is_hurwitz_complex(coeffs: Sequence[complex],
                        tol: float = HURWITZ_TOL) -> StabilityVerdict:
     """True iff every root sits strictly left of -tol; margin = -max Re."""
-    rs = roots_complex(p)
+    rs = roots_complex(coeffs)
     margin = -max(r.real for r in rs.roots)
     return StabilityVerdict(is_hurwitz=bool(margin > tol), margin=margin, method="roots")
 

@@ -20,9 +20,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DeltaRangeError, HullMismatchError
-from .interval import IntervalPolynomial, KharitonovSet, kharitonov_vertices, vertex_rows
-from .poly import ComplexPolynomial, add, eval_many, scale
-from .stability import HURWITZ_TOL, is_hurwitz_complex, max_real_parts_batch
+from .interval import IntervalPolynomial, vertex_rows
+from .poly import eval_many
+from .stability import HURWITZ_TOL, max_real_parts_batch
 
 __all__ = [
     "VertexTuple",
@@ -30,7 +30,6 @@ __all__ = [
     "OriginCheck",
     "TWELVE_TUPLES",
     "ALL_SIXTEEN",
-    "perturbed_vertex_polynomial",
     "octagon",
     "origin_excluded",
     "family_complex_stability",
@@ -126,15 +125,6 @@ def _check_delta(delta: float) -> None:
 
 def rotation_factor(delta: float, theta: float) -> complex:
     return 1.0 + delta * complex(math.cos(theta), math.sin(theta))
-
-
-def perturbed_vertex_polynomial(kg_vertices: KharitonovSet, kf_vertices: KharitonovSet,
-                 t: VertexTuple, delta: float, theta: float) -> ComplexPolynomial:
-    """Perturbed vertex polynomial g_{i1 j1} + (1 + delta*e^{j theta}) * f_{i2 j2}."""
-    _check_delta(delta)
-    g = kg_vertices.vertex(t.i1, t.j1)
-    f = kf_vertices.vertex(t.i2, t.j2)
-    return add(g, scale(f, rotation_factor(delta, theta)))
 
 
 def predicted_tuples(omega: float, delta: float, theta: float) -> tuple[VertexTuple, ...]:
@@ -341,9 +331,10 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
             f"omega_max {omega_max:g} is below the family root bound {bound:g}; "
             "the sweep would not cover all possible axis crossings"
         )
-    anchor = perturbed_vertex_polynomial(kharitonov_vertices(kg), kharitonov_vertices(kf),
-                          VertexTuple(1, 1, 1, 1), delta, theta)
-    if not is_hurwitz_complex(anchor).is_hurwitz:
+    _check_delta(delta)
+    anchor = perturbed_vertex_rows(*tuple_rows(kg, kf, (VertexTuple(1, 1, 1, 1),)),
+                                   delta, np.array([theta]))
+    if max_real_parts_batch(anchor)[0] >= -HURWITZ_TOL:
         return False
     return all(check.excluded for _, check in
                sweep_octagons(kg, kf, delta, theta, omega_max, points))

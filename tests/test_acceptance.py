@@ -141,7 +141,7 @@ def test_criterion_7_stability_engine_agreement():
         if abs(margin) < 1e-7:
             continue
         p = RealPolynomial(coeffs)
-        assert is_hurwitz_real(p).is_hurwitz == is_hurwitz_complex(p, tol=1e-9).is_hurwitz
+        assert is_hurwitz_real(p).is_hurwitz == is_hurwitz_complex(p.coeffs, tol=1e-9).is_hurwitz
         checked += 1
     assert checked > 900
     _ok(7, f"Routh/root agreement on {checked} polynomials, zero disagreements")

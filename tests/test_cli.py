@@ -70,9 +70,12 @@ class TestProblemFiles:
         prob = load_problem(str(path))
         assert prob.options.seed == 9
         assert prob.options.oracle_samples == 11
-        # counts are taken whole or rejected with the field named, never truncated
+        # counts are taken whole or rejected with the field named, never truncated;
+        # out-of-range values are rejected at load, before any work runs
         for option in ("theta_points: 720.9", "seed: 2.5", "oracle_samples: true",
-                       "oracle_samples: -5", "grid_points: 1.5"):
+                       "oracle_samples: -5", "grid_points: 1.5", "theta_points: 0",
+                       "grid_points: 1", "omega_max: .inf", "omega_max: .nan",
+                       "omega_max: 0", "omega_max: -2.5"):
             path = write(tmp_path, "bad.yaml",
                          "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
                          f"options:\n  {option}\n")
@@ -236,10 +239,15 @@ class TestOracle:
         res = run("oracle", PROBLEMS / "point_plant.yaml", "--samples", "0")
         assert res.exit_code == 0
         assert "samples: 0" in res.output
-        for command in ("oracle", "analyze"):
-            res = run(command, PROBLEMS / "point_plant.yaml", "--samples", "-5")
+        for command, flag, value in (("oracle", "--samples", "-5"),
+                                     ("analyze", "--samples", "-5"),
+                                     ("analyze", "--theta-points", "0"),
+                                     ("analyze", "--tol", "nan"),
+                                     ("analyze", "--tol", "inf"),
+                                     ("analyze", "--tol", "0")):
+            res = run(command, PROBLEMS / "point_plant.yaml", flag, value)
             assert res.exit_code == 2
-            assert "--samples" in res.output
+            assert flag in res.output
 
     def test_seed_reproducibility(self):
         a = run("oracle", PROBLEMS / "widened_family.yaml", "--samples", "100", "--seed", "5")

@@ -173,6 +173,13 @@ class TestFamilyNormBisection:
         val = family_norm_bisection(kg, kf, tol=1e-4, theta_count=360)
         assert 1.0 <= val <= 1.0 + 2e-4
 
+    def test_tolerance_must_be_finite_and_positive(self):
+        kg = IntervalPolynomial([1], [1])
+        kf = IntervalPolynomial([0, 1, 1], [0, 1, 1])
+        for tol in (math.nan, math.inf, 0.0, -1e-4):
+            with pytest.raises(ValueError, match="tolerance"):
+                family_norm_bisection(kg, kf, tol=tol)
+
     def test_unstable_family_rejected(self):
         from intervalhinf.errors import UnstableFamilyError
 

@@ -5,10 +5,10 @@ from intervalhinf.errors import DegreeOrderError
 from intervalhinf.interval import (
     IntervalPolynomial,
     kharitonov_vertices,
-    sample,
+    sample_many,
     sum_family,
     value_rectangle,
-    vertex_sum,
+    vertex_rows,
 )
 from intervalhinf.poly import RealPolynomial, eval_at_jomega
 
@@ -34,8 +34,8 @@ class TestKharitonovVertices:
     def test_degree_three_unit_box(self):
         ks = kharitonov_vertices(box([0, 0, 0, 0], [1, 1, 1, 1]))
         assert ks.p11.coeffs == (0.0, 0.0, 1.0, 1.0)
-        assert ks.alpha1.coeffs == (0.0, 1.0)
-        assert ks.beta1.coeffs == (0.0, 1.0)
+        assert ks.p11.coeffs[0::2] == (0.0, 1.0)  # alpha^(1)
+        assert ks.p11.coeffs[1::2] == (0.0, 1.0)  # beta^(1)
 
     def test_vertices_are_members(self):
         rng = np.random.default_rng(3)
@@ -78,24 +78,21 @@ class TestValueRectangle:
         k = box([0.5, -1, 2, 0.1], [1.5, 1, 3, 0.4])
         for omega in (0.0, 0.7, -2.2, 5.0):
             r = value_rectangle(k, omega)
-            for _ in range(250):
-                member = sample(k, rng)
+            for coeffs in sample_many(k, 250, rng):
+                member = RealPolynomial(coeffs)
                 assert r.contains(eval_at_jomega(member, omega), slack=1e-12)
 
     def test_halves_bounded_by_alternating_extremes(self):
-        # coordinatewise bounds on alpha and beta, 1000 seeded draws
+        # alpha(-w^2) and beta(-w^2) of members between the vertex extremes, 1000 seeded draws
         rng = np.random.default_rng(11)
         k = box([0.5, -1, 2, 0.1, 0.3], [1.5, 1, 3, 0.4, 0.9])
-        ks = kharitonov_vertices(k)
-        from intervalhinf.poly import even_odd_split
-
-        for _ in range(1000):
-            member = sample(k, rng)
+        for coeffs in sample_many(k, 1000, rng):
             omega = float(rng.uniform(-5, 5))
-            u = -(omega * omega)
-            alpha, beta = even_odd_split(member)
-            assert ks.alpha1.eval(u) - 1e-12 <= alpha.eval(u) <= ks.alpha2.eval(u) + 1e-12
-            assert ks.beta1.eval(u) - 1e-12 <= beta.eval(u) <= ks.beta2.eval(u) + 1e-12
+            r = value_rectangle(k, omega)
+            z = eval_at_jomega(RealPolynomial(coeffs), omega)  # alpha + j omega beta
+            assert r.re_lo - 1e-12 <= z.real <= r.re_hi + 1e-12
+            slack = 1e-12 * abs(omega)
+            assert r.im_lo - slack <= z.imag <= r.im_hi + slack
 
     def test_negative_omega_mirrors_positive(self):
         k = box([0.5, -1, 2], [1.5, 1, 3])
@@ -109,20 +106,20 @@ class TestValueRectangle:
 class TestSample:
     def test_point_family_is_deterministic(self):
         k = box([1, 2], [1, 2])
-        assert sample(k, np.random.default_rng(0)).coeffs == (1.0, 2.0)
-        assert sample(k, np.random.default_rng(999)).coeffs == (1.0, 2.0)
+        assert sample_many(k, 1, np.random.default_rng(0)).tolist() == [[1.0, 2.0]]
+        assert sample_many(k, 1, np.random.default_rng(999)).tolist() == [[1.0, 2.0]]
 
     def test_same_seed_same_draw(self):
         k = box([0, 0, 0], [1, 1, 1])
-        a = sample(k, np.random.default_rng(42))
-        b = sample(k, np.random.default_rng(42))
-        assert a.coeffs == b.coeffs
+        a = sample_many(k, 1, np.random.default_rng(42))
+        b = sample_many(k, 1, np.random.default_rng(42))
+        assert a.tolist() == b.tolist()
 
     def test_draws_stay_in_box(self):
         rng = np.random.default_rng(13)
         k = box([-1, 0.5, -2], [1, 0.6, 7])
-        for _ in range(200):
-            assert k.contains(sample(k, rng))
+        for coeffs in sample_many(k, 200, rng):
+            assert k.contains(RealPolynomial(coeffs))
 
 
 class TestSumFamily:
@@ -153,10 +150,8 @@ class TestSumFamily:
             glo = rng.uniform(-3, 3, m + 1)
             ghi = glo + rng.uniform(0, 2, m + 1)
             kf, kg = box(flo, fhi), box(glo, ghi)
-            summed = kharitonov_vertices(sum_family(kg, kf))
-            for i in (1, 2):
-                for j in (1, 2):
-                    assert summed.vertex(i, j).coeffs == vertex_sum(kg, kf, i, j).coeffs
+            matched = vertex_rows(kg, n + 1) + vertex_rows(kf)
+            assert np.array_equal(vertex_rows(sum_family(kg, kf)), matched)
 
 
 class TestValidation:

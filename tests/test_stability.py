@@ -3,7 +3,7 @@ import pytest
 
 from conftest import np_root_margin
 from intervalhinf.errors import DegenerateLeadingError, ZeroPolynomialError
-from intervalhinf.poly import ComplexPolynomial, RealPolynomial
+from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import (
     is_hurwitz_complex,
     is_hurwitz_real,
@@ -36,16 +36,16 @@ class TestRouth:
 
 class TestRootsComplex:
     def test_linear(self):
-        rs = roots_complex(ComplexPolynomial([1 - 1j, 1]))
+        rs = roots_complex([1 - 1j, 1])
         assert rs.roots[0] == pytest.approx(-1 + 1j)
 
     def test_factorable_quadratic(self):
-        rs = roots_complex(ComplexPolynomial([2, 3, 1]))
+        rs = roots_complex([2, 3, 1])
         assert sorted(r.real for r in rs.roots) == pytest.approx([-2.0, -1.0])
         assert rs.residual < 1e-10
 
     def test_double_root(self):
-        rs = roots_complex(ComplexPolynomial([-1, -2j, 1]))  # (s - j)^2
+        rs = roots_complex([-1, -2j, 1])  # (s - j)^2
         for r in rs.roots:
             assert r == pytest.approx(1j, abs=1e-6)
         assert rs.residual < 1e-10
@@ -56,7 +56,7 @@ class TestRootsComplex:
             deg = int(rng.integers(1, 9))
             coeffs = rng.uniform(-5, 5, deg + 1) + 1j * rng.uniform(-5, 5, deg + 1)
             coeffs[-1] += 6.0  # keep the leading coefficient healthy
-            rs = roots_complex(ComplexPolynomial(coeffs))
+            rs = roots_complex(coeffs)
             assert len(rs.roots) == deg
             assert rs.residual < 1e-9
 
@@ -66,7 +66,7 @@ class TestRootsComplex:
             deg = int(rng.integers(2, 9))
             coeffs = rng.uniform(-5, 5, deg + 1)
             coeffs[-1] = np.sign(coeffs[-1] or 1.0) * (abs(coeffs[-1]) + 0.5)
-            roots = list(roots_complex(RealPolynomial(coeffs)).roots)
+            roots = list(roots_complex(coeffs).roots)
             while roots:
                 r = roots.pop()
                 match = min(roots, key=lambda q: abs(q - r.conjugate()), default=None)
@@ -85,12 +85,12 @@ class TestRootsComplex:
             p[-1] += 3.0
             q[-1] += 3.0
             combined = sorted(
-                roots_complex(ComplexPolynomial(np.convolve(p, q))).roots,
+                roots_complex(np.convolve(p, q)).roots,
                 key=lambda z: (z.real, z.imag),
             )
             separate = sorted(
-                list(roots_complex(ComplexPolynomial(p)).roots)
-                + list(roots_complex(ComplexPolynomial(q)).roots),
+                list(roots_complex(p).roots)
+                + list(roots_complex(q).roots),
                 key=lambda z: (z.real, z.imag),
             )
             for a, b in zip(combined, separate):
@@ -98,26 +98,32 @@ class TestRootsComplex:
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomialError):
-            roots_complex(ComplexPolynomial([0]))
+            roots_complex([0])
+
+    def test_constant_raises(self):
+        with pytest.raises(ValueError, match="degree"):
+            roots_complex([2j, 0])
+        with pytest.raises(ValueError, match="degree"):
+            is_hurwitz_complex([3.0])
 
     def test_degenerate_leading_raises(self):
         with pytest.raises(DegenerateLeadingError):
-            roots_complex(ComplexPolynomial([1.0, 1e-15]))
+            roots_complex([1.0, 1e-15])
 
 
 class TestHurwitzComplex:
     def test_simple_stable(self):
-        v = is_hurwitz_complex(ComplexPolynomial([1, 1]))
+        v = is_hurwitz_complex([1, 1])
         assert v.is_hurwitz and v.margin == pytest.approx(1.0)
 
     def test_axis_root_rejected(self):
-        v = is_hurwitz_complex(ComplexPolynomial([-1j, 1]))  # root at +j
+        v = is_hurwitz_complex([-1j, 1])  # root at +j
         assert not v.is_hurwitz
         assert v.margin == pytest.approx(0.0, abs=1e-9)
 
     def test_constructed_left_half_plane(self):
         # (s+1)(s+1-j) = s^2 + (2-j)s + (1-j)
-        v = is_hurwitz_complex(ComplexPolynomial([1 - 1j, 2 - 1j, 1]))
+        v = is_hurwitz_complex([1 - 1j, 2 - 1j, 1])
         assert v.is_hurwitz and v.method == "roots"
 
 
@@ -137,6 +143,6 @@ class TestRouthRootsAgreement:
                 borderline += 1
                 continue
             routh = is_hurwitz_real(p).is_hurwitz
-            roots = is_hurwitz_complex(p, tol=1e-9).is_hurwitz
+            roots = is_hurwitz_complex(coeffs, tol=1e-9).is_hurwitz
             assert routh == roots, f"disagreement on {coeffs} (margin {margin})"
         assert borderline < 50

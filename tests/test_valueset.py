@@ -6,8 +6,8 @@ import pytest
 
 from conftest import polygon_exterior_distance, random_stable_family
 from intervalhinf.errors import DeltaRangeError
-from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices, sample_many
-from intervalhinf.poly import eval_at_jomega
+from intervalhinf.interval import IntervalPolynomial, sample_many
+from intervalhinf.poly import eval_many
 from intervalhinf.valueset import (
     ALL_SIXTEEN,
     TWELVE_TUPLES,
@@ -16,16 +16,29 @@ from intervalhinf.valueset import (
     VertexTuple,
     family_complex_stability,
     family_cauchy_bound,
-    perturbed_vertex_polynomial,
     octagon,
     origin_excluded,
+    perturbed_vertex_rows,
     predicted_tuples,
     rotation_factor,
+    tuple_rows,
     zero_exclusion_sweep,
 )
 
 POINT_KG = IntervalPolynomial([1], [1])
 POINT_KF = IntervalPolynomial([0, 1, 1], [0, 1, 1])
+
+
+def perturbed_row(kg, kf, t, delta, theta):
+    """Coefficients of g + (1 + delta*e^{j theta}) f for the vertex pair of tuple t."""
+    g_rows, f_rows = tuple_rows(kg, kf, (t,))
+    return perturbed_vertex_rows(g_rows, f_rows, delta, np.array([theta]))[0]
+
+
+def perturbed_value(kg, kf, t, delta, theta, omega):
+    """The perturbed vertex polynomial of tuple t evaluated at j*omega."""
+    row = perturbed_row(kg, kf, t, delta, theta)
+    return eval_many(row[None, :], np.array([[1j * omega]]))[0, 0]
 
 
 class TestVertexTuple:
@@ -47,30 +60,25 @@ class TestVertexTuple:
 
 class TestPerturbedVertexPolynomial:
     def test_theta_zero_keeps_real_coefficients(self):
-        ksg = kharitonov_vertices(POINT_KG)
-        ksf = kharitonov_vertices(POINT_KF)
-        jp = perturbed_vertex_polynomial(ksg, ksf, VertexTuple(1, 1, 1, 1), 0.5, 0.0)
-        assert all(c.imag == 0 for c in jp.coeffs)
-        assert jp.coeffs == (1 + 0j, 1.5 + 0j, 1.5 + 0j)
+        row = perturbed_row(POINT_KG, POINT_KF, VertexTuple(1, 1, 1, 1), 0.5, 0.0)
+        assert all(c.imag == 0 for c in row)
+        assert row.tolist() == [1 + 0j, 1.5 + 0j, 1.5 + 0j]
 
     def test_theta_pi_shrinks_scaling(self):
-        ksg = kharitonov_vertices(POINT_KG)
-        ksf = kharitonov_vertices(POINT_KF)
-        jp = perturbed_vertex_polynomial(ksg, ksf, VertexTuple(1, 1, 1, 1), 0.5, math.pi)
-        assert jp.coeffs == pytest.approx((1 + 0j, 0.5 + 0j, 0.5 + 0j))
+        row = perturbed_row(POINT_KG, POINT_KF, VertexTuple(1, 1, 1, 1), 0.5, math.pi)
+        assert row.tolist() == pytest.approx([1 + 0j, 0.5 + 0j, 0.5 + 0j])
 
     def test_point_first_order(self):
-        ksg = kharitonov_vertices(POINT_KG)
-        ksf = kharitonov_vertices(IntervalPolynomial([1, 1], [1, 1]))
-        jp = perturbed_vertex_polynomial(ksg, ksf, VertexTuple(2, 2, 2, 2), 0.5, math.pi / 2)
-        assert jp.coeffs == pytest.approx((2 + 0.5j, 1 + 0.5j))
+        kf = IntervalPolynomial([1, 1], [1, 1])
+        row = perturbed_row(POINT_KG, kf, VertexTuple(2, 2, 2, 2), 0.5, math.pi / 2)
+        assert row.tolist() == pytest.approx([2 + 0.5j, 1 + 0.5j])
 
     def test_delta_range_is_enforced(self):
-        ksg = kharitonov_vertices(POINT_KG)
-        ksf = kharitonov_vertices(POINT_KF)
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(DeltaRangeError):
-                perturbed_vertex_polynomial(ksg, ksf, VertexTuple(1, 1, 1, 1), bad, 0.0)
+                family_complex_stability(POINT_KG, POINT_KF, bad, 0.0)
+            with pytest.raises(DeltaRangeError):
+                octagon(POINT_KG, POINT_KF, bad, 0.0, 1.0)
 
 
 def widened_family():
@@ -95,22 +103,20 @@ class TestOctagon:
         poly = octagon(POINT_KG, POINT_KF, 0.5, 1.0, 1.0)
         assert len(poly.vertices) == 1
         point, tup = poly.vertices[0]
-        jp = perturbed_vertex_polynomial(kharitonov_vertices(POINT_KG), kharitonov_vertices(POINT_KF),
-                          tup, 0.5, 1.0)
-        assert point == pytest.approx(eval_at_jomega(jp, 1.0), rel=1e-12)
+        value = perturbed_value(POINT_KG, POINT_KF, tup, 0.5, 1.0, 1.0)
+        assert point == pytest.approx(value, rel=1e-12)
 
     def test_theta_zero_gives_rectangle(self):
         kg, kf = widened_family()
         poly = octagon(kg, kf, 0.5, 0.0, 1.3)
         assert len(poly.vertices) <= 4
 
-    def test_vertices_match_their_perturbed_vertex_polynomials(self):
+    def test_vertices_match_their_perturbed_vertex_rows(self):
         kg, kf = widened_family()
         poly = octagon(kg, kf, 0.4, 0.9, 0.8)
-        ksg, ksf = kharitonov_vertices(kg), kharitonov_vertices(kf)
         for point, tup in poly.vertices:
-            jp = perturbed_vertex_polynomial(ksg, ksf, tup, 0.4, 0.9)
-            assert point == pytest.approx(eval_at_jomega(jp, 0.8), rel=1e-12)
+            value = perturbed_value(kg, kf, tup, 0.4, 0.9, 0.8)
+            assert point == pytest.approx(value, rel=1e-12)
 
     def test_minkowski_sampling_oracle(self):
         # 2000 sampled members evaluate inside the hull
