@@ -89,8 +89,7 @@ class TestRootsComplex:
                 key=lambda z: (z.real, z.imag),
             )
             separate = sorted(
-                list(roots_complex(p).roots)
-                + list(roots_complex(q).roots),
+                list(roots_complex(p).roots) + list(roots_complex(q).roots),
                 key=lambda z: (z.real, z.imag),
             )
             for a, b in zip(combined, separate):
