@@ -27,6 +27,7 @@ from .hinf import (
     RationalFunction,
     check_gamma_equivalence,
     family_norm_bisection,
+    hinf_norm_batch,
     hinf_norm_exact,
     hinf_norm_grid,
     sensitivity,

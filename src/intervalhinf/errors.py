@@ -6,7 +6,13 @@ instability verdicts exit 3, numerical failures exit 4.
 
 
 class IntervalHinfError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    `row` is set when a batched call names the input row that failed; the
+    error it was raised from, for that row alone, is its __cause__.
+    """
+
+    row: int | None = None
 
 
 class DegreeOrderError(IntervalHinfError):

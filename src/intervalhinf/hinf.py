@@ -15,17 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stability
 from .errors import (
     DegreeOrderError,
     DeltaRangeError,
+    IntervalHinfError,
     NoUpperBracketError,
     UnstableClosedLoopError,
     UnstableDenominatorError,
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared
-from .stability import HURWITZ_TOL, is_hurwitz_real, max_real_parts_batch, roots_complex
+from .poly import (RealPolynomial, add, check_finite, eval_at_jomega, eval_many,
+                   magnitude_squared)
+from .stability import HURWITZ_TOL, is_hurwitz_real, max_real_parts_batch
 from .valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "NormResult",
     "sensitivity",
     "hinf_norm_exact",
+    "hinf_norm_batch",
     "hinf_norm_grid",
     "check_gamma_equivalence",
     "family_norm_bisection",
@@ -40,6 +44,7 @@ __all__ = [
 
 GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
+_NORM_CHUNK = 128  # stationarity rows per roots_batch call; bounds its (rows, d, d) arrays
 
 
 @dataclass(frozen=True)
@@ -108,26 +113,22 @@ def _stationarity_polynomial(mn: np.ndarray, md: np.ndarray) -> np.ndarray:
     return _trimmed(lhs - rhs)
 
 
-def hinf_norm_exact(rf: RationalFunction) -> NormResult:
-    """Peak magnitude over the imaginary axis from stationary-point candidates.
+def _chunk_roots(coeffs: np.ndarray) -> list:
+    """Roots of each same-degree row, or the error solving that row alone raises.
 
-    Candidate squared frequencies are the nonnegative real roots of
-    M_num' * M_den - M_num * M_den', plus x = 0, plus the x -> inf limit;
-    each finite candidate is re-evaluated through the transfer function.
-    Ties go to the smallest frequency.
+    A chunk that fails is solved again row by row, so the failure lands on
+    its own row and the other rows keep their roots.
     """
-    if not is_hurwitz_real(rf.den).is_hurwitz:
-        raise UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")
-    mn = magnitude_squared(rf.num.coeffs)
-    md = magnitude_squared(rf.den.coeffs)
-    station = _stationarity_polynomial(mn, md)
+    try:
+        return stability.roots_batch(coeffs)[0].tolist()
+    except IntervalHinfError as err:
+        if len(coeffs) == 1:
+            return [err]
+    return [out for row in coeffs for out in _chunk_roots(row[None, :])]
 
-    xs = [0.0]
-    if len(station) >= 2:
-        for r in roots_complex(station).roots:
-            if abs(r.imag) <= 1e-8 * abs(r) and r.real > 0.0:
-                xs.append(r.real)
 
+def _norm_from_roots(rf: RationalFunction, roots: list[complex]) -> NormResult:
+    xs = [0.0] + [r.real for r in roots if abs(r.imag) <= 1e-8 * abs(r) and r.real > 0.0]
     candidates = [(om, rf.magnitude_at(om)) for om in sorted(math.sqrt(x) for x in xs)]
     candidates.append((math.inf, rf.infinity_gain()))
 
@@ -136,6 +137,83 @@ def hinf_norm_exact(rf: RationalFunction) -> NormResult:
         if mag > best_val:
             best_val, best_at = mag, om
     return NormResult(value=best_val, attained_at=best_at, candidates=tuple(candidates))
+
+
+def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
+    """Peak magnitude over the imaginary axis of each num/den row pair, in order.
+
+    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients.
+    Candidate squared frequencies are the nonnegative real roots of
+    M_num' * M_den - M_num * M_den', plus x = 0, plus the x -> inf limit;
+    each finite candidate is re-evaluated through the transfer function.
+    Ties go to the smallest frequency.
+
+    Byte-identical row pairs are solved once. Stationarity polynomials of
+    one length share roots_batch calls of at most _NORM_CHUNK rows, whose
+    iteration is per row, so every result equals solving its row alone.
+    A failure is that of the lowest failing input row: the error solving
+    that row alone raises, re-raised with `row` set and named in the message.
+    """
+    num_rows = np.asarray(num_rows, dtype=float)
+    den_rows = np.asarray(den_rows, dtype=float)
+    if num_rows.ndim != 2 or den_rows.ndim != 2 or len(num_rows) != len(den_rows):
+        raise ValueError("hinf_norm_batch needs (B, m+1) and (B, n+1) coefficient rows")
+    pairs = np.ascontiguousarray(np.hstack([num_rows, den_rows]))
+    _, first, inverse = np.unique(pairs.view(f"V{pairs.shape[1] * pairs.itemsize}").ravel(),
+                                  return_index=True, return_inverse=True)
+
+    failure: tuple[int, IntervalHinfError] | None = None
+    rfs, stations = {}, {}
+    for u in np.argsort(first):  # distinct pairs in input order
+        k = int(first[u])
+        try:
+            rf = RationalFunction(num=RealPolynomial(num_rows[k]),
+                                  den=RealPolynomial(den_rows[k]))
+            if not is_hurwitz_real(rf.den).is_hurwitz:
+                raise UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")
+        except IntervalHinfError as err:
+            failure = (k, err)  # later rows cannot fail first
+            break
+        station = _stationarity_polynomial(magnitude_squared(rf.num.coeffs),
+                                           magnitude_squared(rf.den.coeffs))
+        check_finite(station.tolist())
+        rfs[u], stations[u] = rf, station
+
+    by_length: dict[int, list[int]] = {}
+    for u, station in stations.items():
+        if len(station) >= 2:
+            by_length.setdefault(len(station), []).append(u)
+    roots: dict[int, list] = {}
+    for members in by_length.values():
+        for start in range(0, len(members), _NORM_CHUNK):
+            chunk = members[start : start + _NORM_CHUNK]
+            solved = _chunk_roots(np.array([stations[u] for u in chunk], dtype=complex))
+            roots.update(zip(chunk, solved))
+
+    norms = {}
+    for u, rf in rfs.items():  # input order, all before a failure found above
+        out = roots.get(u, [])
+        if isinstance(out, IntervalHinfError):
+            failure = (int(first[u]), out)
+            break
+        norms[u] = _norm_from_roots(rf, out)
+    if failure is not None:
+        k, err = failure
+        located = type(err)(f"row {k}: {err}")
+        located.row = k
+        raise located from err
+    return [norms[u] for u in inverse]
+
+
+def hinf_norm_exact(rf: RationalFunction) -> NormResult:
+    """Exact H-infinity norm of one rational function: hinf_norm_batch with B = 1.
+
+    Errors are raised as solving the function alone raises them, without a row.
+    """
+    try:
+        return hinf_norm_batch([rf.num.coeffs], [rf.den.coeffs])[0]
+    except IntervalHinfError as err:
+        raise err.__cause__ from None
 
 
 def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import NormResult, RationalFunction, family_norm_bisection, hinf_norm_exact
+from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
+from .hinf import NormResult, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import RealPolynomial
 from .stability import is_hurwitz_real, max_real_parts_batch
@@ -111,17 +111,20 @@ def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
 def _vertex_norms(prob: AnalysisProblem,
                   tuples: tuple[VertexTuple, ...]) -> dict[VertexTuple, NormResult]:
     """Exact sensitivity norm f/(g + f) of each tuple's vertex pair, in order,
-    each closed loop Hurwitz-checked before its norm."""
-    norms: dict[VertexTuple, NormResult] = {}
-    for t, g, f in zip(tuples, *tuple_rows(prob.kg, prob.kf, tuples)):
-        den = RealPolynomial(g + f)
-        if not is_hurwitz_real(den).is_hurwitz:
+    every closed loop Hurwitz-checked before any norm."""
+    g_rows, f_rows = tuple_rows(prob.kg, prob.kf, tuples)
+    dens = g_rows + f_rows
+    for t, den in zip(tuples, dens):
+        if not is_hurwitz_real(RealPolynomial(den)).is_hurwitz:
             raise TheoremPreconditionGapError(
                 f"mixed vertex sum for tuple {t.label} is not Hurwitz although the "
                 "matched sums are; the vertex reduction hypothesis does not extend"
             )
-        norms[t] = hinf_norm_exact(RationalFunction(num=RealPolynomial(f), den=den))
-    return norms
+    try:
+        norms = hinf_norm_batch(f_rows, dens)
+    except IntervalHinfError as err:
+        raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
+    return dict(zip(tuples, norms))
 
 
 def _twelve_report(prob: AnalysisProblem,
@@ -189,6 +192,7 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
     rng = np.random.default_rng(seed)
 
     gs, fs = _probe_pairs(prob)
+    probes = len(gs)
     if samples > 0:
         g_draws = sample_many(prob.kg, samples, rng)
         f_draws = sample_many(prob.kf, samples, rng)
@@ -197,16 +201,17 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
     dens = fs.copy()
     dens[:, : gs.shape[1]] += gs
     margins = -max_real_parts_batch(dens.astype(complex))
+    kept = np.flatnonzero(~(margins < BORDERLINE_MARGIN))
+    try:
+        values = [r.value for r in hinf_norm_batch(fs[kept], dens[kept])]
+    except IntervalHinfError as err:
+        k = int(kept[err.row])
+        where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
+        raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
 
     best = -np.inf
     best_k = 0
-    skipped = 0
-    for k in range(len(dens)):
-        if margins[k] < BORDERLINE_MARGIN:
-            skipped += 1
-            continue
-        rf = RationalFunction(num=RealPolynomial(fs[k]), den=RealPolynomial(dens[k]))
-        value = hinf_norm_exact(rf).value
+    for k, value in zip(kept, values):
         if value > best:
             best = value
             best_k = k
@@ -215,7 +220,7 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
         argmax_g=tuple(float(c) for c in gs[best_k]),
         argmax_f=tuple(float(c) for c in fs[best_k]),
         samples=samples,
-        skipped=skipped,
+        skipped=len(dens) - len(kept),
         seed=seed,
     )
 

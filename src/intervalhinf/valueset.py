@@ -325,13 +325,13 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
     miss a crossing between points, so a True here cross-checks rather
     than replaces the twelve-polynomial verdict.
     """
+    _check_delta(delta)
     bound = family_cauchy_bound(kg, kf, delta)
     if omega_max < bound:
         raise ValueError(
             f"omega_max {omega_max:g} is below the family root bound {bound:g}; "
             "the sweep would not cover all possible axis crossings"
         )
-    _check_delta(delta)
     anchor = perturbed_vertex_rows(*tuple_rows(kg, kf, (VertexTuple(1, 1, 1, 1),)),
                                    delta, np.array([theta]))
     if max_real_parts_batch(anchor)[0] >= -HURWITZ_TOL:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_plant
+from intervalhinf import hinf, stability
 from intervalhinf.errors import (
+    DegenerateLeadingError,
     DegreeOrderError,
     DeltaRangeError,
     UnstableClosedLoopError,
@@ -14,12 +16,14 @@ from intervalhinf.hinf import (
     RationalFunction,
     check_gamma_equivalence,
     family_norm_bisection,
+    hinf_norm_batch,
     hinf_norm_exact,
     hinf_norm_grid,
     sensitivity,
 )
 from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import RealPolynomial
+from intervalhinf.stability import roots_batch
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
 GOLDEN_OMEGA = math.sqrt((1 + math.sqrt(3)) / 2)
@@ -86,6 +90,78 @@ class TestExactNorm:
     def test_improper_rejected_at_construction(self):
         with pytest.raises(DegreeOrderError):
             RationalFunction(num=RealPolynomial([1, 1, 1]), den=RealPolynomial([1, 1]))
+
+
+UNSTABLE = [-1.0, 1.0, 1.0]
+DEGENERATE = [1.5000000000001, 2.0, 1.0]  # its stationarity leading term cancels
+
+
+def padded(coeffs, width):
+    row = np.zeros(width)
+    row[: len(coeffs)] = coeffs
+    return row
+
+
+class TestNormBatch:
+    def test_each_row_equals_its_row_alone(self, monkeypatch):
+        # degrees 2-8 give several stationarity lengths, the degree-3 ones more
+        # than one roots_batch chunk; duplicates and a num = den row (no
+        # stationary point) ride along; == on NormResult compares every float
+        rng = np.random.default_rng(67)
+        nums, dens, degrees = [], [], set()
+        for k in range(320):
+            g, f = random_stable_plant(rng, n_min=3 if k < 200 else 2,
+                                       n_max=3 if k < 200 else 8)
+            rf = sensitivity(g, f)
+            nums.append(padded(rf.num.coeffs, 9))
+            dens.append(padded(rf.den.coeffs, 9))
+            degrees.add(f.degree)
+        for k in (0, 5, 5, 17):
+            nums.append(nums[k])
+            dens.append(dens[k])
+        nums.append(padded([1.0, 2.0, 1.0], 9))
+        dens.append(nums[-1])
+        order = rng.permutation(len(nums))
+        nums, dens = np.array(nums)[order], np.array(dens)[order]
+        assert degrees == set(range(2, 9))
+
+        sizes = []
+        def sized(coeffs):
+            sizes.append(len(coeffs))
+            return roots_batch(coeffs)
+
+        monkeypatch.setattr(stability, "roots_batch", sized)
+        batch = hinf_norm_batch(nums, dens)
+        assert max(sizes) == hinf._NORM_CHUNK and len(sizes) > 2
+        alone = [hinf_norm_batch(n[None, :], d[None, :])[0] for n, d in zip(nums, dens)]
+        assert batch == alone
+        assert batch[list(order).index(len(order) - 1)].value == 1.0
+
+    def test_empty_batch(self):
+        assert hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3))) == []
+
+    @pytest.mark.parametrize("bad, row, error", [
+        ({3: UNSTABLE, 5: UNSTABLE}, 3, UnstableDenominatorError),
+        ({3: DEGENERATE, 5: DEGENERATE}, 3, DegenerateLeadingError),
+        # a root failure and a Routh failure: the lower row wins either way
+        ({2: DEGENERATE, 4: UNSTABLE}, 2, DegenerateLeadingError),
+        ({2: UNSTABLE, 4: DEGENERATE}, 2, UnstableDenominatorError),
+    ])
+    def test_failure_names_the_lowest_failing_row(self, bad, row, error):
+        nums = [[0.0, 1.0, 1.0]] * 6
+        dens = [[1.0 + 0.1 * k, 1.0, 1.0] for k in range(6)]
+        for k, den in bad.items():
+            dens[k] = den
+        with pytest.raises(error, match=f"^row {row}: ") as info:
+            hinf_norm_batch(nums, dens)
+        assert info.value.row == row
+        assert type(info.value.__cause__) is error
+        # the scalar wrapper raises the row's own error, without the row
+        with pytest.raises(error) as info:
+            hinf_norm_exact(RationalFunction(RealPolynomial(nums[row]),
+                                             RealPolynomial(dens[row])))
+        assert info.value.row is None
+        assert not str(info.value).startswith("row")
 
 
 class TestGridNorm:

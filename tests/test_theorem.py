@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_stable_family
-from intervalhinf import theorem
-from intervalhinf.errors import UnstableFamilyError
+from intervalhinf import stability, theorem
+from intervalhinf.errors import UnstableDenominatorError, UnstableFamilyError
 from intervalhinf.hinf import check_gamma_equivalence
 from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices
+from intervalhinf.stability import roots_batch
 from intervalhinf.theorem import (
     AnalysisOptions,
     AnalysisProblem,
@@ -146,6 +147,50 @@ class TestMonteCarloOracle:
         assert oracle.oracle_max >= worst - 1e-12
 
 
+def widened_problem(**opts):
+    kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
+    kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
+    return family_problem(kg, kf, **opts)
+
+
+def unstable_den_at(row, batch):
+    """hinf_norm_batch with the denominator of one row made non-Hurwitz."""
+    def wrapper(nums, dens):
+        dens = np.array(dens)
+        dens[row, 0] = -1.0
+        return batch(nums, dens)
+    return wrapper
+
+
+class TestOracleBatching:
+    def test_norms_share_a_few_kernel_calls(self, monkeypatch):
+        # 65 probes and 500 draws: one margin batch plus one call per
+        # stationarity length, not one per sample
+        calls = []
+
+        def counted(coeffs, **kwargs):
+            calls.append(len(coeffs))
+            return roots_batch(coeffs, **kwargs)
+
+        monkeypatch.setattr(stability, "roots_batch", counted)
+        oracle = monte_carlo_oracle(widened_problem(seed=42, oracle_samples=500))
+        assert oracle.samples == 500 and oracle.skipped == 0
+        assert len(calls) < 10
+
+    @pytest.mark.parametrize("row, where", [(3, "oracle probe 3"), (70, "oracle draw 5")])
+    def test_failure_names_the_probe_or_draw(self, monkeypatch, row, where):
+        monkeypatch.setattr(theorem, "hinf_norm_batch",
+                            unstable_den_at(row, theorem.hinf_norm_batch))
+        with pytest.raises(UnstableDenominatorError, match=f"^{where}: "):
+            monte_carlo_oracle(widened_problem(seed=42, oracle_samples=20))
+
+    def test_vertex_norm_failure_names_the_tuple(self, monkeypatch):
+        monkeypatch.setattr(theorem, "hinf_norm_batch",
+                            unstable_den_at(2, theorem.hinf_norm_batch))
+        with pytest.raises(UnstableDenominatorError, match="^tuple 2222: "):
+            max_sensitivity_twelve(widened_problem())
+
+
 class TestGammaSandwich:
     def test_argmax_vertex_flips_at_the_norm(self):
         # check_gamma_equivalence on the argmax pair: false below the max, true above
@@ -195,10 +240,10 @@ class TestAnalyze:
         calls = {"gate": 0, "norms": 0}
         in_oracle = []
 
-        def counted(name, fn):
+        def counted(name, fn, weight=lambda *args: 1):
             def wrapper(*args, **kwargs):
                 if not in_oracle:
-                    calls[name] += 1
+                    calls[name] += weight(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -211,12 +256,11 @@ class TestAnalyze:
 
         monkeypatch.setattr(theorem, "closed_loop_family_stable",
                             counted("gate", theorem.closed_loop_family_stable))
-        monkeypatch.setattr(theorem, "hinf_norm_exact",
-                            counted("norms", theorem.hinf_norm_exact))
+        monkeypatch.setattr(theorem, "hinf_norm_batch",
+                            counted("norms", theorem.hinf_norm_batch,
+                                    lambda nums, dens: len(nums)))
         monkeypatch.setattr(theorem, "monte_carlo_oracle", oracle)
-        kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
-        kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
-        report = analyze(family_problem(kg, kf, seed=42, oracle_samples=20, theta_points=90))
+        report = analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
         assert report.family_stable
         assert calls == {"gate": 1, "norms": 16}
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,16 @@ class TestZeroExclusionSweep:
         bound = family_cauchy_bound(kg, kf, 0.5)
         with pytest.raises(ValueError, match="root bound"):
             zero_exclusion_sweep(kg, kf, 0.5, math.pi / 2, bound * 0.5, 801)
+
+    def test_delta_range_is_checked_before_the_root_bound(self):
+        # at delta = 1 the root bound divides by zero; the range error comes first
+        kg = IntervalPolynomial([1], [1])
+        kf = IntervalPolynomial([1, 1], [1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (1.0, 0.0, -0.3, 1.7):
+                with pytest.raises(DeltaRangeError):
+                    zero_exclusion_sweep(kg, kf, bad, math.pi / 2, 1.0, 801)
 
     def test_agrees_with_twelve_polynomial_route(self):
         # stability by the twelve perturbed vertices implies an all-clear sweep
