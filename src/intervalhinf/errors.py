@@ -44,7 +44,7 @@ class DeltaRangeError(IntervalHinfError):
 
 
 class HullMismatchError(IntervalHinfError):
-    """A value-set hull vertex fell outside the predicted eight vertex tuples."""
+    """A perturbed vertex value lies outside the polygon of the eight predicted vertex tuples."""
 
 
 class NoUpperBracketError(IntervalHinfError):

@@ -118,9 +118,12 @@ class OriginCheck(NamedTuple):
     margin: float
 
 
-def _check_delta(delta: float) -> None:
+def _check_args(delta: float, **finite: float) -> None:
     if not (0.0 < delta < 1.0):
         raise DeltaRangeError(f"delta must lie in (0, 1), got {delta}")
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def rotation_factor(delta: float, theta: float) -> complex:
@@ -135,80 +138,83 @@ def predicted_tuples(omega: float, delta: float, theta: float) -> tuple[VertexTu
     return CASE_A if phi <= 0 else CASE_B
 
 
-def _convex_hull(points: list[complex], scale_: float) -> list[complex]:
-    """Monotone chain on deduplicated points; clockwise, strict corners only."""
-    tol = 1e-12 * max(scale_, 1.0)
-    unique: list[complex] = []
-    for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        if not unique or abs(p - unique[-1]) > tol:
-            unique.append(p)
-    if len(unique) <= 2:
-        return unique
-    cross_tol = 1e-12 * max(scale_, 1.0) ** 2
+def _check_enclosed(values: np.ndarray, corners: np.ndarray, scale: np.ndarray,
+                    omegas: np.ndarray) -> None:
+    """Raise HullMismatchError if a value passes an edge line or the corners' box by 1e-9*scale.
 
-    def cross(o: complex, a: complex, b: complex) -> float:
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    def half(pts: list[complex]) -> list[complex]:
-        out: list[complex] = []
-        for p in pts:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= cross_tol:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower_chain = half(unique)
-    upper_chain = half(unique[::-1])
-    ccw = lower_chain[:-1] + upper_chain[:-1]
-    return ccw[::-1]  # clockwise; degenerate all-collinear sets reduce to [first, last]
+    Corners run clockwise; the box bounds point and segment polygons. Edges within
+    the 1e-12*scale coincidence tolerance have no reliable direction and are skipped.
+    """
+    excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
+                                values.real - corners.real.max(1, keepdims=True),
+                                corners.imag.min(1, keepdims=True) - values.imag,
+                                values.imag - corners.imag.max(1, keepdims=True)])
+    for a, b in zip(corners.T, np.roll(corners, -1, axis=1).T):
+        edge = (b - a)[:, None]
+        left = ((values - a[:, None]) * edge.conj()).imag  # > 0: outside a clockwise edge
+        length = np.abs(edge)
+        np.maximum(excess, np.divide(left, length, out=np.zeros_like(left),
+                                     where=length > 1e-12 * scale[:, None]), out=excess)
+    for k, i in np.argwhere(excess > 1e-9 * scale[:, None])[:1]:
+        raise HullMismatchError(f"vertex value {ALL_SIXTEEN[i].label} at omega={omegas[k]} "
+                                f"lies {excess[k, i]:.3e} outside the predicted polygon "
+                                f"(tolerance {1e-9 * scale[k]:.3e})")
 
 
-def _polygon_from_points(point16: np.ndarray, omega: float, delta: float,
-                         theta: float) -> ValueSetPolygon:
-    predicted = predicted_tuples(omega, delta, theta)
-    label_at = {t: point16[k] for k, t in enumerate(ALL_SIXTEEN)}
-    pred_pts = [label_at[t] for t in predicted]
-    scale_ = max(1.0, float(np.abs(point16).max()))
-    hull = _convex_hull([complex(p) for p in point16], scale_)
-    tol = 1e-9 * scale_
-    tagged = []
-    for p in hull:
-        dists = [abs(p - q) for q in pred_pts]
-        k = int(np.argmin(dists))
-        if dists[k] > tol:
-            raise HullMismatchError(
-                f"hull vertex {p} at omega={omega} is {dists[k]:.3e} away from "
-                f"every predicted vertex tuple (tolerance {tol:.3e})"
-            )
-        tagged.append((p, predicted[k]))
-    return ValueSetPolygon(vertices=tuple(tagged), omega=omega, delta=delta, theta=theta)
+def _corners(ranks: range, points: list[complex], tol: float) -> list[tuple[int, complex]]:
+    """One polygon's clockwise (listing rank, point) corners, ending at the smallest (re, im).
+
+    Coincident neighbours merge into the earlier-listed tuple; a corner that
+    does not turn clockwise is dropped unless it reverses (a segment's end).
+    """
+    kept: list[tuple[int, complex]] = []
+    for corner in zip(ranks, points):
+        if not kept or abs(corner[1] - kept[-1][1]) > tol:
+            kept.append(corner)
+        kept[-1] = min(kept[-1], corner)
+    if len(kept) > 1 and abs(kept[-1][1] - kept[0][1]) <= tol:
+        kept[0] = min(kept.pop(), kept[0])
+    if len(kept) > 2:
+        pts = [p for _, p in kept]
+        turns = [((b - a).conjugate() * (c - b), abs(b - a) * abs(c - b))
+                 for a, b, c in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
+        kept = [corner for corner, (turn, size) in zip(kept, turns)
+                if turn.imag < -1e-12 * size or turn.real < 0.0]
+    last = min(range(len(kept)), key=lambda k: (kept[k][1].real, kept[k][1].imag))
+    return kept[last + 1:] + kept[: last + 1]
 
 
-def _vertex_values(family: IntervalPolynomial, omegas: np.ndarray) -> np.ndarray:
-    """(4, len(omegas)) evaluations of p11, p12, p21, p22 at j*omega."""
-    return eval_many(vertex_rows(family), np.broadcast_to(1j * omegas, (4, len(omegas))))
+def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
+              theta: float, omegas: np.ndarray) -> Iterator[ValueSetPolygon]:
+    """Value-set polygons at each omega, cornered by the case-predicted tuples.
 
-
-def _points16(gv: np.ndarray, fv: np.ndarray, factor: complex) -> np.ndarray:
-    """16 perturbed evaluations from the 4 + 4 vertex values at one frequency."""
-    # scalar products: numpy's vectorised complex multiply may fuse
-    # multiply-adds, which moves hull corners by an ulp
-    return np.array([gv[t.g_row] + factor * fv[t.f_row] for t in ALL_SIXTEEN])
+    The eight predicted tuples run clockwise in listing order for omega >= 0
+    and reversed below; they must enclose all sixteen perturbed vertex values.
+    """
+    z = np.broadcast_to(1j * omegas, (4, len(omegas)))
+    gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
+    values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta))
+    column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
+    negative = omegas < 0
+    corners = np.where(negative[:, None], values[:, column[1][::-1]], values[:, column[0]])
+    _check_enclosed(values, corners, scale, omegas)
+    for omega, neg, points, tol in zip(omegas.tolist(), negative.tolist(),
+                                       corners.tolist(), (1e-12 * scale).tolist()):
+        ranks = range(7, -1, -1) if neg else range(8)
+        vertices = tuple((p, listings[neg][r]) for r, p in _corners(ranks, points, tol))
+        yield ValueSetPolygon(vertices, omega, delta, theta)
 
 
 def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
             theta: float, omega: float) -> ValueSetPolygon:
-    """Convex hull of the 16 perturbed vertex evaluations at j*omega, with provenance.
+    """Value-set polygon of the 16 perturbed vertex evaluations at j*omega, with provenance.
 
-    Every hull corner must coincide (to 1e-9 relative) with one of the
-    eight case-predicted tuples; a farther corner raises HullMismatchError
-    since it would contradict the polygon construction, not the inputs.
+    A vertex value outside the eight case-predicted corners raises HullMismatchError.
     """
-    _check_delta(delta)
-    om = np.array([float(omega)])
-    pts = _points16(_vertex_values(kg, om)[:, 0], _vertex_values(kf, om)[:, 0],
-                    rotation_factor(delta, theta))
-    return _polygon_from_points(pts, float(omega), delta, theta)
+    _check_args(delta, theta=theta, omega=omega)
+    return next(_polygons(kg, kf, delta, theta, np.array([float(omega)])))
 
 
 def _segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -270,19 +276,18 @@ def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
 
 
 def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
-                             delta: float, theta: float,
-                             tol: float = HURWITZ_TOL) -> bool:
+                             delta: float, theta: float) -> bool:
     """Hurwitz verdict for the whole family at one (delta, theta).
 
     True iff the twelve listed perturbed vertex polynomials are Hurwitz,
     which certifies every member g + (1 + delta*e^{j theta}) f at once.
     """
-    _check_delta(delta)
+    _check_args(delta, theta=theta)
     if kf.lower[-1] <= 0:
         raise ValueError("denominator family needs a strictly positive leading interval")
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     rows = perturbed_vertex_rows(g_rows, f_rows, delta, np.array([theta]))
-    return bool((max_real_parts_batch(rows) < -tol).all())
+    return bool((max_real_parts_batch(rows) < -HURWITZ_TOL).all())
 
 
 def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -301,17 +306,11 @@ def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
                    theta: float, omega_max: float,
                    points: int) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
     """Value-set polygons on an asinh-uniform grid over [-omega_max, omega_max]."""
-    _check_delta(delta)
+    _check_args(delta, theta=theta, omega_max=omega_max)
     if points < 2:
         raise ValueError("sweep needs at least 2 grid points")
     t = np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points)
-    omegas = np.sinh(t)
-    gv = _vertex_values(kg, omegas)
-    fv = _vertex_values(kf, omegas)
-    factor = rotation_factor(delta, theta)
-    for k, om in enumerate(omegas):
-        poly = _polygon_from_points(_points16(gv[:, k], fv[:, k], factor), float(om),
-                                    delta, theta)
+    for poly in _polygons(kg, kf, delta, theta, np.sinh(t)):
         yield poly, origin_excluded(poly)
 
 
@@ -325,7 +324,7 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
     miss a crossing between points, so a True here cross-checks rather
     than replaces the twelve-polynomial verdict.
     """
-    _check_delta(delta)
+    _check_args(delta, theta=theta, omega_max=omega_max)
     bound = family_cauchy_bound(kg, kf, delta)
     if omega_max < bound:
         raise ValueError(

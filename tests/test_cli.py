@@ -223,6 +223,15 @@ class TestValueset:
                   "--delta", "1.5", "--omega", "1.0")
         assert res.exit_code == 2
 
+    def test_non_finite_inputs_exit_2(self):
+        for flags in (("--omega", "nan"), ("--omega", "inf"), ("--theta", "nan", "--omega", "1"),
+                      ("--sweep", "nan:10"), ("--sweep", "inf:10"),
+                      ("--theta", "inf", "--sweep", "10:10")):
+            res = run("valueset", PROBLEMS / "widened_family.yaml", "--delta", "0.5", *flags)
+            assert res.exit_code == 2, flags
+            assert "finite" in res.output
+            assert "omega,vertex_index" not in res.output  # no CSV rows before the error
+
     def test_needs_omega_or_sweep(self):
         res = run("valueset", PROBLEMS / "point_plant.yaml", "--delta", "0.5")
         assert res.exit_code == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import polygon_exterior_distance, random_stable_family
-from intervalhinf.errors import DeltaRangeError
+from intervalhinf import valueset
+from intervalhinf.errors import DeltaRangeError, HullMismatchError
 from intervalhinf.interval import IntervalPolynomial, sample_many
 from intervalhinf.poly import eval_many
 from intervalhinf.valueset import (
@@ -22,6 +23,7 @@ from intervalhinf.valueset import (
     perturbed_vertex_rows,
     predicted_tuples,
     rotation_factor,
+    sweep_octagons,
     tuple_rows,
     zero_exclusion_sweep,
 )
@@ -88,6 +90,38 @@ def widened_family():
     return kg, kf
 
 
+# Degree-4 family whose sweep the convex-hull construction rejected with a
+# spurious HullMismatchError (a real corner dropped as collinear)
+REPRO_KG = IntervalPolynomial([-0.8823524936255659, 1.0832995512416985],
+                              [-0.815205715243721, 1.1195572247925523])
+REPRO_KF = IntervalPolynomial(
+    [1.838669021443878, 6.58333150211603, 8.202707775415126, 4.578367482678724,
+     0.9000652771127026],
+    [2.4353997985511886, 8.424431270423122, 9.812150527333495, 5.186084882036887,
+     1.0999347228872973],
+)
+REPRO_DELTA, REPRO_THETA = 0.208438459853999, -2.8620505940650713
+
+
+def sampled_members(kg, kf, delta, theta, omega, count, rng):
+    """Values at j*omega of `count` random members g + (1 + delta*e^{j theta}) f."""
+    gs = sample_many(kg, count, rng)
+    fs = sample_many(kf, count, rng)
+    powers = (1j * omega) ** np.arange(kf.degree + 1)
+    return gs @ powers[: kg.degree + 1] + rotation_factor(delta, theta) * (fs @ powers)
+
+
+def vertex_values(kg, kf, delta, theta, omega):
+    """The sixteen perturbed vertex values at j*omega, from the coefficient rows."""
+    return np.array([perturbed_value(kg, kf, t, delta, theta, omega) for t in ALL_SIXTEEN])
+
+
+def exterior_distance(values, poly):
+    """Largest distance of values outside the polygon, in units of its scale."""
+    scale = max(1.0, np.abs(values).max())
+    return polygon_exterior_distance(values, poly.points()).max() / scale
+
+
 def _assert_convex_clockwise(poly):
     pts = poly.points()
     if len(pts) < 3:
@@ -124,13 +158,55 @@ class TestOctagon:
         kg, kf = widened_family()
         delta, theta, omega = 0.5, 1.0, 1.0
         poly = octagon(kg, kf, delta, theta, omega)
-        rng = np.random.default_rng(71)
-        gs = sample_many(kg, 2000, rng)
-        fs = sample_many(kf, 2000, rng)
-        powers = (1j * omega) ** np.arange(kf.degree + 1)
-        vals = gs @ powers[: kg.degree + 1] + rotation_factor(delta, theta) * (fs @ powers)
+        vals = sampled_members(kg, kf, delta, theta, omega, 2000, np.random.default_rng(71))
         scale = max(1.0, max(abs(p) for p in poly.points()))
         assert polygon_exterior_distance(vals, poly.points()).max() <= 1e-9 * scale
+
+    def test_pinned_family_keeps_every_corner(self):
+        omega = -25.649
+        poly = octagon(REPRO_KG, REPRO_KF, REPRO_DELTA, REPRO_THETA, omega)
+        vertices = vertex_values(REPRO_KG, REPRO_KF, REPRO_DELTA, REPRO_THETA, omega)
+        members = sampled_members(REPRO_KG, REPRO_KF, REPRO_DELTA, REPRO_THETA, omega, 2000,
+                                  np.random.default_rng(71))
+        assert exterior_distance(vertices, poly) <= 1e-9
+        assert exterior_distance(members, poly) <= 1e-9
+        assert zero_exclusion_sweep(REPRO_KG, REPRO_KF, REPRO_DELTA, REPRO_THETA,
+                                    29.971765747748442, 2000)
+
+    def test_sweep_polygons_contain_every_vertex_value(self):
+        # the settings of the committed widened_family valueset golden
+        kg, kf = widened_family()
+        polys = [poly for poly, _ in sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 400)]
+        assert len(polys) == 400
+        for poly in polys:
+            values = vertex_values(kg, kf, 0.5, 0.7, poly.omega)
+            assert exterior_distance(values, poly) <= 1e-9, poly.omega
+
+    def test_wrong_prediction_raises(self, monkeypatch):
+        case_a, case_b = valueset.CASE_A, valueset.CASE_B
+        monkeypatch.setattr(valueset, "CASE_A", case_b)
+        monkeypatch.setattr(valueset, "CASE_B", case_a)
+        kg, kf = widened_family()
+        for omega in (-1.3, 0.8):
+            with pytest.raises(HullMismatchError, match="outside the predicted polygon"):
+                octagon(kg, kf, 0.4, 0.9, omega)
+        with pytest.raises(HullMismatchError):
+            zero_exclusion_sweep(kg, kf, 0.4, 0.9, 100.0, 50)
+
+    def test_non_finite_inputs_rejected(self):
+        kg, kf = widened_family()
+        for theta, omega in ((0.7, math.nan), (0.7, math.inf), (0.7, -math.inf),
+                             (math.nan, 1.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                octagon(kg, kf, 0.5, theta, omega)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                family_complex_stability(kg, kf, 0.5, theta)
+        for theta, omega_max in ((math.nan, 100.0), (0.3, math.nan), (0.3, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                next(sweep_octagons(kg, kf, 0.5, theta, omega_max, 50))
+            with pytest.raises(ValueError, match="must be finite"):
+                zero_exclusion_sweep(kg, kf, 0.5, theta, omega_max, 50)
 
     def test_hull_uses_only_predicted_tuples(self):
         rng = np.random.default_rng(73)
@@ -250,7 +326,7 @@ class TestZeroExclusionSweep:
         rng = np.random.default_rng(79)
         agreements = 0
         for _ in range(20):
-            kg, kf = random_stable_family(rng, n_min=2, n_max=4, margin=1e-3)
+            kg, kf = random_stable_family(rng, n_min=2, n_max=6, margin=1e-3)
             delta = float(rng.uniform(0.1, 0.9))
             theta = float(rng.uniform(-math.pi, math.pi))
             if not family_complex_stability(kg, kf, delta, theta):
