@@ -35,10 +35,8 @@ from .hinf import (
 from .interval import (
     IntervalPolynomial,
     KharitonovSet,
-    Rectangle,
     kharitonov_vertices,
     sum_family,
-    value_rectangle,
 )
 from .poly import RealPolynomial, add, eval_at_jomega, magnitude_squared
 from .stability import (

@@ -26,10 +26,10 @@ from .errors import (
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, check_finite, eval_at_jomega, eval_many,
-                   magnitude_squared)
-from .stability import HURWITZ_TOL, is_hurwitz_real, max_real_parts_batch
-from .valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
+from .poly import (RealPolynomial, add, check_finite, distinct_rows, eval_at_jomega,
+                   eval_many, magnitude_squared)
+from .stability import hurwitz_batch, is_hurwitz_real
+from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
     "RationalFunction",
@@ -158,9 +158,7 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     den_rows = np.asarray(den_rows, dtype=float)
     if num_rows.ndim != 2 or den_rows.ndim != 2 or len(num_rows) != len(den_rows):
         raise ValueError("hinf_norm_batch needs (B, m+1) and (B, n+1) coefficient rows")
-    pairs = np.ascontiguousarray(np.hstack([num_rows, den_rows]))
-    _, first, inverse = np.unique(pairs.view(f"V{pairs.shape[1] * pairs.itemsize}").ravel(),
-                                  return_index=True, return_inverse=True)
+    first, inverse = distinct_rows(np.hstack([num_rows, den_rows]))
 
     failure: tuple[int, IntervalHinfError] | None = None
     rfs, stations = {}, {}
@@ -241,12 +239,18 @@ def _theta_grid(theta_count: int) -> np.ndarray:
 
 
 def _hurwitz_on_grid(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
-                     thetas: np.ndarray) -> bool:
-    """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta."""
+                     thetas: np.ndarray, tuples: tuple[VertexTuple, ...] = ()) -> bool:
+    """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
+    a failing verdict raises again, naming the theta and, if given, the row pair's tuple."""
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
-        rows = perturbed_vertex_rows(g_rows, f_rows, delta, chunk)
-        if (max_real_parts_batch(rows) >= -HURWITZ_TOL).any():
+        try:
+            stable = hurwitz_batch(perturbed_vertex_rows(g_rows, f_rows, delta, chunk))
+        except IntervalHinfError as err:
+            k, pair = divmod(err.row, len(g_rows))
+            where = f"tuple {tuples[pair].label} at " if tuples else ""
+            raise type(err)(f"{where}theta={chunk[k]}: {err.__cause__}") from err.__cause__
+        if not stable.all():
             return False
     return True
 
@@ -285,7 +289,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     thetas = _theta_grid(theta_count)
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     hi = 2.0
-    while not _hurwitz_on_grid(g_rows, f_rows, 1.0 / hi, thetas):
+    while not _hurwitz_on_grid(g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -294,7 +298,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _hurwitz_on_grid(g_rows, f_rows, 1.0 / mid, thetas):
+        if _hurwitz_on_grid(g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
             hi = mid
         else:
             lo = mid

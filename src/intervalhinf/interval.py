@@ -16,15 +16,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegreeOrderError
-from .poly import RealPolynomial, eval_at_jomega
+from .poly import RealPolynomial
 from .stability import is_hurwitz_real
 
 __all__ = [
     "IntervalPolynomial",
     "KharitonovSet",
-    "Rectangle",
     "kharitonov_vertices",
-    "value_rectangle",
     "sample_many",
     "sum_family",
 ]
@@ -59,20 +57,6 @@ class IntervalPolynomial:
     @property
     def is_point(self) -> bool:
         return self.lower == self.upper
-
-    def widths(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.lower, self.upper))
-
-    def contains(self, p: RealPolynomial, slack: float = 0.0) -> bool:
-        """Box membership of a member polynomial (zero-padded past its length)."""
-        n = len(self.lower)
-        if any(c != 0 for c in p.coeffs[n:]):
-            return False
-        for i in range(n):
-            c = p.coeffs[i] if i < len(p.coeffs) else 0.0
-            if c < self.lower[i] - slack or c > self.upper[i] + slack:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -119,47 +103,6 @@ def vertex_rows(family: IntervalPolynomial, width: int | None = None) -> np.ndar
 def kharitonov_vertices(family: IntervalPolynomial) -> KharitonovSet:
     """The four Kharitonov vertex polynomials of a coefficient box, from `vertex_rows`."""
     return KharitonovSet(*(RealPolynomial(r) for r in vertex_rows(family)))
-
-
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned rectangle in the complex plane."""
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def corners(self) -> tuple[complex, complex, complex, complex]:
-        return (
-            complex(self.re_lo, self.im_lo),
-            complex(self.re_hi, self.im_lo),
-            complex(self.re_hi, self.im_hi),
-            complex(self.re_lo, self.im_hi),
-        )
-
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (
-            self.re_lo - slack <= z.real <= self.re_hi + slack
-            and self.im_lo - slack <= z.imag <= self.im_hi + slack
-        )
-
-
-def value_rectangle(family: IntervalPolynomial, omega: float) -> Rectangle:
-    """Value set of the family at s = j*omega.
-
-    Real extent [alpha^(1)(-w^2), alpha^(2)(-w^2)], read off p11 and p21;
-    imaginary extent omega * [beta^(1)(-w^2), beta^(2)(-w^2)], read off
-    p11 and p12, endpoints swapped for omega < 0 because the negative
-    factor reverses the order. Corners coincide with the four vertex
-    evaluations.
-    """
-    p11, p12, p21, _ = (eval_at_jomega(RealPolynomial(r), omega) for r in vertex_rows(family))
-    if omega >= 0:
-        im_lo, im_hi = p11.imag, p12.imag
-    else:
-        im_lo, im_hi = p12.imag, p11.imag
-    return Rectangle(re_lo=p11.real, re_hi=p21.real, im_lo=im_lo, im_hi=im_hi)
 
 
 def sample_many(family: IntervalPolynomial, count: int,

@@ -74,6 +74,14 @@ def _horner(coeffs: Sequence, s):
     return acc
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each byte-distinct row, and each row's position among those."""
+    rows = np.ascontiguousarray(rows)
+    _, first, inverse = np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel(),
+                                  return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Horner evaluation of ascending coefficient rows (B, d+1) at points z (B, k)."""
     acc = np.broadcast_to(coeffs[:, -1:], z.shape).astype(complex)

@@ -1,9 +1,11 @@
 """Hurwitz stability verdicts.
 
-Real polynomials get a Routh array test; complex polynomials go through
-root extraction with a simultaneous-correction (Aberth-Ehrlich style)
-iteration. The batched kernel is shared by every caller that needs root
-real parts, so one numeric engine serves verdicts, margins and sweeps.
+Real polynomials get a Routh array test. Batches of complex coefficient
+rows get Hermite's criterion: a row is Hurwitz exactly when its Hermite
+matrix is positive definite, which one batched eigenvalue call decides
+without iterating. Roots, from a batched simultaneous-correction
+(Aberth-Ehrlich style) iteration, serve root sets and the rare rows whose
+Hermite verdict is within roundoff of the boundary.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateLeadingError, NoConvergenceError, ZeroPolynomialError
-from .poly import ZERO_DEGREE, RealPolynomial, check_finite, eval_many, last_nonzero
+from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
+                     ZeroPolynomialError)
+from .poly import (ZERO_DEGREE, RealPolynomial, check_finite, distinct_rows, eval_many,
+                   last_nonzero)
 
 __all__ = [
     "StabilityVerdict",
@@ -22,10 +26,12 @@ __all__ = [
     "is_hurwitz_real",
     "roots_complex",
     "is_hurwitz_complex",
+    "hurwitz_batch",
     "HURWITZ_TOL",
 ]
 
-HURWITZ_TOL = 1e-9          # dead zone for root-based verdicts
+HURWITZ_TOL = 1e-9          # dead zone: Hurwitz means every root has Re < -HURWITZ_TOL
+HERMITE_ROUNDOFF = 1e-12    # scaled Hermite eigenvalues this near 0 have no trusted sign
 MAX_ITER = 200
 CORRECTION_TOL = 1e-13      # relative to the starting radius
 ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
@@ -188,7 +194,53 @@ def is_hurwitz_complex(coeffs: Sequence[complex],
     return StabilityVerdict(is_hurwitz=bool(margin > tol), margin=margin, method="roots")
 
 
-def max_real_parts_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Max root real part per row; shared fast path for theta sweeps."""
-    roots, _ = roots_batch(coeffs)
-    return roots.real.max(axis=1)
+def _taylor_shift(coeffs: np.ndarray, h: float) -> np.ndarray:
+    """Rows of p(s - h) from rows of p(s), ascending, by Horner steps q <- q*(s - h) + a_i."""
+    q = np.zeros_like(coeffs)
+    for a in coeffs.T[::-1]:
+        q = np.concatenate([a[:, None], q[:, :-1]], axis=1) - h * q
+    return q
+
+
+def _hermite_matrix(a: np.ndarray) -> np.ndarray:
+    """(B, n, n) Hermite matrices of rows a (degree n, ascending): K_ik multiplies s^i conj(w)^k
+    in (p(s) conj p(w) - p#(s) conj p#(w)) / (s + conj w), where p#(s) = conj p(-conj s). Solved
+    top row first from N_ik = a_i conj a_k - (-1)^(i+k) conj a_i a_k = K_(i-1,k) + K_(i,k-1)."""
+    n = a.shape[1] - 1
+    sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    N = a[:, :, None] * a[:, None, :].conj() - sign * a[:, :, None].conj() * a[:, None, :]
+    K = np.zeros((len(a), n, n), dtype=complex)
+    K[:, n - 1] = N[:, n, :n]
+    for i in range(n - 1, 0, -1):
+        K[:, i - 1, 0] = N[:, i, 0]
+        K[:, i - 1, 1:] = N[:, i, 1:n] - K[:, i, : n - 1]
+    return K
+
+
+def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
+    """True for each row whose roots all have Re < -HURWITZ_TOL, by Hermite's criterion.
+
+    coeffs: (B, n+1), ascending, n >= 1, leading column nonzero. The test is the smallest
+    eigenvalue of the Hermite matrix of p(s - HURWITZ_TOL) at unit diagonal; rows where it is
+    within HERMITE_ROUNDOFF of 0 are decided by their roots, each solved alone, and a failure
+    there is that of the lowest such row, re-raised with `row` set and named in the message.
+    Byte-identical rows are tested once.
+    """
+    rows = np.ascontiguousarray(coeffs, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
+        raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
+    first, inverse = distinct_rows(rows)
+    K = _hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL))
+    d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
+    d[d == 0.0] = 1.0
+    lam = np.linalg.eigvalsh(K / (d[:, :, None] * d[:, None, :]))[:, 0]
+    stable = lam > 0.0
+    for u in sorted(np.flatnonzero(np.abs(lam) <= HERMITE_ROUNDOFF), key=first.__getitem__):
+        k = int(first[u])
+        try:
+            stable[u] = roots_batch(rows[k : k + 1])[0].real.max() < -HURWITZ_TOL
+        except IntervalHinfError as err:
+            located = type(err)(f"row {k}: {err}")
+            located.row = k
+            raise located from err
+    return stable[inverse]

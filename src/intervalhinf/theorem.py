@@ -17,7 +17,7 @@ from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFami
 from .hinf import NormResult, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import RealPolynomial
-from .stability import is_hurwitz_real, max_real_parts_batch
+from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, tuple_rows
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "monte_carlo_oracle",
     "analyze",
 ]
-
-BORDERLINE_MARGIN = 1e-9  # closed-loop root margin below which a sample is skipped
 
 # All sixteen tuples, the twelve first: a precondition gap then names the
 # tuple that max_sensitivity_twelve would name.
@@ -182,8 +180,8 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
 
     Draws i.i.d. coefficient vectors from both boxes on top of the
     deterministic probes, so the certified maximum is always witnessed.
-    Samples whose closed loop is borderline (root margin below 1e-9) are
-    skipped and counted rather than trusted.
+    Samples whose closed loop has a root at Re >= -1e-9 (Hermite verdict)
+    are skipped and counted; a failure names its probe or draw.
     """
     if samples is None:
         samples = prob.options.oracle_samples
@@ -200,9 +198,9 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
 
     dens = fs.copy()
     dens[:, : gs.shape[1]] += gs
-    margins = -max_real_parts_batch(dens.astype(complex))
-    kept = np.flatnonzero(~(margins < BORDERLINE_MARGIN))
+    kept = np.arange(len(dens))
     try:
+        kept = kept[hurwitz_batch(dens)]
         values = [r.value for r in hinf_norm_batch(fs[kept], dens[kept])]
     except IntervalHinfError as err:
         k = int(kept[err.row])

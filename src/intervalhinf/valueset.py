@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DeltaRangeError, HullMismatchError
 from .interval import IntervalPolynomial, vertex_rows
 from .poly import eval_many
-from .stability import HURWITZ_TOL, max_real_parts_batch
+from .stability import hurwitz_batch
 
 __all__ = [
     "VertexTuple",
@@ -285,9 +285,8 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
     _check_args(delta, theta=theta)
     if kf.lower[-1] <= 0:
         raise ValueError("denominator family needs a strictly positive leading interval")
-    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
-    rows = perturbed_vertex_rows(g_rows, f_rows, delta, np.array([theta]))
-    return bool((max_real_parts_batch(rows) < -HURWITZ_TOL).all())
+    rows = perturbed_vertex_rows(*tuple_rows(kg, kf, TWELVE_TUPLES), delta, np.array([theta]))
+    return bool(hurwitz_batch(rows).all())
 
 
 def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -333,7 +332,5 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
         )
     anchor = perturbed_vertex_rows(*tuple_rows(kg, kf, (VertexTuple(1, 1, 1, 1),)),
                                    delta, np.array([theta]))
-    if max_real_parts_batch(anchor)[0] >= -HURWITZ_TOL:
-        return False
-    return all(check.excluded for _, check in
-               sweep_octagons(kg, kf, delta, theta, omega_max, points))
+    return bool(hurwitz_batch(anchor)[0]) and all(
+        check.excluded for _, check in sweep_octagons(kg, kf, delta, theta, omega_max, points))

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from intervalhinf import stability
+from intervalhinf.errors import NoConvergenceError
 from intervalhinf.interval import IntervalPolynomial
 
 
@@ -86,6 +88,19 @@ def random_stable_plant(rng: np.random.Generator, *, n_min: int = 2, n_max: int 
         closed[: m + 1] += g0
         if np_root_margin(closed) >= margin:
             return RealPolynomial(g0), RealPolynomial(f0)
+
+
+def fail_on_row(monkeypatch, target):
+    """Send every Hurwitz verdict to roots, and make solving `target` alone raise "stub"."""
+    solve_alone = stability.roots_batch
+
+    def solve(coeffs, **kwargs):
+        if np.array_equal(coeffs[0], target):
+            raise NoConvergenceError("stub")
+        return solve_alone(coeffs, **kwargs)
+
+    monkeypatch.setattr(stability, "HERMITE_ROUNDOFF", np.inf)
+    monkeypatch.setattr(stability, "roots_batch", solve)
 
 
 def polygon_exterior_distance(points: np.ndarray, hull) -> np.ndarray:

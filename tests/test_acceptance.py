@@ -35,7 +35,7 @@ from intervalhinf.theorem import (
     max_sensitivity_twelve,
     monte_carlo_oracle,
 )
-from intervalhinf.valueset import octagon, predicted_tuples, rotation_factor
+from intervalhinf.valueset import family_cauchy_bound, octagon, predicted_tuples, rotation_factor
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -117,7 +117,8 @@ def test_criterion_6_value_set_geometry():
         kg, kf = random_stable_family(rng, n_min=2, n_max=5, margin=1e-3)
         delta = float(rng.uniform(0.05, 0.95))
         theta = float(rng.uniform(-math.pi, math.pi))
-        omega = float(rng.uniform(-4, 4))
+        bound = family_cauchy_bound(kg, kf, delta)  # every axis crossing lies within it
+        omega = float(rng.uniform(-bound, bound))
         poly = octagon(kg, kf, delta, theta, omega)  # HullMismatchError on violation
         assert set(poly.provenance()) <= set(predicted_tuples(omega, delta, theta))
         gs = sample_many(kg, 2000, rng)

@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_stable_plant
+from conftest import fail_on_row, random_stable_plant
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (
     DegenerateLeadingError,
     DegreeOrderError,
     DeltaRangeError,
+    NoConvergenceError,
     UnstableClosedLoopError,
     UnstableDenominatorError,
 )
@@ -24,6 +26,7 @@ from intervalhinf.hinf import (
 from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import roots_batch
+from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
 GOLDEN_OMEGA = math.sqrt((1 + math.sqrt(3)) / 2)
@@ -272,3 +275,23 @@ class TestFamilyNormBisection:
         kf = IntervalPolynomial([1, 1e-10, 1], [1, 1e-10, 1])
         with pytest.raises(NoUpperBracketError):
             family_norm_bisection(kg, kf, tol=1e-3, theta_count=36)
+
+
+class TestThetaGridFailures:
+    def test_bisection_names_tuple_and_theta(self, monkeypatch):
+        kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
+        kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
+        theta = hinf._theta_grid(720)[2]
+        g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES[5:6])
+        fail_on_row(monkeypatch, perturbed_vertex_rows(g_rows, f_rows, 0.5, np.array([theta]))[0])
+        with pytest.raises(NoConvergenceError,
+                           match=f"^tuple 1222 at theta={re.escape(str(theta))}: stub$"):
+            family_norm_bisection(kg, kf)
+
+    def test_gamma_equivalence_names_theta(self, monkeypatch):
+        g, f = RealPolynomial([1]), RealPolynomial([0, 1, 1])
+        theta = hinf._theta_grid(720)[100]  # in the third 48-theta chunk
+        fail_on_row(monkeypatch, np.array([1.0, 0.0, 0.0]) + (1 + np.exp(1j * theta) / 2)
+                    * np.array([0.0, 1.0, 1.0]))
+        with pytest.raises(NoConvergenceError, match=f"^theta={re.escape(str(theta))}: stub$"):
+            check_gamma_equivalence(g, f, 2.0)

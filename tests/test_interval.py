@@ -7,14 +7,29 @@ from intervalhinf.interval import (
     kharitonov_vertices,
     sample_many,
     sum_family,
-    value_rectangle,
     vertex_rows,
 )
-from intervalhinf.poly import RealPolynomial, eval_at_jomega
+from intervalhinf.poly import RealPolynomial, eval_at_jomega, eval_many
 
 
 def box(lower, upper):
     return IntervalPolynomial(lower, upper)
+
+
+def vertex_values(family, omega):
+    """p11, p12, p21, p22 at j*omega, evaluated from the vertex rows."""
+    return eval_many(vertex_rows(family), np.full((4, 1), 1j * omega))[:, 0]
+
+
+def value_box(family, omega):
+    """(re_lo, re_hi, im_lo, im_hi) of the rectangle the four vertex values span."""
+    v = vertex_values(family, omega)
+    return v.real.min(), v.real.max(), v.imag.min(), v.imag.max()
+
+
+def in_box(family, coeffs):
+    """Coefficientwise membership of each row in the family's bound arrays."""
+    return ((np.array(family.lower) <= coeffs) & (coeffs <= np.array(family.upper))).all(axis=-1)
 
 
 class TestKharitonovVertices:
@@ -43,44 +58,48 @@ class TestKharitonovVertices:
             lo = rng.uniform(-3, 3, int(rng.integers(1, 8)))
             hi = lo + rng.uniform(0, 2, len(lo))
             k = box(lo, hi)
-            for v in kharitonov_vertices(k).all_vertices():
-                assert k.contains(v)
+            assert in_box(k, vertex_rows(k)).all()
 
 
 class TestValueRectangle:
     def test_point_intervals_give_single_point(self):
         k = box([1, 2, 3], [1, 2, 3])
-        r = value_rectangle(k, 1.3)
         z = eval_at_jomega(RealPolynomial([1, 2, 3]), 1.3)
-        assert r.re_lo == pytest.approx(r.re_hi) == pytest.approx(z.real)
-        assert r.im_lo == pytest.approx(r.im_hi) == pytest.approx(z.imag)
+        for v in vertex_values(k, 1.3):
+            assert v == pytest.approx(z)
 
     def test_omega_zero_keeps_constant_term_only(self):
-        r = value_rectangle(box([1, 3, 5], [2, 4, 6]), 0.0)
-        assert (r.re_lo, r.re_hi, r.im_lo, r.im_hi) == (1.0, 2.0, 0.0, 0.0)
+        assert value_box(box([1, 3, 5], [2, 4, 6]), 0.0) == (1.0, 2.0, 0.0, 0.0)
 
     def test_corners_are_vertex_evaluations_both_signs(self):
+        # p11, p12 share alpha^(1) and p21, p22 alpha^(2); p11, p21 share
+        # beta^(1) and p12, p22 beta^(2): the values are the rectangle's corners
         rng = np.random.default_rng(5)
         for _ in range(100):
             lo = rng.uniform(-3, 3, int(rng.integers(1, 8)))
             hi = lo + rng.uniform(0, 2, len(lo))
             k = box(lo, hi)
             omega = float(rng.uniform(-4, 4))
-            corners = value_rectangle(k, omega).corners()
-            evals = [eval_at_jomega(v, omega)
-                     for v in kharitonov_vertices(k).all_vertices()]
+            re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
+            corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
+                       complex(re_hi, im_hi), complex(re_lo, im_hi)]
+            p11, p12, p21, p22 = evals = [eval_at_jomega(v, omega)
+                                          for v in kharitonov_vertices(k).all_vertices()]
             for z in evals:
                 assert min(abs(z - c) for c in corners) <= 1e-12 * max(1.0, abs(z))
+            assert (p11.real, p21.real) == (p12.real, p22.real)
+            assert (p11.imag, p12.imag) == (p21.imag, p22.imag)
 
     def test_monte_carlo_membership(self):
         # 1000 random members' evaluations stay inside the rectangle
         rng = np.random.default_rng(7)
         k = box([0.5, -1, 2, 0.1], [1.5, 1, 3, 0.4])
         for omega in (0.0, 0.7, -2.2, 5.0):
-            r = value_rectangle(k, omega)
+            re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
             for coeffs in sample_many(k, 250, rng):
-                member = RealPolynomial(coeffs)
-                assert r.contains(eval_at_jomega(member, omega), slack=1e-12)
+                z = eval_at_jomega(RealPolynomial(coeffs), omega)
+                assert re_lo - 1e-12 <= z.real <= re_hi + 1e-12
+                assert im_lo - 1e-12 <= z.imag <= im_hi + 1e-12
 
     def test_halves_bounded_by_alternating_extremes(self):
         # alpha(-w^2) and beta(-w^2) of members between the vertex extremes, 1000 seeded draws
@@ -88,19 +107,19 @@ class TestValueRectangle:
         k = box([0.5, -1, 2, 0.1, 0.3], [1.5, 1, 3, 0.4, 0.9])
         for coeffs in sample_many(k, 1000, rng):
             omega = float(rng.uniform(-5, 5))
-            r = value_rectangle(k, omega)
+            re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
             z = eval_at_jomega(RealPolynomial(coeffs), omega)  # alpha + j omega beta
-            assert r.re_lo - 1e-12 <= z.real <= r.re_hi + 1e-12
+            assert re_lo - 1e-12 <= z.real <= re_hi + 1e-12
             slack = 1e-12 * abs(omega)
-            assert r.im_lo - slack <= z.imag <= r.im_hi + slack
+            assert im_lo - slack <= z.imag <= im_hi + slack
 
     def test_negative_omega_mirrors_positive(self):
         k = box([0.5, -1, 2], [1.5, 1, 3])
         for omega in (0.4, 1.7, 3.0):
-            pos = value_rectangle(k, omega)
-            neg = value_rectangle(k, -omega)
-            assert (neg.re_lo, neg.re_hi) == (pos.re_lo, pos.re_hi)
-            assert (neg.im_lo, neg.im_hi) == (-pos.im_hi, -pos.im_lo)
+            pos = value_box(k, omega)
+            neg = value_box(k, -omega)
+            assert neg[:2] == pos[:2]
+            assert neg[2:] == (-pos[3], -pos[2])
 
 
 class TestSample:
@@ -118,8 +137,7 @@ class TestSample:
     def test_draws_stay_in_box(self):
         rng = np.random.default_rng(13)
         k = box([-1, 0.5, -2], [1, 0.6, 7])
-        for coeffs in sample_many(k, 200, rng):
-            assert k.contains(RealPolynomial(coeffs))
+        assert in_box(k, sample_many(k, 200, rng)).all()
 
 
 class TestSumFamily:
@@ -136,8 +154,8 @@ class TestSumFamily:
         kg = box([0, 1], [1, 2])
         kf = box([1, 1, 1], [3, 1, 2])
         s = sum_family(kg, kf)
-        padded = kg.widths() + (0.0,)
-        assert s.widths() == tuple(a + b for a, b in zip(padded, kf.widths()))
+        widths = [np.subtract(k.upper, k.lower) for k in (kg, kf, s)]
+        assert np.array_equal(widths[2], np.append(widths[0], 0.0) + widths[1])
 
     def test_matched_vertex_identity_on_random_families(self):
         # vertices of the interval sum equal the matched vertex sums

@@ -2,13 +2,41 @@ import numpy as np
 import pytest
 
 from conftest import np_root_margin
-from intervalhinf.errors import DegenerateLeadingError, ZeroPolynomialError
+from intervalhinf import stability
+from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
+                                 ZeroPolynomialError)
 from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import (
+    HURWITZ_TOL,
+    hurwitz_batch,
     is_hurwitz_complex,
     is_hurwitz_real,
+    roots_batch,
     roots_complex,
 )
+
+
+def known_root_rows(rng, degree, spread, count):
+    """Rows built from constructed roots: (rows, Hurwitz truth, pinned mask).
+
+    Root magnitudes are log-uniform over 10^-spread..10^spread, at angles at
+    least 0.05 rad inside the left half plane, times a random unit leading
+    coefficient. About 30 % of rows get one root pinned 1e-9 to 1e-6 to either
+    side of Re = -HURWITZ_TOL; half of the other rows get one root mirrored
+    into the right half plane.
+    """
+    mags = 10.0 ** rng.uniform(-spread, spread, (count, degree))
+    roots = mags * np.exp(1j * rng.uniform(np.pi / 2 + 0.05, 1.5 * np.pi - 0.05, (count, degree)))
+    pinned = rng.random(count) < 0.3
+    gaps = 10.0 ** rng.uniform(-9, -6, count) * rng.choice([-1.0, 1.0], count)
+    roots[pinned, 0] = -HURWITZ_TOL + gaps[pinned] + 1j * roots[pinned, 0].imag
+    mirrored = ~pinned & (rng.random(count) < 0.5)
+    roots[mirrored, 0] = -roots[mirrored, 0].conj()
+    rows = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (count, 1)))
+    for r in roots.T:  # multiply by (s - r), ascending
+        pad = np.zeros((count, 1))
+        rows = np.hstack([pad, rows]) - r[:, None] * np.hstack([rows, pad])
+    return rows, (roots.real < -HURWITZ_TOL).all(axis=1), pinned
 
 
 class TestRouth:
@@ -145,3 +173,69 @@ class TestRouthRootsAgreement:
             roots = is_hurwitz_complex(coeffs, tol=1e-9).is_hurwitz
             assert routh == roots, f"disagreement on {coeffs} (margin {margin})"
         assert borderline < 50
+
+
+class TestHurwitzBatch:
+    def test_simple_rows(self):
+        rows = np.array([[2, 3, 1], [1, -1, 1], [1 - 1j, 2 - 1j, 1], [-1j, 0, 1], [1, 0, 1],
+                         [2, 3, 1]])
+        assert hurwitz_batch(rows).tolist() == [True, False, True, False, False, True]
+
+    def test_dead_zone_edge(self):
+        # root at -c: Hurwitz exactly when c > HURWITZ_TOL
+        rows = np.array([[c, 1.0] for c in (1e-8, 1.0000001e-9, 0.9999999e-9, 1e-10, 0.0)])
+        assert hurwitz_batch(rows).tolist() == [True, True, False, False, False]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            hurwitz_batch(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            hurwitz_batch(np.array([[1.0, np.nan]]))
+
+    def test_fallback_failure_names_its_row(self, monkeypatch):
+        def failing(coeffs, **kwargs):
+            raise NoConvergenceError("stub")
+
+        monkeypatch.setattr(stability, "HERMITE_ROUNDOFF", np.inf)  # every row falls back
+        monkeypatch.setattr(stability, "roots_batch", failing)
+        with pytest.raises(NoConvergenceError, match="^row 0: stub$") as info:
+            hurwitz_batch(np.array([[2.0, 3.0, 1.0], [2.0, 3.0, 1.0]]))
+        assert info.value.row == 0 and str(info.value.__cause__) == "stub"
+
+    @pytest.mark.parametrize("spread", [1, 2])
+    def test_known_roots_agree_with_construction(self, monkeypatch, spread):
+        # 2,000 rows per degree 4..14; the verdict equals the constructed
+        # truth on every row, and only pinned rows are left to roots. A
+        # pinned row whose roots cannot be found raises, naming its row.
+        solved = []
+
+        def recorded(coeffs, **kwargs):
+            solved.append(np.asarray(coeffs)[0].tobytes())
+            return roots_batch(coeffs, **kwargs)
+
+        monkeypatch.setattr(stability, "roots_batch", recorded)
+        rng = np.random.default_rng(4100 + spread)
+        for degree in range(4, 15):
+            rows, truth, pinned = known_root_rows(rng, degree, spread, 2000)
+            solved.clear()
+            got = np.zeros(len(rows), dtype=bool)
+            raised, start = [], 0
+            while start < len(rows):
+                try:
+                    got[start:] = hurwitz_batch(rows[start:])
+                    break
+                except IntervalHinfError as err:
+                    k = start + err.row
+                    assert str(err).startswith(f"row {err.row}: ")
+                    if k > start:  # every row below the named one has a verdict
+                        got[start:k] = hurwitz_batch(rows[start:k])
+                    raised.append(k)
+                    start = k + 1
+            index = {row.tobytes(): i for i, row in enumerate(rows)}
+            fell_back = sorted({index[b] for b in solved})
+            assert pinned[fell_back].all(), (degree, [i for i in fell_back if not pinned[i]])
+            assert pinned[raised].all()
+            decided = np.ones(len(rows), dtype=bool)
+            decided[raised] = False
+            wrong = np.flatnonzero(decided & (got != truth))
+            assert len(wrong) == 0, (degree, wrong)

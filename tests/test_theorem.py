@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_stable_family
+from conftest import fail_on_row, random_stable_family
 from intervalhinf import stability, theorem
-from intervalhinf.errors import UnstableDenominatorError, UnstableFamilyError
+from intervalhinf.errors import NoConvergenceError, UnstableDenominatorError, UnstableFamilyError
 from intervalhinf.hinf import check_gamma_equivalence
-from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices
+from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices, sample_many
 from intervalhinf.stability import roots_batch
 from intervalhinf.theorem import (
     AnalysisOptions,
@@ -183,6 +183,15 @@ class TestOracleBatching:
                             unstable_den_at(row, theorem.hinf_norm_batch))
         with pytest.raises(UnstableDenominatorError, match=f"^{where}: "):
             monte_carlo_oracle(widened_problem(seed=42, oracle_samples=20))
+
+    def test_verdict_failure_names_the_draw(self, monkeypatch):
+        prob = widened_problem(seed=42, oracle_samples=20)
+        rng = np.random.default_rng(42)  # the oracle's draws: 20 numerators, then 20 denominators
+        g, f = sample_many(prob.kg, 20, rng)[5], sample_many(prob.kf, 20, rng)[5]
+        f[: len(g)] += g
+        fail_on_row(monkeypatch, f)
+        with pytest.raises(NoConvergenceError, match="^oracle draw 5: stub$"):
+            monte_carlo_oracle(prob)
 
     def test_vertex_norm_failure_names_the_tuple(self, monkeypatch):
         monkeypatch.setattr(theorem, "hinf_norm_batch",

@@ -214,7 +214,8 @@ class TestOctagon:
             kg, kf = random_stable_family(rng, n_min=2, n_max=5, margin=1e-3)
             delta = float(rng.uniform(0.05, 0.95))
             theta = float(rng.uniform(-math.pi, math.pi))
-            omega = float(rng.uniform(-4, 4))
+            bound = family_cauchy_bound(kg, kf, delta)
+            omega = float(rng.uniform(-bound, bound))
             poly = octagon(kg, kf, delta, theta, omega)  # raises on mismatch
             predicted = set(predicted_tuples(omega, delta, theta))
             assert set(poly.provenance()) <= predicted
