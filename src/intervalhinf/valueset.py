@@ -8,7 +8,8 @@ appear depends only on the signs of omega and of the perturbation angle.
 Stability of the whole family at one (delta, theta) reduces to twelve of
 those vertex polynomials; sweeping the polygon over omega and testing
 that it never touches the origin gives the independent zero-exclusion
-route.
+route. A sweep prunes the corners and computes the signed origin margins of
+all frequencies in one pass; `origin_excluded` is its one-polygon wrapper.
 """
 
 from __future__ import annotations
@@ -161,50 +162,78 @@ def _check_enclosed(values: np.ndarray, corners: np.ndarray, scale: np.ndarray,
                                 f"(tolerance {1e-9 * scale[k]:.3e})")
 
 
-def _corners(ranks: range, points: list[complex], tol: float) -> list[tuple[int, complex]]:
-    """One polygon's clockwise (listing rank, point) corners, ending at the smallest (re, im).
-
-    Coincident neighbours merge into the earlier-listed tuple; a corner that
-    does not turn clockwise is dropped unless it reverses (a segment's end).
-    """
-    kept: list[tuple[int, complex]] = []
-    for corner in zip(ranks, points):
-        if not kept or abs(corner[1] - kept[-1][1]) > tol:
-            kept.append(corner)
-        kept[-1] = min(kept[-1], corner)
-    if len(kept) > 1 and abs(kept[-1][1] - kept[0][1]) <= tol:
-        kept[0] = min(kept.pop(), kept[0])
-    if len(kept) > 2:
-        pts = [p for _, p in kept]
-        turns = [((b - a).conjugate() * (c - b), abs(b - a) * abs(c - b))
-                 for a, b, c in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
-        kept = [corner for corner, (turn, size) in zip(kept, turns)
-                if turn.imag < -1e-12 * size or turn.real < 0.0]
-    last = min(range(len(kept)), key=lambda k: (kept[k][1].real, kept[k][1].imag))
-    return kept[last + 1:] + kept[: last + 1]
+def _next_kept(keep: np.ndarray) -> np.ndarray:
+    """Column of the next kept corner after each column, cyclically; every row keeps one."""
+    m = keep.shape[1]
+    index = np.where(np.tile(keep, 2), np.arange(2 * m), 2 * m)
+    return np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1][:, 1:m + 1] % m
 
 
-def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
-              theta: float, omegas: np.ndarray) -> Iterator[ValueSetPolygon]:
-    """Value-set polygons at each omega, cornered by the case-predicted tuples.
+def _keep_mask(corners: np.ndarray, tol: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """(F, 8) mask of the clockwise corners each polygon keeps.
 
-    The eight predicted tuples run clockwise in listing order for omega >= 0
-    and reversed below; they must enclose all sixteen perturbed vertex values.
-    """
+    Coincident neighbours (within tol, also across the wrap) merge into the earliest-listed
+    tuple: the run's first for omega >= 0, its latest below. A corner not turning clockwise
+    between its kept neighbours is dropped unless it reverses (a segment's end)."""
+    rows, rep = np.arange(len(corners)), np.zeros(len(corners), dtype=int)
+    keep = np.ones(corners.shape, dtype=bool)  # column k is set before it is read
+    for k in range(1, corners.shape[1]):
+        new = np.abs(corners[:, k] - corners[rows, rep]) > tol
+        keep[rows, rep] &= new | ~negative
+        keep[:, k] = new | negative
+        rep = np.where(keep[:, k], k, rep)
+    first = keep.argmax(1)  # rep is the last kept corner
+    wrap = (first != rep) & (np.abs(corners[rows, rep] - corners[rows, first]) <= tol)
+    keep[rows[wrap], np.where(negative, first, rep)[wrap]] = False
+    before = np.take_along_axis(corners, keep.shape[1] - 1 - _next_kept(keep[:, ::-1])[:, ::-1], 1)
+    ab, bc = corners - before, np.take_along_axis(corners, _next_kept(keep), 1) - corners
+    turn, size = ab.conj() * bc, np.abs(ab) * np.abs(bc)
+    keep &= (turn.imag < -1e-12 * size) | (turn.real < 0.0) | (keep.sum(1, keepdims=True) <= 2)
+    return keep
+
+
+def _margins(corners: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Signed origin distance of each polygon of kept clockwise corners, shape (F,).
+
+    Negative only inside three or more corners (no edge has 0 on its left);
+    a lone corner's zero-length edge gives its modulus."""
+    ab = np.take_along_axis(corners, _next_kept(keep), 1) - corners
+    length2 = np.abs(ab) ** 2
+    along = np.divide(-corners.real * ab.real - corners.imag * ab.imag, length2,
+                      out=np.zeros(length2.shape), where=length2 > 0.0)
+    dist = np.where(keep, np.abs(corners + np.clip(along, 0.0, 1.0) * ab), np.inf).min(1)
+    left = ab.imag * corners.real - ab.real * corners.imag
+    inside = (keep.sum(1) > 2) & ((left <= 0.0) | ~keep).all(1)
+    return np.where(inside, -dist, dist)
+
+
+def _value_sets(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
+                omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Clockwise predicted corners (F, 8), which must enclose the sixteen vertex values,
+    their keep-mask, the margins and the two listings (the one for omega < 0 reversed)."""
     z = np.broadcast_to(1j * omegas, (4, len(omegas)))
     gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
     values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
     scale = np.maximum(1.0, np.abs(values).max(axis=1))
-    listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta))
+    listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
     column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
     negative = omegas < 0
-    corners = np.where(negative[:, None], values[:, column[1][::-1]], values[:, column[0]])
+    corners = np.where(negative[:, None], values[:, column[1]], values[:, column[0]])
     _check_enclosed(values, corners, scale, omegas)
-    for omega, neg, points, tol in zip(omegas.tolist(), negative.tolist(),
-                                       corners.tolist(), (1e-12 * scale).tolist()):
-        ranks = range(7, -1, -1) if neg else range(8)
-        vertices = tuple((p, listings[neg][r]) for r, p in _corners(ranks, points, tol))
-        yield ValueSetPolygon(vertices, omega, delta, theta)
+    keep = _keep_mask(corners, 1e-12 * scale, negative)
+    return corners, keep, _margins(corners, keep), listings
+
+
+def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
+              omegas: np.ndarray) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
+    """Each omega's polygon, ending at its smallest (re, im) corner, and its origin check."""
+    corners, keep, margins, listings = _value_sets(kg, kf, delta, theta, omegas)
+    for omega, points, kept, margin in zip(omegas.tolist(), corners.tolist(), keep.tolist(),
+                                           margins.tolist()):
+        ks = [k for k in range(8) if kept[k]]
+        last = ks.index(min(ks, key=lambda k: (points[k].real, points[k].imag)))
+        vertices = tuple((points[k], listings[omega < 0][k]) for k in ks[last + 1:] + ks[:last + 1])
+        yield ValueSetPolygon(vertices, omega, delta, theta), OriginCheck(margin > 1e-12, margin)
 
 
 def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
@@ -214,43 +243,16 @@ def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     A vertex value outside the eight case-predicted corners raises HullMismatchError.
     """
     _check_args(delta, theta=theta, omega=omega)
-    return next(_polygons(kg, kf, delta, theta, np.array([float(omega)])))
-
-
-def _segment_distance(p: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = max(0.0, min(1.0, ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom))
-    return abs(p - (a + t * ab))
+    return next(_polygons(kg, kf, delta, theta, np.array([float(omega)])))[0]
 
 
 def origin_excluded(polygon: ValueSetPolygon) -> OriginCheck:
-    """Strict test that 0 lies outside the polygon; margin is signed distance.
+    """Strict test that 0 lies outside one clockwise polygon; margin is signed distance.
 
-    Degenerate polygons (point, segment) have no interior, so the margin
-    is the plain distance. Exactly touching the boundary counts as not
-    excluded: zero exclusion is an open condition.
-    """
-    pts = polygon.points()
-    if len(pts) == 1:
-        margin = abs(pts[0])
-    elif len(pts) == 2:
-        margin = _segment_distance(0j, pts[0], pts[1])
-    else:
-        dist = min(
-            _segment_distance(0j, pts[k], pts[(k + 1) % len(pts)])
-            for k in range(len(pts))
-        )
-        # clockwise orientation: interior points see every edge cross <= 0
-        inside = all(
-            (pts[(k + 1) % len(pts)].real - pts[k].real) * (-pts[k].imag)
-            - (pts[(k + 1) % len(pts)].imag - pts[k].imag) * (-pts[k].real)
-            <= 0.0
-            for k in range(len(pts))
-        )
-        margin = -dist if inside else dist
+    A point or segment has no interior. Touching the boundary (margin 0) counts as
+    not excluded: zero exclusion is an open condition."""
+    points = np.array([polygon.points()], dtype=complex)
+    margin = float(_margins(points, np.ones(points.shape, dtype=bool))[0])
     return OriginCheck(excluded=margin > 1e-12, margin=margin)
 
 
@@ -301,16 +303,19 @@ def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
     return 1.0 + numer / denom
 
 
-def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
-                   theta: float, omega_max: float,
-                   points: int) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
-    """Value-set polygons on an asinh-uniform grid over [-omega_max, omega_max]."""
+def _sweep_grid(delta: float, theta: float, omega_max: float, points: int) -> np.ndarray:
+    """Asinh-uniform frequencies over [-omega_max, omega_max], after checking the arguments."""
     _check_args(delta, theta=theta, omega_max=omega_max)
-    if points < 2:
-        raise ValueError("sweep needs at least 2 grid points")
-    t = np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points)
-    for poly in _polygons(kg, kf, delta, theta, np.sinh(t)):
-        yield poly, origin_excluded(poly)
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise ValueError(f"sweep needs an integer number of grid points >= 2, got {points!r}")
+    return np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))
+
+
+def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
+                   omega_max: float, points: int) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
+    """Value-set polygons and origin checks on an asinh-uniform grid over [-omega_max,
+    omega_max]; the arguments are checked at the call, before the first polygon."""
+    return _polygons(kg, kf, delta, theta, _sweep_grid(delta, theta, omega_max, points))
 
 
 def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -323,7 +328,7 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
     miss a crossing between points, so a True here cross-checks rather
     than replaces the twelve-polynomial verdict.
     """
-    _check_args(delta, theta=theta, omega_max=omega_max)
+    omegas = _sweep_grid(delta, theta, omega_max, points)
     bound = family_cauchy_bound(kg, kf, delta)
     if omega_max < bound:
         raise ValueError(
@@ -332,5 +337,5 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
         )
     anchor = perturbed_vertex_rows(*tuple_rows(kg, kf, (VertexTuple(1, 1, 1, 1),)),
                                    delta, np.array([theta]))
-    return bool(hurwitz_batch(anchor)[0]) and all(
-        check.excluded for _, check in sweep_octagons(kg, kf, delta, theta, omega_max, points))
+    return bool(hurwitz_batch(anchor)[0]) and bool(
+        (_value_sets(kg, kf, delta, theta, omegas)[2] > 1e-12).all())

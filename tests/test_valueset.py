@@ -8,8 +8,9 @@ import pytest
 from conftest import polygon_exterior_distance, random_stable_family
 from intervalhinf import valueset
 from intervalhinf.errors import DeltaRangeError, HullMismatchError
-from intervalhinf.interval import IntervalPolynomial, sample_many
+from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
 from intervalhinf.poly import eval_many
+from intervalhinf.stability import hurwitz_batch
 from intervalhinf.valueset import (
     ALL_SIXTEEN,
     TWELVE_TUPLES,
@@ -285,6 +286,146 @@ class TestOriginExcluded:
         assert not origin_excluded(poly).excluded
 
 
+# Per-polygon corner pruning and origin margin as they were before the
+# batched geometry; kept here as the reference the batched path must match.
+def reference_corners(ranks, points, tol):
+    kept = []
+    for corner in zip(ranks, points):
+        if not kept or abs(corner[1] - kept[-1][1]) > tol:
+            kept.append(corner)
+        kept[-1] = min(kept[-1], corner)
+    if len(kept) > 1 and abs(kept[-1][1] - kept[0][1]) <= tol:
+        kept[0] = min(kept.pop(), kept[0])
+    if len(kept) > 2:
+        pts = [p for _, p in kept]
+        turns = [((b - a).conjugate() * (c - b), abs(b - a) * abs(c - b))
+                 for a, b, c in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])]
+        kept = [corner for corner, (turn, size) in zip(kept, turns)
+                if turn.imag < -1e-12 * size or turn.real < 0.0]
+    last = min(range(len(kept)), key=lambda k: (kept[k][1].real, kept[k][1].imag))
+    return kept[last + 1:] + kept[: last + 1]
+
+
+def reference_segment_distance(p, a, b):
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = max(0.0, min(1.0, ((p - a).real * ab.real + (p - a).imag * ab.imag) / denom))
+    return abs(p - (a + t * ab))
+
+
+def reference_origin_excluded(pts):
+    if len(pts) == 1:
+        margin = abs(pts[0])
+    elif len(pts) == 2:
+        margin = reference_segment_distance(0j, pts[0], pts[1])
+    else:
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        dist = min(reference_segment_distance(0j, a, b) for a, b in edges)
+        inside = all((b.real - a.real) * (-a.imag) - (b.imag - a.imag) * (-a.real) <= 0.0
+                     for a, b in edges)
+        margin = -dist if inside else dist
+    return OriginCheck(excluded=margin > 1e-12, margin=margin)
+
+
+def reference_sweep(kg, kf, delta, theta, omegas):
+    """(vertices, OriginCheck) per omega, one polygon at a time."""
+    z = np.broadcast_to(1j * omegas, (4, len(omegas)))
+    gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
+    values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta))
+    column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
+    negative = omegas < 0
+    corners = np.where(negative[:, None], values[:, column[1][::-1]], values[:, column[0]])
+    for neg, points, tol in zip(negative.tolist(), corners.tolist(), (1e-12 * scale).tolist()):
+        ranks = range(7, -1, -1) if neg else range(8)
+        vertices = tuple((p, listings[neg][r]) for r, p in reference_corners(ranks, points, tol))
+        yield vertices, reference_origin_excluded([p for p, _ in vertices])
+
+
+def sweep_grid(omega_max, points):
+    return np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))
+
+
+class TestBatchedGeometry:
+    """The (F, 8) keep-mask and margins against the per-polygon reference."""
+
+    def test_equivalent_to_per_polygon_reference(self):
+        rng = np.random.default_rng(83)
+        sweeps = excluded_total = 0
+        for i in range(120):
+            kg, kf = random_stable_family(rng, n_min=2, n_max=6, margin=1e-3,
+                                          width_scale=0.0 if i % 4 == 3 else 0.3)
+            delta = float(rng.uniform(0.05, 0.95))
+            theta = 0.0 if i % 10 == 5 else float(rng.uniform(-math.pi, math.pi))
+            omega_max = 1.05 * family_cauchy_bound(kg, kf, delta)
+            omegas = sweep_grid(omega_max, 301)  # odd: omega = 0 is on the grid
+            got = list(sweep_octagons(kg, kf, delta, theta, omega_max, 301))
+            want = list(reference_sweep(kg, kf, delta, theta, omegas))
+            assert [poly.omega for poly, _ in got] == omegas.tolist()
+            for (poly, check), (vertices, ref) in zip(got, want, strict=True):
+                assert poly.vertices == vertices, poly.omega
+                assert check.excluded == ref.excluded, poly.omega
+                assert abs(check.margin - ref.margin) <= 1e-13 * max(1.0, abs(ref.margin))
+            anchor = perturbed_row(kg, kf, VertexTuple(1, 1, 1, 1), delta, theta)
+            verdict = bool(hurwitz_batch(anchor[None, :])[0]) and all(r.excluded for _, r in want)
+            assert zero_exclusion_sweep(kg, kf, delta, theta, omega_max, 301) == verdict
+            sweeps += 1
+            excluded_total += sum(r.excluded for _, r in want)
+        assert sweeps >= 100
+        assert 0 < excluded_total < sweeps * 301  # both verdicts occur
+
+    @staticmethod
+    def _one(corners, negative=False):
+        corners = np.array([corners], dtype=complex)
+        scale = np.maximum(1.0, np.abs(corners).max(axis=1))
+        keep = valueset._keep_mask(corners, 1e-12 * scale, np.array([negative]))
+        return keep[0].tolist(), float(valueset._margins(corners, keep)[0])
+
+    def test_all_eight_coincident(self):
+        for negative, kept in ((False, 0), (True, 7)):
+            keep, margin = self._one([3 - 4j] * 8, negative)
+            assert keep == [k == kept for k in range(8)]
+            assert margin == 5.0
+
+    def test_coincident_run_keeps_the_earliest_listed(self):
+        square = [1 + 1j, 1 + 1j, 1 - 1j, -1 - 1j, -1 - 1j, -1 + 1j, -1 + 1j, -1 + 1j]
+        keep, margin = self._one(square, False)
+        assert keep == [True, False, True, True, False, True, False, False]
+        keep, margin = self._one(square, True)
+        assert keep == [False, True, True, False, True, False, False, True]
+        assert margin == -1.0
+
+    def test_segment_collinear_with_origin_is_excluded(self):
+        keep, margin = self._one([1, 1.5, 2, 3, 3, 2.5, 2, 1])
+        assert keep == [True, False, False, True, False, False, False, False]
+        assert margin == 1.0
+        check = origin_excluded(ValueSetPolygon(((1 + 1j, VertexTuple(1, 1, 1, 1)),
+                                                 (2 + 2j, VertexTuple(1, 1, 1, 1))),
+                                                omega=0.0, delta=0.5, theta=0.0))
+        assert check.excluded and check.margin == pytest.approx(math.sqrt(2.0))
+
+    def test_origin_on_an_edge_is_not_excluded(self):
+        keep, margin = self._one([1j, 1 + 1j, 2 + 1j, 2, 2 - 1j, 1 - 1j, -1j, -1j])
+        assert keep == [True, False, True, False, True, False, True, False]
+        assert margin == 0.0
+        check = origin_excluded(ValueSetPolygon(
+            tuple((c, VertexTuple(1, 1, 1, 1)) for c in (1j, 2 + 1j, 2 - 1j, -1j)),
+            omega=0.0, delta=0.5, theta=0.0))
+        assert check == OriginCheck(excluded=False, margin=0.0)
+
+    def test_collinear_middle_corners_are_dropped(self):
+        square = [1 + 1j, 1, 1 - 1j, -1j, -1 - 1j, -1, -1 + 1j, 1j]
+        keep, margin = self._one(square)
+        assert keep == [True, False] * 4
+        assert margin == -1.0
+        keep, margin = self._one([p + 3 for p in square])
+        assert keep == [True, False] * 4
+        assert margin == 2.0
+
+
 class TestFamilyComplexStability:
     def test_point_family_tracks_the_norm_level(self):
         thetas = np.linspace(-math.pi, math.pi, 60, endpoint=False)
@@ -336,3 +477,20 @@ class TestZeroExclusionSweep:
             assert zero_exclusion_sweep(kg, kf, delta, theta, bound * 1.05, 10_000)
             agreements += 1
         assert agreements >= 5
+
+    def test_points_validated_before_any_work(self):
+        # an unstable 1111 anchor used to return False before points was looked at
+        kg = IntervalPolynomial([1], [1])
+        kf = IntervalPolynomial([0, -1, 1], [0, -1, 1])  # s^2 - s
+        omega_max = 1.05 * family_cauchy_bound(kg, kf, 0.5)
+        assert not zero_exclusion_sweep(kg, kf, 0.5, 0.3, omega_max, 50)
+        for bad in (0, 1, -3, 2.5, True, "50"):
+            with pytest.raises(ValueError, match="grid points"):
+                zero_exclusion_sweep(kg, kf, 0.5, 0.3, omega_max, bad)
+
+    def test_sweep_octagons_validates_at_the_call(self):
+        kg, kf = widened_family()
+        for bad in (0, 1, 2.5, False):
+            with pytest.raises(ValueError, match="grid points"):
+                sweep_octagons(kg, kf, 0.5, 0.7, 30.0, bad)  # no next() needed
+        assert len(list(sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 2))) == 2
