@@ -19,21 +19,7 @@ from dataclasses import replace
 import click
 import yaml
 
-from .errors import (
-    DegenerateLeadingError,
-    DegreeOrderError,
-    DeltaRangeError,
-    HullMismatchError,
-    IntervalHinfError,
-    NoConvergenceError,
-    NoUpperBracketError,
-    ProblemFileError,
-    TheoremPreconditionGapError,
-    UnstableClosedLoopError,
-    UnstableDenominatorError,
-    UnstableFamilyError,
-    ZeroPolynomialError,
-)
+from .errors import IntervalHinfError, ProblemFileError, UnstableFamilyError
 from .hinf import RationalFunction, hinf_norm_exact, hinf_norm_grid, sensitivity
 from .interval import VERTEX_LABELS, IntervalPolynomial, vertex_rows
 from .poly import RealPolynomial
@@ -47,18 +33,11 @@ from .theorem import (
 )
 from .valueset import octagon, sweep_octagons
 
-EXIT_INPUT = 2
-EXIT_UNSTABLE = 3
-EXIT_NUMERICAL = 4
-
-_INPUT_ERRORS = (ProblemFileError, DeltaRangeError, DegreeOrderError, ValueError)
-_UNSTABLE_ERRORS = (UnstableClosedLoopError, UnstableFamilyError,
-                    UnstableDenominatorError)
-_NUMERICAL_ERRORS = (NoConvergenceError, NoUpperBracketError, DegenerateLeadingError,
-                     HullMismatchError, TheoremPreconditionGapError,
-                     ZeroPolynomialError)
+# exit code -> stderr prefix; library errors carry their exit_code, a ValueError exits 2
+_PREFIX = {2: "error", 3: "unstable", 4: "numerical failure"}
 
 _COUNT = click.IntRange(min=0)  # count flags; problem-file counts go through _count
+_DIGITS = click.option("--digits", type=click.IntRange(min=1), default=9)  # significant digits
 
 
 def _count(value, least: int = 0) -> int:
@@ -270,18 +249,10 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _INPUT_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except _UNSTABLE_ERRORS as exc:
-            click.echo(f"unstable: {exc}", err=True)
-            sys.exit(EXIT_UNSTABLE)
-        except _NUMERICAL_ERRORS as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except IntervalHinfError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+        except (IntervalHinfError, ValueError) as exc:
+            code = getattr(exc, "exit_code", 2)
+            click.echo(f"{_PREFIX[code]}: {exc}", err=True)
+            sys.exit(code)
 
     return wrapper
 
@@ -295,7 +266,7 @@ def main():
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt_", type=click.Choice(["text", "machine"]), default="text")
 @click.option("--output", type=click.Path(), default=None)
-@click.option("--digits", type=int, default=9)
+@_DIGITS
 @_guard
 def cmd_vertices(file, fmt_, output, digits):
     """Print the four Kharitonov vertex polynomials of each family."""
@@ -322,7 +293,7 @@ def cmd_vertices(file, fmt_, output, digits):
 @click.option("--samples", type=_COUNT, default=None)
 @click.option("--theta-points", type=click.IntRange(min=1), default=None)
 @click.option("--tol", type=float, default=None, callback=_finite_positive_flag)
-@click.option("--digits", type=int, default=9)
+@_DIGITS
 @_guard
 def cmd_analyze(file, fmt_, output, seed, samples, theta_points, tol, digits):
     """Run the full worst-case analysis and report all cross-checks."""
@@ -334,7 +305,7 @@ def cmd_analyze(file, fmt_, output, seed, samples, theta_points, tol, digits):
         click.echo()
     _write_output(output, doc + "\n")
     if not report.family_stable:
-        sys.exit(EXIT_UNSTABLE)
+        sys.exit(UnstableFamilyError.exit_code)
 
 
 def _parse_coeffs(text: str, name: str) -> RealPolynomial:
@@ -350,7 +321,7 @@ def _parse_coeffs(text: str, name: str) -> RealPolynomial:
               help="Rational-function numerator coefficients, ascending.")
 @click.option("--den", type=str, default=None,
               help="Rational-function denominator coefficients, ascending.")
-@click.option("--digits", type=int, default=9)
+@_DIGITS
 @_guard
 def cmd_norm(file, num, den, digits):
     """H-infinity norm of one plant's sensitivity, or of num/den directly."""
@@ -363,19 +334,19 @@ def cmd_norm(file, num, den, digits):
                 "norm needs point intervals; use analyze for interval families"
             )
         rf = sensitivity(RealPolynomial(prob.kg.lower), RealPolynomial(prob.kf.lower))
-        omega_max, grid_points = prob.options.omega_max, prob.options.grid_points
+        opts = prob.options
     elif num and den:
         rf = RationalFunction(num=_parse_coeffs(num, "num"), den=_parse_coeffs(den, "den"))
-        omega_max, grid_points = 100.0, 100_000
+        opts = AnalysisOptions()
     else:
         raise ProblemFileError("norm needs a problem file or both --num and --den")
     res = hinf_norm_exact(rf)
-    grid = hinf_norm_grid(rf, omega_max, grid_points)
+    grid = hinf_norm_grid(rf, opts.omega_max, opts.grid_points)
     where = ("attained at infinity" if math.isinf(res.attained_at)
              else f"attained near omega {fmt(res.attained_at, digits)}")
     click.echo(f"exact: {fmt(res.value, digits)}  {where}")
-    click.echo(f"grid:  {fmt(grid, digits)}  ({grid_points} points up to "
-               f"omega {fmt(omega_max, digits)})")
+    click.echo(f"grid:  {fmt(grid, digits)}  ({opts.grid_points} points up to "
+               f"omega {fmt(opts.omega_max, digits)})")
 
 
 def _parse_sweep(spec: str) -> tuple[float, int]:
@@ -396,7 +367,7 @@ def _parse_sweep(spec: str) -> tuple[float, int]:
 @click.option("--omega", type=float, default=None)
 @click.option("--sweep", type=str, default=None, metavar="MAX:POINTS")
 @click.option("--output", type=click.Path(), default=None)
-@click.option("--digits", type=int, default=9)
+@_DIGITS
 @_guard
 def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
     """CSV of value-set polygon vertices, single frequency or a sweep."""
@@ -428,7 +399,7 @@ def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--samples", type=_COUNT, default=None)
 @click.option("--seed", type=_COUNT, default=None)
-@click.option("--digits", type=int, default=9)
+@_DIGITS
 @_guard
 def cmd_oracle(file, samples, seed, digits):
     """Monte-Carlo box sampling compared against the certified vertex maximum."""

@@ -1,6 +1,6 @@
 """Exception types shared across the analysis pipeline.
 
-The CLI maps these onto process exit codes: input problems exit 2,
+Each class carries the CLI's process exit code: input problems exit 2,
 instability verdicts exit 3, numerical failures exit 4.
 """
 
@@ -12,11 +12,14 @@ class IntervalHinfError(Exception):
     error it was raised from, for that row alone, is its __cause__.
     """
 
+    exit_code = 4
     row: int | None = None
 
 
 class DegreeOrderError(IntervalHinfError):
     """Numerator/plant degree does not sit strictly below the denominator degree."""
+
+    exit_code = 2
 
 
 class ZeroPolynomialError(IntervalHinfError):
@@ -34,13 +37,19 @@ class NoConvergenceError(IntervalHinfError):
 class UnstableClosedLoopError(IntervalHinfError):
     """f + g is not Hurwitz, so the sensitivity function is undefined."""
 
+    exit_code = 3
+
 
 class UnstableDenominatorError(IntervalHinfError):
     """H-infinity norm requested for a rational function with unstable denominator."""
 
+    exit_code = 3
+
 
 class DeltaRangeError(IntervalHinfError):
     """delta outside (0, 1), or equivalently gamma outside (1, inf)."""
+
+    exit_code = 2
 
 
 class HullMismatchError(IntervalHinfError):
@@ -54,6 +63,8 @@ class NoUpperBracketError(IntervalHinfError):
 class UnstableFamilyError(IntervalHinfError):
     """The closed-loop interval family is not robustly stable."""
 
+    exit_code = 3
+
 
 class TheoremPreconditionGapError(IntervalHinfError):
     """A mixed vertex sum failed the Hurwitz check despite stable matched sums."""
@@ -61,3 +72,5 @@ class TheoremPreconditionGapError(IntervalHinfError):
 
 class ProblemFileError(IntervalHinfError):
     """A problem file failed to parse or validate; carries a field-path diagnostic."""
+
+    exit_code = 2

@@ -45,6 +45,7 @@ __all__ = [
 GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
 _NORM_CHUNK = 128  # stationarity rows per roots_batch call; bounds its (rows, d, d) arrays
+_TRIM_REL = 1e-14  # stationarity coefficients this small relative to the largest are dropped
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,12 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
     return RationalFunction(num=f, den=closed)
 
 
-def _trimmed(coeffs: np.ndarray, rel: float = 1e-14) -> np.ndarray:
+def _trimmed(coeffs: np.ndarray) -> np.ndarray:
     top = np.abs(coeffs).max()
     if top == 0.0:
         return coeffs[:1]
     keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) <= rel * top:
+    while keep > 1 and abs(coeffs[keep - 1]) <= _TRIM_REL * top:
         keep -= 1
     return coeffs[:keep]
 

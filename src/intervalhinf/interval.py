@@ -68,11 +68,6 @@ class KharitonovSet:
     p21: RealPolynomial
     p22: RealPolynomial
 
-    def vertex(self, i: int, j: int) -> RealPolynomial:
-        if i not in (1, 2) or j not in (1, 2):
-            raise ValueError(f"vertex indices must be 1 or 2, got ({i}, {j})")
-        return getattr(self, f"p{i}{j}")
-
     def all_vertices(self) -> tuple[RealPolynomial, ...]:
         return (self.p11, self.p12, self.p21, self.p22)
 

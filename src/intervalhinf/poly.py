@@ -60,12 +60,6 @@ class RealPolynomial:
         d = self.degree
         return 0.0 if d == ZERO_DEGREE else self.coeffs[d]
 
-    def eval(self, s: complex) -> complex:
-        return _horner(self.coeffs, s)
-
-    def __call__(self, s: complex) -> complex:
-        return self.eval(s)
-
 
 def _horner(coeffs: Sequence, s):
     acc = coeffs[-1]

@@ -91,14 +91,14 @@ def _start_circle(radius: np.ndarray, degree: int, phase: float) -> np.ndarray:
     return radius[:, None] * np.exp(1j * angles)[None, :]
 
 
-def _iterate(coeffs: np.ndarray, z: np.ndarray, radius: np.ndarray,
-             max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _iterate(coeffs: np.ndarray, z: np.ndarray,
+             radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous-correction sweep; returns (roots, converged mask)."""
     n_poly, d = z.shape
     dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)
     converged = np.zeros(n_poly, dtype=bool)
     diag = np.arange(d)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         act = ~converged
         if not act.any():
             break
@@ -133,8 +133,7 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return (pv / scale).max(axis=1)
 
 
-def roots_batch(coeffs: np.ndarray, *, max_iter: int = MAX_ITER,
-                accept_residual: float = ACCEPT_RESIDUAL) -> tuple[np.ndarray, np.ndarray]:
+def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All roots of a batch of same-degree polynomials.
 
     coeffs: (B, d+1) complex, ascending by power, leading column nonzero.
@@ -155,18 +154,18 @@ def roots_batch(coeffs: np.ndarray, *, max_iter: int = MAX_ITER,
 
     radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1) / lead
     z = _start_circle(radius, d, phase=0.41)
-    z, converged = _iterate(coeffs, z, radius, max_iter)
+    z, converged = _iterate(coeffs, z, radius)
     res = _residuals(coeffs, z)
 
-    retry = ~converged & (res > accept_residual)
+    retry = ~converged & (res > ACCEPT_RESIDUAL)
     if retry.any():
         idx = np.flatnonzero(retry)
         z2 = _start_circle(radius[idx], d, phase=0.41 + np.pi / (2 * d))
-        z2, conv2 = _iterate(coeffs[idx], z2, radius[idx], max_iter)
+        z2, conv2 = _iterate(coeffs[idx], z2, radius[idx])
         res2 = _residuals(coeffs[idx], z2)
         z[idx] = z2
         res[idx] = res2
-        if (~conv2 & (res2 > accept_residual)).any():
+        if (~conv2 & (res2 > ACCEPT_RESIDUAL)).any():
             raise NoConvergenceError(
                 f"root iteration failed after restart (residual {res2.max():.3e})"
             )

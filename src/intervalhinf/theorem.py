@@ -9,7 +9,7 @@ and the gamma-bisection route).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "AnalysisReport",
     "OracleResult",
     "closed_loop_family_stable",
-    "twelve_tuples",
     "max_sensitivity_twelve",
     "max_sensitivity_sixteen",
     "monte_carlo_oracle",
@@ -89,11 +88,6 @@ class AnalysisReport:
     sixteen_tuple_max: float | None = None
     oracle: OracleResult | None = None
     bisection_norm: float | None = None
-
-
-def twelve_tuples() -> tuple[VertexTuple, ...]:
-    """The twelve index tuples whose vertex plants carry the family maximum."""
-    return TWELVE_TUPLES
 
 
 def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
@@ -174,8 +168,7 @@ def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(g_rows), np.vstack(f_rows)
 
 
-def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
-                       seed: int | None = None) -> OracleResult:
+def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None) -> OracleResult:
     """Box-sampling lower bound on the family maximum.
 
     Draws i.i.d. coefficient vectors from both boxes on top of the
@@ -185,9 +178,7 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
     """
     if samples is None:
         samples = prob.options.oracle_samples
-    if seed is None:
-        seed = prob.options.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(prob.options.seed)
 
     gs, fs = _probe_pairs(prob)
     probes = len(gs)
@@ -219,7 +210,7 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None,
         argmax_f=tuple(float(c) for c in fs[best_k]),
         samples=samples,
         skipped=len(dens) - len(kept),
-        seed=seed,
+        seed=prob.options.seed,
     )
 
 
@@ -228,7 +219,6 @@ def analyze(prob: AnalysisProblem) -> AnalysisReport:
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
     norms = _vertex_norms(prob, _TWELVE_FIRST)
-    partial = _twelve_report(prob, norms)
     sixteen = max(norms[t].value for t in ALL_SIXTEEN)
     oracle = monte_carlo_oracle(prob)
     bisect = family_norm_bisection(
@@ -236,14 +226,5 @@ def analyze(prob: AnalysisProblem) -> AnalysisReport:
         tol=prob.options.bisection_tol,
         theta_count=prob.options.theta_points,
     )
-    return AnalysisReport(
-        family_stable=True,
-        seed=prob.options.seed,
-        worst_norm=partial.worst_norm,
-        argmax_tuple=partial.argmax_tuple,
-        attained_omega=partial.attained_omega,
-        per_tuple_norms=partial.per_tuple_norms,
-        sixteen_tuple_max=sixteen,
-        oracle=oracle,
-        bisection_norm=bisect,
-    )
+    return replace(_twelve_report(prob, norms), sixteen_tuple_max=sixteen,
+                   oracle=oracle, bisection_norm=bisect)

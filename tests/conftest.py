@@ -59,19 +59,10 @@ def random_stable_family(rng: np.random.Generator, *, n_min: int = 3, n_max: int
 
 def _all_vertex_loops_clear(kg: IntervalPolynomial, kf: IntervalPolynomial,
                             margin: float) -> bool:
-    from intervalhinf.interval import kharitonov_vertices
+    from intervalhinf.interval import vertex_rows
 
-    n = kf.degree
-    gs = kharitonov_vertices(kg).all_vertices()
-    fs = kharitonov_vertices(kf).all_vertices()
-    for g in gs:
-        for f in fs:
-            coeffs = np.zeros(n + 1)
-            coeffs[: len(f.coeffs)] = f.coeffs
-            coeffs[: len(g.coeffs)] += g.coeffs
-            if np_root_margin(coeffs) < margin:
-                return False
-    return True
+    gs, fs = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
+    return not any(np_root_margin(g + f) < margin for g in gs for f in fs)
 
 
 def random_stable_plant(rng: np.random.Generator, *, n_min: int = 2, n_max: int = 6,

@@ -2,11 +2,15 @@ import json
 import math
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from intervalhinf.cli import fmt, format_polynomial, load_problem, main
+import intervalhinf
+from intervalhinf import errors
+from intervalhinf.cli import _guard, fmt, format_polynomial, load_problem, main
 from intervalhinf.errors import ProblemFileError
+from intervalhinf.theorem import analyze
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -279,6 +283,72 @@ class TestGoldens:
                 assert res.exit_code == 0
                 golden = (GOLDEN_DIR / f"{name}.{kind}.txt").read_text(encoding="utf-8")
                 assert res.output == golden, f"{name}.{kind}"
+
+
+class TestDigits:
+    # one valid invocation per command; --digits is appended
+    COMMANDS = (
+        ("vertices", PROBLEMS / "widened_family.yaml"),
+        ("analyze", PROBLEMS / "point_plant.yaml", "--samples", "0", "--theta-points", "36"),
+        ("norm", "--num", "0,1,1", "--den", "1,1,1"),
+        ("valueset", PROBLEMS / "point_plant.yaml", "--delta", "0.5", "--omega", "1"),
+        ("oracle", PROBLEMS / "point_plant.yaml", "--samples", "0"),
+    )
+
+    def test_below_one_exits_2_before_any_output(self):
+        for args in self.COMMANDS:
+            assert run(*args, "--digits", "1").exit_code == 0, args[0]
+            for digits in ("0", "-1"):
+                res = run(*args, "--digits", digits)
+                assert res.exit_code == 2, (args[0], digits)
+                assert "--digits" in res.stderr
+                assert res.stdout == ""
+
+
+class TestExitCodes:
+    # README's table: input errors exit 2, instability 3, numerical failures 4
+    EXPECTED = {
+        errors.DegreeOrderError: (2, "error"),
+        errors.DeltaRangeError: (2, "error"),
+        errors.ProblemFileError: (2, "error"),
+        ValueError: (2, "error"),
+        errors.UnstableClosedLoopError: (3, "unstable"),
+        errors.UnstableDenominatorError: (3, "unstable"),
+        errors.UnstableFamilyError: (3, "unstable"),
+        errors.DegenerateLeadingError: (4, "numerical failure"),
+        errors.HullMismatchError: (4, "numerical failure"),
+        errors.NoConvergenceError: (4, "numerical failure"),
+        errors.NoUpperBracketError: (4, "numerical failure"),
+        errors.TheoremPreconditionGapError: (4, "numerical failure"),
+        errors.ZeroPolynomialError: (4, "numerical failure"),
+    }
+
+    def test_each_error_class_maps_to_its_code_and_prefix(self):
+        assert set(errors.IntervalHinfError.__subclasses__()) == set(self.EXPECTED) - {ValueError}
+        for cls, (code, prefix) in self.EXPECTED.items():
+            @click.command()
+            @_guard
+            def failing():
+                raise cls("what went wrong")
+
+            res = CliRunner().invoke(failing, [])
+            assert res.exit_code == code, cls.__name__
+            assert res.stderr == f"{prefix}: what went wrong\n", cls.__name__
+            assert res.stdout == ""
+
+
+class TestReadme:
+    def test_root_exports_the_analysis_api(self):
+        assert sorted(intervalhinf.__all__) == ["AnalysisOptions", "AnalysisProblem",
+                                                "AnalysisReport", "IntervalPolynomial",
+                                                "__version__", "analyze"]
+
+    def test_library_use_example_runs(self, capsys):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Library use")[1].split("```python\n")[1].split("```")[0]
+        exec(example, {})
+        report = analyze(load_problem(str(PROBLEMS / "widened_family.yaml")))
+        assert capsys.readouterr().out == f"{report.worst_norm} {report.argmax_tuple.label}\n"
 
 
 class TestFormatting:

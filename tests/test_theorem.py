@@ -7,7 +7,8 @@ from conftest import fail_on_row, random_stable_family
 from intervalhinf import stability, theorem
 from intervalhinf.errors import NoConvergenceError, UnstableDenominatorError, UnstableFamilyError
 from intervalhinf.hinf import check_gamma_equivalence
-from intervalhinf.interval import IntervalPolynomial, kharitonov_vertices, sample_many
+from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
+from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import roots_batch
 from intervalhinf.theorem import (
     AnalysisOptions,
@@ -17,8 +18,8 @@ from intervalhinf.theorem import (
     max_sensitivity_sixteen,
     max_sensitivity_twelve,
     monte_carlo_oracle,
-    twelve_tuples,
 )
+from intervalhinf.valueset import TWELVE_TUPLES
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
 
@@ -40,10 +41,10 @@ def family_problem(kg, kf, **opts):
 
 class TestTwelveTuples:
     def test_canonical_listing(self):
-        assert [t.label for t in twelve_tuples()] == CANONICAL_ORDER
+        assert [t.label for t in TWELVE_TUPLES] == CANONICAL_ORDER
 
     def test_distinct_and_complement(self):
-        tuples = twelve_tuples()
+        tuples = TWELVE_TUPLES
         assert len(set(tuples)) == 12
         all_labels = {f"{i}{j}{k}{l}" for i in "12" for j in "12" for k in "12" for l in "12"}
         assert all_labels - {t.label for t in tuples} == {"1122", "2211", "1221", "2112"}
@@ -212,8 +213,8 @@ class TestGammaSandwich:
             if report.worst_norm < 1.15:
                 continue
             t = report.argmax_tuple
-            g = kharitonov_vertices(kg).vertex(t.i1, t.j1)
-            f = kharitonov_vertices(kf).vertex(t.i2, t.j2)
+            g = RealPolynomial(vertex_rows(kg)[t.g_row])
+            f = RealPolynomial(vertex_rows(kf)[t.f_row])
             assert check_gamma_equivalence(g, f, report.worst_norm * 1.05) is True
             assert check_gamma_equivalence(g, f, report.worst_norm * 0.95) is False
             done += 1
