@@ -26,8 +26,8 @@ from .errors import (
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, check_finite, distinct_rows, eval_at_jomega,
-                   eval_many, magnitude_squared)
+from .poly import (RealPolynomial, add, check_finite, degrees, distinct_rows, eval_at_jomega,
+                   magnitude_squared)
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
@@ -48,28 +48,23 @@ _NORM_CHUNK = 128  # stationarity rows per roots_batch call; bounds its (rows, d
 _TRIM_REL = 1e-14  # stationarity coefficients this small relative to the largest are dropped
 
 
+def _improper(m: int, n: int) -> DegreeOrderError:
+    return DegreeOrderError(f"improper rational function: numerator degree {m} "
+                            f"exceeds denominator degree {n}")
+
+
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den with real coefficients; properness checked at construction."""
+    """num/den with real coefficients; nonzero den and properness checked at construction."""
 
     num: RealPolynomial
     den: RealPolynomial
 
     def __post_init__(self):
+        if not any(self.den.coeffs):
+            raise ValueError("rational function needs a nonzero denominator")
         if self.num.degree > self.den.degree:
-            raise DegreeOrderError(
-                f"improper rational function: numerator degree {self.num.degree} "
-                f"exceeds denominator degree {self.den.degree}"
-            )
-
-    def magnitude_at(self, omega: float) -> float:
-        return abs(eval_at_jomega(self.num, omega)) / abs(eval_at_jomega(self.den, omega))
-
-    def infinity_gain(self) -> float:
-        """Limit of the magnitude as omega -> inf."""
-        if self.num.degree == self.den.degree:
-            return abs(self.num.leading / self.den.leading)
-        return 0.0
+            raise _improper(self.num.degree, self.den.degree)
 
 
 @dataclass(frozen=True)
@@ -82,12 +77,10 @@ class NormResult:
 def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
     """Sensitivity f/(f+g) of the strictly proper plant g/f under unity feedback."""
     if g.degree >= f.degree:
-        raise DegreeOrderError(
-            f"plant must be strictly proper: numerator degree {g.degree} "
-            f">= denominator degree {f.degree}"
-        )
+        raise DegreeOrderError(f"plant must be strictly proper: numerator degree {g.degree} "
+                               f">= denominator degree {f.degree}")
     closed = add(f, g)
-    if not is_hurwitz_real(closed).is_hurwitz:
+    if not is_hurwitz_real([closed.coeffs])[0]:
         raise UnstableClosedLoopError("f + g is not Hurwitz; sensitivity undefined")
     return RationalFunction(num=f, den=closed)
 
@@ -128,10 +121,21 @@ def _chunk_roots(coeffs: np.ndarray) -> list:
     return [out for row in coeffs for out in _chunk_roots(row[None, :])]
 
 
-def _norm_from_roots(rf: RationalFunction, roots: list[complex]) -> NormResult:
+def _magnitudes(num, den, omegas: np.ndarray) -> tuple[np.ndarray, float]:
+    """|num(j omega) / den(j omega)| at each frequency from one call, and its limit at inf."""
+    rows = np.zeros((2, max(len(num), len(den))))
+    rows[0, : len(num)], rows[1, : len(den)] = num, den
+    values = eval_at_jomega(rows, omegas[None, :])
+    mags = np.hypot(values.real, values.imag)  # rounds as abs() of a Python complex does
+    m, n = degrees(rows)
+    return mags[0] / mags[1], (float(abs(rows[0, m] / rows[1, n])) if m == n else 0.0)
+
+
+def _norm_from_roots(num: np.ndarray, den: np.ndarray, roots: list[complex]) -> NormResult:
     xs = [0.0] + [r.real for r in roots if abs(r.imag) <= 1e-8 * abs(r) and r.real > 0.0]
-    candidates = [(om, rf.magnitude_at(om)) for om in sorted(math.sqrt(x) for x in xs)]
-    candidates.append((math.inf, rf.infinity_gain()))
+    omegas = sorted(math.sqrt(x) for x in xs)
+    mags, gain = _magnitudes(num, den, np.array(omegas))
+    candidates = list(zip(omegas, mags.tolist())) + [(math.inf, gain)]
 
     best_val, best_at = -1.0, 0.0
     for om, mag in candidates:
@@ -149,34 +153,40 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     each finite candidate is re-evaluated through the transfer function.
     Ties go to the smallest frequency.
 
-    Byte-identical row pairs are solved once. Stationarity polynomials of
-    one length share roots_batch calls of at most _NORM_CHUNK rows, whose
-    iteration is per row, so every result equals solving its row alone.
-    A failure is that of the lowest failing input row: the error solving
-    that row alone raises, re-raised with `row` set and named in the message.
+    Malformed input (a non-finite coefficient or a zero denominator) raises
+    ValueError naming its lowest row, before any other work. Byte-identical
+    row pairs are solved once. Stationarity polynomials of one length share
+    roots_batch calls of at most _NORM_CHUNK rows, whose iteration is per
+    row, so every result equals solving its row alone. Any other failure is
+    that of the lowest failing row: the error solving that row alone raises,
+    re-raised with `row` set and named in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
     if num_rows.ndim != 2 or den_rows.ndim != 2 or len(num_rows) != len(den_rows):
         raise ValueError("hinf_norm_batch needs (B, m+1) and (B, n+1) coefficient rows")
+    finite = np.isfinite(num_rows).all(axis=1) & np.isfinite(den_rows).all(axis=1)
+    malformed = ~finite | ~den_rows.any(axis=1)
+    if malformed.any():
+        k = int(malformed.argmax())
+        what = "zero denominator" if finite[k] else "non-finite coefficient"
+        raise ValueError(f"row {k}: {what}")
+    dn, dd = degrees(num_rows), degrees(den_rows)
     first, inverse = distinct_rows(np.hstack([num_rows, den_rows]))
+    stable = is_hurwitz_real(den_rows[first])
 
     failure: tuple[int, IntervalHinfError] | None = None
-    rfs, stations = {}, {}
+    stations = {}
     for u in np.argsort(first):  # distinct pairs in input order
         k = int(first[u])
-        try:
-            rf = RationalFunction(num=RealPolynomial(num_rows[k]),
-                                  den=RealPolynomial(den_rows[k]))
-            if not is_hurwitz_real(rf.den).is_hurwitz:
-                raise UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")
-        except IntervalHinfError as err:
-            failure = (k, err)  # later rows cannot fail first
-            break
-        station = _stationarity_polynomial(magnitude_squared(rf.num.coeffs),
-                                           magnitude_squared(rf.den.coeffs))
+        if dn[k] > dd[k] or not stable[u]:
+            failure = (k, _improper(dn[k], dd[k]) if dn[k] > dd[k] else
+                       UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator"))
+            break  # later rows cannot fail first
+        station = _stationarity_polynomial(magnitude_squared(num_rows[k]),
+                                           magnitude_squared(den_rows[k]))
         check_finite(station.tolist())
-        rfs[u], stations[u] = rf, station
+        stations[u] = station
 
     by_length: dict[int, list[int]] = {}
     for u, station in stations.items():
@@ -190,12 +200,12 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
             roots.update(zip(chunk, solved))
 
     norms = {}
-    for u, rf in rfs.items():  # input order, all before a failure found above
-        out = roots.get(u, [])
+    for u in stations:  # input order, all before a failure found above
+        k, out = int(first[u]), roots.get(u, [])
         if isinstance(out, IntervalHinfError):
-            failure = (int(first[u]), out)
+            failure = (k, out)
             break
-        norms[u] = _norm_from_roots(rf, out)
+        norms[u] = _norm_from_roots(num_rows[k], den_rows[k], out)
     if failure is not None:
         k, err = failure
         located = type(err)(f"row {k}: {err}")
@@ -219,17 +229,15 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
     """Dense-grid lower bound on the peak; the independent check on the exact route.
 
     Log-spaced frequencies on (0, omega_max] augmented with omega = 0 and
-    the at-infinity limit.
+    the at-infinity limit; it never forms the magnitude-squared polynomials.
     """
-    if points < 2:
-        raise ValueError("grid oracle needs at least 2 points")
-    if not omega_max > 0.0:
-        raise ValueError("grid oracle needs omega_max > 0")
-    omegas = np.geomspace(omega_max * 1e-12, omega_max, points - 1)
-    s = 1j * np.concatenate([[0.0], omegas])[None, :]
-    mags = (np.abs(eval_many(np.array([rf.num.coeffs]), s))
-            / np.abs(eval_many(np.array([rf.den.coeffs]), s)))
-    return float(max(mags.max(), rf.infinity_gain()))
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise ValueError(f"grid oracle needs an integer number of points >= 2, got {points!r}")
+    if not (math.isfinite(omega_max) and omega_max > 0.0):
+        raise ValueError(f"grid oracle needs a finite omega_max > 0, got {omega_max!r}")
+    omegas = np.concatenate([[0.0], np.geomspace(omega_max * 1e-12, omega_max, points - 1)])
+    mags, gain = _magnitudes(rf.num.coeffs, rf.den.coeffs, omegas)
+    return float(max(mags.max(), gain))
 
 
 def _theta_grid(theta_count: int) -> np.ndarray:
@@ -265,10 +273,9 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
-    if not is_hurwitz_real(add(f, g)).is_hurwitz:
+    if not is_hurwitz_real([add(f, g).coeffs])[0]:
         raise UnstableClosedLoopError("f + g must be Hurwitz for the equivalence")
-    n = max(f.degree, g.degree)
-    g_row, f_row = np.zeros((1, n + 1)), np.zeros((1, n + 1))
+    g_row, f_row = np.zeros((2, 1, max(f.degree, g.degree) + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
     return _hurwitz_on_grid(g_row, f_row, 1.0 / gamma, _theta_grid(theta_count))

@@ -144,4 +144,4 @@ def sum_family_hurwitz(kg: IntervalPolynomial, kf: IntervalPolynomial) -> bool:
             f"matched vertex sum ({VERTEX_LABELS[mismatch.argmax()]}) disagrees "
             "with the sum family vertex"
         )
-    return all(is_hurwitz_real(RealPolynomial(row)).is_hurwitz for row in matched)
+    return bool(is_hurwitz_real(matched).all())

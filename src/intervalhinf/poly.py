@@ -3,10 +3,10 @@
 Inside the package a polynomial is a dense ascending coefficient array,
 batched as (B, d+1) rows wherever a hot path needs many of them;
 `RealPolynomial` is the one validated type that public functions accept
-and return. Trailing zeros are legal and never change semantics (degree
-is tracked explicitly). Real polynomials are evaluated on the imaginary
-axis through their even/odd split, which keeps the real and imaginary
-parts separately conditioned.
+and return. Trailing zeros are legal and never change semantics (each
+row's degree is tracked explicitly). Real coefficient rows are evaluated
+on the imaginary axis through their even/odd split, which keeps the real
+and imaginary parts separately conditioned.
 """
 
 from __future__ import annotations
@@ -33,14 +33,6 @@ def check_finite(coeffs: Sequence[complex]) -> None:
             raise ValueError(f"non-finite coefficient at power {i}: {c!r}")
 
 
-def last_nonzero(coeffs: Sequence[complex]) -> int:
-    """Index of the highest nonzero coefficient, ZERO_DEGREE if there is none."""
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i] != 0:
-            return i
-    return ZERO_DEGREE
-
-
 @dataclass(frozen=True)
 class RealPolynomial:
     """Real-coefficient polynomial, coeffs[i] multiplying s**i."""
@@ -53,19 +45,17 @@ class RealPolynomial:
 
     @property
     def degree(self) -> int:
-        return last_nonzero(self.coeffs)
-
-    @property
-    def leading(self) -> float:
-        d = self.degree
-        return 0.0 if d == ZERO_DEGREE else self.coeffs[d]
+        d = len(self.coeffs) - 1
+        while d > ZERO_DEGREE and self.coeffs[d] == 0:
+            d -= 1
+        return d
 
 
-def _horner(coeffs: Sequence, s):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * s + c
-    return acc
+def degrees(rows: np.ndarray) -> np.ndarray:
+    """Each row's index of its highest nonzero coefficient, ZERO_DEGREE for a zero row."""
+    nonzero = rows != 0
+    top = rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return np.where(nonzero.any(axis=1), top, ZERO_DEGREE)
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +74,26 @@ def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def eval_at_jomega(p: RealPolynomial, omega: float) -> complex:
-    """Evaluate p at s = j*omega as Re = alpha(-omega^2), Im = omega * beta(-omega^2).
+def eval_at_jomega(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Values of real ascending rows (B, d+1) at s = j*omega for frequencies (B, k).
 
-    p(s) = alpha(s^2) + s*beta(s^2): alpha carries a0, a2, ... and beta
-    a1, a3, ...; a constant's odd half is 0.0, so Im keeps omega's sign.
+    Row p(s) = alpha(s^2) + s*beta(s^2) gives Re = alpha(-omega^2) and Im = omega *
+    beta(-omega^2), each half by Horner from its top coefficient; a constant's
+    odd half is 0.0, so Im keeps omega's sign.
     """
+    rows, omega = np.asarray(rows, dtype=float), np.asarray(omega, dtype=float)
     u = -(omega * omega)
-    return complex(_horner(p.coeffs[0::2], u),
-                   omega * _horner(p.coeffs[1::2] or (0.0,), u))
+    out = np.empty(np.broadcast_shapes((len(rows), 1), u.shape), dtype=complex)
+    odd = rows[:, 1::2] if rows.shape[1] > 1 else np.zeros((len(rows), 1))
+    acc = np.empty(out.shape)
+    for half, part in ((rows[:, 0::2], out.real), (odd, out.imag)):
+        acc[...] = half[:, -1:]
+        for k in range(half.shape[1] - 2, -1, -1):
+            acc *= u
+            acc += half[:, k : k + 1]
+        part[...] = acc
+    out.imag *= omega
+    return out
 
 
 def magnitude_squared(coeffs: Sequence[float]) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Hurwitz stability verdicts.
 
-Real polynomials get a Routh array test. Batches of complex coefficient
-rows get Hermite's criterion: a row is Hurwitz exactly when its Hermite
-matrix is positive definite, which one batched eigenvalue call decides
-without iterating. Roots, from a batched simultaneous-correction
-(Aberth-Ehrlich style) iteration, serve root sets and the rare rows whose
-Hermite verdict is within roundoff of the boundary.
+Routh over real coefficient rows, all rows at once. Batches of complex
+coefficient rows get Hermite's criterion: a row is Hurwitz exactly when
+its Hermite matrix is positive definite, which one batched eigenvalue
+call decides without iterating. Roots, from a batched simultaneous-
+correction (Aberth-Ehrlich style) iteration, serve root sets and the rare
+rows whose Hermite verdict is within roundoff of the boundary.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError)
-from .poly import (ZERO_DEGREE, RealPolynomial, check_finite, distinct_rows, eval_many,
-                   last_nonzero)
+from .poly import ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_many
 
 __all__ = [
     "StabilityVerdict",
@@ -41,8 +40,7 @@ LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
 @dataclass(frozen=True)
 class StabilityVerdict:
     is_hurwitz: bool
-    margin: float | None     # -max Re(root); None for Routh-only verdicts
-    method: str              # "routh" or "roots"
+    margin: float            # -max Re(root)
 
 
 @dataclass(frozen=True)
@@ -51,39 +49,38 @@ class RootSet:
     residual: float          # max over roots of |p(z)| / sum_k |c_k||z|^k
 
 
-def is_hurwitz_real(p: RealPolynomial) -> StabilityVerdict:
-    """Routh array verdict: Hurwitz iff every first-column entry is positive.
+def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
+    """Routh verdict of each real ascending row (B, n+1): Hurwitz iff the first d + 1
+    first-column entries of its Routh array are positive, d the row's own degree.
 
-    The leading coefficient is normalized positive first. A zero anywhere
-    in the first column is conclusive "not Hurwitz"; there is no epsilon
-    continuation because the target set is the open left half plane.
+    Leading coefficients are normalized positive. A zero in the first column is
+    conclusive "not Hurwitz"; there is no epsilon continuation because the target
+    set is the open left half plane. A degree-0 row is Hurwitz.
     """
-    d = p.degree
-    if d == ZERO_DEGREE:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or not np.isfinite(rows).all():
+        raise ValueError("Routh test needs finite (B, n+1) coefficient rows")
+    deg = degrees(rows)
+    if (deg == ZERO_DEGREE).any():
         raise ZeroPolynomialError("stability of the zero polynomial is undefined")
-    if d == 0:
-        return StabilityVerdict(is_hurwitz=True, margin=None, method="routh")
+    n = int(deg.max(initial=0))
+    back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
+    desc = np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), 0.0)
+    desc[desc[:, 0] < 0] *= -1.0
 
-    desc = [p.coeffs[i] for i in range(d, -1, -1)]
-    if desc[0] < 0:
-        desc = [-c for c in desc]
-
-    width = (d + 2) // 2
-    row_hi = desc[0::2] + [0.0] * (width - len(desc[0::2]))
-    row_lo = desc[1::2] + [0.0] * (width - len(desc[1::2]))
-    first_column = [row_hi[0], row_lo[0]]
-    for _ in range(d - 1):
-        pivot = row_lo[0]
-        if pivot == 0.0:
-            return StabilityVerdict(is_hurwitz=False, margin=None, method="routh")
-        nxt = [
-            (pivot * row_hi[i + 1] - row_hi[0] * row_lo[i + 1]) / pivot
-            for i in range(width - 1)
-        ] + [0.0]
-        row_hi, row_lo = row_lo, nxt
-        first_column.append(nxt[0])
-    ok = all(entry > 0.0 for entry in first_column[: d + 1])
-    return StabilityVerdict(is_hurwitz=ok, margin=None, method="routh")
+    hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
+    lo[:, : (n + 1) // 2] = desc[:, 1::2]
+    first_column = [hi[:, 0], lo[:, 0]]
+    # a shorter row's padding stays +-0 unless a zero or non-finite pivot already failed it
+    with np.errstate(all="ignore"):
+        for _ in range(n - 1):
+            pivot = lo[:, :1]
+            nxt = np.zeros_like(hi)
+            nxt[:, :-1] = (pivot * hi[:, 1:] - hi[:, :1] * lo[:, 1:]) / pivot
+            hi, lo = lo, nxt
+            first_column.append(nxt[:, 0])
+    positive = np.stack(first_column[: n + 1], axis=1) > 0.0
+    return (positive | (np.arange(n + 1) > deg[:, None])).all(axis=1)
 
 
 def _start_circle(radius: np.ndarray, degree: int, phase: float) -> np.ndarray:
@@ -176,7 +173,7 @@ def roots_complex(coeffs: Sequence[complex]) -> RootSet:
     """Roots of one polynomial, given ascending coefficients, via the batched kernel."""
     c = [complex(v) for v in coeffs]
     check_finite(c)
-    d = last_nonzero(c)
+    d = int(degrees(np.array([c]))[0])
     if d == ZERO_DEGREE:
         raise ZeroPolynomialError("the zero polynomial has no defined root set")
     if d < 1:
@@ -190,7 +187,7 @@ def is_hurwitz_complex(coeffs: Sequence[complex],
     """True iff every root sits strictly left of -tol; margin = -max Re."""
     rs = roots_complex(coeffs)
     margin = -max(r.real for r in rs.roots)
-    return StabilityVerdict(is_hurwitz=bool(margin > tol), margin=margin, method="roots")
+    return StabilityVerdict(is_hurwitz=bool(margin > tol), margin=margin)
 
 
 def _taylor_shift(coeffs: np.ndarray, h: float) -> np.ndarray:

@@ -193,6 +193,18 @@ class TestNorm:
         res = run("norm", "--num", "1", "--den", "-1,1")
         assert res.exit_code == 3
 
+    def test_zero_denominator_exits_2(self):
+        for num in ("0", "1", "0,0"):
+            res = run("norm", "--num", num, "--den", "0,0")
+            assert res.exit_code == 2
+            assert res.output == "error: rational function needs a nonzero denominator\n"
+
+    def test_point_file_matches_golden(self):
+        # pins the exact line and the grid line of the worked plant
+        res = run("norm", PROBLEMS / "point_plant.yaml")
+        assert res.exit_code == 0
+        assert res.output == (GOLDEN_DIR / "point_plant.norm.txt").read_text(encoding="utf-8")
+
 
 class TestValueset:
     def test_point_family_single_vertex_rows(self):

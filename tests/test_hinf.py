@@ -24,7 +24,7 @@ from intervalhinf.hinf import (
     sensitivity,
 )
 from intervalhinf.interval import IntervalPolynomial
-from intervalhinf.poly import RealPolynomial
+from intervalhinf.poly import RealPolynomial, eval_at_jomega
 from intervalhinf.stability import roots_batch
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
@@ -94,6 +94,11 @@ class TestExactNorm:
         with pytest.raises(DegreeOrderError):
             RationalFunction(num=RealPolynomial([1, 1, 1]), den=RealPolynomial([1, 1]))
 
+    def test_zero_denominator_rejected_at_construction(self):
+        for num in ([0], [1], [0, 0]):
+            with pytest.raises(ValueError, match="^rational function needs a nonzero denominator$"):
+                RationalFunction(num=RealPolynomial(num), den=RealPolynomial([0, 0]))
+
 
 UNSTABLE = [-1.0, 1.0, 1.0]
 DEGENERATE = [1.5000000000001, 2.0, 1.0]  # its stationarity leading term cancels
@@ -143,6 +148,43 @@ class TestNormBatch:
     def test_empty_batch(self):
         assert hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3))) == []
 
+    def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
+        seen = []
+
+        def recorded(rows):
+            seen.append(np.asarray(rows).tolist())
+            return stability.is_hurwitz_real(rows)
+
+        monkeypatch.setattr(hinf, "is_hurwitz_real", recorded)
+        nums = [[0.0, 1.0, 1.0]] * 4
+        dens = [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 1.0]]
+        hinf_norm_batch(nums, dens)
+        assert len(seen) == 1 and sorted(seen[0]) == sorted([dens[0], dens[1], dens[3]])
+
+    @pytest.mark.parametrize("row, column, value, message", [
+        (3, None, 0.0, "zero denominator"),
+        (2, 1, math.nan, "non-finite coefficient"),
+        (4, 0, math.inf, "non-finite coefficient"),
+        (5, -1, -math.inf, "non-finite coefficient"),
+    ])
+    def test_malformed_row_is_rejected_before_any_work(self, monkeypatch, row, column,
+                                                      value, message):
+        # a malformed row wins over a lower row that would raise UnstableDenominatorError
+        def no_work(*args):
+            raise AssertionError("work started on malformed input")
+
+        monkeypatch.setattr(hinf, "is_hurwitz_real", no_work)
+        monkeypatch.setattr(hinf, "magnitude_squared", no_work)
+        nums = np.array([[0.0, 1.0, 1.0]] * 6)
+        dens = np.array([[1.0 + 0.1 * k, 1.0, 1.0] for k in range(6)])
+        dens[1] = UNSTABLE
+        if column is None:  # otherwise an even row's numerator, an odd row's denominator
+            dens[row] = value
+        else:
+            (nums if row % 2 == 0 else dens)[row, column] = value
+        with pytest.raises(ValueError, match=f"^row {row}: {message}$"):
+            hinf_norm_batch(nums, dens)
+
     @pytest.mark.parametrize("bad, row, error", [
         ({3: UNSTABLE, 5: UNSTABLE}, 3, UnstableDenominatorError),
         ({3: DEGENERATE, 5: DEGENERATE}, 3, DegenerateLeadingError),
@@ -171,6 +213,16 @@ class TestGridNorm:
     def test_identity(self):
         one = RealPolynomial([1, 1])
         assert hinf_norm_grid(RationalFunction(one, one), 10.0, 100) == pytest.approx(1.0)
+
+    def test_rejects_bad_arguments(self):
+        rf = worked_sensitivity()
+        for omega_max in (math.inf, math.nan, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="omega_max"):
+                hinf_norm_grid(rf, omega_max, 10)
+        for points in (True, 2.5, 1, 0, -3, "10"):
+            with pytest.raises(ValueError, match="points"):
+                hinf_norm_grid(rf, 10.0, points)
+        assert hinf_norm_grid(rf, 10.0, 2) >= 1.0
 
     def test_golden_with_dense_grid(self):
         val = hinf_norm_grid(worked_sensitivity(), 100.0, 10**6)
@@ -204,7 +256,8 @@ class TestGridNorm:
         rng = np.random.default_rng(59)
         for _ in range(20):
             om = float(rng.uniform(0, 10))
-            assert rf.magnitude_at(om) == pytest.approx(rf.magnitude_at(-om), rel=1e-12)
+            num, den = np.abs(eval_at_jomega([rf.num.coeffs, rf.den.coeffs], [[om, -om]] * 2))
+            assert num[0] / den[0] == pytest.approx(num[1] / den[1], rel=1e-12)
 
 
 class TestGammaEquivalence:

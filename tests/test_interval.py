@@ -9,7 +9,7 @@ from intervalhinf.interval import (
     sum_family,
     vertex_rows,
 )
-from intervalhinf.poly import RealPolynomial, eval_at_jomega, eval_many
+from intervalhinf.poly import eval_at_jomega, eval_many
 
 
 def box(lower, upper):
@@ -64,7 +64,7 @@ class TestKharitonovVertices:
 class TestValueRectangle:
     def test_point_intervals_give_single_point(self):
         k = box([1, 2, 3], [1, 2, 3])
-        z = eval_at_jomega(RealPolynomial([1, 2, 3]), 1.3)
+        z = eval_at_jomega([[1, 2, 3]], [[1.3]])[0, 0]
         for v in vertex_values(k, 1.3):
             assert v == pytest.approx(z)
 
@@ -83,8 +83,9 @@ class TestValueRectangle:
             re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
             corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                        complex(re_hi, im_hi), complex(re_lo, im_hi)]
-            p11, p12, p21, p22 = evals = [eval_at_jomega(v, omega)
-                                          for v in kharitonov_vertices(k).all_vertices()]
+            vertices = kharitonov_vertices(k).all_vertices()
+            p11, p12, p21, p22 = evals = eval_at_jomega([v.coeffs for v in vertices],
+                                                        np.full((4, 1), omega))[:, 0]
             for z in evals:
                 assert min(abs(z - c) for c in corners) <= 1e-12 * max(1.0, abs(z))
             assert (p11.real, p21.real) == (p12.real, p22.real)
@@ -96,10 +97,9 @@ class TestValueRectangle:
         k = box([0.5, -1, 2, 0.1], [1.5, 1, 3, 0.4])
         for omega in (0.0, 0.7, -2.2, 5.0):
             re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
-            for coeffs in sample_many(k, 250, rng):
-                z = eval_at_jomega(RealPolynomial(coeffs), omega)
-                assert re_lo - 1e-12 <= z.real <= re_hi + 1e-12
-                assert im_lo - 1e-12 <= z.imag <= im_hi + 1e-12
+            z = eval_at_jomega(sample_many(k, 250, rng), np.full((250, 1), omega))
+            assert (re_lo - 1e-12 <= z.real).all() and (z.real <= re_hi + 1e-12).all()
+            assert (im_lo - 1e-12 <= z.imag).all() and (z.imag <= im_hi + 1e-12).all()
 
     def test_halves_bounded_by_alternating_extremes(self):
         # alpha(-w^2) and beta(-w^2) of members between the vertex extremes, 1000 seeded draws
@@ -108,7 +108,7 @@ class TestValueRectangle:
         for coeffs in sample_many(k, 1000, rng):
             omega = float(rng.uniform(-5, 5))
             re_lo, re_hi, im_lo, im_hi = value_box(k, omega)
-            z = eval_at_jomega(RealPolynomial(coeffs), omega)  # alpha + j omega beta
+            z = eval_at_jomega([coeffs], [[omega]])[0, 0]  # alpha + j omega beta
             assert re_lo - 1e-12 <= z.real <= re_hi + 1e-12
             slack = 1e-12 * abs(omega)
             assert im_lo - slack <= z.imag <= im_hi + slack

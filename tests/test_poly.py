@@ -12,16 +12,27 @@ coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity
 coeff_lists = st.lists(coeff, min_size=1, max_size=9)
 
 
+def scalar_eval_at_jomega(coeffs: tuple, omega: float) -> complex:
+    """The one-polynomial evaluator rows replaced, kept as the reference."""
+    def horner(cs, s):
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            acc = acc * s + c
+        return acc
+
+    u = -(omega * omega)
+    return complex(horner(coeffs[0::2], u), omega * horner(coeffs[1::2] or (0.0,), u))
+
+
 class TestEvalAtJOmega:
     def test_linear(self):
-        assert eval_at_jomega(RealPolynomial([1, 1]), 1.0) == 1 + 1j
+        assert eval_at_jomega([[1, 1]], [[1.0]]).tolist() == [[1 + 1j]]
 
     def test_pure_square(self):
-        assert eval_at_jomega(RealPolynomial([0, 0, 1]), 2.0) == -4 + 0j
+        assert eval_at_jomega([[0, 0, 1]], [[2.0]]).tolist() == [[-4 + 0j]]
 
     def test_cubic(self):
-        p = RealPolynomial([4, 3, 2, 1])
-        assert eval_at_jomega(p, 1.0) == pytest.approx(2 + 2j)
+        assert eval_at_jomega([[4, 3, 2, 1]], [[1.0]])[0, 0] == pytest.approx(2 + 2j)
 
     def test_complex_polynomial_uses_horner(self):
         # complex coefficients are a row for the batched Horner evaluation
@@ -31,30 +42,49 @@ class TestEvalAtJOmega:
 
     @given(coeff_lists, st.floats(-1e3, 1e3, allow_nan=False))
     def test_conjugate_symmetry(self, coeffs, omega):
-        p = RealPolynomial(coeffs)
-        left = eval_at_jomega(p, -omega)
-        right = eval_at_jomega(p, omega).conjugate()
-        assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
+        left, right = eval_at_jomega([coeffs, coeffs], [[-omega], [omega]])[:, 0]
+        assert left == pytest.approx(right.conjugate(), rel=1e-12, abs=1e-300)
+
+    def test_rows_equal_scalar_reference(self):
+        # 2,016 seeded rows of width 1-16 (trailing and interior zeros, -0.0
+        # coefficients, constants) at 6 frequencies each, among them +0.0 and
+        # -0.0: every real and imaginary part is bitwise the reference's
+        rng = np.random.default_rng(9901)
+        checked = 0
+        for width in range(1, 17):
+            rows = rng.uniform(-5, 5, (126, width))
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[rng.random(rows.shape) < 0.05] = -0.0
+            rows[:10, 1:] = 0.0  # constants padded to the width
+            omegas = np.hstack([np.zeros((126, 1)), np.full((126, 1), -0.0),
+                                rng.uniform(-3, 3, (126, 2)),
+                                10.0 ** rng.uniform(-8, 3, (126, 2)) * rng.choice([1, -1], (126, 2))])
+            got = eval_at_jomega(rows, omegas)
+            want = np.array([[scalar_eval_at_jomega(tuple(row.tolist()), om) for om in oms]
+                             for row, oms in zip(rows, omegas.tolist())])
+            assert got.shape == (126, 6)
+            assert (got.view(np.uint64) == want.view(np.uint64)).all(), width
+            checked += got.size
+        assert checked == 2016 * 6
 
 
 class TestEvenOddSplit:
     # p(jw) = alpha(-w^2) + jw beta(-w^2): alpha holds the even, beta the odd coefficients
     def test_quadratic(self):
         # alpha(u) = 1 + 3u, beta(u) = 2
-        assert eval_at_jomega(RealPolynomial([1, 2, 3]), 2.0) == complex(1 - 3 * 4, 2 * 2)
+        assert eval_at_jomega([[1, 2, 3]], [[2.0]])[0, 0] == complex(1 - 3 * 4, 2 * 2)
 
     def test_pure_quintic(self):
         # alpha = 0, beta(u) = u^2
-        z = eval_at_jomega(RealPolynomial([0, 0, 0, 0, 0, 1]), 2.0)
+        z = eval_at_jomega([[0, 0, 0, 0, 0, 1]], [[2.0]])[0, 0]
         assert z == 32j
         assert math.copysign(1.0, z.real) == 1.0
 
     def test_constant(self):
         # the missing odd half counts as 0.0: Im = omega * 0.0 keeps omega's sign
-        for omega in (2.0, -2.0):
-            z = eval_at_jomega(RealPolynomial([7]), omega)
-            assert z == 7
-            assert math.copysign(1.0, z.imag) == math.copysign(1.0, omega)
+        z = eval_at_jomega([[7]], [[2.0, -2.0]])[0]
+        assert z.tolist() == [7, 7]
+        assert np.signbit(z.imag).tolist() == [False, True]
         assert magnitude_squared([7]).tolist() == [49.0, 0.0]
 
 
@@ -75,13 +105,15 @@ class TestMagnitudeSquared:
     def test_matches_evaluation_on_random_inputs(self):
         # |p(jw)|^2 == M(w^2) within relative 1e-12, 1000 seeded draws
         rng = np.random.default_rng(101)
-        for _ in range(1000):
+        rows, omegas = np.zeros((1000, 9)), np.zeros((1000, 1))
+        for row, omega in zip(rows, omegas):
             deg = int(rng.integers(0, 9))
-            p = RealPolynomial(rng.uniform(-5, 5, deg + 1))
-            omega = float(rng.uniform(-10, 10))
-            direct = abs(eval_at_jomega(p, omega)) ** 2
-            viaM = np.polynomial.polynomial.polyval(omega * omega, magnitude_squared(p.coeffs))
-            assert viaM == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            row[: deg + 1] = rng.uniform(-5, 5, deg + 1)
+            omega[0] = rng.uniform(-10, 10)
+        direct = np.abs(eval_at_jomega(rows, omegas)[:, 0]) ** 2
+        for row, omega, value in zip(rows, omegas[:, 0], direct):
+            viaM = np.polynomial.polynomial.polyval(omega * omega, magnitude_squared(row))
+            assert viaM == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 class TestArithmetic:

@@ -5,7 +5,6 @@ from conftest import np_root_margin
 from intervalhinf import stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
-from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import (
     HURWITZ_TOL,
     hurwitz_batch,
@@ -39,27 +38,97 @@ def known_root_rows(rng, degree, spread, count):
     return rows, (roots.real < -HURWITZ_TOL).all(axis=1), pinned
 
 
+def scalar_routh(coeffs, zero_pivots=None) -> bool:
+    """The one-polynomial Routh test rows replaced, kept as the reference; a zero
+    pivot is noted in `zero_pivots` when given."""
+    d = max((i for i, c in enumerate(coeffs) if c != 0), default=-1)
+    if d == -1:
+        raise ZeroPolynomialError("stability of the zero polynomial is undefined")
+    if d == 0:
+        return True
+
+    desc = [float(coeffs[i]) for i in range(d, -1, -1)]
+    if desc[0] < 0:
+        desc = [-c for c in desc]
+
+    width = (d + 2) // 2
+    row_hi = desc[0::2] + [0.0] * (width - len(desc[0::2]))
+    row_lo = desc[1::2] + [0.0] * (width - len(desc[1::2]))
+    first_column = [row_hi[0], row_lo[0]]
+    for _ in range(d - 1):
+        pivot = row_lo[0]
+        if pivot == 0.0:
+            if zero_pivots is not None:
+                zero_pivots.append(d)
+            return False
+        nxt = [
+            (pivot * row_hi[i + 1] - row_hi[0] * row_lo[i + 1]) / pivot
+            for i in range(width - 1)
+        ] + [0.0]
+        row_hi, row_lo = row_lo, nxt
+        first_column.append(nxt[0])
+    return all(entry > 0.0 for entry in first_column[: d + 1])
+
+
 class TestRouth:
     def test_first_order_stable(self):
-        assert is_hurwitz_real(RealPolynomial([1, 1])).is_hurwitz
+        assert is_hurwitz_real([[1, 1]]).tolist() == [True]
 
     def test_axis_roots_rejected(self):
         # (s+1)(s^2+1) has a pair on the imaginary axis
-        assert not is_hurwitz_real(RealPolynomial([1, 1, 1, 1])).is_hurwitz
+        assert is_hurwitz_real([[1, 1, 1, 1]]).tolist() == [False]
 
     def test_right_half_plane_pair(self):
-        assert not is_hurwitz_real(RealPolynomial([1, -1, 1])).is_hurwitz
+        assert is_hurwitz_real([[1, -1, 1]]).tolist() == [False]
 
     def test_negative_leading_is_normalized(self):
-        assert is_hurwitz_real(RealPolynomial([-2, -3, -1])).is_hurwitz
+        assert is_hurwitz_real([[-2, -3, -1]]).tolist() == [True]
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomialError):
-            is_hurwitz_real(RealPolynomial([0, 0]))
+            is_hurwitz_real([[0, 0]])
+        with pytest.raises(ZeroPolynomialError):
+            is_hurwitz_real([[2, 3, 1], [0, 0, 0]])
 
-    def test_verdict_carries_method(self):
-        v = is_hurwitz_real(RealPolynomial([2, 3, 1]))
-        assert v.method == "routh" and v.margin is None
+    def test_rows_keep_their_own_degree(self):
+        # one batch: a constant, a negative constant, trailing zeros, and the rows above
+        rows = [[7, 0, 0, 0], [-3, 0, 0, 0], [2, 3, 1, 0], [1, -1, 1, 0], [1, 1, 1, 1],
+                [-2, -3, -1, 0], [1, 1, 0, 0]]
+        assert is_hurwitz_real(rows).tolist() == [True, True, True, False, False, True, True]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            is_hurwitz_real([[1.0, np.nan]])
+        with pytest.raises(ValueError, match="rows"):
+            is_hurwitz_real([1.0, 1.0])
+        assert is_hurwitz_real(np.zeros((0, 3))).tolist() == []
+
+    def test_rows_equal_scalar_reference(self):
+        # 24,000 seeded rows of degree 0-14 padded to 17 columns: uniform, small-integer
+        # (zero pivots), negative-leading, decade-spread and overflowing (1e+-300)
+        # coefficients; verdicts identical
+        rng = np.random.default_rng(8801)
+        rows = np.zeros((24_000, 17))
+        for row in rows:
+            d = int(rng.integers(0, 15))
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                c = rng.uniform(-5, 5, d + 1)
+            elif kind == 1:
+                c = rng.integers(-2, 3, d + 1).astype(float)
+            elif kind == 2:
+                c = -rng.uniform(0.1, 5, d + 1)
+            else:
+                spread = 4 if kind == 3 else 300
+                c = 10.0 ** rng.uniform(-spread, spread, d + 1) * rng.choice([1.0, -1.0], d + 1)
+            c[-1] = c[-1] or 1.0
+            row[: d + 1] = c
+        zero_pivots = []
+        reference = [scalar_routh(row, zero_pivots) for row in rows]
+        assert is_hurwitz_real(rows).tolist() == reference
+        assert len(zero_pivots) > 500 and set(zero_pivots) == set(range(2, 15))
+        assert 0.1 < np.mean(reference) < 0.9
+        assert (rows[:, 0] == 0).sum() > 500 and (rows.max(axis=1) <= 0).sum() > 5000
 
 
 class TestRootsComplex:
@@ -151,28 +220,26 @@ class TestHurwitzComplex:
     def test_constructed_left_half_plane(self):
         # (s+1)(s+1-j) = s^2 + (2-j)s + (1-j)
         v = is_hurwitz_complex([1 - 1j, 2 - 1j, 1])
-        assert v.is_hurwitz and v.method == "roots"
+        assert v.is_hurwitz and v.margin == pytest.approx(1.0)
 
 
 class TestRouthRootsAgreement:
     def test_thousand_random_polynomials(self):
         # routes agree outside a 1e-7 root-margin dead zone
         rng = np.random.default_rng(37)
-        borderline = 0
-        for _ in range(1000):
+        rows, margins = np.zeros((1000, 9)), []
+        for row in rows:
             deg = int(rng.integers(1, 9))
             coeffs = rng.uniform(-5, 5, deg + 1)
             if abs(coeffs[-1]) < 0.1:  # discard near-singular leading coefficients
                 coeffs[-1] = 0.1 * np.sign(coeffs[-1] or 1.0)
-            p = RealPolynomial(coeffs)
-            margin = np_root_margin(coeffs)
-            if abs(margin) < 1e-7:
-                borderline += 1
-                continue
-            routh = is_hurwitz_real(p).is_hurwitz
+            row[: deg + 1] = coeffs
+            margins.append(np_root_margin(coeffs))
+        clear = np.abs(margins) >= 1e-7
+        for coeffs, routh in zip(rows[clear], is_hurwitz_real(rows[clear])):
             roots = is_hurwitz_complex(coeffs, tol=1e-9).is_hurwitz
-            assert routh == roots, f"disagreement on {coeffs} (margin {margin})"
-        assert borderline < 50
+            assert routh == roots, f"disagreement on {coeffs}"
+        assert (~clear).sum() < 50
 
 
 class TestHurwitzBatch:

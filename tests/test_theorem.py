@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import fail_on_row, random_stable_family
-from intervalhinf import stability, theorem
-from intervalhinf.errors import NoConvergenceError, UnstableDenominatorError, UnstableFamilyError
+from intervalhinf import hinf, interval, stability, theorem
+from intervalhinf.errors import (NoConvergenceError, TheoremPreconditionGapError,
+                                 UnstableDenominatorError, UnstableFamilyError)
 from intervalhinf.hinf import check_gamma_equivalence
 from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
 from intervalhinf.poly import RealPolynomial
@@ -273,6 +274,31 @@ class TestAnalyze:
         report = analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
         assert report.family_stable
         assert calls == {"gate": 1, "norms": 16}
+
+    def test_one_routh_call_per_caller(self, monkeypatch):
+        # the gate's 4 matched sums, the 16 vertex closed loops, and each norm
+        # batch's distinct denominators are each tested in one call
+        calls = []
+        for module in (interval, theorem, hinf):
+            def recorded(rows, name=module.__name__.rsplit(".", 1)[1]):
+                calls.append((name, len(rows)))
+                return stability.is_hurwitz_real(rows)
+            monkeypatch.setattr(module, "is_hurwitz_real", recorded)
+        analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
+        assert calls[:3] == [("interval", 4), ("theorem", 16), ("hinf", 16)]
+        assert calls[3][0] == "hinf" and 16 < calls[3][1] <= 65 + 20
+        assert calls[4:] == [("interval", 4)]  # the bisection's own gate
+
+    def test_precondition_gap_names_the_first_failing_tuple(self, monkeypatch):
+        def two_fail(rows):
+            verdicts = np.ones(len(rows), dtype=bool)
+            verdicts[[9, 5]] = False
+            return verdicts
+
+        monkeypatch.setattr(theorem, "is_hurwitz_real", two_fail)
+        with pytest.raises(TheoremPreconditionGapError,
+                           match=f"^mixed vertex sum for tuple {CANONICAL_ORDER[5]} is not"):
+            max_sensitivity_twelve(widened_problem())
 
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="strictly below"):
