@@ -101,10 +101,10 @@ def _stationarity_polynomial(mn: np.ndarray, md: np.ndarray) -> np.ndarray:
     dmd = md[1:] * np.arange(1, len(md))
     lhs = np.convolve(dmn, md) if len(dmn) else np.zeros(1)
     rhs = np.convolve(mn, dmd) if len(dmd) else np.zeros(1)
-    n = max(len(lhs), len(rhs))
-    lhs = np.pad(lhs, (0, n - len(lhs)))
-    rhs = np.pad(rhs, (0, n - len(rhs)))
-    return _trimmed(lhs - rhs)
+    out = np.zeros(max(len(lhs), len(rhs)))
+    out[: len(lhs)] = lhs
+    out[: len(rhs)] -= rhs
+    return _trimmed(out)
 
 
 def _chunk_roots(coeffs: np.ndarray) -> list:

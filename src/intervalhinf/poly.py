@@ -107,10 +107,11 @@ def magnitude_squared(coeffs: Sequence[float]) -> np.ndarray:
     b = np.array(coeffs[1::2] if len(coeffs) > 1 else [0.0], dtype=float)  # beta(-x)
     a[1::2] *= -1.0
     b[1::2] *= -1.0
-    m = np.convolve(a, a)
-    xb2 = np.concatenate([[0.0], np.convolve(b, b)])
-    n = max(len(m), len(xb2))
-    return np.pad(m, (0, n - len(m))) + np.pad(xb2, (0, n - len(xb2)))
+    m, bb = np.convolve(a, a), np.convolve(b, b)
+    out = np.zeros(max(len(m), len(bb) + 1))
+    out[: len(m)] = m  # alpha^2's terms without a partner (x^0, its top) are squares, not -0.0
+    out[1 : len(bb) + 1] += bb
+    return out
 
 
 def add(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:

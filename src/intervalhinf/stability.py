@@ -2,10 +2,12 @@
 
 Routh over real coefficient rows, all rows at once. Batches of complex
 coefficient rows get Hermite's criterion: a row is Hurwitz exactly when
-its Hermite matrix is positive definite, which one batched eigenvalue
-call decides without iterating. Roots, from a batched simultaneous-
-correction (Aberth-Ehrlich style) iteration, serve root sets and the rare
-rows whose Hermite verdict is within roundoff of the boundary.
+its Hermite matrix is positive definite. One batched Cholesky
+factorization confirms that for a whole batch without iterating; a batch
+it cannot confirm is decided row by row from batched eigenvalues. Roots,
+from a batched simultaneous-correction (Aberth-Ehrlich style) iteration,
+serve root sets and the rare rows whose Hermite verdict is within
+roundoff of the boundary.
 """
 
 from __future__ import annotations
@@ -217,10 +219,12 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     """True for each row whose roots all have Re < -HURWITZ_TOL, by Hermite's criterion.
 
     coeffs: (B, n+1), ascending, n >= 1, leading column nonzero. The test is the smallest
-    eigenvalue of the Hermite matrix of p(s - HURWITZ_TOL) at unit diagonal; rows where it is
-    within HERMITE_ROUNDOFF of 0 are decided by their roots, each solved alone, and a failure
-    there is that of the lowest such row, re-raised with `row` set and named in the message.
-    Byte-identical rows are tested once.
+    eigenvalue of the Hermite matrix of p(s - HURWITZ_TOL) at unit diagonal. If one batched
+    Cholesky factorization of those matrices less HERMITE_ROUNDOFF on the diagonal succeeds,
+    every smallest eigenvalue exceeds HERMITE_ROUNDOFF and every row is Hurwitz. Otherwise the
+    eigenvalues decide by sign; rows where one is within HERMITE_ROUNDOFF of 0 are decided by
+    their roots, each solved alone, and a failure there is that of the lowest such row,
+    re-raised with `row` set and named in the message. Byte-identical rows are tested once.
     """
     rows = np.ascontiguousarray(coeffs, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
@@ -229,7 +233,18 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     K = _hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL))
     d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
     d[d == 0.0] = 1.0
-    lam = np.linalg.eigvalsh(K / (d[:, :, None] * d[:, None, :]))[:, 0]
+    scaled = K / (d[:, :, None] * d[:, None, :])
+    shifted = scaled.copy()
+    diag = np.arange(scaled.shape[1])
+    shifted[:, diag, diag] -= HERMITE_ROUNDOFF
+    # factors only if every smallest eigenvalue clears the dead zone; a NaN entry passes
+    # LAPACK's pivot test, so only a finite factor confirms
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return np.ones(len(rows), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    lam = np.linalg.eigvalsh(scaled)[:, 0]
     stable = lam > 0.0
     for u in sorted(np.flatnonzero(np.abs(lam) <= HERMITE_ROUNDOFF), key=first.__getitem__):
         k = int(first[u])

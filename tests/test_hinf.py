@@ -298,6 +298,12 @@ class TestFamilyNormBisection:
         kf = IntervalPolynomial([0, 1, 1], [0, 1, 1])
         val = family_norm_bisection(kg, kf, tol=1e-4, theta_count=720)
         assert val == pytest.approx(GOLDEN, abs=1e-3)
+        assert val == 1.4678649907665102  # pinned bitwise
+
+    def test_widened_family_is_pinned(self):
+        kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
+        kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
+        assert family_norm_bisection(kg, kf, tol=1e-4, theta_count=720) == 1.6908264163247984
 
     def test_unit_norm_plant_lands_in_tol_band(self):
         kg = IntervalPolynomial([1], [1])

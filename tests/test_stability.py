@@ -5,6 +5,7 @@ from conftest import np_root_margin
 from intervalhinf import stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
+from intervalhinf.poly import distinct_rows
 from intervalhinf.stability import (
     HURWITZ_TOL,
     hurwitz_batch,
@@ -36,6 +37,97 @@ def known_root_rows(rng, degree, spread, count):
         pad = np.zeros((count, 1))
         rows = np.hstack([pad, rows]) - r[:, None] * np.hstack([rows, pad])
     return rows, (roots.real < -HURWITZ_TOL).all(axis=1), pinned
+
+
+_EIGVALSH = np.linalg.eigvalsh  # bound at import, so counting wrappers never see the reference
+
+
+def scaled_hermite(coeffs):
+    """Unit-diagonal Hermite matrices of the distinct rows as hurwitz_batch builds them,
+    with distinct_rows' (first, inverse)."""
+    rows = np.ascontiguousarray(coeffs, dtype=complex)
+    first, inverse = distinct_rows(rows)
+    K = stability._hermite_matrix(stability._taylor_shift(rows[first], HURWITZ_TOL))
+    d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
+    d[d == 0.0] = 1.0
+    return K / (d[:, :, None] * d[:, None, :]), first, inverse
+
+
+def eigvalsh_verdicts(coeffs):
+    """hurwitz_batch's rule before the Cholesky confirmation, kept as the reference: the
+    sign of every smallest eigenvalue, dead-zone rows by their roots, lowest failure named."""
+    rows = np.ascontiguousarray(coeffs, dtype=complex)
+    scaled, first, inverse = scaled_hermite(rows)
+    lam = _EIGVALSH(scaled)[:, 0]
+    stable = lam > 0.0
+    dead = np.flatnonzero(np.abs(lam) <= stability.HERMITE_ROUNDOFF)
+    for u in sorted(dead, key=first.__getitem__):
+        k = int(first[u])
+        try:
+            stable[u] = stability.roots_batch(rows[k : k + 1])[0].real.max() < -HURWITZ_TOL
+        except IntervalHinfError as err:
+            located = type(err)(f"row {k}: {err}")
+            located.row = k
+            raise located from err
+    return stable[inverse]
+
+
+def smallest_eigenvalues(rows):
+    scaled, _, inverse = scaled_hermite(rows)
+    return _EIGVALSH(scaled)[:, 0][inverse]
+
+
+def verdicts_or_errors(verdict, rows):
+    """Each row's verdict by `verdict`, resuming past every row whose roots raise; such a
+    row gets its error's type and message instead."""
+    out, start = [], 0
+    while start < len(rows):
+        try:
+            return out + verdict(rows[start:]).tolist()
+        except IntervalHinfError as err:
+            k = start + err.row
+            out += verdict(rows[start:k]).tolist() if k > start else []
+            out.append((type(err).__name__, str(err)))
+            start = k + 1
+    return out
+
+
+@pytest.fixture
+def memo_roots(monkeypatch):
+    """roots_batch solving each distinct row once, so the reference and hurwitz_batch share it."""
+    solve, memo = stability.roots_batch, {}
+
+    def solved(coeffs):
+        key = np.asarray(coeffs).tobytes()
+        if key not in memo:
+            try:
+                memo[key] = solve(coeffs)
+            except IntervalHinfError as err:
+                memo[key] = err
+        if isinstance(memo[key], IntervalHinfError):
+            raise type(memo[key])(str(memo[key]))
+        return memo[key]
+
+    monkeypatch.setattr(stability, "roots_batch", solved)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls hurwitz_batch makes to np.linalg.eigvalsh and stability.roots_batch."""
+    calls = {"eigvalsh": 0, "roots": 0}
+    eigvalsh, roots = np.linalg.eigvalsh, stability.roots_batch
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_roots(coeffs):
+        calls["roots"] += 1
+        return roots(coeffs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(stability, "roots_batch", counting_roots)
+    return calls
 
 
 def scalar_routh(coeffs, zero_pivots=None) -> bool:
@@ -306,3 +398,87 @@ class TestHurwitzBatch:
             decided[raised] = False
             wrong = np.flatnonzero(decided & (got != truth))
             assert len(wrong) == 0, (degree, wrong)
+
+
+class TestCholeskyConfirmation:
+    @pytest.mark.parametrize("spread", [1, 2])
+    def test_verdicts_equal_eigvalsh_reference(self, memo_roots, counted, spread):
+        # known_root_rows of degree 4..14 in whole batches, then the rows the reference calls
+        # stable by sign alone in sub-batches of 48: identical verdicts and errors; a
+        # sub-batch whose eigenvalues all clear 10 * HERMITE_ROUNDOFF never reaches eigvalsh
+        rng = np.random.default_rng(4100 + spread)
+        for degree in range(4, 15):
+            rows = known_root_rows(rng, degree, spread, 2000)[0]
+            assert (verdicts_or_errors(hurwitz_batch, rows)
+                    == verdicts_or_errors(eigvalsh_verdicts, rows)), degree
+            lam = smallest_eigenvalues(rows)
+            clear = lam > 10 * stability.HERMITE_ROUNDOFF
+            near = ~clear & (lam > stability.HERMITE_ROUNDOFF)
+            assert clear.sum() > 500 and near.sum() < clear.sum()
+            for by_sign, confirmed in ((rows[clear], True), (rows[near], False)):
+                for start in range(0, len(by_sign), 48):
+                    sub = by_sign[start : start + 48]
+                    assert eigvalsh_verdicts(sub).all()
+                    counted["eigvalsh"] = 0
+                    assert hurwitz_batch(sub).all()
+                    assert not confirmed or counted["eigvalsh"] == 0, degree
+
+    @pytest.mark.parametrize("name", ["point_plant", "widened_family"])
+    def test_bisection_chunks_equal_eigvalsh_reference(self, monkeypatch, name):
+        # every theta chunk the bisection tests, at the delta sequence the reference's
+        # verdicts lead to; the bisection value is the one pinned in test_hinf
+        from intervalhinf import hinf
+        from intervalhinf.interval import IntervalPolynomial
+
+        kg, kf, pinned = {
+            "point_plant": (([1.0], [1.0]), ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0]),
+                            1.4678649907665102),
+            "widened_family": (([0.4, 0.1], [0.6, 0.2]),
+                               ([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0]),
+                               1.6908264163247984),
+        }[name]
+        chunks = {"all stable": 0, "unstable": 0}
+
+        def compared(rows):
+            reference = eigvalsh_verdicts(rows)
+            assert hurwitz_batch(rows).tolist() == reference.tolist()
+            chunks["all stable" if reference.all() else "unstable"] += 1
+            return reference
+
+        monkeypatch.setattr(hinf, "hurwitz_batch", compared)
+        value = hinf.family_norm_bisection(IntervalPolynomial(*kg), IntervalPolynomial(*kf),
+                                           tol=1e-4, theta_count=720)
+        assert value == pinned
+        assert chunks["all stable"] > 0 and chunks["unstable"] > 0
+
+    def test_all_stable_batch_does_no_extra_work(self, counted):
+        rows = known_root_rows(np.random.default_rng(4103), 8, 1, 2000)[0]
+        clear = rows[smallest_eigenvalues(rows) > 10 * stability.HERMITE_ROUNDOFF]
+        assert len(clear) > 500
+        assert hurwitz_batch(clear).tolist() == [True] * len(clear)
+        assert counted == {"eigvalsh": 0, "roots": 0}
+
+    def test_other_batches_keep_the_reference_verdicts(self, counted):
+        # among 80 clear rows: one unstable row, or the dead-zone row of lowest or of highest
+        # eigenvalue (one verdict each); and a row whose Hermite matrix overflows to NaN,
+        # which a Cholesky factor carries without failing (its verdict is only compared).
+        # eigvalsh once, roots only for the dead-zone row
+        rows = known_root_rows(np.random.default_rng(4103), 8, 1, 2000)[0]
+        lam = smallest_eigenvalues(rows)
+        clear = rows[lam > 10 * stability.HERMITE_ROUNDOFF][:80]
+        unstable = rows[lam < -10 * stability.HERMITE_ROUNDOFF][:1]
+        in_dead_zone = np.abs(lam) <= stability.HERMITE_ROUNDOFF
+        dead = rows[in_dead_zone][np.argsort(lam[in_dead_zone])[[0, -1]]]  # lowest, highest
+        assert lam[in_dead_zone].max() > 0.5 * stability.HERMITE_ROUNDOFF
+        overflow = np.array([[2.0, 3.0, 1.0], [1.0, 3e200, 1e200], [1.0, 2.0, 1.0]])
+        cases = [(np.vstack([clear[:40], unstable, clear[40:]]), 40, False, 0),
+                 (np.vstack([clear[:40], dead[:1], clear[40:]]), 40, False, 1),
+                 (np.vstack([clear[:40], dead[1:], clear[40:]]), 40, True, 1),
+                 (overflow, 1, None, 0)]
+        for batch, k, verdict, roots in cases:
+            with np.errstate(all="ignore"):
+                reference = eigvalsh_verdicts(batch)
+                counted.update(eigvalsh=0, roots=0)
+                assert hurwitz_batch(batch).tolist() == reference.tolist()
+            assert np.delete(reference, k).all() and verdict in (None, reference[k])
+            assert counted == {"eigvalsh": 1, "roots": roots}
