@@ -6,6 +6,12 @@ polynomial, and re-evaluates every candidate through the transfer
 function itself. The supremum may be approached only as w -> inf, so the
 at-infinity limit is always a candidate and NormResult keeps an explicit
 infinity sentinel.
+
+The gamma-equivalence test and the family bisection ask whether the rows
+g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, in chunks of
+_THETA_CHUNK thetas. A Hermite pencil of the row pairs confirms an
+all-stable chunk from four matrices per pair; every other chunk goes to
+hurwitz_batch, which decides each row and names a failing one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import (
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, add, check_finite, degrees, distinct_rows, eval_at_jomega,
                    magnitude_squared)
-from .stability import hurwitz_batch, is_hurwitz_real
+from .stability import hermite_pencil, hurwitz_batch, is_hurwitz_real
 from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -250,9 +256,15 @@ def _theta_grid(theta_count: int) -> np.ndarray:
 def _hurwitz_on_grid(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
                      thetas: np.ndarray, tuples: tuple[VertexTuple, ...] = ()) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
-    a failing verdict raises again, naming the theta and, if given, the row pair's tuple."""
+    a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
+
+    A chunk the row pairs' Hermite pencil confirms is stable; any other chunk is decided
+    by hurwitz_batch on its perturbed rows."""
+    confirms = hermite_pencil(g_rows, f_rows)
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
+        if confirms(delta, chunk):
+            continue
         try:
             stable = hurwitz_batch(perturbed_vertex_rows(g_rows, f_rows, delta, chunk))
         except IntervalHinfError as err:
@@ -270,6 +282,7 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
 
     True iff g + (1 + (1/gamma) e^{j theta}) f is Hurwitz at every grid
     theta; up to grid resolution this equals ||f/(f+g)||_inf < gamma.
+    Decided chunk by chunk as in _hurwitz_on_grid.
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
@@ -288,7 +301,8 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     The twelve perturbed vertex polynomials with delta = 1/gamma are Hurwitz on
     the whole theta grid exactly when the family supremum is below gamma,
     so the transition point is the worst-case norm. Independent of the
-    per-vertex stationary-point route by construction.
+    per-vertex stationary-point route by construction. Each step is one
+    _hurwitz_on_grid call, whose pencil confirms the step's all-stable chunks.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")

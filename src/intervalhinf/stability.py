@@ -4,16 +4,20 @@ Routh over real coefficient rows, all rows at once. Batches of complex
 coefficient rows get Hermite's criterion: a row is Hurwitz exactly when
 its Hermite matrix is positive definite. One batched Cholesky
 factorization confirms that for a whole batch without iterating; a batch
-it cannot confirm is decided row by row from batched eigenvalues. Roots,
-from a batched simultaneous-correction (Aberth-Ehrlich style) iteration,
-serve root sets and the rare rows whose Hermite verdict is within
-roundoff of the boundary.
+it cannot confirm is decided row by row from batched eigenvalues. Rows
+g + (1 + c) f, affine in c = delta e^{j theta}, have Hermite matrices
+affine in 1, |c|^2, Re c and Im c, so a Hermite pencil built once from the
+(g, f) pairs gives a theta grid's matrices by one matrix product and
+confirms them by the same factorization. Roots, from a batched
+simultaneous-correction (Aberth-Ehrlich style) iteration, serve root sets
+and the rare rows whose Hermite verdict is within roundoff of the
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "roots_complex",
     "is_hurwitz_complex",
     "hurwitz_batch",
+    "hermite_pencil",
     "HURWITZ_TOL",
 ]
 
@@ -200,19 +205,41 @@ def _taylor_shift(coeffs: np.ndarray, h: float) -> np.ndarray:
     return q
 
 
-def _hermite_matrix(a: np.ndarray) -> np.ndarray:
-    """(B, n, n) Hermite matrices of rows a (degree n, ascending): K_ik multiplies s^i conj(w)^k
-    in (p(s) conj p(w) - p#(s) conj p#(w)) / (s + conj w), where p#(s) = conj p(-conj s). Solved
-    top row first from N_ik = a_i conj a_k - (-1)^(i+k) conj a_i a_k = K_(i-1,k) + K_(i,k-1)."""
-    n = a.shape[1] - 1
+def _hermite_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """(B, n, n) Hermite cross forms K(x, y) of rows x, y (degree n, ascending); K(a, a) is a's
+    Hermite matrix. K_ik multiplies s^i conj(w)^k in (x(s) conj y(w) - y#(s) conj x#(w)) /
+    (s + conj w), where p#(s) = conj p(-conj s). Solved top row first from
+    N_ik = x_i conj y_k - (-1)^(i+k) conj y_i x_k = K_(i-1,k) + K_(i,k-1). K(x, y) is linear in
+    x and conjugate-linear in y, and K(y, x) = K(x, y)^H."""
+    y = x if y is None else y
+    n = x.shape[1] - 1
     sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    N = a[:, :, None] * a[:, None, :].conj() - sign * a[:, :, None].conj() * a[:, None, :]
-    K = np.zeros((len(a), n, n), dtype=complex)
+    N = x[:, :, None] * y[:, None, :].conj() - sign * y[:, :, None].conj() * x[:, None, :]
+    K = np.zeros((len(x), n, n), dtype=complex)
     K[:, n - 1] = N[:, n, :n]
     for i in range(n - 1, 0, -1):
         K[:, i - 1, 0] = N[:, i, 0]
         K[:, i - 1, 1:] = N[:, i, 1:n] - K[:, i, : n - 1]
     return K
+
+
+def _unit_diagonal(K: np.ndarray) -> np.ndarray:
+    d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
+    d[d == 0.0] = 1.0
+    return K / (d[:, :, None] * d[:, None, :])
+
+
+def _clears_roundoff(scaled: np.ndarray) -> bool:
+    """True if one batched Cholesky factorization of the unit-diagonal matrices less
+    HERMITE_ROUNDOFF on the diagonal succeeds: then every smallest eigenvalue exceeds
+    HERMITE_ROUNDOFF. A NaN entry passes LAPACK's pivot test, so only a finite factor counts."""
+    shifted = scaled.copy()
+    diag = np.arange(scaled.shape[1])
+    shifted[:, diag, diag] -= HERMITE_ROUNDOFF
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
@@ -224,27 +251,29 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     every smallest eigenvalue exceeds HERMITE_ROUNDOFF and every row is Hurwitz. Otherwise the
     eigenvalues decide by sign; rows where one is within HERMITE_ROUNDOFF of 0 are decided by
     their roots, each solved alone, and a failure there is that of the lowest such row,
-    re-raised with `row` set and named in the message. Byte-identical rows are tested once.
+    re-raised with `row` set and named in the message. If the eigenvalues do not converge,
+    the lowest row whose scaled matrix is not finite (its entries overflowed) is named the same
+    way in a NoConvergenceError. Byte-identical rows are tested once.
     """
     rows = np.ascontiguousarray(coeffs, dtype=complex)
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
         raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
     first, inverse = distinct_rows(rows)
-    K = _hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL))
-    d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
-    d[d == 0.0] = 1.0
-    scaled = K / (d[:, :, None] * d[:, None, :])
-    shifted = scaled.copy()
-    diag = np.arange(scaled.shape[1])
-    shifted[:, diag, diag] -= HERMITE_ROUNDOFF
-    # factors only if every smallest eigenvalue clears the dead zone; a NaN entry passes
-    # LAPACK's pivot test, so only a finite factor confirms
+    scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL)))
+    if _clears_roundoff(scaled):
+        return np.ones(len(rows), dtype=bool)
     try:
-        if np.isfinite(np.linalg.cholesky(shifted)).all():
-            return np.ones(len(rows), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    lam = np.linalg.eigvalsh(scaled)[:, 0]
+        lam = np.linalg.eigvalsh(scaled)[:, 0]
+    except np.linalg.LinAlgError as err:
+        overflowed = ~np.isfinite(scaled).all(axis=(1, 2))
+        if not overflowed.any():
+            raise
+        k = int(first[overflowed].min())
+        cause = NoConvergenceError(f"Hermite matrix is not finite: {err}")
+        cause.__cause__ = err
+        located = NoConvergenceError(f"row {k}: {cause}")
+        located.row = k
+        raise located from cause
     stable = lam > 0.0
     for u in sorted(np.flatnonzero(np.abs(lam) <= HERMITE_ROUNDOFF), key=first.__getitem__):
         k = int(first[u])
@@ -255,3 +284,32 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
             located.row = k
             raise located from err
     return stable[inverse]
+
+
+def hermite_pencil(g_rows: np.ndarray,
+                   f_rows: np.ndarray) -> Callable[[float, np.ndarray], bool]:
+    """confirms(delta, thetas): True only if every row g + (1 + delta e^{j theta}) f over the
+    (g, f) row pairs (P, n+1) and the thetas is Hurwitz; False means unknown, not unstable.
+
+    With a = shift(g + f), b = shift(f) (the Taylor shift of hurwitz_batch) and X = K(b, a),
+    each row's Hermite matrix is K(a, a) + delta^2 K(b, b) + delta cos(theta) (X + X^H)
+    + delta sin(theta) j (X - X^H). These four matrices per distinct pair are built once; the
+    matrices of a theta chunk are one real matrix product, confirmed by hurwitz_batch's
+    unit-diagonal Cholesky test with its HERMITE_ROUNDOFF shift.
+    """
+    first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
+    g, f = g_rows[first], f_rows[first]
+    a, b = _taylor_shift(g + f, HURWITZ_TOL), _taylor_shift(f, HURWITZ_TOL)
+    X = _hermite_matrix(b, a)
+    Xh = X.conj().swapaxes(1, 2)
+    basis = np.stack([_hermite_matrix(a), _hermite_matrix(b), X + Xh, 1j * (X - Xh)])
+    shape = (-1,) + X.shape[1:]
+    basis = basis.view(float).reshape(4, -1)
+
+    def confirms(delta: float, thetas: np.ndarray) -> bool:
+        terms = np.stack([np.ones_like(thetas), np.full_like(thetas, delta * delta),
+                          delta * np.cos(thetas), delta * np.sin(thetas)], axis=1)
+        K = (terms @ basis).view(complex).reshape(shape)
+        return _clears_roundoff(_unit_diagonal(K))
+
+    return confirms

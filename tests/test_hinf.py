@@ -347,6 +347,16 @@ class TestThetaGridFailures:
                            match=f"^tuple 1222 at theta={re.escape(str(theta))}: stub$"):
             family_norm_bisection(kg, kf)
 
+    def test_overflow_names_tuple_and_theta(self):
+        # the pencil cannot confirm a chunk whose Hermite matrices overflow; hurwitz_batch
+        # names the lowest such row, here the first theta of the first chunk
+        g_rows, f_rows = np.zeros((1, 9)), np.full((1, 9), 1e200)
+        theta = hinf._theta_grid(720)[0]
+        with np.errstate(all="ignore"), pytest.raises(
+                NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(theta))}: "
+                "Hermite matrix is not finite: Eigenvalues did not converge$"):
+            hinf._hurwitz_on_grid(g_rows, f_rows, 0.5, hinf._theta_grid(720), TWELVE_TUPLES[:1])
+
     def test_gamma_equivalence_names_theta(self, monkeypatch):
         g, f = RealPolynomial([1]), RealPolynomial([0, 1, 1])
         theta = hinf._theta_grid(720)[100]  # in the third 48-theta chunk
