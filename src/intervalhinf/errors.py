@@ -31,7 +31,7 @@ class DegenerateLeadingError(IntervalHinfError):
 
 
 class NoConvergenceError(IntervalHinfError):
-    """Root iteration hit its cap with an unacceptable residual."""
+    """Roots with an unacceptable residual, or an eigenvalue solve that did not converge."""
 
 
 class UnstableClosedLoopError(IntervalHinfError):

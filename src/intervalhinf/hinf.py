@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -162,10 +163,11 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     Malformed input (a non-finite coefficient or a zero denominator) raises
     ValueError naming its lowest row, before any other work. Byte-identical
     row pairs are solved once. Stationarity polynomials of one length share
-    roots_batch calls of at most _NORM_CHUNK rows, whose iteration is per
-    row, so every result equals solving its row alone. Any other failure is
-    that of the lowest failing row: the error solving that row alone raises,
-    re-raised with `row` set and named in the message.
+    roots_batch calls of at most _NORM_CHUNK rows, which solve each row's
+    companion matrix on its own, so every result equals solving its row
+    alone. Any other failure is that of the lowest failing row: the error
+    solving that row alone raises, re-raised with `row` set and named in the
+    message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -202,7 +204,7 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     for members in by_length.values():
         for start in range(0, len(members), _NORM_CHUNK):
             chunk = members[start : start + _NORM_CHUNK]
-            solved = _chunk_roots(np.array([stations[u] for u in chunk], dtype=complex))
+            solved = _chunk_roots(np.array([stations[u] for u in chunk]))
             roots.update(zip(chunk, solved))
 
     norms = {}
@@ -253,14 +255,15 @@ def _theta_grid(theta_count: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, theta_count, endpoint=False)
 
 
-def _hurwitz_on_grid(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
-                     thetas: np.ndarray, tuples: tuple[VertexTuple, ...] = ()) -> bool:
+def _hurwitz_on_grid(confirms: Callable[[float, np.ndarray], bool], g_rows: np.ndarray,
+                     f_rows: np.ndarray, delta: float, thetas: np.ndarray,
+                     tuples: tuple[VertexTuple, ...] = ()) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
     a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
 
-    A chunk the row pairs' Hermite pencil confirms is stable; any other chunk is decided
-    by hurwitz_batch on its perturbed rows."""
-    confirms = hermite_pencil(g_rows, f_rows)
+    `confirms` is the row pairs' hermite_pencil, which the caller builds once for every
+    delta it tests. A chunk it confirms is stable; any other chunk is decided by
+    hurwitz_batch on its perturbed rows."""
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
         if confirms(delta, chunk):
@@ -291,7 +294,8 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     g_row, f_row = np.zeros((2, 1, max(f.degree, g.degree) + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
-    return _hurwitz_on_grid(g_row, f_row, 1.0 / gamma, _theta_grid(theta_count))
+    return _hurwitz_on_grid(hermite_pencil(g_row, f_row), g_row, f_row, 1.0 / gamma,
+                            _theta_grid(theta_count))
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -302,7 +306,8 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     the whole theta grid exactly when the family supremum is below gamma,
     so the transition point is the worst-case norm. Independent of the
     per-vertex stationary-point route by construction. Each step is one
-    _hurwitz_on_grid call, whose pencil confirms the step's all-stable chunks.
+    _hurwitz_on_grid call; the Hermite pencil of the twelve row pairs, built
+    once, confirms each step's all-stable chunks.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
@@ -310,8 +315,9 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     thetas = _theta_grid(theta_count)
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+    confirms = hermite_pencil(g_rows, f_rows)
     hi = 2.0
-    while not _hurwitz_on_grid(g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
+    while not _hurwitz_on_grid(confirms, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -320,7 +326,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _hurwitz_on_grid(g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
+        if _hurwitz_on_grid(confirms, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
             hi = mid
         else:
             lo = mid

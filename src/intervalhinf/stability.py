@@ -8,8 +8,8 @@ it cannot confirm is decided row by row from batched eigenvalues. Rows
 g + (1 + c) f, affine in c = delta e^{j theta}, have Hermite matrices
 affine in 1, |c|^2, Re c and Im c, so a Hermite pencil built once from the
 (g, f) pairs gives a theta grid's matrices by one matrix product and
-confirms them by the same factorization. Roots, from a batched
-simultaneous-correction (Aberth-Ehrlich style) iteration, serve root sets
+confirms them by the same factorization. Roots, the eigenvalues of
+batched companion matrices, serve root sets, the norms' stationary points
 and the rare rows whose Hermite verdict is within roundoff of the
 boundary.
 """
@@ -38,8 +38,6 @@ __all__ = [
 
 HURWITZ_TOL = 1e-9          # dead zone: Hurwitz means every root has Re < -HURWITZ_TOL
 HERMITE_ROUNDOFF = 1e-12    # scaled Hermite eigenvalues this near 0 have no trusted sign
-MAX_ITER = 200
-CORRECTION_TOL = 1e-13      # relative to the starting radius
 ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
 LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
 
@@ -90,42 +88,6 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     return (positive | (np.arange(n + 1) > deg[:, None])).all(axis=1)
 
 
-def _start_circle(radius: np.ndarray, degree: int, phase: float) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(degree) / degree + phase
-    return radius[:, None] * np.exp(1j * angles)[None, :]
-
-
-def _iterate(coeffs: np.ndarray, z: np.ndarray,
-             radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simultaneous-correction sweep; returns (roots, converged mask)."""
-    n_poly, d = z.shape
-    dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)
-    converged = np.zeros(n_poly, dtype=bool)
-    diag = np.arange(d)
-    for _ in range(MAX_ITER):
-        act = ~converged
-        if not act.any():
-            break
-        za = z[act]
-        with np.errstate(all="ignore"):
-            pv = eval_many(coeffs[act], za)
-            dv = eval_many(dcoeffs[act], za)
-            newton = pv / dv
-            diff = za[:, :, None] - za[:, None, :]
-            diff[:, diag, diag] = np.inf
-            repel = (1.0 / diff).sum(axis=2)
-            w = newton / (1.0 - newton * repel)
-            # fall back where the Aberth denominator or Newton ratio degenerated
-            w = np.where(np.isfinite(w), w, newton)
-            w = np.where(np.isfinite(w), w, 0.37 * radius[act, None] * np.exp(0.5j))
-        za = za - w
-        z[act] = za
-        step_ok = np.abs(w).max(axis=1) < CORRECTION_TOL * radius[act]
-        idx = np.flatnonzero(act)
-        converged[idx[step_ok]] = True
-    return z, converged
-
-
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     pv = np.abs(eval_many(coeffs, roots))
     mags = np.abs(coeffs)
@@ -138,15 +100,17 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of a batch of same-degree polynomials.
+    """All roots of a batch of same-degree polynomials, as eigenvalues of their monic
+    companion matrices, with each row's residual.
 
-    coeffs: (B, d+1) complex, ascending by power, leading column nonzero.
-    Starts on a perturbed circle of Cauchy-bound radius, iterates until the
-    largest correction drops below CORRECTION_TOL * radius or the cap hits,
-    then restarts stalled rows once from a rotated circle. Rows that still
-    miss the residual bound raise NoConvergenceError.
+    coeffs: (B, d+1) real or complex, ascending by power, leading column nonzero. Real rows
+    take LAPACK's real eigenvalue path and complex rows its complex one; each matrix is solved
+    on its own, so a row's roots and residual do not depend on its batch. A row whose residual
+    is above ACCEPT_RESIDUAL (or not a number), or a batch LAPACK cannot solve, raises
+    NoConvergenceError.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+    coeffs = np.asarray(coeffs)
+    coeffs = coeffs.astype(complex if np.iscomplexobj(coeffs) else float, copy=False)
     n_poly, width = coeffs.shape
     d = width - 1
     if d < 1:
@@ -156,24 +120,18 @@ def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (lead <= LEADING_FLOOR * top).any():
         raise DegenerateLeadingError("leading coefficient below degeneracy threshold")
 
-    radius = 1.0 + np.abs(coeffs[:, :-1]).max(axis=1) / lead
-    z = _start_circle(radius, d, phase=0.41)
-    z, converged = _iterate(coeffs, z, radius)
-    res = _residuals(coeffs, z)
-
-    retry = ~converged & (res > ACCEPT_RESIDUAL)
-    if retry.any():
-        idx = np.flatnonzero(retry)
-        z2 = _start_circle(radius[idx], d, phase=0.41 + np.pi / (2 * d))
-        z2, conv2 = _iterate(coeffs[idx], z2, radius[idx])
-        res2 = _residuals(coeffs[idx], z2)
-        z[idx] = z2
-        res[idx] = res2
-        if (~conv2 & (res2 > ACCEPT_RESIDUAL)).any():
-            raise NoConvergenceError(
-                f"root iteration failed after restart (residual {res2.max():.3e})"
-            )
-    return z, res
+    companion = np.zeros((n_poly, d, d), dtype=coeffs.dtype)
+    companion[:, 0] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    try:
+        roots = np.linalg.eigvals(companion).astype(complex)  # real when every root is
+    except np.linalg.LinAlgError as err:
+        raise NoConvergenceError(f"companion eigenvalues failed: {err}") from err
+    with np.errstate(all="ignore"):
+        res = _residuals(coeffs, roots)
+    if not (res <= ACCEPT_RESIDUAL).all():
+        raise NoConvergenceError(f"root residual {res.max():.3e} above {ACCEPT_RESIDUAL:g}")
+    return roots, res
 
 
 def roots_complex(coeffs: Sequence[complex]) -> RootSet:

@@ -7,6 +7,10 @@ tests do not depend on the code paths under test.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,18 @@ def random_stable_plant(rng: np.random.Generator, *, n_min: int = 2, n_max: int 
         closed[: m + 1] += g0
         if np_root_margin(closed) >= margin:
             return RealPolynomial(g0), RealPolynomial(f0)
+
+
+def perfbench_population():
+    """perfbench's seeded workload generators and reference answers, loaded by path."""
+    name = "perfbench_population"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "population.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses resolve their module by name
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def fail_on_row(monkeypatch, target):

@@ -1,10 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import fail_on_row, random_stable_plant
+from conftest import fail_on_row, perfbench_population, random_stable_plant
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (
     DegenerateLeadingError,
@@ -25,7 +26,7 @@ from intervalhinf.hinf import (
 )
 from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import RealPolynomial, eval_at_jomega
-from intervalhinf.stability import roots_batch
+from intervalhinf.stability import hermite_pencil, roots_batch
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
@@ -84,6 +85,18 @@ class TestExactNorm:
     def test_candidates_never_beat_value(self):
         res = hinf_norm_exact(worked_sensitivity())
         assert all(mag <= res.value + 1e-15 for _, mag in res.candidates)
+
+    def test_spread_plant_reaches_its_grid_peak_without_warnings(self):
+        # norm-spread's degree-14 spread plant 845 at seed 3002, whose stationarity roots once
+        # overflowed their residual check with a RuntimeWarning
+        population = perfbench_population()
+        case = population.norm_cases(3002, 1200)[845]
+        assert case.kind == "spread" and case.degree == 14
+        rf = RationalFunction(num=RealPolynomial(case.num), den=RealPolynomial(case.den))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = hinf_norm_exact(rf).value
+        assert value >= population.product_form_peak(case) * (1 - 1e-9)
 
     def test_unstable_denominator_rejected(self):
         rf = RationalFunction(num=RealPolynomial([1]), den=RealPolynomial([-1, 1]))
@@ -355,7 +368,8 @@ class TestThetaGridFailures:
         with np.errstate(all="ignore"), pytest.raises(
                 NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(theta))}: "
                 "Hermite matrix is not finite: Eigenvalues did not converge$"):
-            hinf._hurwitz_on_grid(g_rows, f_rows, 0.5, hinf._theta_grid(720), TWELVE_TUPLES[:1])
+            hinf._hurwitz_on_grid(hermite_pencil(g_rows, f_rows), g_rows, f_rows, 0.5,
+                                  hinf._theta_grid(720), TWELVE_TUPLES[:1])
 
     def test_gamma_equivalence_names_theta(self, monkeypatch):
         g, f = RealPolynomial([1]), RealPolynomial([0, 1, 1])

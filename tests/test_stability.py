@@ -1,11 +1,7 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import np_root_margin
+from conftest import np_root_margin, perfbench_population
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
@@ -168,14 +164,9 @@ def pencil_chunks(monkeypatch, kg, kf, decline_every=0):
 
 def analyze_families(seed, count):
     """The first `count` families of perfbench's analyze-families workload at `seed`."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "population.py"
-    spec = importlib.util.spec_from_file_location("perfbench_population", path)
-    population = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = population  # dataclasses resolve their module by name
-    spec.loader.exec_module(population)
     return [(IntervalPolynomial(fam.g_lower, fam.g_upper),
              IntervalPolynomial(fam.f_lower, fam.f_upper))
-            for fam in population.analyze_families(seed, count)]
+            for fam in perfbench_population().analyze_families(seed, count)]
 
 
 def scalar_routh(coeffs, zero_pivots=None) -> bool:
@@ -269,6 +260,29 @@ class TestRouth:
         assert len(zero_pivots) > 500 and set(zero_pivots) == set(range(2, 15))
         assert 0.1 < np.mean(reference) < 0.9
         assert (rows[:, 0] == 0).sum() > 500 and (rows.max(axis=1) <= 0).sum() > 5000
+
+
+class TestRootsBatch:
+    def test_each_row_equals_its_row_alone(self):
+        # a real batch (all-real roots, complex pairs, real roots spread over 1e+-2) and a
+        # complex batch of known_root_rows, degree 10: every row's roots and residual are
+        # bitwise those of the row solved alone
+        rng = np.random.default_rng(4121)
+        uniform = rng.uniform(-5, 5, (20, 11))
+        uniform[:, -1] += 6.0
+        real = np.vstack([[np.poly(-rng.uniform(0.2, 3.0, 10))[::-1] for _ in range(20)],
+                          uniform,
+                          [np.poly(-10.0 ** rng.uniform(-2, 2, 10))[::-1] for _ in range(20)]])
+        real = real[rng.permutation(len(real))]
+        complex_rows = known_root_rows(rng, 10, 2, 60)[0]
+        for batch in (real, complex_rows):
+            roots, res = roots_batch(batch)
+            for k, row in enumerate(batch):
+                alone_roots, alone_res = roots_batch(row[None, :])
+                assert roots[k].tobytes() == alone_roots[0].tobytes(), k
+                assert res[k].tobytes() == alone_res[0].tobytes(), k
+            all_real = (roots.imag == 0.0).all(axis=1)
+            assert all_real.any() == (batch is real) and not all_real.all()
 
 
 class TestRootsComplex:
@@ -584,15 +598,16 @@ class TestHermitePencil:
     def test_all_stable_bisection_batches_only_unconfirmed_chunks(self, monkeypatch,
                                                                   decline_every):
         # |S| = |(1 + 2s + s^2) / (1 + 3s + s^2)| <= 1, so every bisection step is stable and
-        # the pencil confirms every chunk; hurwitz_batch then sees no chunk, or exactly the
-        # chunks reported unconfirmed, in order
+        # the pencil, built once for all steps, confirms every chunk; hurwitz_batch then sees
+        # no chunk, or exactly the chunks reported unconfirmed, in order
         kg = IntervalPolynomial([0.0, 1.0], [0.0, 1.0])
         kf = IntervalPolynomial([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
-        steps, batched = [], []
+        steps, pencils, batched = [], [], []
         on_grid = hinf._hurwitz_on_grid
 
-        def step(*args):
-            steps.append(on_grid(*args))
+        def step(confirms, *args):
+            pencils.append(confirms)
+            steps.append(on_grid(confirms, *args))
             return steps[-1]
 
         def batch(rows):
@@ -603,6 +618,7 @@ class TestHermitePencil:
         monkeypatch.setattr(hinf, "hurwitz_batch", batch)
         value, seen = pencil_chunks(monkeypatch, kg, kf, decline_every)
         assert value == 1.0000305185780944 and len(steps) > 10 and all(steps)
+        assert all(confirms is pencils[0] for confirms in pencils)
         unconfirmed = [rows for rows, confirmed in seen if not confirmed]
         assert len(seen) == 15 * len(steps)
         assert len(unconfirmed) == (len(seen) // decline_every if decline_every else 0)
