@@ -3,9 +3,9 @@
 The exact route turns |p(j w)|^2 into an even polynomial ratio in
 x = w^2, finds the stationary points of that ratio as roots of a single
 polynomial, and re-evaluates every candidate through the transfer
-function itself. The supremum may be approached only as w -> inf, so the
-at-infinity limit is always a candidate and NormResult keeps an explicit
-infinity sentinel.
+function itself, each stage for a whole batch of rows at once. The
+supremum may be approached only as w -> inf, so the at-infinity limit is
+always a candidate and NormResult keeps an explicit infinity sentinel.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, in chunks of
@@ -27,14 +27,15 @@ from .errors import (
     DegreeOrderError,
     DeltaRangeError,
     IntervalHinfError,
+    NoConvergenceError,
     NoUpperBracketError,
     UnstableClosedLoopError,
     UnstableDenominatorError,
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, check_finite, degrees, distinct_rows, eval_at_jomega,
-                   magnitude_squared)
+from .poly import (RealPolynomial, add, degrees, distinct_rows, eval_at_jomega, magnitude_squared,
+                   multiply_rows)
 from .stability import hermite_pencil, hurwitz_batch, is_hurwitz_real
 from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
@@ -92,63 +93,37 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
     return RationalFunction(num=f, den=closed)
 
 
-def _trimmed(coeffs: np.ndarray) -> np.ndarray:
-    top = np.abs(coeffs).max()
-    if top == 0.0:
-        return coeffs[:1]
-    keep = len(coeffs)
-    while keep > 1 and abs(coeffs[keep - 1]) <= _TRIM_REL * top:
-        keep -= 1
-    return coeffs[:keep]
+def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray:
+    """Rows of M_num' * M_den - M_num * M_den', d/dx of each M_num/M_den times M_den^2. Both
+    products sum their terms in the same order, so where M_num and M_den share coefficients
+    (f and f + g share all above deg g) their terms cancel exactly."""
+    mn, md = magnitude_squared(num_rows), magnitude_squared(den_rows)
+    lhs = multiply_rows(md, mn * np.arange(mn.shape[1]))  # M' kept as i * M_i at x^i,
+    rhs = multiply_rows(mn, md * np.arange(md.shape[1]))  # so x^0 is dropped after
+    return (lhs - rhs)[:, 1:]
 
 
-def _stationarity_polynomial(mn: np.ndarray, md: np.ndarray) -> np.ndarray:
-    """d/dx of the ratio mn/md up to the positive factor md^2."""
-    dmn = mn[1:] * np.arange(1, len(mn))
-    dmd = md[1:] * np.arange(1, len(md))
-    lhs = np.convolve(dmn, md) if len(dmn) else np.zeros(1)
-    rhs = np.convolve(mn, dmd) if len(dmd) else np.zeros(1)
-    out = np.zeros(max(len(lhs), len(rhs)))
-    out[: len(lhs)] = lhs
-    out[: len(rhs)] -= rhs
-    return _trimmed(out)
-
-
-def _chunk_roots(coeffs: np.ndarray) -> list:
-    """Roots of each same-degree row, or the error solving that row alone raises.
-
-    A chunk that fails is solved again row by row, so the failure lands on
-    its own row and the other rows keep their roots.
-    """
+def _chunk_roots(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, IntervalHinfError]]]:
+    """Roots of each same-degree row, and (index, error) of each row that fails alone: a chunk
+    that fails is solved again row by row, and a failing row's roots are NaN."""
     try:
-        return stability.roots_batch(coeffs)[0].tolist()
+        return stability.roots_batch(coeffs)[0], []
     except IntervalHinfError as err:
         if len(coeffs) == 1:
-            return [err]
-    return [out for row in coeffs for out in _chunk_roots(row[None, :])]
+            return np.full((1, coeffs.shape[1] - 1), np.nan, dtype=complex), [(0, err)]
+    solved = [_chunk_roots(row[None, :]) for row in coeffs]
+    return (np.concatenate([roots for roots, _ in solved]),
+            [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
 
 
-def _magnitudes(num, den, omegas: np.ndarray) -> tuple[np.ndarray, float]:
-    """|num(j omega) / den(j omega)| at each frequency from one call, and its limit at inf."""
-    rows = np.zeros((2, max(len(num), len(den))))
-    rows[0, : len(num)], rows[1, : len(den)] = num, den
-    values = eval_at_jomega(rows, omegas[None, :])
+def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """|num(j omega) / den(j omega)| of each row pair at its frequencies (B, k); NaN at NaN."""
+    rows = np.zeros((2, len(num_rows), max(num_rows.shape[1], den_rows.shape[1])))
+    rows[0, :, : num_rows.shape[1]] = num_rows
+    rows[1, :, : den_rows.shape[1]] = den_rows
+    values = eval_at_jomega(rows, omegas)
     mags = np.hypot(values.real, values.imag)  # rounds as abs() of a Python complex does
-    m, n = degrees(rows)
-    return mags[0] / mags[1], (float(abs(rows[0, m] / rows[1, n])) if m == n else 0.0)
-
-
-def _norm_from_roots(num: np.ndarray, den: np.ndarray, roots: list[complex]) -> NormResult:
-    xs = [0.0] + [r.real for r in roots if abs(r.imag) <= 1e-8 * abs(r) and r.real > 0.0]
-    omegas = sorted(math.sqrt(x) for x in xs)
-    mags, gain = _magnitudes(num, den, np.array(omegas))
-    candidates = list(zip(omegas, mags.tolist())) + [(math.inf, gain)]
-
-    best_val, best_at = -1.0, 0.0
-    for om, mag in candidates:
-        if mag > best_val:
-            best_val, best_at = mag, om
-    return NormResult(value=best_val, attained_at=best_at, candidates=tuple(candidates))
+    return mags[0] / mags[1]
 
 
 def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
@@ -158,67 +133,80 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     Candidate squared frequencies are the nonnegative real roots of
     M_num' * M_den - M_num * M_den', plus x = 0, plus the x -> inf limit;
     each finite candidate is re-evaluated through the transfer function.
-    Ties go to the smallest frequency.
+    Ties go to the smallest frequency, and to a finite one over the limit.
 
     Malformed input (a non-finite coefficient or a zero denominator) raises
-    ValueError naming its lowest row, before any other work. Byte-identical
-    row pairs are solved once. Stationarity polynomials of one length share
-    roots_batch calls of at most _NORM_CHUNK rows, which solve each row's
-    companion matrix on its own, so every result equals solving its row
-    alone. Any other failure is that of the lowest failing row: the error
-    solving that row alone raises, re-raised with `row` set and named in the
-    message.
+    ValueError naming its lowest row, before any other work. Each stage runs
+    once over all byte-distinct row pairs; trimmed stationarity rows of one
+    length share roots_batch calls of at most _NORM_CHUNK rows, which solve
+    each companion matrix on its own, so every result equals solving its row
+    alone. Any other failure is the lowest failing row's error as solved
+    alone (NoConvergenceError if its stationarity row overflows), re-raised
+    with `row` set and named in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
     if num_rows.ndim != 2 or den_rows.ndim != 2 or len(num_rows) != len(den_rows):
         raise ValueError("hinf_norm_batch needs (B, m+1) and (B, n+1) coefficient rows")
-    finite = np.isfinite(num_rows).all(axis=1) & np.isfinite(den_rows).all(axis=1)
+    pairs = np.concatenate([num_rows, den_rows], axis=1)
+    finite = np.isfinite(pairs).all(axis=1)
     malformed = ~finite | ~den_rows.any(axis=1)
     if malformed.any():
         k = int(malformed.argmax())
         what = "zero denominator" if finite[k] else "non-finite coefficient"
         raise ValueError(f"row {k}: {what}")
-    dn, dd = degrees(num_rows), degrees(den_rows)
-    first, inverse = distinct_rows(np.hstack([num_rows, den_rows]))
-    stable = is_hurwitz_real(den_rows[first])
+    first, inverse = distinct_rows(pairs)
+    nums, dens = num_rows[first], den_rows[first]
+    dn, dd = degrees(nums), degrees(dens)
+    stable = is_hurwitz_real(dens)
 
-    failure: tuple[int, IntervalHinfError] | None = None
-    stations = {}
-    for u in np.argsort(first):  # distinct pairs in input order
-        k = int(first[u])
-        if dn[k] > dd[k] or not stable[u]:
-            failure = (k, _improper(dn[k], dd[k]) if dn[k] > dd[k] else
-                       UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator"))
-            break  # later rows cannot fail first
-        station = _stationarity_polynomial(magnitude_squared(num_rows[k]),
-                                           magnitude_squared(den_rows[k]))
-        check_finite(station.tolist())
-        stations[u] = station
-
-    by_length: dict[int, list[int]] = {}
-    for u, station in stations.items():
-        if len(station) >= 2:
-            by_length.setdefault(len(station), []).append(u)
-    roots: dict[int, list] = {}
-    for members in by_length.values():
+    failures: list[tuple[int, IntervalHinfError]] = []
+    bad = (dn > dd) | ~stable
+    if bad.any():
+        u = np.flatnonzero(bad)[first[bad].argmin()]
+        failures.append((int(first[u]), _improper(dn[u], dd[u]) if dn[u] > dd[u] else
+                         UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")))
+    with np.errstate(all="ignore"):  # an overflow shows as a row that is not finite
+        stations = _stationarity_rows(nums, dens)
+    sizes = np.abs(stations)
+    top = sizes.max(axis=1, keepdims=True)
+    overflowed = ~np.isfinite(top[:, 0])
+    if overflowed.any():
+        failures.append((int(first[overflowed].min()),
+                         NoConvergenceError("stationarity polynomial is not finite")))
+    kept = sizes > _TRIM_REL * top  # none in a row that is not finite: it solves no roots
+    kept[:, 0] = True
+    lengths = stations.shape[1] - kept[:, ::-1].argmax(axis=1)
+    omegas = np.zeros((len(first), lengths.max(initial=1)))  # column 0 is x = 0
+    omegas[:, 1:] = np.nan  # no candidate
+    for length in sorted(set(lengths.tolist()) - {1}):
+        members = np.flatnonzero(lengths == length)
         for start in range(0, len(members), _NORM_CHUNK):
             chunk = members[start : start + _NORM_CHUNK]
-            solved = _chunk_roots(np.array([stations[u] for u in chunk]))
-            roots.update(zip(chunk, solved))
-
-    norms = {}
-    for u in stations:  # input order, all before a failure found above
-        k, out = int(first[u]), roots.get(u, [])
-        if isinstance(out, IntervalHinfError):
-            failure = (k, out)
-            break
-        norms[u] = _norm_from_roots(num_rows[k], den_rows[k], out)
-    if failure is not None:
-        k, err = failure
+            roots, failed = _chunk_roots(stations[chunk, :length])
+            failures += [(int(first[chunk[i]]), err) for i, err in failed]
+            real = (np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)
+            omegas[chunk, 1:length] = np.sort(np.sqrt(np.where(real, roots.real, np.nan)), axis=1)
+    if failures:
+        k, err = min(failures, key=lambda failure: failure[0])
         located = type(err)(f"row {k}: {err}")
         located.row = k
         raise located from err
+
+    mags = _magnitudes(nums, dens, omegas)
+    pair = np.arange(len(first))
+    gains = np.abs(np.where(dn == dd, nums[pair, dn], 0.0) / dens[pair, dd])  # |num/den| at inf
+    peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
+    best = (mags == peaks[:, None]).argmax(axis=1)  # the first of equal peaks
+    at_inf = gains > peaks
+    attained = np.where(at_inf, np.inf, omegas[pair, best]).tolist()
+    present = ~np.isnan(omegas)  # each row's candidates come first, ascending
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    om, mag = omegas[present].tolist(), mags[present].tolist()  # floats for candidates only
+    norms = [NormResult(value=v, attained_at=w,
+                        candidates=tuple(zip(om[s:e], mag[s:e])) + ((math.inf, g),))
+             for v, w, g, s, e in zip(np.where(at_inf, gains, peaks).tolist(), attained,
+                                      gains.tolist(), [0] + ends[:-1], ends)]
     return [norms[u] for u in inverse]
 
 
@@ -244,8 +232,9 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise ValueError(f"grid oracle needs a finite omega_max > 0, got {omega_max!r}")
     omegas = np.concatenate([[0.0], np.geomspace(omega_max * 1e-12, omega_max, points - 1)])
-    mags, gain = _magnitudes(rf.num.coeffs, rf.den.coeffs, omegas)
-    return float(max(mags.max(), gain))
+    mags = _magnitudes(np.array([rf.num.coeffs]), np.array([rf.den.coeffs]), omegas[None, :])
+    m, n = rf.num.degree, rf.den.degree
+    return float(max(mags.max(), abs(rf.num.coeffs[m] / rf.den.coeffs[n]) if m == n else 0.0))
 
 
 def _theta_grid(theta_count: int) -> np.ndarray:

@@ -75,7 +75,7 @@ def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def eval_at_jomega(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Values of real ascending rows (B, d+1) at s = j*omega for frequencies (B, k).
+    """Values of real ascending rows (..., d+1) at s = j*omega, frequencies (..., k) broadcasting.
 
     Row p(s) = alpha(s^2) + s*beta(s^2) gives Re = alpha(-omega^2) and Im = omega *
     beta(-omega^2), each half by Horner from its top coefficient; a constant's
@@ -83,35 +83,43 @@ def eval_at_jomega(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """
     rows, omega = np.asarray(rows, dtype=float), np.asarray(omega, dtype=float)
     u = -(omega * omega)
-    out = np.empty(np.broadcast_shapes((len(rows), 1), u.shape), dtype=complex)
-    odd = rows[:, 1::2] if rows.shape[1] > 1 else np.zeros((len(rows), 1))
+    out = np.empty(np.broadcast(rows[..., :1], u).shape, dtype=complex)
+    odd = rows[..., 1::2] if rows.shape[-1] > 1 else np.zeros(rows.shape[:-1] + (1,))
     acc = np.empty(out.shape)
-    for half, part in ((rows[:, 0::2], out.real), (odd, out.imag)):
-        acc[...] = half[:, -1:]
-        for k in range(half.shape[1] - 2, -1, -1):
+    for half, part in ((rows[..., 0::2], out.real), (odd, out.imag)):
+        acc[...] = half[..., -1:]
+        for k in range(half.shape[-1] - 2, -1, -1):
             acc *= u
-            acc += half[:, k : k + 1]
+            acc += half[..., k : k + 1]
         part[...] = acc
     out.imag *= omega
     return out
 
 
-def magnitude_squared(coeffs: Sequence[float]) -> np.ndarray:
-    """Ascending coefficients of M with M(omega^2) = |p(j*omega)|^2.
+def multiply_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Ascending coefficient rows (B, a+b-1) of the products of rows p (B, a) and q (B, b).
 
-    M(x) = alpha(-x)^2 + x * beta(-x)^2 for the even/odd halves of p's
-    ascending coefficients; its degree in x equals deg(p) whenever the
-    leading coefficient is nonzero.
+    Each pair's outer product is laid out with its k-th row shifted k places, so summing the
+    shifted rows adds each anti-diagonal in ascending order of p's powers.
     """
-    a = np.array(coeffs[0::2], dtype=float)  # alpha(-x)
-    b = np.array(coeffs[1::2] if len(coeffs) > 1 else [0.0], dtype=float)  # beta(-x)
-    a[1::2] *= -1.0
-    b[1::2] *= -1.0
-    m, bb = np.convolve(a, a), np.convolve(b, b)
-    out = np.zeros(max(len(m), len(bb) + 1))
-    out[: len(m)] = m  # alpha^2's terms without a partner (x^0, its top) are squares, not -0.0
-    out[1 : len(bb) + 1] += bb
-    return out
+    count, a = p.shape
+    b = q.shape[1]
+    skewed = np.zeros((count, a, a + b))
+    skewed[:, :, :b] = p[:, :, None] * q[:, None, :]
+    skewed.shape = (count, a * (a + b))
+    return skewed[:, : a * (a + b - 1)].reshape(count, a, a + b - 1).sum(axis=1)
+
+
+def magnitude_squared(rows: np.ndarray) -> np.ndarray:
+    """Ascending rows (B, n+1) of M with M(omega^2) = |p(j*omega)|^2, for real rows p (B, n+1).
+
+    M(x) = alpha(-x)^2 + x * beta(-x)^2 for the even/odd halves of p: with q_i = p_i signed by
+    (-1)^floor(i/2), M is every other coefficient of q * q, one multiply_rows call for the
+    batch. Its degree in x equals deg(p).
+    """
+    rows = np.asarray(rows, dtype=float)
+    signed = rows * (1 - (np.arange(rows.shape[1]) & 2))
+    return multiply_rows(signed, signed)[:, 0::2]
 
 
 def add(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError)
-from .poly import ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_many
+from .poly import ZERO_DEGREE, check_finite, degrees, distinct_rows
 
 __all__ = [
     "StabilityVerdict",
@@ -70,7 +70,7 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
         raise ZeroPolynomialError("stability of the zero polynomial is undefined")
     n = int(deg.max(initial=0))
     back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
-    desc = np.where(back >= 0, np.take_along_axis(rows, np.maximum(back, 0), axis=1), 0.0)
+    desc = np.where(back >= 0, rows[np.arange(len(rows))[:, None], np.maximum(back, 0)], 0.0)
     desc[desc[:, 0] < 0] *= -1.0
 
     hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
@@ -80,23 +80,25 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         for _ in range(n - 1):
             pivot = lo[:, :1]
-            nxt = np.zeros_like(hi)
+            nxt = np.zeros(hi.shape)
             nxt[:, :-1] = (pivot * hi[:, 1:] - hi[:, :1] * lo[:, 1:]) / pivot
             hi, lo = lo, nxt
             first_column.append(nxt[:, 0])
-    positive = np.stack(first_column[: n + 1], axis=1) > 0.0
+    positive = np.array(first_column[: n + 1]).T > 0.0
     return (positive | (np.arange(n + 1) > deg[:, None])).all(axis=1)
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    pv = np.abs(eval_many(coeffs, roots))
-    mags = np.abs(coeffs)
-    az = np.abs(roots)
-    scale = np.broadcast_to(mags[:, -1:], roots.shape).copy()
+    """max over each row's roots z of |p(z)| / sum_k |c_k||z|^k, both Horner sums in one pass."""
+    mags, az = np.abs(coeffs), np.abs(roots)
+    value, scale = np.empty(roots.shape, dtype=complex), np.empty(roots.shape)
+    value[...], scale[...] = coeffs[:, -1:], mags[:, -1:]
     for k in range(coeffs.shape[1] - 2, -1, -1):
-        scale = scale * az + mags[:, k : k + 1]
-    scale = np.maximum(scale, np.finfo(float).tiny)
-    return (pv / scale).max(axis=1)
+        value *= roots
+        value += coeffs[:, k : k + 1]
+        scale *= az
+        scale += mags[:, k : k + 1]
+    return (np.abs(value) / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
 
 
 def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,18 +186,18 @@ def _hermite_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 def _unit_diagonal(K: np.ndarray) -> np.ndarray:
     d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
     d[d == 0.0] = 1.0
-    return K / (d[:, :, None] * d[:, None, :])
+    K /= d[:, :, None] * d[:, None, :]  # in place: every caller passes fresh matrices
+    return K
 
 
 def _clears_roundoff(scaled: np.ndarray) -> bool:
-    """True if one batched Cholesky factorization of the unit-diagonal matrices less
-    HERMITE_ROUNDOFF on the diagonal succeeds: then every smallest eigenvalue exceeds
+    """True if one batched Cholesky factorization of the unit-diagonal matrices, less
+    HERMITE_ROUNDOFF on the diagonal in place, succeeds: every smallest eigenvalue then exceeds
     HERMITE_ROUNDOFF. A NaN entry passes LAPACK's pivot test, so only a finite factor counts."""
-    shifted = scaled.copy()
     diag = np.arange(scaled.shape[1])
-    shifted[:, diag, diag] -= HERMITE_ROUNDOFF
+    scaled[:, diag, diag] -= HERMITE_ROUNDOFF
     try:
-        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        return bool(np.isfinite(np.linalg.cholesky(scaled)).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -218,7 +220,7 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
         raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
     first, inverse = distinct_rows(rows)
     scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL)))
-    if _clears_roundoff(scaled):
+    if _clears_roundoff(scaled.copy()):  # eigvalsh below needs the unshifted matrices
         return np.ones(len(rows), dtype=bool)
     try:
         lam = np.linalg.eigvalsh(scaled)[:, 0]

@@ -199,6 +199,12 @@ class TestNorm:
             assert res.exit_code == 2
             assert res.output == "error: rational function needs a nonzero denominator\n"
 
+    def test_overflowing_stationarity_exits_4(self):
+        # every coefficient is finite, but |num(j w)|^2 and |den(j w)|^2 overflow
+        res = run("norm", "--num", "1e200", "--den", "1e200,2")
+        assert res.exit_code == 4
+        assert res.output == "numerical failure: stationarity polynomial is not finite\n"
+
     def test_point_file_matches_golden(self):
         # pins the exact line and the grid line of the worked plant
         res = run("norm", PROBLEMS / "point_plant.yaml")

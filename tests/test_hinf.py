@@ -25,7 +25,7 @@ from intervalhinf.hinf import (
     sensitivity,
 )
 from intervalhinf.interval import IntervalPolynomial
-from intervalhinf.poly import RealPolynomial, eval_at_jomega
+from intervalhinf.poly import RealPolynomial, eval_at_jomega, magnitude_squared
 from intervalhinf.stability import hermite_pencil, roots_batch
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
@@ -115,6 +115,7 @@ class TestExactNorm:
 
 UNSTABLE = [-1.0, 1.0, 1.0]
 DEGENERATE = [1.5000000000001, 2.0, 1.0]  # its stationarity leading term cancels
+OVERFLOW = ([1e200, 1.0, 0.0], [1e200, 2.0, 0.0])  # finite rows whose M(x) rows overflow
 
 
 def padded(coeffs, width):
@@ -125,54 +126,82 @@ def padded(coeffs, width):
 
 class TestNormBatch:
     def test_each_row_equals_its_row_alone(self, monkeypatch):
-        # degrees 2-8 give several stationarity lengths, the degree-3 ones more
-        # than one roots_batch chunk; duplicates and a num = den row (no
-        # stationary point) ride along; == on NormResult compares every float
+        # degrees 2-8 give several stationarity lengths, the degree-3 ones more than one
+        # roots_batch chunk; f and f + g share their top coefficients, so rows of one padded
+        # width trim to different lengths. Duplicates, a num = den row (no stationary point),
+        # a peak at omega = 0, a peak at the limit at infinity, an all-pass row whose omega = 0
+        # and infinity candidates tie, and norm-spread's degree-14 spread plant ride along;
+        # == on NormResult compares every float
         rng = np.random.default_rng(67)
+        width = 15
         nums, dens, degrees = [], [], set()
         for k in range(320):
             g, f = random_stable_plant(rng, n_min=3 if k < 200 else 2,
                                        n_max=3 if k < 200 else 8)
             rf = sensitivity(g, f)
-            nums.append(padded(rf.num.coeffs, 9))
-            dens.append(padded(rf.den.coeffs, 9))
+            nums.append(padded(rf.num.coeffs, width))
+            dens.append(padded(rf.den.coeffs, width))
             degrees.add(f.degree)
         for k in (0, 5, 5, 17):
             nums.append(nums[k])
             dens.append(dens[k])
-        nums.append(padded([1.0, 2.0, 1.0], 9))
-        dens.append(nums[-1])
+        spread = perfbench_population().norm_cases(3002, 1200)[845]
+        special = {"num = den": ([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]),
+                   "peak at 0": ([2.0, 1.0], [1.0, 1.0]),
+                   "peak at inf": ([1.0, 1.0], [2.0, 1.0]),
+                   "tie": ([2.0, -3.0, 1.0], [2.0, 3.0, 1.0]),
+                   "spread": (spread.num, spread.den)}
+        for num, den in special.values():
+            nums.append(padded(num, width))
+            dens.append(padded(den, width))
         order = rng.permutation(len(nums))
         nums, dens = np.array(nums)[order], np.array(dens)[order]
         assert degrees == set(range(2, 9))
 
-        sizes = []
+        sizes, lengths = [], set()
         def sized(coeffs):
             sizes.append(len(coeffs))
+            lengths.add(coeffs.shape[1])
             return roots_batch(coeffs)
 
         monkeypatch.setattr(stability, "roots_batch", sized)
         batch = hinf_norm_batch(nums, dens)
         assert max(sizes) == hinf._NORM_CHUNK and len(sizes) > 2
+        assert len(lengths) >= 8
         alone = [hinf_norm_batch(n[None, :], d[None, :])[0] for n, d in zip(nums, dens)]
         assert batch == alone
-        assert batch[list(order).index(len(order) - 1)].value == 1.0
+        where = np.argsort(order)  # each row's position in the permuted batch
+        got = {name: batch[where[k]] for k, name in enumerate(special, len(order) - len(special))}
+        assert got["num = den"].value == 1.0
+        assert (got["peak at 0"].value, got["peak at 0"].attained_at) == (2.0, 0.0)
+        assert (got["peak at inf"].value, got["peak at inf"].attained_at) == (1.0, math.inf)
+        # the limit at infinity wins only if strictly larger: the smaller frequency wins the tie
+        assert got["tie"].candidates == ((0.0, 1.0), (math.inf, 1.0))
+        assert (got["tie"].value, got["tie"].attained_at) == (1.0, 0.0)
+        assert got["spread"].value >= perfbench_population().product_form_peak(spread) * (1 - 1e-9)
 
     def test_empty_batch(self):
         assert hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3))) == []
 
     def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
-        seen = []
+        # and one magnitude_squared call per operand, over the distinct row pairs
+        seen, squared = [], []
 
         def recorded(rows):
             seen.append(np.asarray(rows).tolist())
             return stability.is_hurwitz_real(rows)
 
+        def recorded_squares(rows):
+            squared.append(np.asarray(rows).tolist())
+            return magnitude_squared(rows)
+
         monkeypatch.setattr(hinf, "is_hurwitz_real", recorded)
+        monkeypatch.setattr(hinf, "magnitude_squared", recorded_squares)
         nums = [[0.0, 1.0, 1.0]] * 4
         dens = [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 1.0]]
         hinf_norm_batch(nums, dens)
         assert len(seen) == 1 and sorted(seen[0]) == sorted([dens[0], dens[1], dens[3]])
+        assert len(squared) == 2 and squared[0] == [nums[0]] * 3 and squared[1] == seen[0]
 
     @pytest.mark.parametrize("row, column, value, message", [
         (3, None, 0.0, "zero denominator"),
@@ -204,13 +233,19 @@ class TestNormBatch:
         # a root failure and a Routh failure: the lower row wins either way
         ({2: DEGENERATE, 4: UNSTABLE}, 2, DegenerateLeadingError),
         ({2: UNSTABLE, 4: DEGENERATE}, 2, UnstableDenominatorError),
+        # an overflowing stationarity row, alone and against root and Routh failures
+        ({3: OVERFLOW, 5: OVERFLOW}, 3, NoConvergenceError),
+        ({2: OVERFLOW, 3: UNSTABLE, 4: DEGENERATE}, 2, NoConvergenceError),
+        ({2: UNSTABLE, 4: OVERFLOW}, 2, UnstableDenominatorError),
+        ({2: DEGENERATE, 4: OVERFLOW}, 2, DegenerateLeadingError),
     ])
     def test_failure_names_the_lowest_failing_row(self, bad, row, error):
         nums = [[0.0, 1.0, 1.0]] * 6
         dens = [[1.0 + 0.1 * k, 1.0, 1.0] for k in range(6)]
         for k, den in bad.items():
-            dens[k] = den
-        with pytest.raises(error, match=f"^row {row}: ") as info:
+            nums[k], dens[k] = den if isinstance(den, tuple) else (nums[k], den)
+        message = "stationarity polynomial is not finite" if error is NoConvergenceError else ""
+        with pytest.raises(error, match=f"^row {row}: {message}") as info:
             hinf_norm_batch(nums, dens)
         assert info.value.row == row
         assert type(info.value.__cause__) is error

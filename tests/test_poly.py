@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intervalhinf.poly import RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared
+from intervalhinf.poly import (RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared,
+                               multiply_rows)
 from intervalhinf.stability import is_hurwitz_complex, roots_complex
 
 coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -85,25 +86,26 @@ class TestEvenOddSplit:
         z = eval_at_jomega([[7]], [[2.0, -2.0]])[0]
         assert z.tolist() == [7, 7]
         assert np.signbit(z.imag).tolist() == [False, True]
-        assert magnitude_squared([7]).tolist() == [49.0, 0.0]
+        assert magnitude_squared([[7]]).tolist() == [[49.0]]
 
 
 class TestMagnitudeSquared:
     def test_first_order(self):
-        assert magnitude_squared([1, 1]).tolist() == [1.0, 1.0]
+        assert magnitude_squared([[1, 1]]).tolist() == [[1.0, 1.0]]
 
     def test_second_order(self):
-        assert magnitude_squared([1, 1, 1]).tolist() == [1.0, -1.0, 1.0]
+        assert magnitude_squared([[1, 1, 1]]).tolist() == [[1.0, -1.0, 1.0]]
 
     def test_no_constant_term(self):
-        assert magnitude_squared([0, 1, 1]).tolist() == [0.0, 1.0, 1.0]
+        assert magnitude_squared([[0, 1, 1]]).tolist() == [[0.0, 1.0, 1.0]]
 
     def test_degree_preserved(self):
         p = RealPolynomial([3, -2, 0, 5])
-        assert RealPolynomial(magnitude_squared(p.coeffs)).degree == p.degree
+        assert RealPolynomial(magnitude_squared([p.coeffs])[0]).degree == p.degree
 
     def test_matches_evaluation_on_random_inputs(self):
-        # |p(jw)|^2 == M(w^2) within relative 1e-12, 1000 seeded draws
+        # |p(jw)|^2 == M(w^2) within relative 1e-12, 1000 seeded draws in one batch; each
+        # row's M is bitwise the M of that row alone
         rng = np.random.default_rng(101)
         rows, omegas = np.zeros((1000, 9)), np.zeros((1000, 1))
         for row, omega in zip(rows, omegas):
@@ -111,9 +113,31 @@ class TestMagnitudeSquared:
             row[: deg + 1] = rng.uniform(-5, 5, deg + 1)
             omega[0] = rng.uniform(-10, 10)
         direct = np.abs(eval_at_jomega(rows, omegas)[:, 0]) ** 2
-        for row, omega, value in zip(rows, omegas[:, 0], direct):
-            viaM = np.polynomial.polynomial.polyval(omega * omega, magnitude_squared(row))
+        batch = magnitude_squared(rows)
+        for row, omega, value, m in zip(rows, omegas[:, 0], direct, batch):
+            assert np.array_equal(m, magnitude_squared(row[None, :])[0])
+            viaM = np.polynomial.polynomial.polyval(omega * omega, m)
             assert viaM == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+class TestMultiplyRows:
+    def test_equals_loop_reference_and_convolve(self):
+        # each coefficient sums p_i * q_(k-i) in ascending i, bitwise as the loop below, and
+        # row by row as the row alone; np.convolve sums in another order, so it agrees within
+        # 1e-14 of the product of the coefficients' magnitudes
+        rng = np.random.default_rng(103)
+        for a, b in ((1, 1), (1, 4), (3, 7), (8, 8), (15, 15)):
+            p = rng.normal(size=(40, a)) * 10.0 ** rng.uniform(-3, 3, (40, a))
+            q = rng.normal(size=(40, b)) * 10.0 ** rng.uniform(-3, 3, (40, b))
+            out = multiply_rows(p, q)
+            loop = np.zeros((40, a + b - 1))
+            for i in range(a):
+                loop[:, i : i + b] += p[:, i : i + 1] * q
+            assert out.tobytes() == loop.tobytes()
+            for row, x, y in zip(out, p, q):
+                assert row.tobytes() == multiply_rows(x[None, :], y[None, :])[0].tobytes()
+                bound = 1e-14 * np.convolve(np.abs(x), np.abs(y))
+                assert (np.abs(row - np.convolve(x, y)) <= bound).all()
 
 
 class TestArithmetic:

@@ -6,7 +6,7 @@ from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
 from intervalhinf.interval import IntervalPolynomial
-from intervalhinf.poly import distinct_rows
+from intervalhinf.poly import distinct_rows, eval_many
 from intervalhinf.stability import (
     HURWITZ_TOL,
     hurwitz_batch,
@@ -283,6 +283,33 @@ class TestRootsBatch:
                 assert res[k].tobytes() == alone_res[0].tobytes(), k
             all_real = (roots.imag == 0.0).all(axis=1)
             assert all_real.any() == (batch is real) and not all_real.all()
+
+
+    def test_residuals_equal_two_pass_reference(self):
+        # the one-pass residual runs both Horner recurrences of the two-pass one in the same
+        # order: bitwise equal, also where a row overflows to inf or NaN
+        rng = np.random.default_rng(4127)
+
+        def two_pass(coeffs, roots):
+            pv = np.abs(eval_many(coeffs, roots))
+            mags, az = np.abs(coeffs), np.abs(roots)
+            scale = np.broadcast_to(mags[:, -1:], roots.shape).copy()
+            for k in range(coeffs.shape[1] - 2, -1, -1):
+                scale = scale * az + mags[:, k : k + 1]
+            return (pv / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
+
+        for d in (1, 2, 5, 9, 14):
+            real = rng.uniform(-5, 5, (40, d + 1)) * 10.0 ** rng.uniform(-3, 3, (40, d + 1))
+            real[-10:] *= 1e300
+            complex_rows = real + 1j * rng.uniform(-5, 5, (40, d + 1))
+            points = (rng.normal(size=(40, d)) + 1j * rng.normal(size=(40, d))) \
+                * 10.0 ** rng.uniform(-3, 3, (40, d))
+            points[-5:] *= 1e200
+            for coeffs in (real, complex_rows):
+                with np.errstate(all="ignore"):
+                    got, want = stability._residuals(coeffs, points), two_pass(coeffs, points)
+                assert got.tobytes() == want.tobytes()
+                assert not np.isfinite(got).all()  # the overflow rows are in
 
 
 class TestRootsComplex:
