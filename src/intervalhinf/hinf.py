@@ -94,13 +94,13 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
 
 
 def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray:
-    """Rows of M_num' * M_den - M_num * M_den', d/dx of each M_num/M_den times M_den^2. Both
-    products sum their terms in the same order, so where M_num and M_den share coefficients
-    (f and f + g share all above deg g) their terms cancel exactly."""
+    """Rows of M_num' * M_den - M_num * M_den', d/dx of each M_num/M_den times M_den^2 (a row
+    0 if both are constant). Both products sum their terms in the same order, so where M_num
+    and M_den share coefficients (f and f + g share all above deg g) they cancel exactly."""
     mn, md = magnitude_squared(num_rows), magnitude_squared(den_rows)
     lhs = multiply_rows(md, mn * np.arange(mn.shape[1]))  # M' kept as i * M_i at x^i,
     rhs = multiply_rows(mn, md * np.arange(md.shape[1]))  # so x^0 is dropped after
-    return (lhs - rhs)[:, 1:]
+    return (lhs - rhs)[:, 1:] if lhs.shape[1] > 1 else np.zeros_like(lhs)
 
 
 def _chunk_roots(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, IntervalHinfError]]]:
@@ -116,33 +116,35 @@ def _chunk_roots(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, Interv
             [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
 
 
-def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """|num(j omega) / den(j omega)| of each row pair at its frequencies (B, k); NaN at NaN."""
+def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, dn: np.ndarray,
+                dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|num(j omega) / den(j omega)| of each row pair at its frequencies (B, k), NaN at NaN, and
+    its limit at inf: |num_m / den_n| for rows of degrees dn = m and dd = n, else 0."""
     rows = np.zeros((2, len(num_rows), max(num_rows.shape[1], den_rows.shape[1])))
     rows[0, :, : num_rows.shape[1]] = num_rows
     rows[1, :, : den_rows.shape[1]] = den_rows
     values = eval_at_jomega(rows, omegas)
     mags = np.hypot(values.real, values.imag)  # rounds as abs() of a Python complex does
-    return mags[0] / mags[1]
+    pair = np.arange(len(num_rows))
+    limits = np.where(dn == dd, num_rows[pair, dn], 0.0) / den_rows[pair, dd]
+    return mags[0] / mags[1], np.abs(limits)
 
 
 def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     """Peak magnitude over the imaginary axis of each num/den row pair, in order.
 
-    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients.
-    Candidate squared frequencies are the nonnegative real roots of
-    M_num' * M_den - M_num * M_den', plus x = 0, plus the x -> inf limit;
-    each finite candidate is re-evaluated through the transfer function.
-    Ties go to the smallest frequency, and to a finite one over the limit.
+    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients. Candidate squared
+    frequencies are the nonnegative real roots of M_num' * M_den - M_num * M_den', plus x = 0,
+    plus the x -> inf limit; each finite candidate is re-evaluated through the transfer
+    function. Ties go to the smallest frequency, and to a finite one over the limit.
 
-    Malformed input (a non-finite coefficient or a zero denominator) raises
-    ValueError naming its lowest row, before any other work. Each stage runs
-    once over all byte-distinct row pairs; trimmed stationarity rows of one
-    length share roots_batch calls of at most _NORM_CHUNK rows, which solve
-    each companion matrix on its own, so every result equals solving its row
-    alone. Any other failure is the lowest failing row's error as solved
-    alone (NoConvergenceError if its stationarity row overflows), re-raised
-    with `row` set and named in the message.
+    Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
+    its lowest row, before any other work. Each stage runs once over all byte-distinct row
+    pairs; trimmed stationarity rows of one length share roots_batch calls of at most
+    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
+    solving its row alone. Any other failure is the lowest failing row's error as solved alone
+    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
+    in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -193,13 +195,11 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
         located.row = k
         raise located from err
 
-    mags = _magnitudes(nums, dens, omegas)
-    pair = np.arange(len(first))
-    gains = np.abs(np.where(dn == dd, nums[pair, dn], 0.0) / dens[pair, dd])  # |num/den| at inf
+    mags, gains = _magnitudes(nums, dens, omegas, dn, dd)
     peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
     best = (mags == peaks[:, None]).argmax(axis=1)  # the first of equal peaks
     at_inf = gains > peaks
-    attained = np.where(at_inf, np.inf, omegas[pair, best]).tolist()
+    attained = np.where(at_inf, np.inf, omegas[np.arange(len(first)), best]).tolist()
     present = ~np.isnan(omegas)  # each row's candidates come first, ascending
     ends = np.cumsum(present.sum(axis=1)).tolist()
     om, mag = omegas[present].tolist(), mags[present].tolist()  # floats for candidates only
@@ -232,9 +232,9 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
     if not (math.isfinite(omega_max) and omega_max > 0.0):
         raise ValueError(f"grid oracle needs a finite omega_max > 0, got {omega_max!r}")
     omegas = np.concatenate([[0.0], np.geomspace(omega_max * 1e-12, omega_max, points - 1)])
-    mags = _magnitudes(np.array([rf.num.coeffs]), np.array([rf.den.coeffs]), omegas[None, :])
-    m, n = rf.num.degree, rf.den.degree
-    return float(max(mags.max(), abs(rf.num.coeffs[m] / rf.den.coeffs[n]) if m == n else 0.0))
+    num, den = np.array([rf.num.coeffs]), np.array([rf.den.coeffs])
+    mags, limit = _magnitudes(num, den, omegas[None, :], degrees(num), degrees(den))
+    return float(max(mags.max(), limit[0]))
 
 
 def _theta_grid(theta_count: int) -> np.ndarray:

@@ -105,7 +105,7 @@ def multiply_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     count, a = p.shape
     b = q.shape[1]
     skewed = np.zeros((count, a, a + b))
-    skewed[:, :, :b] = p[:, :, None] * q[:, None, :]
+    np.multiply(p[:, :, None], q[:, None, :], out=skewed[:, :, :b])
     skewed.shape = (count, a * (a + b))
     return skewed[:, : a * (a + b - 1)].reshape(count, a, a + b - 1).sum(axis=1)
 

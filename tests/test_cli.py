@@ -189,6 +189,11 @@ class TestNorm:
         res = run("norm", PROBLEMS / "widened_family.yaml")
         assert res.exit_code == 2
 
+    def test_constant_ratio(self):
+        res = run("norm", "--num", "1", "--den", "2")
+        assert res.exit_code == 0
+        assert res.output.startswith("exact: 0.5  attained near omega 0\n")
+
     def test_unstable_loop_exits_3(self):
         res = run("norm", "--num", "1", "--den", "-1,1")
         assert res.exit_code == 3

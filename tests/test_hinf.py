@@ -16,6 +16,7 @@ from intervalhinf.errors import (
     UnstableDenominatorError,
 )
 from intervalhinf.hinf import (
+    NormResult,
     RationalFunction,
     check_gamma_equivalence,
     family_norm_bisection,
@@ -97,6 +98,16 @@ class TestExactNorm:
             warnings.simplefilter("error")
             value = hinf_norm_exact(rf).value
         assert value >= population.product_form_peak(case) * (1 - 1e-9)
+
+    def test_constant_ratio_is_flat(self):
+        # a degree-0 denominator is Hurwitz whatever its sign; 1e200 / 1e200 squares to inf / inf,
+        # but a constant ratio has no stationarity row to overflow
+        for num, den, value in (([1], [2], 0.5), ([1], [-2], 0.5), ([0], [3], 0.0),
+                                ([1e200], [1e200], 1.0)):
+            rf = RationalFunction(num=RealPolynomial(num), den=RealPolynomial(den))
+            res = hinf_norm_exact(rf)
+            assert res == NormResult(value, 0.0, ((0.0, value), (math.inf, value)))
+            assert hinf_norm_grid(rf, 100.0, 50) == value
 
     def test_unstable_denominator_rejected(self):
         rf = RationalFunction(num=RealPolynomial([1]), den=RealPolynomial([-1, 1]))
@@ -182,6 +193,14 @@ class TestNormBatch:
 
     def test_empty_batch(self):
         assert hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3))) == []
+
+    def test_constant_rows(self):
+        # width-1 rows give width-1 magnitude-squared rows and no stationarity coefficient
+        nums, dens = [[1.0], [3.0], [0.0], [1.0]], [[2.0], [-2.0], [5.0], [2.0]]
+        batch = hinf_norm_batch(nums, dens)
+        assert [(r.value, r.attained_at) for r in batch] == [(0.5, 0.0), (1.5, 0.0), (0.0, 0.0),
+                                                             (0.5, 0.0)]
+        assert batch == [hinf_norm_batch([n], [d])[0] for n, d in zip(nums, dens)]
 
     def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
         # and one magnitude_squared call per operand, over the distinct row pairs
