@@ -8,10 +8,17 @@ supremum may be approached only as w -> inf, so the at-infinity limit is
 always a candidate and NormResult keeps an explicit infinity sentinel.
 
 The gamma-equivalence test and the family bisection ask whether the rows
-g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, in chunks of
-_THETA_CHUNK thetas. A Hermite pencil of the row pairs confirms an
-all-stable chunk from four matrices per pair; every other chunk goes to
-hurwitz_batch, which decides each row and names a failing one.
+g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
+row pairs' tests once and share one step. The level-crossing polynomial
+of each pair (stability.level_crossings) first looks for the thetas at
+which a row on the circle |c| = delta, c = delta e^{j theta}, has an
+imaginary-axis root. None at all certifies every row of the disk, so
+every grid row, without matrix work; an unstable grid row next to a
+crossing decides the step unstable. Any other step tests the grid in
+chunks of _THETA_CHUNK thetas: a Hermite pencil of the row pairs confirms
+an all-stable chunk from four matrices per pair, and every other chunk
+goes to hurwitz_batch, which decides each row and names a failing one.
+Neither test uses the norms, so the bisection stays independent of them.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .errors import (
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, add, degrees, distinct_rows, eval_at_jomega, magnitude_squared,
                    multiply_rows)
-from .stability import hermite_pencil, hurwitz_batch, is_hurwitz_real
+from .stability import hermite_pencil, hurwitz_batch, is_hurwitz_real, level_crossings
 from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -130,21 +137,11 @@ def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, 
     return mags[0] / mags[1], np.abs(limits)
 
 
-def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
-    """Peak magnitude over the imaginary axis of each num/den row pair, in order.
-
-    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients. Candidate squared
-    frequencies are the nonnegative real roots of M_num' * M_den - M_num * M_den', plus x = 0,
-    plus the x -> inf limit; each finite candidate is re-evaluated through the transfer
-    function. Ties go to the smallest frequency, and to a finite one over the limit.
-
-    Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
-    its lowest row, before any other work. Each stage runs once over all byte-distinct row
-    pairs; trimmed stationarity rows of one length share roots_batch calls of at most
-    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
-    solving its row alone. Any other failure is the lowest failing row's error as solved alone
-    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
-    in the message.
+def _norm_arrays(num_rows, den_rows
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """hinf_norm_batch's work as arrays over the byte-distinct row pairs: each input row's
+    position among them, and per distinct pair its norm, its candidate frequencies (ascending,
+    then NaN), their magnitudes and the limit at inf. Validated and raised as hinf_norm_batch.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -197,16 +194,36 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
 
     mags, gains = _magnitudes(nums, dens, omegas, dn, dd)
     peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
-    best = (mags == peaks[:, None]).argmax(axis=1)  # the first of equal peaks
-    at_inf = gains > peaks
-    attained = np.where(at_inf, np.inf, omegas[np.arange(len(first)), best]).tolist()
+    return inverse, np.where(gains > peaks, gains, peaks), omegas, mags, gains
+
+
+def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
+    """Peak magnitude over the imaginary axis of each num/den row pair, in order.
+
+    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients. Candidate squared
+    frequencies are the nonnegative real roots of M_num' * M_den - M_num * M_den', plus x = 0,
+    plus the x -> inf limit; each finite candidate is re-evaluated through the transfer
+    function. Ties go to the smallest frequency, and to a finite one over the limit.
+
+    Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
+    its lowest row, before any other work. Each stage runs once over all byte-distinct row
+    pairs; trimmed stationarity rows of one length share roots_batch calls of at most
+    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
+    solving its row alone. Any other failure is the lowest failing row's error as solved alone
+    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
+    in the message. Only the NormResult objects are built row by row, from _norm_arrays.
+    """
+    inverse, values, omegas, mags, gains = _norm_arrays(num_rows, den_rows)
+    hit = mags == values[:, None]  # no hit: the limit at inf is above every candidate
+    best = hit.argmax(axis=1)  # the first of equal peaks
+    attained = np.where(hit.any(axis=1), omegas[np.arange(len(values)), best], np.inf).tolist()
     present = ~np.isnan(omegas)  # each row's candidates come first, ascending
     ends = np.cumsum(present.sum(axis=1)).tolist()
     om, mag = omegas[present].tolist(), mags[present].tolist()  # floats for candidates only
     norms = [NormResult(value=v, attained_at=w,
                         candidates=tuple(zip(om[s:e], mag[s:e])) + ((math.inf, g),))
-             for v, w, g, s, e in zip(np.where(at_inf, gains, peaks).tolist(), attained,
-                                      gains.tolist(), [0] + ends[:-1], ends)]
+             for v, w, g, s, e in zip(values.tolist(), attained, gains.tolist(),
+                                      [0] + ends[:-1], ends)]
     return [norms[u] for u in inverse]
 
 
@@ -244,26 +261,72 @@ def _theta_grid(theta_count: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, theta_count, endpoint=False)
 
 
-def _hurwitz_on_grid(confirms: Callable[[float, np.ndarray], bool], g_rows: np.ndarray,
-                     f_rows: np.ndarray, delta: float, thetas: np.ndarray,
+def _grid_test(g_rows: np.ndarray, f_rows: np.ndarray, thetas: np.ndarray
+               ) -> tuple[Callable[[float, np.ndarray], bool],
+                          Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None]:
+    """The row pairs' hermite_pencil, and their level_crossings if the pencil confirms every
+    g + f Hurwitz (delta = 0), else None: built once for every delta a caller tests."""
+    confirms = hermite_pencil(g_rows, f_rows)
+    return confirms, (level_crossings(g_rows, f_rows) if confirms(0.0, thetas[:1]) else None)
+
+
+def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
+                  tuples: tuple[VertexTuple, ...]) -> np.ndarray:
+    """hurwitz_batch of perturbed rows, row i at thetas[i] of row pair pairs[i]; a failing
+    verdict raises again, naming the theta and, if given, the pair's tuple."""
+    try:
+        return hurwitz_batch(rows)
+    except IntervalHinfError as err:
+        where = f"tuple {tuples[pairs[err.row]].label} at " if tuples else ""
+        raise type(err)(f"{where}theta={thetas[err.row]}: {err.__cause__}") from err.__cause__
+
+
+def _crossing_verdict(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
+                      g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
+                      tuples: tuple[VertexTuple, ...] = ()) -> bool | None:
+    """True if no row on the disk |c| <= delta crosses the imaginary axis, so every grid row is
+    Hurwitz; False if a grid row next to a crossing angle is not; None if undecided.
+
+    The probed rows are those of the two _theta_grid thetas around each crossing angle of its
+    row pair, built by perturbed_vertex_rows as the grid's own rows are."""
+    found = None if crossings is None else crossings(delta)
+    if found is None:
+        return None
+    pairs, angles = found
+    if not len(pairs):
+        return True
+    below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
+    at = np.concatenate([below, below + 1]) % len(thetas)
+    pairs = np.concatenate([pairs, pairs])
+    probed, where = np.unique(at, return_inverse=True)
+    rows = perturbed_vertex_rows(g_rows, f_rows, delta, thetas[probed])
+    stable = _hurwitz_rows(rows[where * len(g_rows) + pairs], thetas[at], pairs, tuples)
+    return False if not stable.all() else None
+
+
+def _hurwitz_on_grid(confirms: Callable[[float, np.ndarray], bool],
+                     crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
+                     g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
                      tuples: tuple[VertexTuple, ...] = ()) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
     a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
 
-    `confirms` is the row pairs' hermite_pencil, which the caller builds once for every
-    delta it tests. A chunk it confirms is stable; any other chunk is decided by
-    hurwitz_batch on its perturbed rows."""
+    `confirms` and `crossings` are the row pairs' _grid_test, which the caller builds once
+    for every delta it tests. The level-crossing test decides the step first if it can
+    (_crossing_verdict): no crossing certifies every row, and an unstable row next to a
+    crossing decides the step unstable. Otherwise the grid is tested in chunks of
+    _THETA_CHUNK thetas: a chunk the pencil confirms is stable, and any other chunk is decided
+    by hurwitz_batch on its perturbed rows."""
+    verdict = _crossing_verdict(crossings, g_rows, f_rows, delta, thetas, tuples)
+    if verdict is not None:
+        return verdict
+    pairs = np.tile(np.arange(len(g_rows)), _THETA_CHUNK)
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
         if confirms(delta, chunk):
             continue
-        try:
-            stable = hurwitz_batch(perturbed_vertex_rows(g_rows, f_rows, delta, chunk))
-        except IntervalHinfError as err:
-            k, pair = divmod(err.row, len(g_rows))
-            where = f"tuple {tuples[pair].label} at " if tuples else ""
-            raise type(err)(f"{where}theta={chunk[k]}: {err.__cause__}") from err.__cause__
-        if not stable.all():
+        rows = perturbed_vertex_rows(g_rows, f_rows, delta, chunk)
+        if not _hurwitz_rows(rows, np.repeat(chunk, len(g_rows)), pairs, tuples).all():
             return False
     return True
 
@@ -274,7 +337,7 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
 
     True iff g + (1 + (1/gamma) e^{j theta}) f is Hurwitz at every grid
     theta; up to grid resolution this equals ||f/(f+g)||_inf < gamma.
-    Decided chunk by chunk as in _hurwitz_on_grid.
+    Decided as one _hurwitz_on_grid step.
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
@@ -283,8 +346,9 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     g_row, f_row = np.zeros((2, 1, max(f.degree, g.degree) + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
-    return _hurwitz_on_grid(hermite_pencil(g_row, f_row), g_row, f_row, 1.0 / gamma,
-                            _theta_grid(theta_count))
+    thetas = _theta_grid(theta_count)
+    return _hurwitz_on_grid(*_grid_test(g_row, f_row, thetas), g_row, f_row, 1.0 / gamma,
+                            thetas)
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -295,8 +359,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     the whole theta grid exactly when the family supremum is below gamma,
     so the transition point is the worst-case norm. Independent of the
     per-vertex stationary-point route by construction. Each step is one
-    _hurwitz_on_grid call; the Hermite pencil of the twelve row pairs, built
-    once, confirms each step's all-stable chunks.
+    _hurwitz_on_grid call on the twelve row pairs' _grid_test, built once.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
@@ -304,9 +367,9 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     thetas = _theta_grid(theta_count)
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
-    confirms = hermite_pencil(g_rows, f_rows)
+    test = _grid_test(g_rows, f_rows, thetas)
     hi = 2.0
-    while not _hurwitz_on_grid(confirms, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
+    while not _hurwitz_on_grid(*test, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -315,7 +378,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _hurwitz_on_grid(confirms, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
+        if _hurwitz_on_grid(*test, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
             hi = mid
         else:
             lo = mid

@@ -8,10 +8,13 @@ it cannot confirm is decided row by row from batched eigenvalues. Rows
 g + (1 + c) f, affine in c = delta e^{j theta}, have Hermite matrices
 affine in 1, |c|^2, Re c and Im c, so a Hermite pencil built once from the
 (g, f) pairs gives a theta grid's matrices by one matrix product and
-confirms them by the same factorization. Roots, the eigenvalues of
-batched companion matrices, serve root sets, the norms' stationary points
-and the rare rows whose Hermite verdict is within roundoff of the
-boundary.
+confirms them by the same factorization. For real (g, f) pairs, the
+level polynomial |shift(g + f)|^2 - delta^2 |shift(f)|^2 in x = w^2 finds
+every delta e^{j theta} on a circle at which a row has an imaginary-axis
+root, so one root solve can show that no row on the whole disk does.
+Roots, the eigenvalues of batched companion matrices, serve root sets,
+the norms' stationary points, those level polynomials and the rare rows
+whose Hermite verdict is within roundoff of the boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError)
-from .poly import ZERO_DEGREE, check_finite, degrees, distinct_rows
+from .poly import (ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_at_jomega,
+                   magnitude_squared)
 
 __all__ = [
     "StabilityVerdict",
@@ -33,6 +37,7 @@ __all__ = [
     "is_hurwitz_complex",
     "hurwitz_batch",
     "hermite_pencil",
+    "level_crossings",
     "HURWITZ_TOL",
 ]
 
@@ -40,6 +45,7 @@ HURWITZ_TOL = 1e-9          # dead zone: Hurwitz means every root has Re < -HURW
 HERMITE_ROUNDOFF = 1e-12    # scaled Hermite eigenvalues this near 0 have no trusted sign
 ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
 LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
+CROSSING_TOL = 1e-6         # level-polynomial roots this near [0, inf), relative, are crossings
 
 
 @dataclass(frozen=True)
@@ -273,3 +279,49 @@ def hermite_pencil(g_rows: np.ndarray,
         return _clears_roundoff(_unit_diagonal(K))
 
     return confirms
+
+
+def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
+                    ) -> Callable[[float], tuple[np.ndarray, np.ndarray] | None]:
+    """crossings(delta): the pair index and theta of each imaginary-axis crossing of the rows
+    g + (1 + delta e^{j theta}) f over the real (g, f) row pairs (P, n+1), both empty when
+    there is none; None when that cannot be decided.
+
+    With a = shift(g + f) and b = shift(f) as in hermite_pencil, a + c b has the root j omega
+    exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the crossings are the
+    roots x = omega^2 >= 0 of the level polynomial M_a - delta^2 M_b (M as in
+    magnitude_squared, built once per pair), at theta = +-arg(-a(j omega) conj b(j omega)).
+    If it is positive at x = 0 and has no root within CROSSING_TOL of [0, inf), no row on the
+    whole disk |c| <= delta has a root on the axis; so when a is Hurwitz, every row is, since
+    its roots move continuously with c and its degree holds while the level polynomial's
+    leading coefficient is positive. The rows are solved in one roots_batch call. A failure
+    there, a row that is not finite, or a leading coefficient within CROSSING_TOL of 0
+    relative to M_a's (delta near 1) decides nothing.
+    """
+    first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
+    a = _taylor_shift(g_rows[first] + f_rows[first], HURWITZ_TOL)
+    b = _taylor_shift(f_rows[first], HURWITZ_TOL)
+    with np.errstate(all="ignore"):  # an overflow shows as a level row that is not finite
+        ma, mb = magnitude_squared(a), magnitude_squared(b)
+
+    def crossings(delta: float) -> tuple[np.ndarray, np.ndarray] | None:
+        with np.errstate(all="ignore"):  # anything that overflows decides nothing
+            level = ma - (delta * delta) * mb
+            if not (np.isfinite(level).all() and (level[:, -1] > CROSSING_TOL * ma[:, -1]).all()):
+                return None
+            try:
+                x = roots_batch(level)[0]
+            except IntervalHinfError:
+                return None
+            near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
+            if not near.any():
+                clear = (level[:, 0] > CROSSING_TOL * ma[:, 0]).all()
+                return (np.zeros(0, dtype=int), np.zeros(0)) if clear else None
+            u, k = np.nonzero(near)
+            at = eval_at_jomega(np.stack([a[u], b[u]]), np.sqrt(x.real[u, k])[:, None])[..., 0]
+            theta = np.angle(-at[0] * at[1].conj())
+        if not np.isfinite(theta).all():
+            return None
+        return np.concatenate([first[u], first[u]]), np.concatenate([theta, -theta])
+
+    return crossings

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import NormResult, family_norm_bisection, hinf_norm_batch
+from .hinf import NormResult, _norm_arrays, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, tuple_rows
@@ -186,20 +186,16 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None) -> Ora
     kept = np.arange(len(dens))
     try:
         kept = kept[hurwitz_batch(dens)]
-        values = [r.value for r in hinf_norm_batch(fs[kept], dens[kept])]
+        inverse, values = _norm_arrays(fs[kept], dens[kept])[:2]
     except IntervalHinfError as err:
         k = int(kept[err.row])
         where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
         raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
 
-    best = -np.inf
-    best_k = 0
-    for k, value in zip(kept, values):
-        if value > best:
-            best = value
-            best_k = k
+    values = values[inverse]
+    best_k = int(kept[values.argmax()]) if len(kept) else 0  # the first of equal maxima
     return OracleResult(
-        oracle_max=float(best),
+        oracle_max=float(values.max(initial=-np.inf)),
         argmax_g=tuple(float(c) for c in gs[best_k]),
         argmax_f=tuple(float(c) for c in fs[best_k]),
         samples=samples,

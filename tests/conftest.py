@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intervalhinf import stability
+from intervalhinf import hinf, stability
 from intervalhinf.errors import NoConvergenceError
 from intervalhinf.interval import IntervalPolynomial
 
@@ -54,6 +54,34 @@ def random_stable_family(rng: np.random.Generator, *, n_min: int = 3, n_max: int
         g0 = rng.uniform(-0.35, 0.35, m + 1) * max(np.abs(f0).max(), 1.0) * 0.5
         wf = rng.uniform(0.0, width_scale, n + 1) * np.abs(f0)
         wf[-1] = min(wf[-1], 0.5 * f0[-1])  # leading interval stays positive
+        wg = rng.uniform(0.0, width_scale, m + 1) * np.maximum(np.abs(g0), 0.05)
+        kf = IntervalPolynomial(f0 - 0.5 * wf, f0 + 0.5 * wf)
+        kg = IntervalPolynomial(g0 - 0.5 * wg, g0 + 0.5 * wg)
+        if _all_vertex_loops_clear(kg, kf, margin):
+            return kg, kf
+
+
+def resonant_family(rng: np.random.Generator, *, n_min: int = 6, n_max: int = 10,
+                    width_scale: float = 0.01,
+                    margin: float = 1e-3) -> tuple[IntervalPolynomial, IntervalPolynomial]:
+    """Interval family pair of degree n_min..n_max whose denominator centre has lightly damped
+    pole pairs (damping 0.03-0.3), so the sensitivity peaks are sharp; its sixteen vertex
+    closed loops clear `margin`."""
+    while True:
+        n = int(rng.integers(n_min, n_max + 1))
+        roots: list[complex] = []
+        while len(roots) < n:
+            if n - len(roots) >= 2:
+                wn, zeta = rng.uniform(0.3, 3.0), rng.uniform(0.03, 0.3)
+                pole = complex(-zeta * wn, wn * np.sqrt(1.0 - zeta * zeta))
+                roots += [pole, pole.conjugate()]
+            else:
+                roots.append(complex(-rng.uniform(0.3, 2.0), 0.0))
+        f0 = np.real(np.poly(roots))[::-1].copy()
+        m = int(rng.integers(0, n))
+        g0 = rng.uniform(-0.3, 0.3, m + 1) * max(np.abs(f0).max(), 1.0) * 0.2
+        wf = rng.uniform(0.0, width_scale, n + 1) * np.abs(f0)
+        wf[-1] = 0.0  # monic denominators
         wg = rng.uniform(0.0, width_scale, m + 1) * np.maximum(np.abs(g0), 0.05)
         kf = IntervalPolynomial(f0 - 0.5 * wf, f0 + 0.5 * wf)
         kg = IntervalPolynomial(g0 - 0.5 * wg, g0 + 0.5 * wg)
@@ -108,6 +136,13 @@ def fail_on_row(monkeypatch, target):
 
     monkeypatch.setattr(stability, "HERMITE_ROUNDOFF", np.inf)
     monkeypatch.setattr(stability, "roots_batch", solve)
+
+
+def decline_crossings(monkeypatch):
+    """Build no level-crossing test, so every bisection or gamma-equivalence step tests its
+    theta grid chunk by chunk, and the pencil is never asked about delta = 0."""
+    monkeypatch.setattr(hinf, "_grid_test",
+                        lambda g_rows, f_rows, thetas: (hinf.hermite_pencil(g_rows, f_rows), None))
 
 
 def polygon_exterior_distance(points: np.ndarray, hull) -> np.ndarray:

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fail_on_row, perfbench_population, random_stable_plant
+from conftest import (decline_crossings, fail_on_row, perfbench_population, random_stable_plant,
+                      resonant_family)
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (
     DegenerateLeadingError,
@@ -27,7 +28,7 @@ from intervalhinf.hinf import (
 )
 from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import RealPolynomial, eval_at_jomega, magnitude_squared
-from intervalhinf.stability import hermite_pencil, roots_batch
+from intervalhinf.stability import hurwitz_batch, roots_batch
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
@@ -405,6 +406,7 @@ class TestFamilyNormBisection:
 
 class TestThetaGridFailures:
     def test_bisection_names_tuple_and_theta(self, monkeypatch):
+        decline_crossings(monkeypatch)  # so the step reaches the chunk holding the row
         kg = IntervalPolynomial([0.4, 0.1], [0.6, 0.2])
         kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0])
         theta = hinf._theta_grid(720)[2]
@@ -418,17 +420,143 @@ class TestThetaGridFailures:
         # the pencil cannot confirm a chunk whose Hermite matrices overflow; hurwitz_batch
         # names the lowest such row, here the first theta of the first chunk
         g_rows, f_rows = np.zeros((1, 9)), np.full((1, 9), 1e200)
-        theta = hinf._theta_grid(720)[0]
+        thetas = hinf._theta_grid(720)
         with np.errstate(all="ignore"), pytest.raises(
-                NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(theta))}: "
+                NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(thetas[0]))}: "
                 "Hermite matrix is not finite: Eigenvalues did not converge$"):
-            hinf._hurwitz_on_grid(hermite_pencil(g_rows, f_rows), g_rows, f_rows, 0.5,
-                                  hinf._theta_grid(720), TWELVE_TUPLES[:1])
+            hinf._hurwitz_on_grid(*hinf._grid_test(g_rows, f_rows, thetas), g_rows, f_rows, 0.5,
+                                  thetas, TWELVE_TUPLES[:1])
 
     def test_gamma_equivalence_names_theta(self, monkeypatch):
+        decline_crossings(monkeypatch)  # so the step reaches the chunk holding the row
         g, f = RealPolynomial([1]), RealPolynomial([0, 1, 1])
         theta = hinf._theta_grid(720)[100]  # in the third 48-theta chunk
         fail_on_row(monkeypatch, np.array([1.0, 0.0, 0.0]) + (1 + np.exp(1j * theta) / 2)
                     * np.array([0.0, 1.0, 1.0]))
         with pytest.raises(NoConvergenceError, match=f"^theta={re.escape(str(theta))}: stub$"):
             check_gamma_equivalence(g, f, 2.0)
+
+
+def bisection_steps(monkeypatch, kg, kf):
+    """(confirms, crossings, *args) of every _hurwitz_on_grid step of family_norm_bisection."""
+    steps, on_grid = [], hinf._hurwitz_on_grid
+
+    def recorded(*args):
+        steps.append(args)
+        return on_grid(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hinf, "_hurwitz_on_grid", recorded)
+        family_norm_bisection(kg, kf, tol=1e-4, theta_count=720)
+    return steps
+
+
+def probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas):
+    """The rows _crossing_verdict sends to hurwitz_batch, and its verdict."""
+    batches = []
+
+    def recorded(rows):
+        batches.append(rows)
+        return hurwitz_batch(rows)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hinf, "hurwitz_batch", recorded)
+        verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, delta, thetas)
+    return batches, verdict
+
+
+WIDENED = (IntervalPolynomial([0.4, 0.1], [0.6, 0.2]),
+           IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0]))
+POINT = (IntervalPolynomial([1.0], [1.0]), IntervalPolynomial([0.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
+
+
+class TestLevelCrossings:
+    def test_decided_steps_agree_with_the_grid(self, monkeypatch):
+        # every bisection step of the shipped families, two analyze-families seeds and
+        # degree 6-10 resonant families: a certified step is stable on the grid, and a step
+        # a probe found unstable is unstable on the grid (the chunk path, crossings declined)
+        families = [POINT, WIDENED]
+        for seed in (4111, 4112):
+            families += [(IntervalPolynomial(fam.g_lower, fam.g_upper),
+                          IntervalPolynomial(fam.f_lower, fam.f_upper))
+                         for fam in perfbench_population().analyze_families(seed, 8)]
+        rng = np.random.default_rng(5)
+        families += [resonant_family(rng) for _ in range(12)]
+        outcomes = {True: 0, False: 0, None: 0}
+        for kg, kf in families:
+            for confirms, crossings, *args in bisection_steps(monkeypatch, kg, kf):
+                assert crossings is not None  # every g + f is confirmed Hurwitz
+                verdict = hinf._crossing_verdict(crossings, *args)
+                outcomes[verdict] += 1
+                if verdict is not None:
+                    assert hinf._hurwitz_on_grid(confirms, None, *args) is verdict
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    @pytest.mark.parametrize("family, pinned", [(POINT, 1.4678649907665102),
+                                                (WIDENED, 1.6908264163247984)])
+    def test_declined_steps_keep_the_pins(self, monkeypatch, family, pinned):
+        assert family_norm_bisection(*family, tol=1e-4, theta_count=720) == pinned
+        decline_crossings(monkeypatch)
+        assert family_norm_bisection(*family, tol=1e-4, theta_count=720) == pinned
+
+    def test_undecidable_levels_decline_without_warnings(self, monkeypatch):
+        g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
+        near_one = 1.0 - 1e-13
+        # at delta near 1 the level rows' leading coefficients are roundoff: roots_batch would
+        # raise DegenerateLeadingError, and the test declines before solving them
+        a = stability._taylor_shift(g_rows + f_rows, stability.HURWITZ_TOL)
+        b = stability._taylor_shift(f_rows, stability.HURWITZ_TOL)
+        with pytest.raises(DegenerateLeadingError):
+            roots_batch(magnitude_squared(a) - near_one**2 * magnitude_squared(b))
+        huge = np.full((1, 9), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert stability.level_crossings(g_rows, f_rows)(near_one) is None
+            assert stability.level_crossings(np.zeros((1, 9)), huge)(0.5) is None
+            assert stability.level_crossings(huge, huge)(0.5) is None
+
+            def failing(coeffs):
+                raise DegenerateLeadingError("stub")
+
+            monkeypatch.setattr(stability, "roots_batch", failing)
+            assert stability.level_crossings(g_rows, f_rows)(0.5) is None
+
+    def test_probe_rows_are_grid_rows_next_to_a_crossing(self, monkeypatch):
+        # each probed row is bitwise a perturbed_vertex_rows row of the full grid, of the pair
+        # the crossing test names, at one of the grid thetas around one of its crossing angles
+        thetas = hinf._theta_grid(720)
+        step = thetas[1] - thetas[0]
+        probed = 0
+        for kg, kf in (POINT, WIDENED):
+            g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+            crossings = hinf._grid_test(g_rows, f_rows, thetas)[1]
+            for args in bisection_steps(monkeypatch, kg, kf):
+                delta = args[4]
+                batches, _ = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
+                pairs, angles = crossings(delta)
+                assert len(batches) == (len(pairs) > 0)
+                grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas)
+                lowest = {row.tobytes(): i for i, row in reversed(list(enumerate(grid)))}
+                for row in batches[0] if batches else ():
+                    k, p = divmod(lowest[row.tobytes()], len(g_rows))
+                    gaps = np.abs((thetas[k] - angles[pairs == p] + np.pi) % (2 * np.pi) - np.pi)
+                    assert gaps.min() <= step
+                    probed += 1
+        assert probed > 50
+
+    def test_failing_probe_row_names_tuple_and_theta(self, monkeypatch):
+        # gamma = 1.5 is below the widened family's norm: a probe decides the step, and a
+        # failing verdict on the first probed row names its tuple and theta
+        thetas = hinf._theta_grid(720)
+        g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
+        confirms, crossings = hinf._grid_test(g_rows, f_rows, thetas)
+        batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, 1 / 1.5, thetas)
+        assert verdict is False
+        target = batches[0][0]
+        grid = perturbed_vertex_rows(g_rows, f_rows, 1 / 1.5, thetas)
+        k, p = divmod(int(np.flatnonzero((grid == target).all(axis=1))[0]), len(g_rows))
+        fail_on_row(monkeypatch, target)
+        with pytest.raises(NoConvergenceError, match=f"^tuple {TWELVE_TUPLES[p].label} at "
+                           f"theta={re.escape(str(thetas[k]))}: stub$"):
+            hinf._hurwitz_on_grid(confirms, crossings, g_rows, f_rows, 1 / 1.5, thetas,
+                                  TWELVE_TUPLES)

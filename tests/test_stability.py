@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import np_root_margin, perfbench_population
+from conftest import decline_crossings, np_root_margin, perfbench_population
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
@@ -143,9 +143,11 @@ SHIPPED_FAMILIES = {  # (kg, kf, pinned bisection value) of the shipped problems
 
 def pencil_chunks(monkeypatch, kg, kf, decline_every=0):
     """family_norm_bisection's value, and (perturbed rows, pencil verdict) of every theta
-    chunk its Hermite pencils were asked to confirm, in order. With decline_every = k > 0,
-    every k-th chunk is reported unconfirmed whatever the pencil says."""
+    chunk its Hermite pencils were asked to confirm, in order. The level-crossing test is
+    declined, so every step reaches the chunks. With decline_every = k > 0, every k-th chunk
+    is reported unconfirmed whatever the pencil says."""
     seen = []
+    decline_crossings(monkeypatch)
 
     def recording(g_rows, f_rows):
         confirms = stability.hermite_pencil(g_rows, f_rows)
