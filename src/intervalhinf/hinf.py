@@ -9,16 +9,16 @@ always a candidate and NormResult keeps an explicit infinity sentinel.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
-row pairs' tests once and share one step. The level-crossing polynomial
-of each pair (stability.level_crossings) first looks for the thetas at
-which a row on the circle |c| = delta, c = delta e^{j theta}, has an
-imaginary-axis root. None at all certifies every row of the disk, so
-every grid row, without matrix work; an unstable grid row next to a
-crossing decides the step unstable. Any other step tests the grid in
-chunks of _THETA_CHUNK thetas: a Hermite pencil of the row pairs confirms
-an all-stable chunk from four matrices per pair, and every other chunk
-goes to hurwitz_batch, which decides each row and names a failing one.
-Neither test uses the norms, so the bisection stays independent of them.
+row pairs' level-crossing test (stability.level_crossings) once and share
+one step, decided by one of two routes. The certificate: the test finds
+the thetas at which a row on the circle |c| = delta, c = delta e^{j theta},
+has an imaginary-axis root. None at all certifies every row of the disk,
+so every grid row, without matrix work; otherwise hurwitz_batch on the
+grid rows next to each crossing angle decides the step, since between two
+crossings a pair's rows are all Hurwitz or none is. The reference: a step
+the test declines goes to hurwitz_batch on the whole grid, in chunks of
+_THETA_CHUNK thetas, which decides each row and names a failing one.
+Neither route uses the norms, so the bisection stays independent of them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, add, degrees, distinct_rows, eval_at_jomega, magnitude_squared,
                    multiply_rows)
-from .stability import hermite_pencil, hurwitz_batch, is_hurwitz_real, level_crossings
+from .stability import hurwitz_batch, is_hurwitz_real, level_crossings
 from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -256,18 +256,9 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
 
 def _theta_grid(theta_count: int) -> np.ndarray:
     # [-pi, pi) covers the closed interval since the endpoints coincide
-    if theta_count < 1:
-        raise ValueError("theta grid needs at least one point")
+    if isinstance(theta_count, bool) or not isinstance(theta_count, int) or theta_count < 1:
+        raise ValueError(f"theta grid needs an integer number of points >= 1, got {theta_count!r}")
     return np.linspace(-np.pi, np.pi, theta_count, endpoint=False)
-
-
-def _grid_test(g_rows: np.ndarray, f_rows: np.ndarray, thetas: np.ndarray
-               ) -> tuple[Callable[[float, np.ndarray], bool],
-                          Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None]:
-    """The row pairs' hermite_pencil, and their level_crossings if the pencil confirms every
-    g + f Hurwitz (delta = 0), else None: built once for every delta a caller tests."""
-    confirms = hermite_pencil(g_rows, f_rows)
-    return confirms, (level_crossings(g_rows, f_rows) if confirms(0.0, thetas[:1]) else None)
 
 
 def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
@@ -284,11 +275,15 @@ def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
 def _crossing_verdict(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
                       g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
                       tuples: tuple[VertexTuple, ...] = ()) -> bool | None:
-    """True if no row on the disk |c| <= delta crosses the imaginary axis, so every grid row is
-    Hurwitz; False if a grid row next to a crossing angle is not; None if undecided.
+    """True iff every grid row is Hurwitz, decided from the crossing angles on the circle
+    |c| = delta; None if there is no crossing test or it declines.
 
-    The probed rows are those of the two _theta_grid thetas around each crossing angle of its
-    row pair, built by perturbed_vertex_rows as the grid's own rows are."""
+    No crossing certifies every row of the disk. Otherwise, between two consecutive crossing
+    angles of a row pair, its rows on the circle are all Hurwitz or none is. So the step is
+    decided by one hurwitz_batch call on the _theta_grid rows within two grid steps of each
+    crossing angle of their pair, built by perturbed_vertex_rows as the grid's own rows are:
+    they hold a row of every arc that holds a grid theta, even for an angle off by up to one
+    grid step."""
     found = None if crossings is None else crossings(delta)
     if found is None:
         return None
@@ -296,35 +291,29 @@ def _crossing_verdict(crossings: Callable[[float], tuple[np.ndarray, np.ndarray]
     if not len(pairs):
         return True
     below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
-    at = np.concatenate([below, below + 1]) % len(thetas)
-    pairs = np.concatenate([pairs, pairs])
+    at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
+    pairs = np.tile(pairs, 4)
     probed, where = np.unique(at, return_inverse=True)
     rows = perturbed_vertex_rows(g_rows, f_rows, delta, thetas[probed])
-    stable = _hurwitz_rows(rows[where * len(g_rows) + pairs], thetas[at], pairs, tuples)
-    return False if not stable.all() else None
+    return bool(_hurwitz_rows(rows[where * len(g_rows) + pairs], thetas[at], pairs, tuples).all())
 
 
-def _hurwitz_on_grid(confirms: Callable[[float, np.ndarray], bool],
-                     crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
+def _hurwitz_on_grid(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
                      g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
                      tuples: tuple[VertexTuple, ...] = ()) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
     a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
 
-    `confirms` and `crossings` are the row pairs' _grid_test, which the caller builds once
-    for every delta it tests. The level-crossing test decides the step first if it can
-    (_crossing_verdict): no crossing certifies every row, and an unstable row next to a
-    crossing decides the step unstable. Otherwise the grid is tested in chunks of
-    _THETA_CHUNK thetas: a chunk the pencil confirms is stable, and any other chunk is decided
-    by hurwitz_batch on its perturbed rows."""
+    `crossings` is the row pairs' level_crossings, which the caller builds once for every
+    delta it tests, or None. A step it decides (_crossing_verdict) costs one root solve and
+    at most one hurwitz_batch call on a few rows. A declined step takes the reference route:
+    hurwitz_batch on the perturbed rows of the whole grid, in chunks of _THETA_CHUNK thetas."""
     verdict = _crossing_verdict(crossings, g_rows, f_rows, delta, thetas, tuples)
     if verdict is not None:
         return verdict
     pairs = np.tile(np.arange(len(g_rows)), _THETA_CHUNK)
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
-        if confirms(delta, chunk):
-            continue
         rows = perturbed_vertex_rows(g_rows, f_rows, delta, chunk)
         if not _hurwitz_rows(rows, np.repeat(chunk, len(g_rows)), pairs, tuples).all():
             return False
@@ -341,14 +330,13 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
+    thetas = _theta_grid(theta_count)
     if not is_hurwitz_real([add(f, g).coeffs])[0]:
         raise UnstableClosedLoopError("f + g must be Hurwitz for the equivalence")
     g_row, f_row = np.zeros((2, 1, max(f.degree, g.degree) + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
-    thetas = _theta_grid(theta_count)
-    return _hurwitz_on_grid(*_grid_test(g_row, f_row, thetas), g_row, f_row, 1.0 / gamma,
-                            thetas)
+    return _hurwitz_on_grid(level_crossings(g_row, f_row), g_row, f_row, 1.0 / gamma, thetas)
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -359,17 +347,20 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     the whole theta grid exactly when the family supremum is below gamma,
     so the transition point is the worst-case norm. Independent of the
     per-vertex stationary-point route by construction. Each step is one
-    _hurwitz_on_grid call on the twelve row pairs' _grid_test, built once.
+    _hurwitz_on_grid call on the twelve row pairs, whose level_crossings
+    test is built once: a step is decided from its crossing angles, and
+    only a step that the test declines goes to hurwitz_batch on the whole
+    theta grid.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
+    thetas = _theta_grid(theta_count)
     if not sum_family_hurwitz(kg, kf):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    thetas = _theta_grid(theta_count)
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
-    test = _grid_test(g_rows, f_rows, thetas)
+    crossings = level_crossings(g_rows, f_rows)
     hi = 2.0
-    while not _hurwitz_on_grid(*test, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
+    while not _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -378,7 +369,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _hurwitz_on_grid(*test, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
+        if _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
             hi = mid
         else:
             lo = mid

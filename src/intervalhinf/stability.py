@@ -4,17 +4,15 @@ Routh over real coefficient rows, all rows at once. Batches of complex
 coefficient rows get Hermite's criterion: a row is Hurwitz exactly when
 its Hermite matrix is positive definite. One batched Cholesky
 factorization confirms that for a whole batch without iterating; a batch
-it cannot confirm is decided row by row from batched eigenvalues. Rows
-g + (1 + c) f, affine in c = delta e^{j theta}, have Hermite matrices
-affine in 1, |c|^2, Re c and Im c, so a Hermite pencil built once from the
-(g, f) pairs gives a theta grid's matrices by one matrix product and
-confirms them by the same factorization. For real (g, f) pairs, the
-level polynomial |shift(g + f)|^2 - delta^2 |shift(f)|^2 in x = w^2 finds
-every delta e^{j theta} on a circle at which a row has an imaginary-axis
-root, so one root solve can show that no row on the whole disk does.
-Roots, the eigenvalues of batched companion matrices, serve root sets,
-the norms' stationary points, those level polynomials and the rare rows
-whose Hermite verdict is within roundoff of the boundary.
+it cannot confirm is decided row by row from batched eigenvalues. For
+rows g + (1 + delta e^{j theta}) f over real (g, f) pairs, the level
+polynomial |shift(g + f)|^2 - delta^2 |shift(f)|^2 in x = w^2 finds every
+delta e^{j theta} on a circle at which a row has an imaginary-axis root,
+so one root solve gives the arcs of the circle on which each pair's rows
+are all Hurwitz or none is. Roots, the eigenvalues of batched companion
+matrices, serve root sets, the norms' stationary points, those level
+polynomials and the rare rows whose Hermite verdict is within roundoff of
+the boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ __all__ = [
     "roots_complex",
     "is_hurwitz_complex",
     "hurwitz_batch",
-    "hermite_pencil",
     "level_crossings",
     "HURWITZ_TOL",
 ]
@@ -252,62 +249,39 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     return stable[inverse]
 
 
-def hermite_pencil(g_rows: np.ndarray,
-                   f_rows: np.ndarray) -> Callable[[float, np.ndarray], bool]:
-    """confirms(delta, thetas): True only if every row g + (1 + delta e^{j theta}) f over the
-    (g, f) row pairs (P, n+1) and the thetas is Hurwitz; False means unknown, not unstable.
-
-    With a = shift(g + f), b = shift(f) (the Taylor shift of hurwitz_batch) and X = K(b, a),
-    each row's Hermite matrix is K(a, a) + delta^2 K(b, b) + delta cos(theta) (X + X^H)
-    + delta sin(theta) j (X - X^H). These four matrices per distinct pair are built once; the
-    matrices of a theta chunk are one real matrix product, confirmed by hurwitz_batch's
-    unit-diagonal Cholesky test with its HERMITE_ROUNDOFF shift.
-    """
-    first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
-    g, f = g_rows[first], f_rows[first]
-    a, b = _taylor_shift(g + f, HURWITZ_TOL), _taylor_shift(f, HURWITZ_TOL)
-    X = _hermite_matrix(b, a)
-    Xh = X.conj().swapaxes(1, 2)
-    basis = np.stack([_hermite_matrix(a), _hermite_matrix(b), X + Xh, 1j * (X - Xh)])
-    shape = (-1,) + X.shape[1:]
-    basis = basis.view(float).reshape(4, -1)
-
-    def confirms(delta: float, thetas: np.ndarray) -> bool:
-        terms = np.stack([np.ones_like(thetas), np.full_like(thetas, delta * delta),
-                          delta * np.cos(thetas), delta * np.sin(thetas)], axis=1)
-        K = (terms @ basis).view(complex).reshape(shape)
-        return _clears_roundoff(_unit_diagonal(K))
-
-    return confirms
-
-
 def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
-                    ) -> Callable[[float], tuple[np.ndarray, np.ndarray] | None]:
+                    ) -> Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None:
     """crossings(delta): the pair index and theta of each imaginary-axis crossing of the rows
     g + (1 + delta e^{j theta}) f over the real (g, f) row pairs (P, n+1), both empty when
-    there is none; None when that cannot be decided.
+    there is none; None when that cannot be decided. Instead of crossings, None (no test at
+    all) unless hurwitz_batch's unit-diagonal Cholesky test confirms every g + f Hurwitz.
 
-    With a = shift(g + f) and b = shift(f) as in hermite_pencil, a + c b has the root j omega
-    exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the crossings are the
-    roots x = omega^2 >= 0 of the level polynomial M_a - delta^2 M_b (M as in
-    magnitude_squared, built once per pair), at theta = +-arg(-a(j omega) conj b(j omega)).
-    If it is positive at x = 0 and has no root within CROSSING_TOL of [0, inf), no row on the
-    whole disk |c| <= delta has a root on the axis; so when a is Hurwitz, every row is, since
-    its roots move continuously with c and its degree holds while the level polynomial's
-    leading coefficient is positive. The rows are solved in one roots_batch call. A failure
-    there, a row that is not finite, or a leading coefficient within CROSSING_TOL of 0
-    relative to M_a's (delta near 1) decides nothing.
+    With a = shift(g + f) and b = shift(f), the Taylor shift of hurwitz_batch, a + c b has the
+    root j omega exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the
+    crossings are the roots x = omega^2 >= 0 of the level polynomial M_a - delta^2 M_b (M as
+    in magnitude_squared, built once per pair), at theta = +-arg(-a(j omega) conj b(j omega)).
+    While its leading coefficient is positive, every row keeps its degree, and its roots move
+    continuously with c. So between two consecutive crossing thetas of a pair, its rows on the
+    circle are all Hurwitz or none is; and if the level polynomial is positive at x = 0 and
+    has no root within CROSSING_TOL of [0, inf), no row on the whole disk |c| <= delta has a
+    root on the axis, and every row is Hurwitz, as a is. The rows are solved in one
+    roots_batch call. A failure there, a row that is not finite, or a leading coefficient
+    (delta near 1) or value at x = 0 (a crossing at or near omega = 0, which the root filter
+    can miss) within CROSSING_TOL of 0 relative to M_a's decides nothing.
     """
     first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
     a = _taylor_shift(g_rows[first] + f_rows[first], HURWITZ_TOL)
     b = _taylor_shift(f_rows[first], HURWITZ_TOL)
-    with np.errstate(all="ignore"):  # an overflow shows as a level row that is not finite
+    with np.errstate(all="ignore"):  # an overflow shows as a matrix or row that is not finite
+        if not _clears_roundoff(_unit_diagonal(_hermite_matrix(a))):
+            return None
         ma, mb = magnitude_squared(a), magnitude_squared(b)
 
     def crossings(delta: float) -> tuple[np.ndarray, np.ndarray] | None:
         with np.errstate(all="ignore"):  # anything that overflows decides nothing
             level = ma - (delta * delta) * mb
-            if not (np.isfinite(level).all() and (level[:, -1] > CROSSING_TOL * ma[:, -1]).all()):
+            if not (np.isfinite(level).all() and (level[:, -1] > CROSSING_TOL * ma[:, -1]).all()
+                    and (np.abs(level[:, 0]) > CROSSING_TOL * ma[:, 0]).all()):
                 return None
             try:
                 x = roots_batch(level)[0]
@@ -315,8 +289,7 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
                 return None
             near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
             if not near.any():
-                clear = (level[:, 0] > CROSSING_TOL * ma[:, 0]).all()
-                return (np.zeros(0, dtype=int), np.zeros(0)) if clear else None
+                return (np.zeros(0, dtype=int), np.zeros(0)) if (level[:, 0] > 0.0).all() else None
             u, k = np.nonzero(near)
             at = eval_at_jomega(np.stack([a[u], b[u]]), np.sqrt(x.real[u, k])[:, None])[..., 0]
             theta = np.angle(-at[0] * at[1].conj())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import NormResult, _norm_arrays, family_norm_bisection, hinf_norm_batch
+from .hinf import NormResult, _norm_arrays, _theta_grid, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, tuple_rows
@@ -206,6 +206,7 @@ def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None) -> Ora
 
 def analyze(prob: AnalysisProblem) -> AnalysisReport:
     """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks."""
+    _theta_grid(prob.options.theta_points)  # a malformed grid fails before any work
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
     norms = _vertex_norms(prob, _TWELVE_FIRST)

@@ -139,10 +139,9 @@ def fail_on_row(monkeypatch, target):
 
 
 def decline_crossings(monkeypatch):
-    """Build no level-crossing test, so every bisection or gamma-equivalence step tests its
-    theta grid chunk by chunk, and the pencil is never asked about delta = 0."""
-    monkeypatch.setattr(hinf, "_grid_test",
-                        lambda g_rows, f_rows, thetas: (hinf.hermite_pencil(g_rows, f_rows), None))
+    """Build no level-crossing test, so every bisection or gamma-equivalence step sends its
+    whole theta grid to hurwitz_batch, chunk by chunk."""
+    monkeypatch.setattr(hinf, "level_crossings", lambda g_rows, f_rows: None)
 
 
 def polygon_exterior_distance(points: np.ndarray, hull) -> np.ndarray:

@@ -346,6 +346,13 @@ class TestGammaEquivalence:
         with pytest.raises(UnstableClosedLoopError):
             check_gamma_equivalence(RealPolynomial([1]), RealPolynomial([0, -1, 1]), 2.0)
 
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_theta_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
+                           f">= 1, got {count!r}$"):
+            check_gamma_equivalence(RealPolynomial([1]), RealPolynomial([0, 1, 1]), 2.0,
+                                    theta_count=count)
+
     def test_agrees_with_direct_comparison(self):
         # gamma drawn 10% on both sides of the true norm, margin >= 1e-2
         rng = np.random.default_rng(61)
@@ -386,6 +393,12 @@ class TestFamilyNormBisection:
             with pytest.raises(ValueError, match="tolerance"):
                 family_norm_bisection(kg, kf, tol=tol)
 
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_theta_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
+                           f">= 1, got {count!r}$"):
+            family_norm_bisection(*POINT, theta_count=count)
+
     def test_unstable_family_rejected(self):
         from intervalhinf.errors import UnstableFamilyError
 
@@ -417,14 +430,14 @@ class TestThetaGridFailures:
             family_norm_bisection(kg, kf)
 
     def test_overflow_names_tuple_and_theta(self):
-        # the pencil cannot confirm a chunk whose Hermite matrices overflow; hurwitz_batch
+        # no crossing test is built for a pair whose Hermite matrices overflow; hurwitz_batch
         # names the lowest such row, here the first theta of the first chunk
         g_rows, f_rows = np.zeros((1, 9)), np.full((1, 9), 1e200)
         thetas = hinf._theta_grid(720)
         with np.errstate(all="ignore"), pytest.raises(
                 NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(thetas[0]))}: "
                 "Hermite matrix is not finite: Eigenvalues did not converge$"):
-            hinf._hurwitz_on_grid(*hinf._grid_test(g_rows, f_rows, thetas), g_rows, f_rows, 0.5,
+            hinf._hurwitz_on_grid(hinf.level_crossings(g_rows, f_rows), g_rows, f_rows, 0.5,
                                   thetas, TWELVE_TUPLES[:1])
 
     def test_gamma_equivalence_names_theta(self, monkeypatch):
@@ -438,7 +451,7 @@ class TestThetaGridFailures:
 
 
 def bisection_steps(monkeypatch, kg, kf):
-    """(confirms, crossings, *args) of every _hurwitz_on_grid step of family_norm_bisection."""
+    """(crossings, *args) of every _hurwitz_on_grid step of family_norm_bisection."""
     steps, on_grid = [], hinf._hurwitz_on_grid
 
     def recorded(*args):
@@ -468,13 +481,15 @@ def probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas):
 WIDENED = (IntervalPolynomial([0.4, 0.1], [0.6, 0.2]),
            IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0]))
 POINT = (IntervalPolynomial([1.0], [1.0]), IntervalPolynomial([0.0, 1.0, 1.0], [0.0, 1.0, 1.0]))
+UNIT = (IntervalPolynomial([0.0, 1.0], [0.0, 1.0]),  # |S| = |(1 + s)^2 / (1 + 3s + s^2)| <= 1
+        IntervalPolynomial([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]))
 
 
 class TestLevelCrossings:
     def test_decided_steps_agree_with_the_grid(self, monkeypatch):
         # every bisection step of the shipped families, two analyze-families seeds and
-        # degree 6-10 resonant families: a certified step is stable on the grid, and a step
-        # a probe found unstable is unstable on the grid (the chunk path, crossings declined)
+        # degree 6-10 resonant families is decided unless its crossing test declines, and
+        # each verdict is the reference's: hurwitz_batch on the whole grid
         families = [POINT, WIDENED]
         for seed in (4111, 4112):
             families += [(IntervalPolynomial(fam.g_lower, fam.g_upper),
@@ -482,15 +497,52 @@ class TestLevelCrossings:
                          for fam in perfbench_population().analyze_families(seed, 8)]
         rng = np.random.default_rng(5)
         families += [resonant_family(rng) for _ in range(12)]
-        outcomes = {True: 0, False: 0, None: 0}
+        outcomes = {(True, False): 0, (True, True): 0, (False, True): 0, None: 0}
         for kg, kf in families:
-            for confirms, crossings, *args in bisection_steps(monkeypatch, kg, kf):
+            for crossings, *args in bisection_steps(monkeypatch, kg, kf):
                 assert crossings is not None  # every g + f is confirmed Hurwitz
+                found = crossings(args[2])
                 verdict = hinf._crossing_verdict(crossings, *args)
-                outcomes[verdict] += 1
-                if verdict is not None:
-                    assert hinf._hurwitz_on_grid(confirms, None, *args) is verdict
-        assert outcomes[True] > 100 and outcomes[False] > 100
+                assert (verdict is None) == (found is None)
+                if verdict is None:
+                    outcomes[None] += 1
+                    continue
+                outcomes[verdict, len(found[0]) > 0] += 1
+                assert hinf._hurwitz_on_grid(None, *args) is verdict
+        assert outcomes[True, False] > 100 and outcomes[False, True] > 100
+        assert outcomes[True, True] > 0 and outcomes[None] < 5
+
+    def test_stable_probes_decide_a_step_with_crossings(self, monkeypatch):
+        # at gamma = 1.4678895, just below the point plant's norm 1.46788983, the circle
+        # crosses the axis, but the unstable arcs between crossing angles hold no grid theta:
+        # one probe batch decides the step stable, as the whole grid does
+        g_rows, f_rows = tuple_rows(*POINT, TWELVE_TUPLES[:1])
+        thetas, delta = hinf._theta_grid(720), 1 / 1.4678895
+        assert 1 / delta < GOLDEN
+        crossings = hinf.level_crossings(g_rows, f_rows)
+        assert len(crossings(delta)[0]) == 4
+        batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
+        assert verdict is True and len(batches) == 1
+        assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, thetas) is True
+
+    def test_all_stable_bisection_makes_no_hurwitz_batch_call(self, monkeypatch):
+        # |S| <= 1, so no row on any disk |c| <= delta < 1 crosses the axis: every step is
+        # certified stable by its root solve alone
+        steps, batched = [], []
+        on_grid = hinf._hurwitz_on_grid
+
+        def step(*args):
+            steps.append(on_grid(*args))
+            return steps[-1]
+
+        def batch(rows):
+            batched.append(rows)
+            return hurwitz_batch(rows)
+
+        monkeypatch.setattr(hinf, "_hurwitz_on_grid", step)
+        monkeypatch.setattr(hinf, "hurwitz_batch", batch)
+        assert family_norm_bisection(*UNIT, tol=1e-4, theta_count=720) == 1.0000305185780944
+        assert len(steps) > 10 and all(steps) and batched == []
 
     @pytest.mark.parametrize("family, pinned", [(POINT, 1.4678649907665102),
                                                 (WIDENED, 1.6908264163247984)])
@@ -512,8 +564,9 @@ class TestLevelCrossings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert stability.level_crossings(g_rows, f_rows)(near_one) is None
-            assert stability.level_crossings(np.zeros((1, 9)), huge)(0.5) is None
-            assert stability.level_crossings(huge, huge)(0.5) is None
+            # an overflowing pair's Hermite matrices cannot confirm g + f Hurwitz: no test
+            assert stability.level_crossings(np.zeros((1, 9)), huge) is None
+            assert stability.level_crossings(huge, huge) is None
 
             def failing(coeffs):
                 raise DegenerateLeadingError("stub")
@@ -521,17 +574,24 @@ class TestLevelCrossings:
             monkeypatch.setattr(stability, "roots_batch", failing)
             assert stability.level_crossings(g_rows, f_rows)(0.5) is None
 
+    def test_crossing_at_zero_frequency_declines(self):
+        # g + (1 + c) f = (0.5 + c) + (1 + c) s has its root at s = 0 for c = -0.5, on the
+        # circle |c| = 0.5: a crossing at omega = 0 that the x >= 0 root filter can miss
+        crossings = stability.level_crossings(np.array([[-0.5, 0.0]]), np.array([[1.0, 1.0]]))
+        assert crossings(0.5) is None
+        assert len(crossings(0.4)[0]) == 0 and len(crossings(0.6)[0]) == 2
+
     def test_probe_rows_are_grid_rows_next_to_a_crossing(self, monkeypatch):
         # each probed row is bitwise a perturbed_vertex_rows row of the full grid, of the pair
-        # the crossing test names, at one of the grid thetas around one of its crossing angles
+        # the crossing test names, at a grid theta within two grid steps of a crossing angle
         thetas = hinf._theta_grid(720)
         step = thetas[1] - thetas[0]
         probed = 0
         for kg, kf in (POINT, WIDENED):
             g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
-            crossings = hinf._grid_test(g_rows, f_rows, thetas)[1]
+            crossings = hinf.level_crossings(g_rows, f_rows)
             for args in bisection_steps(monkeypatch, kg, kf):
-                delta = args[4]
+                delta = args[3]
                 batches, _ = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
                 pairs, angles = crossings(delta)
                 assert len(batches) == (len(pairs) > 0)
@@ -540,7 +600,7 @@ class TestLevelCrossings:
                 for row in batches[0] if batches else ():
                     k, p = divmod(lowest[row.tobytes()], len(g_rows))
                     gaps = np.abs((thetas[k] - angles[pairs == p] + np.pi) % (2 * np.pi) - np.pi)
-                    assert gaps.min() <= step
+                    assert gaps.min() <= 2 * step
                     probed += 1
         assert probed > 50
 
@@ -549,7 +609,7 @@ class TestLevelCrossings:
         # failing verdict on the first probed row names its tuple and theta
         thetas = hinf._theta_grid(720)
         g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
-        confirms, crossings = hinf._grid_test(g_rows, f_rows, thetas)
+        crossings = hinf.level_crossings(g_rows, f_rows)
         batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, 1 / 1.5, thetas)
         assert verdict is False
         target = batches[0][0]
@@ -558,5 +618,5 @@ class TestLevelCrossings:
         fail_on_row(monkeypatch, target)
         with pytest.raises(NoConvergenceError, match=f"^tuple {TWELVE_TUPLES[p].label} at "
                            f"theta={re.escape(str(thetas[k]))}: stub$"):
-            hinf._hurwitz_on_grid(confirms, crossings, g_rows, f_rows, 1 / 1.5, thetas,
+            hinf._hurwitz_on_grid(crossings, g_rows, f_rows, 1 / 1.5, thetas,
                                   TWELVE_TUPLES)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import decline_crossings, np_root_margin, perfbench_population
+from conftest import decline_crossings, np_root_margin
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
@@ -15,7 +15,6 @@ from intervalhinf.stability import (
     roots_batch,
     roots_complex,
 )
-from intervalhinf.valueset import perturbed_vertex_rows
 
 
 def known_root_rows(rng, degree, spread, count):
@@ -139,36 +138,6 @@ SHIPPED_FAMILIES = {  # (kg, kf, pinned bisection value) of the shipped problems
                        IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0],
                                           [1.1, 3.3, 4.0, 2.4, 1.0]), 1.6908264163247984),
 }
-
-
-def pencil_chunks(monkeypatch, kg, kf, decline_every=0):
-    """family_norm_bisection's value, and (perturbed rows, pencil verdict) of every theta
-    chunk its Hermite pencils were asked to confirm, in order. The level-crossing test is
-    declined, so every step reaches the chunks. With decline_every = k > 0, every k-th chunk
-    is reported unconfirmed whatever the pencil says."""
-    seen = []
-    decline_crossings(monkeypatch)
-
-    def recording(g_rows, f_rows):
-        confirms = stability.hermite_pencil(g_rows, f_rows)
-
-        def recorded(delta, thetas):
-            declined = decline_every and len(seen) % decline_every == decline_every - 1
-            seen.append((perturbed_vertex_rows(g_rows, f_rows, delta, thetas),
-                         confirms(delta, thetas) and not declined))
-            return seen[-1][1]
-
-        return recorded
-
-    monkeypatch.setattr(hinf, "hermite_pencil", recording)
-    return hinf.family_norm_bisection(kg, kf, tol=1e-4, theta_count=720), seen
-
-
-def analyze_families(seed, count):
-    """The first `count` families of perfbench's analyze-families workload at `seed`."""
-    return [(IntervalPolynomial(fam.g_lower, fam.g_upper),
-             IntervalPolynomial(fam.f_lower, fam.f_upper))
-            for fam in perfbench_population().analyze_families(seed, count)]
 
 
 def scalar_routh(coeffs, zero_pivots=None) -> bool:
@@ -516,10 +485,9 @@ class TestCholeskyConfirmation:
 
     @pytest.mark.parametrize("name", ["point_plant", "widened_family"])
     def test_bisection_chunks_equal_eigvalsh_reference(self, monkeypatch, name):
-        # every theta chunk the bisection tests, at the delta sequence the reference's
-        # verdicts lead to: a chunk the Hermite pencil confirms is all stable by the reference,
-        # and any other chunk gets the reference's verdicts from hurwitz_batch; the bisection
-        # value is the one pinned in test_hinf
+        # with the level-crossing test declined, every theta chunk the bisection tests, at the
+        # delta sequence the reference's verdicts lead to, gets the reference's verdicts from
+        # hurwitz_batch; the bisection value is the one pinned in test_hinf
         kg, kf, pinned = SHIPPED_FAMILIES[name]
         chunks = {"all stable": 0, "unstable": 0}
 
@@ -529,13 +497,9 @@ class TestCholeskyConfirmation:
             chunks["all stable" if reference.all() else "unstable"] += 1
             return reference
 
+        decline_crossings(monkeypatch)
         monkeypatch.setattr(hinf, "hurwitz_batch", compared)
-        value, seen = pencil_chunks(monkeypatch, kg, kf)
-        for rows, confirmed in seen:
-            if confirmed:
-                assert eigvalsh_verdicts(rows).all()
-                chunks["all stable"] += 1
-        assert value == pinned
+        assert hinf.family_norm_bisection(kg, kf, tol=1e-4, theta_count=720) == pinned
         assert chunks["all stable"] > 0 and chunks["unstable"] > 0
 
     def test_all_stable_batch_does_no_extra_work(self, counted):
@@ -584,72 +548,3 @@ class TestCholeskyConfirmation:
             cause = info.value.__cause__
             assert type(cause) is NoConvergenceError and cause.row is None
             assert isinstance(cause.__cause__, np.linalg.LinAlgError)
-
-
-class TestHermitePencil:
-    @pytest.mark.parametrize("source", ["point_plant", "widened_family", 4111, 4112])
-    def test_confirms_only_stable_chunks_and_every_clear_chunk(self, monkeypatch, source):
-        # every chunk the bisection asks about, at the delta sequence it visits: a confirmed
-        # chunk is all stable by the eigvalsh reference, and a chunk whose smallest reference
-        # eigenvalue exceeds 10 * HERMITE_ROUNDOFF is confirmed
-        families = ([SHIPPED_FAMILIES[source][:2]] if isinstance(source, str)
-                    else analyze_families(source, 4))  # degrees 3-6, the last a point family
-        for kg, kf in families:
-            _, seen = pencil_chunks(monkeypatch, kg, kf)
-            assert any(confirmed for _, confirmed in seen)
-            for rows, confirmed in seen:
-                lam = smallest_eigenvalues(rows)
-                if confirmed:
-                    assert ((lam > stability.HERMITE_ROUNDOFF).all()
-                            or eigvalsh_verdicts(rows).all())
-                else:
-                    assert lam.min() <= 10 * stability.HERMITE_ROUNDOFF
-
-    def test_complex_rows_are_confirmed_where_stable(self):
-        # complex (g, f) pairs, whose verdicts at theta and -theta differ: each one-theta chunk
-        # around the circle is confirmed exactly when the eigvalsh reference finds it stable
-        rng = np.random.default_rng(4113)
-        roots = -rng.uniform(0.2, 2.0, (4, 5)) + 1j * rng.uniform(-2.0, 2.0, (4, 5))
-        f = np.array([np.poly(r)[::-1] for r in roots])
-        g = 0.8 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
-        g[:, -1] = 0.0
-        confirms = stability.hermite_pencil(g, f)
-        confirmed, reference = [], []
-        for theta in np.linspace(-np.pi, np.pi, 96, endpoint=False):
-            rows = perturbed_vertex_rows(g, f, 0.6, np.array([theta]))
-            assert np.abs(smallest_eigenvalues(rows)).min() > 10 * stability.HERMITE_ROUNDOFF
-            confirmed.append(confirms(0.6, np.array([theta])))
-            reference.append(bool(eigvalsh_verdicts(rows).all()))
-        assert confirmed == reference and 0 < sum(reference) < 96
-        assert reference != [reference[-k] for k in range(96)]  # not symmetric in theta
-
-    @pytest.mark.parametrize("decline_every", [0, 3])
-    def test_all_stable_bisection_batches_only_unconfirmed_chunks(self, monkeypatch,
-                                                                  decline_every):
-        # |S| = |(1 + 2s + s^2) / (1 + 3s + s^2)| <= 1, so every bisection step is stable and
-        # the pencil, built once for all steps, confirms every chunk; hurwitz_batch then sees
-        # no chunk, or exactly the chunks reported unconfirmed, in order
-        kg = IntervalPolynomial([0.0, 1.0], [0.0, 1.0])
-        kf = IntervalPolynomial([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
-        steps, pencils, batched = [], [], []
-        on_grid = hinf._hurwitz_on_grid
-
-        def step(confirms, *args):
-            pencils.append(confirms)
-            steps.append(on_grid(confirms, *args))
-            return steps[-1]
-
-        def batch(rows):
-            batched.append(rows)
-            return hurwitz_batch(rows)
-
-        monkeypatch.setattr(hinf, "_hurwitz_on_grid", step)
-        monkeypatch.setattr(hinf, "hurwitz_batch", batch)
-        value, seen = pencil_chunks(monkeypatch, kg, kf, decline_every)
-        assert value == 1.0000305185780944 and len(steps) > 10 and all(steps)
-        assert all(confirms is pencils[0] for confirms in pencils)
-        unconfirmed = [rows for rows, confirmed in seen if not confirmed]
-        assert len(seen) == 15 * len(steps)
-        assert len(unconfirmed) == (len(seen) // decline_every if decline_every else 0)
-        assert len(batched) == len(unconfirmed)
-        assert all(np.array_equal(a, b) for a, b in zip(batched, unconfirmed))

@@ -301,6 +301,16 @@ class TestAnalyze:
                            match=f"^mixed vertex sum for tuple {CANONICAL_ORDER[5]} is not"):
             max_sensitivity_twelve(widened_problem())
 
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_theta_points_are_checked_before_any_work(self, monkeypatch, count):
+        def gate(prob):
+            raise AssertionError("the stability gate ran")
+
+        monkeypatch.setattr(theorem, "closed_loop_family_stable", gate)
+        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
+                           f">= 1, got {count!r}$"):
+            analyze(point_problem(theta_points=count))
+
     def test_problem_validation(self):
         with pytest.raises(ValueError, match="strictly below"):
             AnalysisProblem(kg=IntervalPolynomial([1, 1], [1, 1]),
