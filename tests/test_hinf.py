@@ -525,24 +525,46 @@ class TestLevelCrossings:
         assert verdict is True and len(batches) == 1
         assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, thetas) is True
 
-    def test_all_stable_bisection_makes_no_hurwitz_batch_call(self, monkeypatch):
+    @pytest.mark.parametrize("decline_every", [0, 3])
+    def test_all_stable_bisection_batches_only_declined_steps(self, monkeypatch, decline_every):
         # |S| <= 1, so no row on any disk |c| <= delta < 1 crosses the axis: every step is
-        # certified stable by its root solve alone
-        steps, batched = [], []
-        on_grid = hinf._hurwitz_on_grid
+        # certified stable by its root solve alone. With every k-th step's crossing test
+        # declined, hurwitz_batch sees exactly those steps' whole grids, chunk by chunk, in order
+        steps, declined, batched = [], [], []
+        on_grid, built = hinf._hurwitz_on_grid, hinf.level_crossings
 
         def step(*args):
             steps.append(on_grid(*args))
             return steps[-1]
+
+        def declining(g_rows, f_rows):
+            crossings = built(g_rows, f_rows)
+
+            def found(delta):
+                if decline_every and len(steps) % decline_every == decline_every - 1:
+                    declined.append(delta)
+                    return None
+                return crossings(delta)
+
+            return found
 
         def batch(rows):
             batched.append(rows)
             return hurwitz_batch(rows)
 
         monkeypatch.setattr(hinf, "_hurwitz_on_grid", step)
+        monkeypatch.setattr(hinf, "level_crossings", declining)
         monkeypatch.setattr(hinf, "hurwitz_batch", batch)
         assert family_norm_bisection(*UNIT, tol=1e-4, theta_count=720) == 1.0000305185780944
-        assert len(steps) > 10 and all(steps) and batched == []
+        assert len(steps) > 10 and all(steps)
+        assert len(declined) == (len(steps) // 3 if decline_every else 0)
+        g_rows, f_rows = tuple_rows(*UNIT, TWELVE_TUPLES)
+        thetas = hinf._theta_grid(720)
+        expected = [perturbed_vertex_rows(g_rows, f_rows, delta,
+                                          thetas[start : start + hinf._THETA_CHUNK])
+                    for delta in declined for start in range(0, 720, hinf._THETA_CHUNK)]
+        assert len(batched) == len(expected)
+        assert all(np.array_equal(seen, rows) for seen, rows in zip(batched, expected))
 
     @pytest.mark.parametrize("family, pinned", [(POINT, 1.4678649907665102),
                                                 (WIDENED, 1.6908264163247984)])
