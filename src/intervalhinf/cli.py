@@ -140,7 +140,7 @@ def load_problem(path: str) -> AnalysisProblem:
     num_lo, num_hi = _bounds_list(doc["numerator"], "numerator")
 
     opts = AnalysisOptions()
-    raw = doc.get("options") or {}
+    raw = {} if doc.get("options") is None else doc["options"]
     if not isinstance(raw, dict):
         raise ProblemFileError("options: expected a mapping")
     for key, value in raw.items():
@@ -152,21 +152,11 @@ def load_problem(path: str) -> AnalysisProblem:
         except (TypeError, ValueError):
             raise ProblemFileError(f"options.{key}: expected {expected}") from None
 
-    if len(num_lo) >= len(den_lo):
-        raise ProblemFileError(
-            f"numerator: degree {len(num_lo) - 1} must be strictly below "
-            f"denominator degree {len(den_lo) - 1}"
-        )
-    if den_lo[-1] <= 0.0:
-        raise ProblemFileError(
-            "denominator: leading lower bound must be strictly positive "
-            f"(got {den_lo[-1]:g})"
-        )
-    return AnalysisProblem(
-        kg=IntervalPolynomial(num_lo, num_hi),
-        kf=IntervalPolynomial(den_lo, den_hi),
-        options=opts,
-    )
+    try:  # the degree order and the positive leading interval
+        return AnalysisProblem(kg=IntervalPolynomial(num_lo, num_hi),
+                               kf=IntervalPolynomial(den_lo, den_hi), options=opts)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
 
 
 def _apply_flags(prob: AnalysisProblem, seed, samples, theta_points, tol) -> AnalysisProblem:
@@ -190,22 +180,21 @@ def report_to_dict(report: AnalysisReport) -> dict:
     out["argmax_tuple"] = report.argmax_tuple.label
     out["attained_omega"] = report.attained_omega
     out["per_tuple_norms"] = {t.label: v for t, v in report.per_tuple_norms.items()}
-    if report.sixteen_tuple_max is not None:
-        out["sixteen_tuple_max"] = report.sixteen_tuple_max
-        out["cross_check_deltas"] = {
-            "sixteen_minus_twelve": report.sixteen_tuple_max - report.worst_norm,
-            "oracle_minus_twelve": report.oracle.oracle_max - report.worst_norm,
-            "bisection_minus_twelve": report.bisection_norm - report.worst_norm,
-        }
-        out["oracle"] = {
-            "max": report.oracle.oracle_max,
-            "samples": report.oracle.samples,
-            "skipped": report.oracle.skipped,
-            "seed": report.oracle.seed,
-            "argmax_numerator": list(report.oracle.argmax_g),
-            "argmax_denominator": list(report.oracle.argmax_f),
-        }
-        out["bisection_norm"] = report.bisection_norm
+    out["sixteen_tuple_max"] = report.sixteen_tuple_max
+    out["cross_check_deltas"] = {
+        "sixteen_minus_twelve": report.sixteen_tuple_max - report.worst_norm,
+        "oracle_minus_twelve": report.oracle.oracle_max - report.worst_norm,
+        "bisection_minus_twelve": report.bisection_norm - report.worst_norm,
+    }
+    out["oracle"] = {
+        "max": report.oracle.oracle_max,
+        "samples": report.oracle.samples,
+        "skipped": report.oracle.skipped,
+        "seed": report.oracle.seed,
+        "argmax_numerator": list(report.oracle.argmax_g),
+        "argmax_denominator": list(report.oracle.argmax_f),
+    }
+    out["bisection_norm"] = report.bisection_norm
     return out
 
 
@@ -224,15 +213,14 @@ def render_report(report: AnalysisReport, digits: int) -> str:
     lines.append("per-tuple norms:")
     for t, v in report.per_tuple_norms.items():
         lines.append(f"  {t.label}  {fmt(v, digits)}")
-    if report.sixteen_tuple_max is not None:
-        o = report.oracle
-        lines.append("cross-checks:")
-        lines.append(f"  sixteen-tuple max  {fmt(report.sixteen_tuple_max, digits)}"
-                     f"  (delta {fmt(report.sixteen_tuple_max - report.worst_norm, 3)})")
-        lines.append(f"  oracle max         {fmt(o.oracle_max, digits)}"
-                     f"  ({o.samples} samples, {o.skipped} skipped, seed {o.seed})")
-        lines.append(f"  bisection          {fmt(report.bisection_norm, digits)}"
-                     f"  (delta {fmt(report.bisection_norm - report.worst_norm, 3)})")
+    o = report.oracle
+    lines.append("cross-checks:")
+    lines.append(f"  sixteen-tuple max  {fmt(report.sixteen_tuple_max, digits)}"
+                 f"  (delta {fmt(report.sixteen_tuple_max - report.worst_norm, 3)})")
+    lines.append(f"  oracle max         {fmt(o.oracle_max, digits)}"
+                 f"  ({o.samples} samples, {o.skipped} skipped, seed {o.seed})")
+    lines.append(f"  bisection          {fmt(report.bisection_norm, digits)}"
+                 f"  (delta {fmt(report.bisection_norm - report.worst_norm, 3)})")
     return "\n".join(lines) + "\n"
 
 
@@ -372,25 +360,23 @@ def _parse_sweep(spec: str) -> tuple[float, int]:
 def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
     """CSV of value-set polygon vertices, single frequency or a sweep."""
     prob = load_problem(file)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    header = ["omega", "vertex_index", "re", "im", "provenance"]
     if sweep is not None:
         omega_max, points = _parse_sweep(sweep)
-        writer.writerow(["omega", "vertex_index", "re", "im", "provenance", "margin"])
-        for poly, check in sweep_octagons(prob.kg, prob.kf, delta, theta,
-                                          omega_max, points):
-            for k, (pt, tup) in enumerate(poly.vertices):
-                writer.writerow([fmt(poly.omega, digits), k, fmt(pt.real, digits),
-                                 fmt(pt.imag, digits), tup.label,
-                                 fmt(check.margin, digits)])
+        header.append("margin")
+        polygons = [(poly, [fmt(check.margin, digits)]) for poly, check in
+                    sweep_octagons(prob.kg, prob.kf, delta, theta, omega_max, points)]
+    elif omega is None:
+        raise ProblemFileError("valueset needs --omega or --sweep")
     else:
-        if omega is None:
-            raise ProblemFileError("valueset needs --omega or --sweep")
-        poly = octagon(prob.kg, prob.kf, delta, theta, omega)
-        writer.writerow(["omega", "vertex_index", "re", "im", "provenance"])
+        polygons = [(octagon(prob.kg, prob.kf, delta, theta, omega), [])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for poly, extra in polygons:
         for k, (pt, tup) in enumerate(poly.vertices):
             writer.writerow([fmt(poly.omega, digits), k, fmt(pt.real, digits),
-                             fmt(pt.imag, digits), tup.label])
+                             fmt(pt.imag, digits), tup.label, *extra])
     click.echo(buf.getvalue(), nl=False)
     _write_output(output, buf.getvalue())
 

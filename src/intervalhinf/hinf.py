@@ -214,16 +214,14 @@ def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
     in the message. Only the NormResult objects are built row by row, from _norm_arrays.
     """
     inverse, values, omegas, mags, gains = _norm_arrays(num_rows, den_rows)
-    hit = mags == values[:, None]  # no hit: the limit at inf is above every candidate
-    best = hit.argmax(axis=1)  # the first of equal peaks
-    attained = np.where(hit.any(axis=1), omegas[np.arange(len(values)), best], np.inf).tolist()
-    present = ~np.isnan(omegas)  # each row's candidates come first, ascending
-    ends = np.cumsum(present.sum(axis=1)).tolist()
-    om, mag = omegas[present].tolist(), mags[present].tolist()  # floats for candidates only
-    norms = [NormResult(value=v, attained_at=w,
-                        candidates=tuple(zip(om[s:e], mag[s:e])) + ((math.inf, g),))
-             for v, w, g, s, e in zip(values.tolist(), attained, gains.tolist(),
-                                      [0] + ends[:-1], ends)]
+    norms = []
+    for value, om, mag, gain in zip(values.tolist(), omegas, mags, gains.tolist()):
+        present = ~np.isnan(om)  # the row's candidates come first, ascending
+        candidates = tuple(zip(om[present].tolist(), mag[present].tolist()))
+        # the first of equal peaks; none: the limit at inf is above every candidate
+        attained = next((w for w, m in candidates if m == value), math.inf)
+        norms.append(NormResult(value=value, attained_at=attained,
+                                candidates=candidates + ((math.inf, gain),)))
     return [norms[u] for u in inverse]
 
 
@@ -369,6 +367,8 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     lo = 1.0 + 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: tol is below their spacing
+            break
         if _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
             hi = mid
         else:

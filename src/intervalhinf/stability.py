@@ -152,32 +152,29 @@ def roots_complex(coeffs: Sequence[complex]) -> RootSet:
     return RootSet(roots=tuple(complex(z) for z in roots[0]), residual=float(res[0]))
 
 
-def is_hurwitz_complex(coeffs: Sequence[complex],
-                       tol: float = HURWITZ_TOL) -> StabilityVerdict:
-    """True iff every root sits strictly left of -tol; margin = -max Re."""
+def is_hurwitz_complex(coeffs: Sequence[complex]) -> StabilityVerdict:
+    """True iff every root sits strictly left of -HURWITZ_TOL; margin = -max Re."""
     rs = roots_complex(coeffs)
     margin = -max(r.real for r in rs.roots)
-    return StabilityVerdict(is_hurwitz=bool(margin > tol), margin=margin)
+    return StabilityVerdict(is_hurwitz=bool(margin > HURWITZ_TOL), margin=margin)
 
 
-def _taylor_shift(coeffs: np.ndarray, h: float) -> np.ndarray:
-    """Rows of p(s - h) from rows of p(s), ascending, by Horner steps q <- q*(s - h) + a_i."""
+def _taylor_shift(coeffs: np.ndarray) -> np.ndarray:
+    """Rows of p(s - h), h = HURWITZ_TOL, from rows of p(s), ascending, by q <- q*(s - h) + a_i."""
     q = np.zeros_like(coeffs)
     for a in coeffs.T[::-1]:
-        q = np.concatenate([a[:, None], q[:, :-1]], axis=1) - h * q
+        q = np.concatenate([a[:, None], q[:, :-1]], axis=1) - HURWITZ_TOL * q
     return q
 
 
-def _hermite_matrix(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """(B, n, n) Hermite cross forms K(x, y) of rows x, y (degree n, ascending); K(a, a) is a's
-    Hermite matrix. K_ik multiplies s^i conj(w)^k in (x(s) conj y(w) - y#(s) conj x#(w)) /
-    (s + conj w), where p#(s) = conj p(-conj s). Solved top row first from
-    N_ik = x_i conj y_k - (-1)^(i+k) conj y_i x_k = K_(i-1,k) + K_(i,k-1). K(x, y) is linear in
-    x and conjugate-linear in y, and K(y, x) = K(x, y)^H."""
-    y = x if y is None else y
+def _hermite_matrix(x: np.ndarray) -> np.ndarray:
+    """(B, n, n) Hermite matrices K of rows x (degree n, ascending). K_ik multiplies
+    s^i conj(w)^k in (x(s) conj x(w) - x#(s) conj x#(w)) / (s + conj w), where
+    p#(s) = conj p(-conj s). Solved top row first from
+    N_ik = x_i conj x_k - (-1)^(i+k) conj x_i x_k = K_(i-1,k) + K_(i,k-1)."""
     n = x.shape[1] - 1
     sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    N = x[:, :, None] * y[:, None, :].conj() - sign * y[:, :, None].conj() * x[:, None, :]
+    N = x[:, :, None] * x[:, None, :].conj() - sign * x[:, :, None].conj() * x[:, None, :]
     K = np.zeros((len(x), n, n), dtype=complex)
     K[:, n - 1] = N[:, n, :n]
     for i in range(n - 1, 0, -1):
@@ -222,7 +219,7 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
         raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
     first, inverse = distinct_rows(rows)
-    scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first], HURWITZ_TOL)))
+    scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first])))
     if _clears_roundoff(scaled.copy()):  # eigvalsh below needs the unshifted matrices
         return np.ones(len(rows), dtype=bool)
     try:
@@ -270,8 +267,8 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
     can miss) within CROSSING_TOL of 0 relative to M_a's decides nothing.
     """
     first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
-    a = _taylor_shift(g_rows[first] + f_rows[first], HURWITZ_TOL)
-    b = _taylor_shift(f_rows[first], HURWITZ_TOL)
+    a = _taylor_shift(g_rows[first] + f_rows[first])
+    b = _taylor_shift(f_rows[first])
     with np.errstate(all="ignore"):  # an overflow shows as a matrix or row that is not finite
         if not _clears_roundoff(_unit_diagonal(_hermite_matrix(a))):
             return None

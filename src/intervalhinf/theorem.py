@@ -61,9 +61,8 @@ class AnalysisProblem:
                 f"denominator family degree {self.kf.degree}"
             )
         if self.kf.lower[-1] <= 0.0:
-            raise ValueError(
-                "denominator family needs a strictly positive leading interval"
-            )
+            raise ValueError("denominator family needs a strictly positive leading interval, "
+                             f"got lower bound {self.kf.lower[-1]:g}")
 
 
 @dataclass(frozen=True)
@@ -162,24 +161,21 @@ def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(g_rows), np.vstack(f_rows)
 
 
-def monte_carlo_oracle(prob: AnalysisProblem, samples: int | None = None) -> OracleResult:
+def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
     """Box-sampling lower bound on the family maximum.
 
-    Draws i.i.d. coefficient vectors from both boxes on top of the
-    deterministic probes, so the certified maximum is always witnessed.
+    Draws options.oracle_samples i.i.d. coefficient vectors from both boxes on
+    top of the deterministic probes, so the certified maximum is always witnessed.
     Samples whose closed loop has a root at Re >= -1e-9 (Hermite verdict)
     are skipped and counted; a failure names its probe or draw.
     """
-    if samples is None:
-        samples = prob.options.oracle_samples
+    samples = prob.options.oracle_samples
     rng = np.random.default_rng(prob.options.seed)
 
     gs, fs = _probe_pairs(prob)
     probes = len(gs)
-    if samples > 0:
-        g_draws = sample_many(prob.kg, samples, rng)
-        f_draws = sample_many(prob.kf, samples, rng)
-        gs, fs = np.vstack([gs, g_draws]), np.vstack([fs, f_draws])
+    gs = np.vstack([gs, sample_many(prob.kg, samples, rng)])  # g draws before f draws
+    fs = np.vstack([fs, sample_many(prob.kf, samples, rng)])
 
     dens = fs.copy()
     dens[:, : gs.shape[1]] += gs

@@ -10,7 +10,7 @@ import intervalhinf
 from intervalhinf import errors
 from intervalhinf.cli import _guard, fmt, format_polynomial, load_problem, main
 from intervalhinf.errors import ProblemFileError
-from intervalhinf.theorem import analyze
+from intervalhinf.theorem import AnalysisOptions, analyze
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -66,6 +66,17 @@ class TestProblemFiles:
                      "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [0, 1]\n")
         with pytest.raises(ProblemFileError, match="leading"):
             load_problem(str(path))
+
+    def test_options_must_be_a_mapping(self, tmp_path):
+        # only null means "no options"; an empty or false value of another type is rejected
+        box = "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
+        for value in ("[1]", "[]", "false", "0", '""'):
+            path = write(tmp_path, "bad.yaml", f"{box}options: {value}\n")
+            with pytest.raises(ProblemFileError, match="^options: expected a mapping$"):
+                load_problem(str(path))
+        for value in ("", "null", "{}"):
+            path = write(tmp_path, "ok.yaml", f"{box}options: {value}\n")
+            assert load_problem(str(path)).options == AnalysisOptions()
 
     def test_options_are_applied(self, tmp_path):
         path = write(tmp_path, "ok.yaml",
@@ -151,6 +162,12 @@ class TestAnalyze:
         # machine stdout equals the written document
         res2 = run("analyze", PROBLEMS / "point_plant.yaml", "--format", "machine")
         assert json.loads(res2.output) == doc
+
+    def test_tolerance_below_float_spacing_ends(self):
+        # the bracket stops at adjacent floats instead of bisecting forever
+        res = run("analyze", PROBLEMS / "point_plant.yaml", "--tol", "1e-300",
+                  "--theta-points", "36")
+        assert res.exit_code == 0, res.output
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # near-instability: the bisection cannot bracket the family norm

@@ -386,6 +386,20 @@ class TestFamilyNormBisection:
         val = family_norm_bisection(kg, kf, tol=1e-4, theta_count=360)
         assert 1.0 <= val <= 1.0 + 2e-4
 
+    def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
+        # at tol 1e-300 the bracket narrows to adjacent floats and stops there; a step cap
+        # turns a bracket that never closes into a failure instead of a hang
+        steps, on_grid = [], hinf._hurwitz_on_grid
+
+        def capped(*args):
+            steps.append(args)
+            assert len(steps) < 200, "bisection does not end"
+            return on_grid(*args)
+
+        coarse = family_norm_bisection(*POINT, tol=1e-15, theta_count=36)
+        monkeypatch.setattr(hinf, "_hurwitz_on_grid", capped)
+        assert family_norm_bisection(*POINT, tol=1e-300, theta_count=36) == coarse
+
     def test_tolerance_must_be_finite_and_positive(self):
         kg = IntervalPolynomial([1], [1])
         kf = IntervalPolynomial([0, 1, 1], [0, 1, 1])
@@ -512,6 +526,31 @@ class TestLevelCrossings:
         assert outcomes[True, False] > 100 and outcomes[False, True] > 100
         assert outcomes[True, True] > 0 and outcomes[None] < 5
 
+    def test_angles_off_by_most_of_a_grid_step_keep_every_verdict(self, monkeypatch):
+        # the four probes around a crossing angle hold a row of every arc that holds a grid
+        # theta even for an angle that is off by up to a grid step: with every angle shifted
+        # by +-0.9 steps, each decided verdict is still that of hurwitz_batch on the whole grid
+        families = [POINT, WIDENED] + [
+            (IntervalPolynomial(fam.g_lower, fam.g_upper),
+             IntervalPolynomial(fam.f_lower, fam.f_upper))
+            for fam in perfbench_population().analyze_families(4111, 8)]
+        step = 2.0 * np.pi / 720
+        decided = 0
+        for kg, kf in families:
+            for crossings, *args in bisection_steps(monkeypatch, kg, kf):
+                reference = hinf._hurwitz_on_grid(None, *args)
+                for shift in (0.9 * step, -0.9 * step):
+
+                    def shifted(delta, shift=shift):
+                        found = crossings(delta)
+                        return None if found is None else (found[0], found[1] + shift)
+
+                    verdict = hinf._crossing_verdict(shifted, *args)
+                    if verdict is not None:
+                        assert verdict is reference
+                        decided += 1
+        assert decided > 300
+
     def test_stable_probes_decide_a_step_with_crossings(self, monkeypatch):
         # at gamma = 1.4678895, just below the point plant's norm 1.46788983, the circle
         # crosses the axis, but the unstable arcs between crossing angles hold no grid theta:
@@ -578,8 +617,8 @@ class TestLevelCrossings:
         near_one = 1.0 - 1e-13
         # at delta near 1 the level rows' leading coefficients are roundoff: roots_batch would
         # raise DegenerateLeadingError, and the test declines before solving them
-        a = stability._taylor_shift(g_rows + f_rows, stability.HURWITZ_TOL)
-        b = stability._taylor_shift(f_rows, stability.HURWITZ_TOL)
+        a = stability._taylor_shift(g_rows + f_rows)
+        b = stability._taylor_shift(f_rows)
         with pytest.raises(DegenerateLeadingError):
             roots_batch(magnitude_squared(a) - near_one**2 * magnitude_squared(b))
         huge = np.full((1, 9), 1e200)

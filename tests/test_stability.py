@@ -48,7 +48,7 @@ def scaled_hermite(coeffs):
     with distinct_rows' (first, inverse)."""
     rows = np.ascontiguousarray(coeffs, dtype=complex)
     first, inverse = distinct_rows(rows)
-    K = stability._hermite_matrix(stability._taylor_shift(rows[first], HURWITZ_TOL))
+    K = stability._hermite_matrix(stability._taylor_shift(rows[first]))
     d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
     d[d == 0.0] = 1.0
     return K / (d[:, :, None] * d[:, None, :]), first, inverse
@@ -389,7 +389,7 @@ class TestRouthRootsAgreement:
             margins.append(np_root_margin(coeffs))
         clear = np.abs(margins) >= 1e-7
         for coeffs, routh in zip(rows[clear], is_hurwitz_real(rows[clear])):
-            roots = is_hurwitz_complex(coeffs, tol=1e-9).is_hurwitz
+            roots = is_hurwitz_complex(coeffs).is_hurwitz
             assert routh == roots, f"disagreement on {coeffs}"
         assert (~clear).sum() < 50
 
