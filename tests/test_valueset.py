@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import polygon_exterior_distance, random_stable_family
+from conftest import polygon_exterior_distance, random_stable_family, resonant_family
 from intervalhinf import valueset
 from intervalhinf.errors import DeltaRangeError, HullMismatchError
 from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
@@ -188,10 +189,15 @@ class TestOctagon:
         monkeypatch.setattr(valueset, "CASE_A", case_b)
         monkeypatch.setattr(valueset, "CASE_B", case_a)
         kg, kf = widened_family()
-        for omega in (-1.3, 0.8):
-            with pytest.raises(HullMismatchError, match="outside the predicted polygon"):
+        for omega, excess, tol in ((-1.3, "5.198e-01", "4.063e-09"),
+                                   (0.8, "1.830e-01", "2.444e-09")):
+            with pytest.raises(HullMismatchError, match=re.escape(
+                    f"vertex value 1111 at omega={omega} lies {excess} outside the predicted "
+                    f"polygon (tolerance {tol})")):
                 octagon(kg, kf, 0.4, 0.9, omega)
-        with pytest.raises(HullMismatchError):
+        with pytest.raises(HullMismatchError, match=re.escape(
+                "vertex value 1111 at omega=-100.0 lies 1.254e+05 outside the predicted "
+                "polygon (tolerance 1.287e-01)")):
             zero_exclusion_sweep(kg, kf, 0.4, 0.9, 100.0, 50)
 
     def test_non_finite_inputs_rejected(self):
@@ -494,3 +500,78 @@ class TestZeroExclusionSweep:
             with pytest.raises(ValueError, match="grid points"):
                 sweep_octagons(kg, kf, 0.5, 0.7, 30.0, bad)  # no next() needed
         assert len(list(sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 2))) == 2
+
+
+# The enclosure check and the next-kept scan as they were when every vertex value was
+# tested against every edge; kept here as the references the sweep must match.
+def reference_enclosure_message(kg, kf, delta, theta, omegas):
+    """The HullMismatchError text the per-value check raises for this sweep, or None."""
+    z = np.broadcast_to(1j * omegas, (4, len(omegas)))
+    gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
+    values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
+    column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
+    corners = np.where((omegas < 0)[:, None], values[:, column[1]], values[:, column[0]])
+    excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
+                                values.real - corners.real.max(1, keepdims=True),
+                                corners.imag.min(1, keepdims=True) - values.imag,
+                                values.imag - corners.imag.max(1, keepdims=True)])
+    for a, b in zip(corners.T, np.roll(corners, -1, axis=1).T):
+        edge = (b - a)[:, None]
+        left = ((values - a[:, None]) * edge.conj()).imag
+        length = np.abs(edge)
+        np.maximum(excess, np.divide(left, length, out=np.zeros_like(left),
+                                     where=length > 1e-12 * scale[:, None]), out=excess)
+    for k, i in np.argwhere(excess > 1e-9 * scale[:, None])[:1]:
+        return (f"vertex value {ALL_SIXTEEN[i].label} at omega={omegas[k]} "
+                f"lies {excess[k, i]:.3e} outside the predicted polygon "
+                f"(tolerance {1e-9 * scale[k]:.3e})")
+    return None
+
+
+def reference_next_kept(keep):
+    m = keep.shape[1]
+    index = np.where(np.tile(keep, 2), np.arange(2 * m), 2 * m)
+    return np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1][:, 1:m + 1] % m
+
+
+def sweep_message(kg, kf, delta, theta, omegas):
+    try:
+        valueset._value_sets(kg, kf, delta, theta, omegas)
+    except HullMismatchError as err:
+        return str(err)
+    return None
+
+
+class TestEnclosureCheck:
+    def test_raises_exactly_when_the_per_value_check_does(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        case_a, case_b = valueset.CASE_A, valueset.CASE_B
+        raised = passed = 0
+        for i in range(100):
+            if i % 3 == 2:
+                kg, kf = resonant_family(rng, n_min=4, n_max=8)
+            else:
+                kg, kf = random_stable_family(rng, n_min=2, n_max=6, margin=1e-3,
+                                              width_scale=0.0 if i % 5 == 4 else 0.3)
+            delta = float(rng.uniform(0.05, 0.95))
+            theta = 0.0 if i % 10 == 7 else float(rng.uniform(-math.pi, math.pi))
+            omegas = sweep_grid(1.05 * family_cauchy_bound(kg, kf, delta), 201)
+            for swapped in (False, True):
+                monkeypatch.setattr(valueset, "CASE_A", case_b if swapped else case_a)
+                monkeypatch.setattr(valueset, "CASE_B", case_a if swapped else case_b)
+                want = reference_enclosure_message(kg, kf, delta, theta, omegas)
+                assert sweep_message(kg, kf, delta, theta, omegas) == want, (i, swapped)
+                raised += want is not None
+                passed += want is None
+        assert raised >= 50 and passed >= 100
+
+    def test_next_kept_matches_the_doubled_index_scan(self):
+        rng = np.random.default_rng(97)
+        for width in range(1, 9):
+            keep = rng.random((500, width)) < rng.uniform(0.1, 0.9, (500, 1))
+            keep[np.arange(500), rng.integers(0, width, 500)] = True
+            got = valueset._next_kept(keep)
+            assert got.dtype == reference_next_kept(keep).dtype
+            assert np.array_equal(got, reference_next_kept(keep))
