@@ -17,7 +17,7 @@ from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFami
 from .hinf import NormResult, _norm_arrays, _theta_grid, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .stability import hurwitz_batch, is_hurwitz_real
-from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, tuple_rows
+from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, check_families, tuple_rows
 
 __all__ = [
     "AnalysisOptions",
@@ -55,14 +55,7 @@ class AnalysisProblem:
     options: AnalysisOptions = field(default_factory=AnalysisOptions)
 
     def __post_init__(self):
-        if self.kg.degree >= self.kf.degree:
-            raise ValueError(
-                f"numerator family degree {self.kg.degree} must be strictly below "
-                f"denominator family degree {self.kf.degree}"
-            )
-        if self.kf.lower[-1] <= 0.0:
-            raise ValueError("denominator family needs a strictly positive leading interval, "
-                             f"got lower bound {self.kf.lower[-1]:g}")
+        check_families(self.kg, self.kf)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ those vertex polynomials; sweeping the polygon over omega and testing
 that it never touches the origin gives the independent zero-exclusion
 route. A sweep prunes the corners and computes the signed origin margins of
 all frequencies in one pass; `origin_excluded` is its one-polygon wrapper.
+The sixteen vertex values are g_i + (1 + delta*e^{j theta}) f_j, so their
+largest excess over a line is the four g values' largest plus the four rotated
+f values': the enclosure check passes over four values per family, not sixteen.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DeltaRangeError, HullMismatchError
+from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
 from .poly import eval_many
 from .stability import hurwitz_batch
@@ -33,6 +36,7 @@ __all__ = [
     "ALL_SIXTEEN",
     "octagon",
     "origin_excluded",
+    "check_families",
     "family_complex_stability",
     "zero_exclusion_sweep",
     "sweep_octagons",
@@ -139,13 +143,27 @@ def predicted_tuples(omega: float, delta: float, theta: float) -> tuple[VertexTu
     return CASE_A if phi <= 0 else CASE_B
 
 
-def _check_enclosed(values: np.ndarray, corners: np.ndarray, scale: np.ndarray,
-                    omegas: np.ndarray) -> None:
-    """Raise HullMismatchError if a value passes an edge line or the corners' box by 1e-9*scale.
-
-    Corners run clockwise; the box bounds point and segment polygons. Edges within
+def _check_enclosed(gv: np.ndarray, rf: np.ndarray, values: np.ndarray, corners: np.ndarray,
+                    scale: np.ndarray, omegas: np.ndarray) -> None:
+    """Raise HullMismatchError if a value g_i + rf_j passes an edge line or the corners' box by
+    1e-9*scale. Corners run clockwise; the box bounds point and segment polygons. Edges within
     the 1e-12*scale coincidence tolerance have no reliable direction and are skipped.
-    """
+
+    The worst excess is separable: max_ij <g_i + rf_j - a, n> = max_i <g_i, n> + max_j <rf_j, n>
+    - <a, n>. Where it reaches half the tolerance, a test of each value decides and names it."""
+    c = corners.T
+    edge = np.roll(c, -1, axis=0) - c
+    length = np.abs(edge)
+    normal = np.divide(-1j * edge.conj(), length, out=np.zeros(edge.shape, complex),
+                       where=length > 1e-12 * scale)  # conjugated outward unit normals
+    worst = np.maximum.reduce([c.real.min(0) - (gv.real.min(1) + rf.real.min(1)),
+                               (gv.real.max(1) + rf.real.max(1)) - c.real.max(0),
+                               c.imag.min(0) - (gv.imag.min(1) + rf.imag.min(1)),
+                               (gv.imag.max(1) + rf.imag.max(1)) - c.imag.max(0),
+                               ((gv.T[:, None] * normal).real.max(0) - (c * normal).real
+                                + (rf.T[:, None] * normal).real.max(0)).max(0)])
+    rows = np.flatnonzero(worst > 0.5e-9 * scale)
+    values, corners, scale, omegas = values[rows], corners[rows], scale[rows], omegas[rows]
     excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
                                 values.real - corners.real.max(1, keepdims=True),
                                 corners.imag.min(1, keepdims=True) - values.imag,
@@ -164,9 +182,10 @@ def _check_enclosed(values: np.ndarray, corners: np.ndarray, scale: np.ndarray,
 
 def _next_kept(keep: np.ndarray) -> np.ndarray:
     """Column of the next kept corner after each column, cyclically; every row keeps one."""
-    m = keep.shape[1]
-    index = np.where(np.tile(keep, 2), np.arange(2 * m), 2 * m)
-    return np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1][:, 1:m + 1] % m
+    out, after = np.empty(keep.shape, dtype=int), keep.argmax(1)  # wraps to the first kept
+    for k in range(keep.shape[1] - 1, -1, -1):
+        out[:, k], after = after, np.where(keep[:, k], k, after)
+    return out
 
 
 def _keep_mask(corners: np.ndarray, tol: np.ndarray, negative: np.ndarray) -> np.ndarray:
@@ -175,15 +194,15 @@ def _keep_mask(corners: np.ndarray, tol: np.ndarray, negative: np.ndarray) -> np
     Coincident neighbours (within tol, also across the wrap) merge into the earliest-listed
     tuple: the run's first for omega >= 0, its latest below. A corner not turning clockwise
     between its kept neighbours is dropped unless it reverses (a segment's end)."""
-    rows, rep = np.arange(len(corners)), np.zeros(len(corners), dtype=int)
-    keep = np.ones(corners.shape, dtype=bool)  # column k is set before it is read
+    rows, rep, last = np.arange(len(corners)), np.zeros(len(corners), dtype=int), corners[:, 0]
+    keep = np.ones(corners.shape, dtype=bool, order="F")  # column k is set before it is read
     for k in range(1, corners.shape[1]):
-        new = np.abs(corners[:, k] - corners[rows, rep]) > tol
-        keep[rows, rep] &= new | ~negative
+        new = np.abs(corners[:, k] - last) > tol
+        keep[:, k - 1] &= new | ~negative  # below omega = 0, rep is always k - 1
         keep[:, k] = new | negative
-        rep = np.where(keep[:, k], k, rep)
-    first = keep.argmax(1)  # rep is the last kept corner
-    wrap = (first != rep) & (np.abs(corners[rows, rep] - corners[rows, first]) <= tol)
+        rep, last = np.where(keep[:, k], k, rep), np.where(keep[:, k], corners[:, k], last)
+    first = keep.argmax(1)  # rep is the last kept corner, last its value
+    wrap = (first != rep) & (np.abs(last - corners[rows, first]) <= tol)
     keep[rows[wrap], np.where(negative, first, rep)[wrap]] = False
     before = np.take_along_axis(corners, keep.shape[1] - 1 - _next_kept(keep[:, ::-1])[:, ::-1], 1)
     ab, bc = corners - before, np.take_along_axis(corners, _next_kept(keep), 1) - corners
@@ -212,14 +231,18 @@ def _value_sets(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, th
     """Clockwise predicted corners (F, 8), which must enclose the sixteen vertex values,
     their keep-mask, the margins and the two listings (the one for omega < 0 reversed)."""
     z = np.broadcast_to(1j * omegas, (4, len(omegas)))
-    gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
-    values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
-    scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    with np.errstate(all="ignore"):
+        gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
+        rf = rotation_factor(delta, theta) * fv
+        values = (gv[:, :, None] + rf[:, None, :]).reshape(-1, 16)
+        scale = np.maximum(1.0, np.abs(values).max(axis=1))
+    for k in np.flatnonzero(~np.isfinite(scale))[:1]:
+        raise NoConvergenceError(f"vertex values at omega={omegas[k]} are not finite")
     listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
-    column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
+    column = [[4 * t.g_row + t.f_row for t in listing] for listing in listings]
     negative = omegas < 0
     corners = np.where(negative[:, None], values[:, column[1]], values[:, column[0]])
-    _check_enclosed(values, corners, scale, omegas)
+    _check_enclosed(gv, rf, values, corners, scale, omegas)
     keep = _keep_mask(corners, 1e-12 * scale, negative)
     return corners, keep, _margins(corners, keep), listings
 
@@ -277,6 +300,16 @@ def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
     return rows.reshape(len(thetas) * len(g_rows), g_rows.shape[1])
 
 
+def check_families(kg: IntervalPolynomial, kf: IntervalPolynomial) -> None:
+    """Raise ValueError unless deg kg < deg kf and kf's leading interval is strictly positive."""
+    if kg.degree >= kf.degree:
+        raise ValueError(f"numerator family degree {kg.degree} must be strictly below "
+                         f"denominator family degree {kf.degree}")
+    if kf.lower[-1] <= 0.0:
+        raise ValueError("denominator family needs a strictly positive leading interval, "
+                         f"got lower bound {kf.lower[-1]:g}")
+
+
 def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
                              delta: float, theta: float) -> bool:
     """Hurwitz verdict for the whole family at one (delta, theta).
@@ -285,8 +318,7 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
     which certifies every member g + (1 + delta*e^{j theta}) f at once.
     """
     _check_args(delta, theta=theta)
-    if kf.lower[-1] <= 0:
-        raise ValueError("denominator family needs a strictly positive leading interval")
+    check_families(kg, kf)
     rows = perturbed_vertex_rows(*tuple_rows(kg, kf, TWELVE_TUPLES), delta, np.array([theta]))
     return bool(hurwitz_batch(rows).all())
 
@@ -294,6 +326,7 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
 def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
                         delta: float) -> float:
     """Root-magnitude bound valid for every member at every theta."""
+    check_families(kg, kf)
     n = kf.degree
     bf = np.maximum(np.abs(kf.lower), np.abs(kf.upper))
     bg = np.zeros(n + 1)

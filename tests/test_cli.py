@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import click
@@ -275,6 +276,17 @@ class TestValueset:
             assert res.exit_code == 2, flags
             assert "finite" in res.output
             assert "omega,vertex_index" not in res.output  # no CSV rows before the error
+
+    def test_overflowing_vertex_values_exit_4(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for flags in (("--omega", "1e200"), ("--sweep", "1e200:5")):
+                res = run("valueset", PROBLEMS / "widened_family.yaml",
+                          "--delta", "0.5", "--theta", "0.9", *flags)
+                assert res.exit_code == 4, flags
+                assert res.stderr.startswith("numerical failure: vertex values at omega=")
+                assert res.stderr.endswith(" are not finite\n")
+                assert "omega,vertex_index" not in res.output
 
     def test_needs_omega_or_sweep(self):
         res = run("valueset", PROBLEMS / "point_plant.yaml", "--delta", "0.5")

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import polygon_exterior_distance, random_stable_family, resonant_family
 from intervalhinf import valueset
-from intervalhinf.errors import DeltaRangeError, HullMismatchError
+from intervalhinf.errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
 from intervalhinf.poly import eval_many
 from intervalhinf.stability import hurwitz_batch
@@ -494,6 +494,40 @@ class TestZeroExclusionSweep:
             with pytest.raises(ValueError, match="grid points"):
                 zero_exclusion_sweep(kg, kf, 0.5, 0.3, omega_max, bad)
 
+    def test_family_preconditions_are_checked(self):
+        kg, kf = IntervalPolynomial([1], [1.2]), IntervalPolynomial([1, 2, 1], [1.1, 2.2, 1.1])
+        leading = "denominator family needs a strictly positive leading interval, got lower bound"
+        cases = (
+            (kg, IntervalPolynomial([1, 2, -1], [1.1, 2.2, 1.1]), f"{leading} -1"),
+            (kg, IntervalPolynomial([1, 2, 0], [1.1, 2.2, 1.1]), f"{leading} 0"),
+            (IntervalPolynomial([0.5, 0.1, -1.6], [0.6, 0.2, -1.5]), kf,
+             "numerator family degree 2 must be strictly below denominator family degree 2"),
+            (IntervalPolynomial([0.5, 0.1, -1.6, 1], [0.6, 0.2, -1.5, 1]), kf,
+             "numerator family degree 3 must be strictly below denominator family degree 2"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, f, message in cases:
+                for call in (lambda: zero_exclusion_sweep(g, f, 0.5, 0.3, 100.0, 50),
+                             lambda: family_cauchy_bound(g, f, 0.5),
+                             lambda: family_complex_stability(g, f, 0.5, 0.0)):
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        call()
+                with pytest.raises(DeltaRangeError):  # the delta range is checked first
+                    zero_exclusion_sweep(g, f, 1.0, 0.3, 100.0, 50)
+
+    def test_overflowing_vertex_values_raise(self):
+        kg, kf = widened_family()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match=re.escape(
+                    "vertex values at omega=-1.000000000000024e+200 are not finite")):
+                zero_exclusion_sweep(kg, kf, 0.5, 0.9, 1e200, 50)
+            with pytest.raises(NoConvergenceError, match=re.escape(
+                    "vertex values at omega=1e+200 are not finite")):
+                octagon(kg, kf, 0.5, 0.9, 1e200)
+            assert len(octagon(kg, kf, 0.5, 0.9, 1e40).vertices) >= 1  # large but finite
+
     def test_sweep_octagons_validates_at_the_call(self):
         kg, kf = widened_family()
         for bad in (0, 1, 2.5, False):
@@ -513,6 +547,10 @@ def reference_enclosure_message(kg, kf, delta, theta, omegas):
     listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
     column = [[ALL_SIXTEEN.index(t) for t in listing] for listing in listings]
     corners = np.where((omegas < 0)[:, None], values[:, column[1]], values[:, column[0]])
+    return reference_excess_message(values, corners, scale, omegas)
+
+
+def reference_excess_message(values, corners, scale, omegas):
     excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
                                 values.real - corners.real.max(1, keepdims=True),
                                 corners.imag.min(1, keepdims=True) - values.imag,
@@ -566,6 +604,27 @@ class TestEnclosureCheck:
                 raised += want is not None
                 passed += want is None
         assert raised >= 50 and passed >= 100
+
+    def test_each_box_side_is_checked(self):
+        # g is a point and rf a segment, so every edge lies on one line and only the
+        # corners' box can find the value left out of the corners
+        omegas = np.array([0.7])
+        for direction in (1, -1, 1j, -1j):
+            gv, rf = np.zeros((1, 4), complex), direction * np.array([[0.0, 1.0, 2.0, 3.0]])
+            values = (gv[:, :, None] + rf[:, None, :]).reshape(-1, 16)
+            scale = np.maximum(1.0, np.abs(values).max(axis=1))
+            for columns, message in (([0, 1, 2, 2, 1, 0, 0, 1], "vertex value 1122 at omega=0.7 "
+                                      "lies 1.000e+00 outside the predicted polygon "
+                                      "(tolerance 3.000e-09)"),
+                                     ([0, 1, 3, 3, 2, 0, 0, 1], None)):
+                corners = values[:, columns]
+                assert reference_excess_message(values, corners, scale, omegas) == message
+                try:
+                    valueset._check_enclosed(gv, rf, values, corners, scale, omegas)
+                except HullMismatchError as err:
+                    assert str(err) == message, direction
+                else:
+                    assert message is None, direction
 
     def test_next_kept_matches_the_doubled_index_scan(self):
         rng = np.random.default_rng(97)
