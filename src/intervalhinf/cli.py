@@ -36,25 +36,10 @@ from .valueset import octagon, sweep_octagons
 # exit code -> stderr prefix; library errors carry their exit_code, a ValueError exits 2
 _PREFIX = {2: "error", 3: "unstable", 4: "numerical failure"}
 
-_COUNT = click.IntRange(min=0)  # count flags; problem-file counts go through _count
+_COUNT = click.IntRange(min=0)  # count flags
 _DIGITS = click.option("--digits", type=click.IntRange(min=1), default=9)  # significant digits
-
-
-def _count(value, least: int = 0) -> int:
-    """A whole number >= least; booleans and fractions are rejected, not cast."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(value)
-    return value
-
-
-def _finite_positive(value) -> float:
-    """A finite float > 0."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(value)
-    return value
+# the AnalysisOptions fields a problem file may set; AnalysisOptions checks their values
+_FILE_OPTIONS = ("theta_points", "oracle_samples", "seed", "omega_max", "grid_points")
 
 
 def _finite_positive_flag(_ctx, _param, value):
@@ -63,19 +48,7 @@ def _finite_positive_flag(_ctx, _param, value):
     return value
 
 
-# option -> (parser, what the parser accepts); checked before any work runs
-_OPTION_KEYS = {
-    "theta_points": (functools.partial(_count, least=1), "an integer >= 1"),
-    "oracle_samples": (_count, "a non-negative integer"),
-    "seed": (_count, "a non-negative integer"),
-    "omega_max": (_finite_positive, "a finite float > 0"),
-    "grid_points": (functools.partial(_count, least=2), "an integer >= 2"),
-}
-
-
 def fmt(x: float, digits: int = 9) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), f".{digits}g")
 
 
@@ -143,14 +116,13 @@ def load_problem(path: str) -> AnalysisProblem:
     raw = {} if doc.get("options") is None else doc["options"]
     if not isinstance(raw, dict):
         raise ProblemFileError("options: expected a mapping")
-    for key, value in raw.items():
-        if key not in _OPTION_KEYS:
+    for key, value in raw.items():  # in file order, so the first bad entry is named
+        if key not in _FILE_OPTIONS:
             raise ProblemFileError(f"options.{key}: unknown option")
-        parse, expected = _OPTION_KEYS[key]
         try:
-            opts = replace(opts, **{key: parse(value)})
-        except (TypeError, ValueError):
-            raise ProblemFileError(f"options.{key}: expected {expected}") from None
+            opts = replace(opts, **{key: value})
+        except ValueError as exc:
+            raise ProblemFileError(f"options.{exc}") from None
 
     try:  # the degree order and the positive leading interval
         return AnalysisProblem(kg=IntervalPolynomial(num_lo, num_hi),
@@ -159,17 +131,10 @@ def load_problem(path: str) -> AnalysisProblem:
         raise ProblemFileError(str(exc)) from None
 
 
-def _apply_flags(prob: AnalysisProblem, seed, samples, theta_points, tol) -> AnalysisProblem:
-    opts = prob.options
-    if seed is not None:
-        opts = replace(opts, seed=seed)
-    if samples is not None:
-        opts = replace(opts, oracle_samples=samples)
-    if theta_points is not None:
-        opts = replace(opts, theta_points=theta_points)
-    if tol is not None:
-        opts = replace(opts, bisection_tol=tol)
-    return AnalysisProblem(kg=prob.kg, kf=prob.kf, options=opts)
+def _apply_flags(prob: AnalysisProblem, **flags) -> AnalysisProblem:
+    """prob with each option flag that was given (not None) in place of its file value."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return replace(prob, options=replace(prob.options, **given))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -285,7 +250,8 @@ def cmd_vertices(file, fmt_, output, digits):
 @_guard
 def cmd_analyze(file, fmt_, output, seed, samples, theta_points, tol, digits):
     """Run the full worst-case analysis and report all cross-checks."""
-    prob = _apply_flags(load_problem(file), seed, samples, theta_points, tol)
+    prob = _apply_flags(load_problem(file), seed=seed, oracle_samples=samples,
+                        theta_points=theta_points, bisection_tol=tol)
     report = analyze(prob)
     doc = json.dumps(report_to_dict(report), sort_keys=True)
     click.echo(doc if fmt_ == "machine" else render_report(report, digits), nl=False)
@@ -359,6 +325,8 @@ def _parse_sweep(spec: str) -> tuple[float, int]:
 @_guard
 def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
     """CSV of value-set polygon vertices, single frequency or a sweep."""
+    if (omega is None) == (sweep is None):
+        raise ProblemFileError("valueset needs exactly one of --omega and --sweep")
     prob = load_problem(file)
     header = ["omega", "vertex_index", "re", "im", "provenance"]
     if sweep is not None:
@@ -366,8 +334,6 @@ def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
         header.append("margin")
         polygons = [(poly, [fmt(check.margin, digits)]) for poly, check in
                     sweep_octagons(prob.kg, prob.kf, delta, theta, omega_max, points)]
-    elif omega is None:
-        raise ProblemFileError("valueset needs --omega or --sweep")
     else:
         polygons = [(octagon(prob.kg, prob.kf, delta, theta, omega), [])]
     buf = io.StringIO()
@@ -389,7 +355,7 @@ def cmd_valueset(file, delta, theta, omega, sweep, output, digits):
 @_guard
 def cmd_oracle(file, samples, seed, digits):
     """Monte-Carlo box sampling compared against the certified vertex maximum."""
-    prob = _apply_flags(load_problem(file), seed, samples, None, None)
+    prob = _apply_flags(load_problem(file), seed=seed, oracle_samples=samples)
     certified = max_sensitivity_twelve(prob)
     oracle = monte_carlo_oracle(prob)
     delta = oracle.oracle_max - certified.worst_norm

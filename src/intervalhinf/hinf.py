@@ -44,7 +44,7 @@ from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, add, degrees, distinct_rows, eval_at_jomega, magnitude_squared,
                    multiply_rows)
 from .stability import hurwitz_batch, is_hurwitz_real, level_crossings
-from .valueset import TWELVE_TUPLES, VertexTuple, perturbed_vertex_rows, tuple_rows
+from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
     "RationalFunction",
@@ -353,6 +353,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
     thetas = _theta_grid(theta_count)
+    check_families(kg, kf)
     if not sum_family_hurwitz(kg, kf):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)

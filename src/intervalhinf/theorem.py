@@ -9,12 +9,14 @@ and the gamma-bisection route).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import NormResult, _norm_arrays, _theta_grid, family_norm_bisection, hinf_norm_batch
+from .hinf import NormResult, _norm_arrays, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, check_families, tuple_rows
@@ -36,14 +38,40 @@ __all__ = [
 _TWELVE_FIRST = TWELVE_TUPLES + tuple(t for t in ALL_SIXTEEN if t not in TWELVE_TUPLES)
 
 
+# count field -> its least value and what it must be
+_COUNTS = {"theta_points": (1, "an integer >= 1"), "oracle_samples": (0, "a non-negative integer"),
+           "seed": (0, "a non-negative integer"), "grid_points": (2, "an integer >= 2")}
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
+    """Settings of the cross-checks and of `norm`'s grid, checked at construction: each count
+    a whole number at or above its least value, stored as an int (YAML's 720.0 and numpy
+    integers are taken), each width a finite float > 0. Booleans, strings and fractional
+    counts raise ValueError("<field>: expected <what>")."""
+
     theta_points: int = 720
     oracle_samples: int = 2000
     seed: int = 0
     bisection_tol: float = 1e-4
     omega_max: float = 100.0
     grid_points: int = 100_000
+
+    def __post_init__(self):
+        for name, (least, what) in _COUNTS.items():
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name}: expected {what}")
+            object.__setattr__(self, name, int(value))
+        for name in ("bisection_tol", "omega_max"):
+            value = getattr(self, name)
+            # compared, not converted: an int too large for a float fails here, not in float()
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 < value <= sys.float_info.max):
+                raise ValueError(f"{name}: expected a finite float > 0")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -195,7 +223,6 @@ def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
 
 def analyze(prob: AnalysisProblem) -> AnalysisReport:
     """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks."""
-    _theta_grid(prob.options.theta_points)  # a malformed grid fails before any work
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
     norms = _vertex_norms(prob, _TWELVE_FIRST)

@@ -326,6 +326,7 @@ def family_complex_stability(kg: IntervalPolynomial, kf: IntervalPolynomial,
 def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
                         delta: float) -> float:
     """Root-magnitude bound valid for every member at every theta."""
+    _check_args(delta)
     check_families(kg, kf)
     n = kf.degree
     bf = np.maximum(np.abs(kf.lower), np.abs(kf.upper))
@@ -339,6 +340,8 @@ def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
 def _sweep_grid(delta: float, theta: float, omega_max: float, points: int) -> np.ndarray:
     """Asinh-uniform frequencies over [-omega_max, omega_max], after checking the arguments."""
     _check_args(delta, theta=theta, omega_max=omega_max)
+    if omega_max <= 0.0:
+        raise ValueError(f"omega_max must be positive, got {omega_max}")
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ValueError(f"sweep needs an integer number of grid points >= 2, got {points!r}")
     return np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))

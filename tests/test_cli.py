@@ -1,15 +1,17 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import intervalhinf
 from intervalhinf import errors
-from intervalhinf.cli import _guard, fmt, format_polynomial, load_problem, main
+from intervalhinf.cli import _guard, fmt, format_polynomial, load_problem, main, report_to_dict
 from intervalhinf.errors import ProblemFileError
 from intervalhinf.theorem import AnalysisOptions, analyze
 
@@ -91,7 +93,8 @@ class TestProblemFiles:
         for option in ("theta_points: 720.9", "seed: 2.5", "oracle_samples: true",
                        "oracle_samples: -5", "grid_points: 1.5", "theta_points: 0",
                        "grid_points: 1", "omega_max: .inf", "omega_max: .nan",
-                       "omega_max: 0", "omega_max: -2.5"):
+                       "omega_max: 0", "omega_max: -2.5", "omega_max: true",
+                       'omega_max: "1e3"', f"omega_max: {10 ** 400}"):
             path = write(tmp_path, "bad.yaml",
                          "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n  - [1, 1]\n"
                          f"options:\n  {option}\n")
@@ -169,6 +172,12 @@ class TestAnalyze:
         res = run("analyze", PROBLEMS / "point_plant.yaml", "--tol", "1e-300",
                   "--theta-points", "36")
         assert res.exit_code == 0, res.output
+
+    def test_numpy_seed_serialises(self):
+        prob = replace(load_problem(str(PROBLEMS / "point_plant.yaml")), options=AnalysisOptions(
+            seed=np.int64(5), oracle_samples=10, theta_points=36))
+        doc = json.loads(json.dumps(report_to_dict(analyze(prob))))
+        assert doc["seed"] == doc["oracle"]["seed"] == 5
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # near-instability: the bisection cannot bracket the family norm
@@ -289,8 +298,10 @@ class TestValueset:
                 assert "omega,vertex_index" not in res.output
 
     def test_needs_omega_or_sweep(self):
-        res = run("valueset", PROBLEMS / "point_plant.yaml", "--delta", "0.5")
-        assert res.exit_code == 2
+        for flags in ((), ("--omega", "3", "--sweep", "10:2")):
+            res = run("valueset", PROBLEMS / "point_plant.yaml", "--delta", "0.5", *flags)
+            assert res.exit_code == 2, flags
+            assert res.output == "error: valueset needs exactly one of --omega and --sweep\n"
 
 
 class TestOracle:
@@ -406,7 +417,9 @@ class TestReadme:
 class TestFormatting:
     def test_fmt_digits(self):
         assert fmt(math.pi, 9) == "3.14159265"
-        assert fmt(math.inf) == "inf"
+        for digits in range(1, 18):
+            assert [fmt(x, digits) for x in (math.inf, -math.inf, math.nan, -0.0)] == [
+                "inf", "-inf", "nan", "-0"]
 
     def test_format_polynomial(self):
         assert format_polynomial((1.0, -2.0, 0.0, 3.5)) == "1 - 2 s + 3.5 s^3"

@@ -40,6 +40,37 @@ def family_problem(kg, kf, **opts):
     return AnalysisProblem(kg=kg, kf=kf, options=AnalysisOptions(**opts))
 
 
+class TestAnalysisOptions:
+    @pytest.mark.parametrize("field, value, what", [
+        ("seed", True, "a non-negative integer"),
+        ("seed", -1, "a non-negative integer"),
+        ("seed", "5", "a non-negative integer"),
+        ("oracle_samples", -1, "a non-negative integer"),
+        ("oracle_samples", 2.5, "a non-negative integer"),
+        ("theta_points", 0, "an integer >= 1"),
+        ("theta_points", np.bool_(True), "an integer >= 1"),
+        ("grid_points", 1, "an integer >= 2"),
+        ("grid_points", math.inf, "an integer >= 2"),
+        ("bisection_tol", 0.0, "a finite float > 0"),
+        ("bisection_tol", math.nan, "a finite float > 0"),
+        ("omega_max", True, "a finite float > 0"),
+        ("omega_max", "1e3", "a finite float > 0"),
+        ("omega_max", -math.inf, "a finite float > 0"),
+        ("omega_max", 10 ** 400, "a finite float > 0"),
+    ])
+    def test_bad_values_raise_at_construction(self, field, value, what):
+        with pytest.raises(ValueError, match=f"^{field}: expected {what}$"):
+            AnalysisOptions(**{field: value})
+
+    def test_values_are_normalised(self):
+        options = AnalysisOptions(theta_points=720.0, seed=np.int64(5), oracle_samples=np.uint8(3),
+                                  omega_max=np.float64(50), bisection_tol=1)
+        assert [(type(v), v) for v in (options.theta_points, options.seed,
+                                       options.oracle_samples)] == [(int, 720), (int, 5), (int, 3)]
+        assert [(type(v), v) for v in (options.omega_max, options.bisection_tol)] == [
+            (float, 50.0), (float, 1.0)]
+
+
 class TestTwelveTuples:
     def test_canonical_listing(self):
         assert [t.label for t in TWELVE_TUPLES] == CANONICAL_ORDER
@@ -307,8 +338,7 @@ class TestAnalyze:
             raise AssertionError("the stability gate ran")
 
         monkeypatch.setattr(theorem, "closed_loop_family_stable", gate)
-        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
-                           f">= 1, got {count!r}$"):
+        with pytest.raises(ValueError, match="^theta_points: expected an integer >= 1$"):
             analyze(point_problem(theta_points=count))
 
     def test_problem_validation(self):

@@ -9,6 +9,7 @@ import pytest
 from conftest import polygon_exterior_distance, random_stable_family, resonant_family
 from intervalhinf import valueset
 from intervalhinf.errors import DeltaRangeError, HullMismatchError, NoConvergenceError
+from intervalhinf.hinf import family_norm_bisection
 from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
 from intervalhinf.poly import eval_many
 from intervalhinf.stability import hurwitz_batch
@@ -468,6 +469,8 @@ class TestZeroExclusionSweep:
             for bad in (1.0, 0.0, -0.3, 1.7):
                 with pytest.raises(DeltaRangeError):
                     zero_exclusion_sweep(kg, kf, bad, math.pi / 2, 1.0, 801)
+                with pytest.raises(DeltaRangeError):
+                    family_cauchy_bound(kg, kf, bad)
 
     def test_agrees_with_twelve_polynomial_route(self):
         # stability by the twelve perturbed vertices implies an all-clear sweep
@@ -510,7 +513,8 @@ class TestZeroExclusionSweep:
             for g, f, message in cases:
                 for call in (lambda: zero_exclusion_sweep(g, f, 0.5, 0.3, 100.0, 50),
                              lambda: family_cauchy_bound(g, f, 0.5),
-                             lambda: family_complex_stability(g, f, 0.5, 0.0)):
+                             lambda: family_complex_stability(g, f, 0.5, 0.0),
+                             lambda: family_norm_bisection(g, f)):
                     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                         call()
                 with pytest.raises(DeltaRangeError):  # the delta range is checked first
@@ -533,6 +537,9 @@ class TestZeroExclusionSweep:
         for bad in (0, 1, 2.5, False):
             with pytest.raises(ValueError, match="grid points"):
                 sweep_octagons(kg, kf, 0.5, 0.7, 30.0, bad)  # no next() needed
+        for omega_max in (-5.0, 0.0, -0.0):
+            with pytest.raises(ValueError, match=f"^omega_max must be positive, got {omega_max}$"):
+                sweep_octagons(kg, kf, 0.5, 0.7, omega_max, 3)
         assert len(list(sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 2))) == 2
 
 
