@@ -82,6 +82,8 @@ def _bounds_list(node, name: str) -> tuple[list[float], list[float]]:
             lo, hi = float(pair[0]), float(pair[1])
         except (TypeError, ValueError):
             raise ProblemFileError(f"{name}[{i}]: bounds must be numbers") from None
+        except OverflowError:  # an integer too large for a float
+            lo = hi = math.inf
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ProblemFileError(f"{name}[{i}]: bounds must be finite")
         if lo > hi:

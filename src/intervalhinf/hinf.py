@@ -41,8 +41,8 @@ from .errors import (
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, degrees, distinct_rows, eval_at_jomega, magnitude_squared,
-                   multiply_rows)
+from .poly import (RealPolynomial, add, check_count, check_width, degrees, distinct_rows,
+                   eval_at_jomega, magnitude_squared, multiply_rows)
 from .stability import hurwitz_batch, is_hurwitz_real, level_crossings
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
@@ -242,10 +242,8 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
     Log-spaced frequencies on (0, omega_max] augmented with omega = 0 and
     the at-infinity limit; it never forms the magnitude-squared polynomials.
     """
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ValueError(f"grid oracle needs an integer number of points >= 2, got {points!r}")
-    if not (math.isfinite(omega_max) and omega_max > 0.0):
-        raise ValueError(f"grid oracle needs a finite omega_max > 0, got {omega_max!r}")
+    points = check_count("points", points, 2)
+    omega_max = check_width("omega_max", omega_max)
     omegas = np.concatenate([[0.0], np.geomspace(omega_max * 1e-12, omega_max, points - 1)])
     num, den = np.array([rf.num.coeffs]), np.array([rf.den.coeffs])
     mags, limit = _magnitudes(num, den, omegas[None, :], degrees(num), degrees(den))
@@ -254,9 +252,7 @@ def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float
 
 def _theta_grid(theta_count: int) -> np.ndarray:
     # [-pi, pi) covers the closed interval since the endpoints coincide
-    if isinstance(theta_count, bool) or not isinstance(theta_count, int) or theta_count < 1:
-        raise ValueError(f"theta grid needs an integer number of points >= 1, got {theta_count!r}")
-    return np.linspace(-np.pi, np.pi, theta_count, endpoint=False)
+    return np.linspace(-np.pi, np.pi, check_count("theta_count", theta_count, 1), endpoint=False)
 
 
 def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
@@ -324,14 +320,14 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
 
     True iff g + (1 + (1/gamma) e^{j theta}) f is Hurwitz at every grid
     theta; up to grid resolution this equals ||f/(f+g)||_inf < gamma.
-    Decided as one _hurwitz_on_grid step.
+    Decided as one _hurwitz_on_grid step. The plant g/f must be strictly proper with f + g
+    Hurwitz, as `sensitivity` requires.
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
     thetas = _theta_grid(theta_count)
-    if not is_hurwitz_real([add(f, g).coeffs])[0]:
-        raise UnstableClosedLoopError("f + g must be Hurwitz for the equivalence")
-    g_row, f_row = np.zeros((2, 1, max(f.degree, g.degree) + 1))
+    sensitivity(g, f)
+    g_row, f_row = np.zeros((2, 1, f.degree + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
     return _hurwitz_on_grid(level_crossings(g_row, f_row), g_row, f_row, 1.0 / gamma, thetas)
@@ -350,8 +346,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     only a step that the test declines goes to hurwitz_batch on the whole
     theta grid.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"bisection needs a finite positive tolerance, got {tol}")
+    tol = check_width("tol", tol)
     thetas = _theta_grid(theta_count)
     check_families(kg, kf)
     if not sum_family_hurwitz(kg, kf):

@@ -12,6 +12,8 @@ and imaginary parts separately conditioned.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,6 +33,28 @@ def check_finite(coeffs: Sequence[complex]) -> None:
     for i, c in enumerate(coeffs):
         if not (math.isfinite(c.real) and math.isfinite(complex(c).imag)):
             raise ValueError(f"non-finite coefficient at power {i}: {c!r}")
+
+
+def check_count(name: str, value, least: int) -> int:
+    """value as an int if it is a whole number >= least, else ValueError("<name>: expected
+    <what>"). An integral float such as YAML's 720.0 and a numpy integer are taken; booleans,
+    strings and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        what = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name}: expected {what}")
+    return int(value)
+
+
+def check_width(name: str, value) -> float:
+    """value as a float if it is a finite real > 0, else ValueError("<name>: expected a finite
+    float > 0"). Booleans and strings are refused."""
+    # compared, not converted: an int too large for a float fails here, not in float()
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value <= sys.float_info.max):
+        raise ValueError(f"{name}: expected a finite float > 0")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,6 @@ and the gamma-bisection route).
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +16,7 @@ import numpy as np
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
 from .hinf import NormResult, _norm_arrays, family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
+from .poly import check_count, check_width
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, check_families, tuple_rows
 
@@ -38,17 +37,15 @@ __all__ = [
 _TWELVE_FIRST = TWELVE_TUPLES + tuple(t for t in ALL_SIXTEEN if t not in TWELVE_TUPLES)
 
 
-# count field -> its least value and what it must be
-_COUNTS = {"theta_points": (1, "an integer >= 1"), "oracle_samples": (0, "a non-negative integer"),
-           "seed": (0, "a non-negative integer"), "grid_points": (2, "an integer >= 2")}
+_LEAST = {"theta_points": 1, "oracle_samples": 0, "seed": 0, "grid_points": 2}  # count -> least
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Settings of the cross-checks and of `norm`'s grid, checked at construction: each count
-    a whole number at or above its least value, stored as an int (YAML's 720.0 and numpy
-    integers are taken), each width a finite float > 0. Booleans, strings and fractional
-    counts raise ValueError("<field>: expected <what>")."""
+    """Settings of the cross-checks and of `norm`'s grid, checked at construction by
+    `poly.check_count` (each count a whole number at or above its least value, stored as an
+    int) and `poly.check_width` (each width a finite float > 0); a bad value raises
+    ValueError("<field>: expected <what>")."""
 
     theta_points: int = 720
     oracle_samples: int = 2000
@@ -58,20 +55,10 @@ class AnalysisOptions:
     grid_points: int = 100_000
 
     def __post_init__(self):
-        for name, (least, what) in _COUNTS.items():
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name}: expected {what}")
-            object.__setattr__(self, name, int(value))
+        for name, least in _LEAST.items():
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         for name in ("bisection_tol", "omega_max"):
-            value = getattr(self, name)
-            # compared, not converted: an int too large for a float fails here, not in float()
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 < value <= sys.float_info.max):
-                raise ValueError(f"{name}: expected a finite float > 0")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_width(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
-from .poly import eval_many
+from .poly import check_count, check_width, eval_many
 from .stability import hurwitz_batch
 
 __all__ = [
@@ -339,11 +339,9 @@ def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
 
 def _sweep_grid(delta: float, theta: float, omega_max: float, points: int) -> np.ndarray:
     """Asinh-uniform frequencies over [-omega_max, omega_max], after checking the arguments."""
-    _check_args(delta, theta=theta, omega_max=omega_max)
-    if omega_max <= 0.0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ValueError(f"sweep needs an integer number of grid points >= 2, got {points!r}")
+    _check_args(delta, theta=theta)
+    omega_max = check_width("omega_max", omega_max)
+    points = check_count("points", points, 2)
     return np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))
 
 

@@ -103,6 +103,55 @@ class TestProblemFiles:
                 load_problem(str(path))
 
 
+FAMILIES = "numerator:\n  - [1, 1]\ndenominator:\n  - [1, 1]\n"
+
+
+class TestInputErrors:
+    # (command and flags, problem file text, the one stderr message); FILE in the flags
+    # stands for the problem file, and {path} in the message for its path
+    CASES = {
+        "bounds not a list": (("vertices", "FILE"), "numerator:\n  - [1, 1]\ndenominator: 3\n",
+                              "denominator: expected a non-empty list of [lower, upper] pairs"),
+        "empty bounds": (("vertices", "FILE"), "numerator: []\ndenominator:\n  - [1, 1]\n",
+                         "numerator: expected a non-empty list of [lower, upper] pairs"),
+        "entry not a pair": (("vertices", "FILE"), FAMILIES + "  - [1, 2, 3]\n",
+                             "denominator[1]: expected a [lower, upper] pair"),
+        "non-numeric bound": (("vertices", "FILE"), FAMILIES + "  - [one, 2]\n",
+                              "denominator[1]: bounds must be numbers"),
+        "infinite bound": (("vertices", "FILE"), FAMILIES + "  - [1, .inf]\n",
+                           "denominator[1]: bounds must be finite"),
+        "400-digit bound": (("vertices", "FILE"), FAMILIES + f"  - [1, 1{'0' * 400}]\n",
+                            "denominator[1]: bounds must be finite"),
+        "invalid YAML": (("vertices", "FILE"), "numerator: [1, 2\n",
+                         "{path}: invalid YAML: while parsing a flow sequence\n"
+                         '  in "{path}", line 1, column 12\n'
+                         "expected ',' or ']', but got '<stream end>'\n"
+                         '  in "{path}", line 2, column 1'),
+        "top level not a mapping": (("vertices", "FILE"), "- 1\n",
+                                    "{path}: top level must be a mapping"),
+        "unknown top-level key": (("vertices", "FILE"), FAMILIES + "  - [1, 1]\nsolver: qr\n",
+                                  "{path}: unknown keys ['solver']"),
+        "non-numeric --num": (("norm", "--num", "a,b", "--den", "1,1"), None,
+                              "--num: expected comma-separated numbers"),
+        "file and --num": (("norm", "FILE", "--num", "1"), FAMILIES + "  - [1, 1]\n",
+                           "give either a problem file or --num/--den, not both"),
+        "--num alone": (("norm", "--num", "1"), None,
+                        "norm needs a problem file or both --num and --den"),
+        "--sweep without POINTS": (("valueset", "FILE", "--delta", "0.5", "--sweep", "5"),
+                                   FAMILIES + "  - [1, 1]\n",
+                                   "--sweep: expected MAX:POINTS, e.g. 100:500"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_with_one_error_message(self, tmp_path, case):
+        args, text, message = self.CASES[case]
+        path = write(tmp_path, "problem.yaml", text or "")
+        res = run(*(path if arg == "FILE" else arg for arg in args))
+        assert res.exit_code == 2
+        assert res.stderr == f"error: {message.format(path=path)}\n"
+        assert res.stdout == ""
+
+
 class TestVertices:
     def test_point_file_lists_identical_vertices(self):
         res = run("vertices", PROBLEMS / "point_plant.yaml")

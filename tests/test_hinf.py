@@ -285,11 +285,13 @@ class TestGridNorm:
     def test_rejects_bad_arguments(self):
         rf = worked_sensitivity()
         for omega_max in (math.inf, math.nan, -math.inf, 0.0, -1.0):
-            with pytest.raises(ValueError, match="omega_max"):
+            with pytest.raises(ValueError, match="^omega_max: expected a finite float > 0$"):
                 hinf_norm_grid(rf, omega_max, 10)
         for points in (True, 2.5, 1, 0, -3, "10"):
-            with pytest.raises(ValueError, match="points"):
+            with pytest.raises(ValueError, match="^points: expected an integer >= 2$"):
                 hinf_norm_grid(rf, 10.0, points)
+        with pytest.raises(ValueError, match="^points: "):  # points is checked first
+            hinf_norm_grid(rf, math.nan, 1)
         assert hinf_norm_grid(rf, 10.0, 2) >= 1.0
 
     def test_golden_with_dense_grid(self):
@@ -343,13 +345,21 @@ class TestGammaEquivalence:
             check_gamma_equivalence(RealPolynomial([1]), RealPolynomial([0, 1, 1]), 1.0)
 
     def test_unstable_loop_rejected(self):
-        with pytest.raises(UnstableClosedLoopError):
+        with pytest.raises(UnstableClosedLoopError,
+                           match="^f \\+ g is not Hurwitz; sensitivity undefined$"):
             check_gamma_equivalence(RealPolynomial([1]), RealPolynomial([0, -1, 1]), 2.0)
+
+    def test_plant_must_be_strictly_proper(self):
+        for g, f in (([1, 1, 1], [1, 1]), ([1, 1], [2, 1])):
+            with pytest.raises(DegreeOrderError, match="^plant must be strictly proper"):
+                check_gamma_equivalence(RealPolynomial(g), RealPolynomial(f), 2.0)
+        with pytest.raises(ValueError, match="^theta_count: "):  # theta is checked first
+            check_gamma_equivalence(RealPolynomial([1, 1]), RealPolynomial([2, 1]), 2.0,
+                                    theta_count=0)
 
     @pytest.mark.parametrize("count", [2.5, True, 0])
     def test_theta_count_must_be_a_positive_integer(self, count):
-        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
-                           f">= 1, got {count!r}$"):
+        with pytest.raises(ValueError, match="^theta_count: expected an integer >= 1$"):
             check_gamma_equivalence(RealPolynomial([1]), RealPolynomial([0, 1, 1]), 2.0,
                                     theta_count=count)
 
@@ -404,13 +414,12 @@ class TestFamilyNormBisection:
         kg = IntervalPolynomial([1], [1])
         kf = IntervalPolynomial([0, 1, 1], [0, 1, 1])
         for tol in (math.nan, math.inf, 0.0, -1e-4):
-            with pytest.raises(ValueError, match="tolerance"):
+            with pytest.raises(ValueError, match="^tol: expected a finite float > 0$"):
                 family_norm_bisection(kg, kf, tol=tol)
 
     @pytest.mark.parametrize("count", [2.5, True, 0])
     def test_theta_count_must_be_a_positive_integer(self, count):
-        with pytest.raises(ValueError, match=f"^theta grid needs an integer number of points "
-                           f">= 1, got {count!r}$"):
+        with pytest.raises(ValueError, match="^theta_count: expected an integer >= 1$"):
             family_norm_bisection(*POINT, theta_count=count)
 
     def test_unstable_family_rejected(self):

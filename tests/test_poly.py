@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intervalhinf.hinf import (check_gamma_equivalence, family_norm_bisection, hinf_norm_grid,
+                               sensitivity)
+from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import (RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared,
                                multiply_rows)
 from intervalhinf.stability import is_hurwitz_complex, roots_complex
+from intervalhinf.valueset import sweep_octagons, zero_exclusion_sweep
 
 coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(coeff, min_size=1, max_size=9)
@@ -161,3 +165,50 @@ class TestValidation:
             roots_complex([1.0, complex(0, math.nan)])
         with pytest.raises(ValueError):
             is_hurwitz_complex([complex(math.inf, 0), 1.0])
+
+
+PLANT = (RealPolynomial([1]), RealPolynomial([0, 1, 1]))
+POINT = (IntervalPolynomial([1], [1]), IntervalPolynomial([0, 1, 1], [0, 1, 1]))
+WIDENED = (IntervalPolynomial([0.4, 0.1], [0.6, 0.2]),
+           IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 3.3, 4.0, 2.4, 1.0]))
+
+# each direct entry point's count and width arguments, applied by poly.check_count and
+# poly.check_width: (argument, least count or None for a width, a good value, the call)
+ARGUMENTS = {
+    "grid points": ("points", 2, 50, lambda v: hinf_norm_grid(sensitivity(*PLANT), 10.0, v)),
+    "grid omega_max": ("omega_max", None, 10,
+                       lambda v: hinf_norm_grid(sensitivity(*PLANT), v, 50)),
+    "gamma theta_count": ("theta_count", 1, 36,
+                          lambda v: check_gamma_equivalence(*PLANT, 1.5, theta_count=v)),
+    "bisection theta_count": ("theta_count", 1, 36,
+                              lambda v: family_norm_bisection(*POINT, 1e-3, theta_count=v)),
+    "bisection tol": ("tol", None, 1, lambda v: family_norm_bisection(*POINT, v, 36)),
+    "sweep_octagons points": ("points", 2, 20,
+                              lambda v: list(sweep_octagons(*WIDENED, 0.5, 0.7, 30.0, v))),
+    "sweep_octagons omega_max": ("omega_max", None, 30,
+                                 lambda v: list(sweep_octagons(*WIDENED, 0.5, 0.7, v, 20))),
+    "zero_exclusion_sweep points": ("points", 2, 50,
+                                    lambda v: zero_exclusion_sweep(*WIDENED, 0.5, 0.7, 100.0, v)),
+    "zero_exclusion_sweep omega_max": ("omega_max", None, 100,
+                                       lambda v: zero_exclusion_sweep(*WIDENED, 0.5, 0.7, v, 50)),
+}
+
+
+class TestCountAndWidth:
+    @pytest.mark.parametrize("entry", ARGUMENTS)
+    def test_integer_types_give_the_int_result(self, entry):
+        _, least, good, call = ARGUMENTS[entry]
+        expected = call(good)
+        for value in (np.int64(good), float(good), np.float64(good)):
+            assert call(value) == expected, repr(value)
+
+    @pytest.mark.parametrize("entry", ARGUMENTS)
+    def test_bad_values_raise_the_shared_message(self, entry):
+        name, least, _, call = ARGUMENTS[entry]
+        if least is None:
+            bad, message = (0, -1, math.nan, math.inf, 10**400, True, "1"), "a finite float > 0"
+        else:
+            bad, message = (True, 2.5, least - 1, "3"), f"an integer >= {least}"
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name}: expected {message}$"):
+                call(value)

@@ -210,10 +210,14 @@ class TestOctagon:
         for theta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 family_complex_stability(kg, kf, 0.5, theta)
-        for theta, omega_max in ((math.nan, 100.0), (0.3, math.nan), (0.3, math.inf)):
-            with pytest.raises(ValueError, match="must be finite"):
+        for theta, omega_max, message in (
+                (math.nan, 100.0, "theta must be finite, got nan"),
+                (math.nan, math.nan, "theta must be finite, got nan"),  # theta is checked first
+                (0.3, math.nan, "omega_max: expected a finite float > 0"),
+                (0.3, math.inf, "omega_max: expected a finite float > 0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 next(sweep_octagons(kg, kf, 0.5, theta, omega_max, 50))
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 zero_exclusion_sweep(kg, kf, 0.5, theta, omega_max, 50)
 
     def test_hull_uses_only_predicted_tuples(self):
@@ -494,7 +498,7 @@ class TestZeroExclusionSweep:
         omega_max = 1.05 * family_cauchy_bound(kg, kf, 0.5)
         assert not zero_exclusion_sweep(kg, kf, 0.5, 0.3, omega_max, 50)
         for bad in (0, 1, -3, 2.5, True, "50"):
-            with pytest.raises(ValueError, match="grid points"):
+            with pytest.raises(ValueError, match="^points: expected an integer >= 2$"):
                 zero_exclusion_sweep(kg, kf, 0.5, 0.3, omega_max, bad)
 
     def test_family_preconditions_are_checked(self):
@@ -535,11 +539,13 @@ class TestZeroExclusionSweep:
     def test_sweep_octagons_validates_at_the_call(self):
         kg, kf = widened_family()
         for bad in (0, 1, 2.5, False):
-            with pytest.raises(ValueError, match="grid points"):
+            with pytest.raises(ValueError, match="^points: expected an integer >= 2$"):
                 sweep_octagons(kg, kf, 0.5, 0.7, 30.0, bad)  # no next() needed
         for omega_max in (-5.0, 0.0, -0.0):
-            with pytest.raises(ValueError, match=f"^omega_max must be positive, got {omega_max}$"):
+            with pytest.raises(ValueError, match="^omega_max: expected a finite float > 0$"):
                 sweep_octagons(kg, kf, 0.5, 0.7, omega_max, 3)
+        with pytest.raises(ValueError, match="^omega_max: "):  # omega_max is checked first
+            sweep_octagons(kg, kf, 0.5, 0.7, 0.0, 1)
         assert len(list(sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 2))) == 2
 
 
