@@ -22,7 +22,7 @@ import yaml
 from .errors import IntervalHinfError, ProblemFileError, UnstableFamilyError
 from .hinf import RationalFunction, hinf_norm_exact, hinf_norm_grid, sensitivity
 from .interval import VERTEX_LABELS, IntervalPolynomial, vertex_rows
-from .poly import RealPolynomial
+from .poly import RealPolynomial, as_float
 from .theorem import (
     AnalysisOptions,
     AnalysisProblem,
@@ -79,11 +79,9 @@ def _bounds_list(node, name: str) -> tuple[list[float], list[float]]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ProblemFileError(f"{name}[{i}]: expected a [lower, upper] pair")
         try:
-            lo, hi = float(pair[0]), float(pair[1])
+            lo, hi = as_float(pair[0]), as_float(pair[1])
         except (TypeError, ValueError):
             raise ProblemFileError(f"{name}[{i}]: bounds must be numbers") from None
-        except OverflowError:  # an integer too large for a float
-            lo = hi = math.inf
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ProblemFileError(f"{name}[{i}]: bounds must be finite")
         if lo > hi:

@@ -41,8 +41,8 @@ from .errors import (
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, check_count, check_width, degrees, distinct_rows,
-                   eval_at_jomega, magnitude_squared, multiply_rows)
+from .poly import (RealPolynomial, add, as_float, check_count, check_width, degrees,
+                   distinct_rows, eval_at_jomega, magnitude_squared, multiply_rows)
 from .stability import hurwitz_batch, is_hurwitz_real, level_crossings
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
@@ -330,7 +330,8 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     g_row, f_row = np.zeros((2, 1, f.degree + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
-    return _hurwitz_on_grid(level_crossings(g_row, f_row), g_row, f_row, 1.0 / gamma, thetas)
+    return _hurwitz_on_grid(level_crossings(g_row, f_row), g_row, f_row, 1.0 / as_float(gamma),
+                            thetas)
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,

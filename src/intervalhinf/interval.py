@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .poly import RealPolynomial
+from .poly import RealPolynomial, as_float
 from .stability import is_hurwitz_real
 
 __all__ = [
@@ -34,8 +34,8 @@ class IntervalPolynomial:
     upper: tuple[float, ...]
 
     def __init__(self, lower: Iterable[float], upper: Iterable[float]):
-        lo = tuple(float(v) for v in lower)
-        hi = tuple(float(v) for v in upper)
+        lo = tuple(as_float(v) for v in lower)
+        hi = tuple(as_float(v) for v in upper)
         if len(lo) != len(hi):
             raise ValueError(f"bound lengths differ: {len(lo)} vs {len(hi)}")
         if not lo:

@@ -29,6 +29,14 @@ __all__ = [
 ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
 
 
+def as_float(value) -> float:
+    """float(value), with a number too large for a float taken as +-inf, not OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_finite(coeffs: Sequence[complex]) -> None:
     for i, c in enumerate(coeffs):
         if not (math.isfinite(c.real) and math.isfinite(complex(c).imag)):
@@ -64,7 +72,7 @@ class RealPolynomial:
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float]):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs) or (0.0,))
+        object.__setattr__(self, "coeffs", tuple(as_float(c) for c in coeffs) or (0.0,))
         check_finite(self.coeffs)
 
     @property
@@ -91,10 +99,14 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of ascending coefficient rows (B, d+1) at points z (B, k)."""
-    acc = np.broadcast_to(coeffs[:, -1:], z.shape).astype(complex)
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        acc = acc * z + coeffs[:, k : k + 1]
+    """The package's one polynomial evaluation: ascending rows (..., d+1) at points (..., k),
+    broadcasting, by Horner in place in np.result_type(coeffs, z), so real rows at real points
+    stay real."""
+    acc = np.empty(np.broadcast(coeffs[..., :1], z).shape, dtype=np.result_type(coeffs, z))
+    acc[...] = coeffs[..., -1:]
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        acc *= z
+        acc += coeffs[..., k : k + 1]
     return acc
 
 
@@ -102,21 +114,14 @@ def eval_at_jomega(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Values of real ascending rows (..., d+1) at s = j*omega, frequencies (..., k) broadcasting.
 
     Row p(s) = alpha(s^2) + s*beta(s^2) gives Re = alpha(-omega^2) and Im = omega *
-    beta(-omega^2), each half by Horner from its top coefficient; a constant's
-    odd half is 0.0, so Im keeps omega's sign.
+    beta(-omega^2), each half by eval_many; a constant's odd half is 0.0, so Im keeps
+    omega's sign.
     """
     rows, omega = np.asarray(rows, dtype=float), np.asarray(omega, dtype=float)
     u = -(omega * omega)
-    out = np.empty(np.broadcast(rows[..., :1], u).shape, dtype=complex)
     odd = rows[..., 1::2] if rows.shape[-1] > 1 else np.zeros(rows.shape[:-1] + (1,))
-    acc = np.empty(out.shape)
-    for half, part in ((rows[..., 0::2], out.real), (odd, out.imag)):
-        acc[...] = half[..., -1:]
-        for k in range(half.shape[-1] - 2, -1, -1):
-            acc *= u
-            acc += half[..., k : k + 1]
-        part[...] = acc
-    out.imag *= omega
+    out = eval_many(rows[..., 0::2], u).astype(complex)
+    out.imag = eval_many(odd, u) * omega
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError)
 from .poly import (ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_at_jomega,
-                   magnitude_squared)
+                   eval_many, magnitude_squared)
 
 __all__ = [
     "StabilityVerdict",
@@ -92,16 +92,9 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """max over each row's roots z of |p(z)| / sum_k |c_k||z|^k, both Horner sums in one pass."""
-    mags, az = np.abs(coeffs), np.abs(roots)
-    value, scale = np.empty(roots.shape, dtype=complex), np.empty(roots.shape)
-    value[...], scale[...] = coeffs[:, -1:], mags[:, -1:]
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        value *= roots
-        value += coeffs[:, k : k + 1]
-        scale *= az
-        scale += mags[:, k : k + 1]
-    return (np.abs(value) / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
+    """max over each row's roots z of |p(z)| / sum_k |c_k||z|^k."""
+    value, scale = np.abs(eval_many(coeffs, roots)), eval_many(np.abs(coeffs), np.abs(roots))
+    return (value / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
 
 
 def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
-from .poly import check_count, check_width, eval_many
+from .poly import as_float, check_count, check_width, eval_many
 from .stability import hurwitz_batch
 
 __all__ = [
@@ -127,7 +127,7 @@ def _check_args(delta: float, **finite: float) -> None:
     if not (0.0 < delta < 1.0):
         raise DeltaRangeError(f"delta must lie in (0, 1), got {delta}")
     for name, value in finite.items():
-        if not math.isfinite(value):
+        if not math.isfinite(value := as_float(value)):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -164,16 +164,14 @@ def _check_enclosed(gv: np.ndarray, rf: np.ndarray, values: np.ndarray, corners:
                                 + (rf.T[:, None] * normal).real.max(0)).max(0)])
     rows = np.flatnonzero(worst > 0.5e-9 * scale)
     values, corners, scale, omegas = values[rows], corners[rows], scale[rows], omegas[rows]
+    edge, length = edge[:, rows].T[:, :, None], length[:, rows].T[:, :, None]  # (R, 8, 1)
+    left = ((values[:, None] - corners[:, :, None]) * edge.conj()).imag  # > 0: outside an edge
     excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
                                 values.real - corners.real.max(1, keepdims=True),
                                 corners.imag.min(1, keepdims=True) - values.imag,
-                                values.imag - corners.imag.max(1, keepdims=True)])
-    for a, b in zip(corners.T, np.roll(corners, -1, axis=1).T):
-        edge = (b - a)[:, None]
-        left = ((values - a[:, None]) * edge.conj()).imag  # > 0: outside a clockwise edge
-        length = np.abs(edge)
-        np.maximum(excess, np.divide(left, length, out=np.zeros_like(left),
-                                     where=length > 1e-12 * scale[:, None]), out=excess)
+                                values.imag - corners.imag.max(1, keepdims=True),
+                                np.divide(left, length, out=np.zeros_like(left),
+                                          where=length > 1e-12 * scale[:, None, None]).max(1)])
     for k, i in np.argwhere(excess > 1e-9 * scale[:, None])[:1]:
         raise HullMismatchError(f"vertex value {ALL_SIXTEEN[i].label} at omega={omegas[k]} "
                                 f"lies {excess[k, i]:.3e} outside the predicted polygon "
@@ -230,9 +228,8 @@ def _value_sets(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, th
                 omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Clockwise predicted corners (F, 8), which must enclose the sixteen vertex values,
     their keep-mask, the margins and the two listings (the one for omega < 0 reversed)."""
-    z = np.broadcast_to(1j * omegas, (4, len(omegas)))
     with np.errstate(all="ignore"):
-        gv, fv = eval_many(vertex_rows(kg), z).T, eval_many(vertex_rows(kf), z).T
+        gv, fv = (eval_many(vertex_rows(k), 1j * omegas).T for k in (kg, kf))
         rf = rotation_factor(delta, theta) * fv
         values = (gv[:, :, None] + rf[:, None, :]).reshape(-1, 16)
         scale = np.maximum(1.0, np.abs(values).max(axis=1))

@@ -11,7 +11,8 @@ from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import (RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared,
                                multiply_rows)
 from intervalhinf.stability import is_hurwitz_complex, roots_complex
-from intervalhinf.valueset import sweep_octagons, zero_exclusion_sweep
+from intervalhinf.valueset import (family_complex_stability, octagon, sweep_octagons,
+                                  zero_exclusion_sweep)
 
 coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 coeff_lists = st.lists(coeff, min_size=1, max_size=9)
@@ -71,6 +72,50 @@ class TestEvalAtJOmega:
             assert (got.view(np.uint64) == want.view(np.uint64)).all(), width
             checked += got.size
         assert checked == 2016 * 6
+
+
+def horner(row: list, z):
+    """Python Horner from the top coefficient, the reference for eval_many."""
+    acc = row[-1]
+    for c in reversed(row[:-1]):
+        acc = acc * z + c
+    return acc
+
+
+class TestEvalMany:
+    def test_real_rows_at_real_points_stay_real(self):
+        # float64 out, and each value bitwise the Python float Horner's
+        rng = np.random.default_rng(2001)
+        rows, points = rng.uniform(-5, 5, (40, 8)), rng.uniform(-3, 3, (40, 5))
+        rows[:5, 1:] = 0.0
+        got = eval_many(rows, points)
+        want = np.array([[horner(row, x) for x in xs]
+                         for row, xs in zip(rows.tolist(), points.tolist())])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_stacked_rows_broadcast_against_points(self):
+        # (2, B, d+1) rows at (B, k) points: each stack is its (B, d+1) call, bitwise
+        rng = np.random.default_rng(2002)
+        rows = rng.uniform(-5, 5, (2, 6, 5))
+        points = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        got = eval_many(rows, points)
+        assert got.shape == (2, 6, 3) and got.dtype == complex
+        for stack, part in zip(rows, got):
+            assert part.tobytes() == eval_many(stack, points).tobytes()
+            want = [[horner(row, z) for z in zs] for row, zs in zip(stack.tolist(), points.tolist())]
+            np.testing.assert_allclose(part, want, rtol=1e-13)
+
+    def test_vertex_rows_at_frequencies_equal_the_broadcast_call(self):
+        # (4, d+1) rows at (F,) points on the jw axis are bitwise the out-of-place kernel
+        # called with the points broadcast to (4, F)
+        rng = np.random.default_rng(2003)
+        rows, z = rng.uniform(-5, 5, (4, 7)), 1j * np.sinh(np.linspace(-6, 6, 501))
+        zb = np.broadcast_to(z, (4, len(z)))
+        want = np.broadcast_to(rows[:, -1:], zb.shape).astype(complex)
+        for k in range(rows.shape[1] - 2, -1, -1):
+            want = want * zb + rows[:, k : k + 1]
+        assert eval_many(rows, z).tobytes() == want.tobytes()
 
 
 class TestEvenOddSplit:
@@ -192,6 +237,39 @@ ARGUMENTS = {
     "zero_exclusion_sweep omega_max": ("omega_max", None, 100,
                                        lambda v: zero_exclusion_sweep(*WIDENED, 0.5, 0.7, v, 50)),
 }
+
+
+def outcome(call, value):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call(value)
+    except ValueError as err:
+        return str(err)
+
+
+# entry points that take a float: (the call, what it gives for inf); an int too large for a
+# float must give the same
+HUGE = {
+    "RealPolynomial": (lambda v: RealPolynomial([v]), "non-finite coefficient at power 0: inf"),
+    "RealPolynomial negative": (lambda v: RealPolynomial([1, -v]),
+                                "non-finite coefficient at power 1: -inf"),
+    "IntervalPolynomial": (lambda v: IntervalPolynomial([v], [v]), "non-finite bound at power 0"),
+    "octagon omega": (lambda v: octagon(*WIDENED, 0.5, 0.3, v), "omega must be finite, got inf"),
+    "family_complex_stability theta": (lambda v: family_complex_stability(*WIDENED, 0.5, v),
+                                       "theta must be finite, got inf"),
+    "sweep_octagons theta": (lambda v: list(sweep_octagons(*WIDENED, 0.5, v, 30.0, 20)),
+                             "theta must be finite, got inf"),
+    "zero_exclusion_sweep theta": (lambda v: zero_exclusion_sweep(*WIDENED, 0.5, v, 100.0, 50),
+                                   "theta must be finite, got inf"),
+    "check_gamma_equivalence gamma": (lambda v: check_gamma_equivalence(*PLANT, v), True),
+}
+
+
+@pytest.mark.parametrize("entry", HUGE)
+def test_int_too_large_for_a_float_counts_as_inf(entry):
+    call, expected = HUGE[entry]
+    assert outcome(call, math.inf) == expected
+    assert outcome(call, 10**400) == expected
 
 
 class TestCountAndWidth:
