@@ -126,14 +126,15 @@ def eval_at_jomega(rows: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def multiply_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Ascending coefficient rows (B, a+b-1) of the products of rows p (B, a) and q (B, b).
+    """Ascending coefficient rows (B, a+b-1) of the products of rows p (B, a) and q (B, b),
+    real or complex, in np.result_type(p, q).
 
     Each pair's outer product is laid out with its k-th row shifted k places, so summing the
     shifted rows adds each anti-diagonal in ascending order of p's powers.
     """
     count, a = p.shape
     b = q.shape[1]
-    skewed = np.zeros((count, a, a + b))
+    skewed = np.zeros((count, a, a + b), dtype=np.result_type(p, q))
     np.multiply(p[:, :, None], q[:, None, :], out=skewed[:, :, :b])
     skewed.shape = (count, a * (a + b))
     return skewed[:, : a * (a + b - 1)].reshape(count, a, a + b - 1).sum(axis=1)

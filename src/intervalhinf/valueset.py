@@ -6,13 +6,18 @@ numerator rectangle and the rotated-scaled denominator rectangle. The
 corners are perturbed vertex evaluations, and which eight tuples can
 appear depends only on the signs of omega and of the perturbation angle.
 Stability of the whole family at one (delta, theta) reduces to twelve of
-those vertex polynomials; sweeping the polygon over omega and testing
-that it never touches the origin gives the independent zero-exclusion
-route. A sweep prunes the corners and computes the signed origin margins of
-all frequencies in one pass; `origin_excluded` is its one-polygon wrapper.
-The sixteen vertex values are g_i + (1 + delta*e^{j theta}) f_j, so their
-largest excess over a line is the four g values' largest plus the four rotated
-f values': the enclosure check passes over four values per family, not sixteen.
+those vertex polynomials; testing that the polygon touches the origin at no
+real omega gives the independent zero-exclusion route. Its boundary lies on
+sixteen edges between the twelve tuples, and the origin is on an edge exactly
+at a real root of one polynomial per edge, so `zero_exclusion_sweep` solves
+those sixteen in a few batched root calls and needs no frequency grid.
+
+For printed polygons, a sweep prunes the corners and computes the signed origin
+margins of all frequencies in one pass; `origin_excluded` is its one-polygon
+wrapper. The sixteen vertex values are g_i + (1 + delta*e^{j theta}) f_j, so
+their largest excess over a line is the four g values' largest plus the four
+rotated f values': the enclosure check passes over four values per family, not
+sixteen.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ import numpy as np
 
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
-from .poly import as_float, check_count, check_width, eval_many
-from .stability import hurwitz_batch
+from .poly import as_float, check_count, check_width, eval_many, multiply_rows
+from .stability import CROSSING_TOL, LEADING_FLOOR, hurwitz_batch, roots_batch
 
 __all__ = [
     "VertexTuple",
@@ -100,6 +105,11 @@ ALL_SIXTEEN = tuple(
 # the polygon degenerates and both lists describe it.
 CASE_A = _tuples("1111 1112 1212 1222 2222 2221 2121 2111")
 CASE_B = _tuples("1111 1211 1212 2212 2222 2122 2121 1121")
+
+# The sixteen distinct polygon edges: neighbouring corners of either listing, (a, b) with a
+# before b. Their twelve ends are TWELVE_TUPLES, and each edge varies only g or only f.
+EDGES = tuple(sorted({tuple(sorted(pair)) for listing in (CASE_A, CASE_B)
+                      for pair in zip(listing, listing[1:] + listing[:1])}))
 
 
 @dataclass(frozen=True)
@@ -334,32 +344,80 @@ def family_cauchy_bound(kg: IntervalPolynomial, kf: IntervalPolynomial,
     return 1.0 + numer / denom
 
 
-def _sweep_grid(delta: float, theta: float, omega_max: float, points: int) -> np.ndarray:
-    """Asinh-uniform frequencies over [-omega_max, omega_max], after checking the arguments."""
+def _check_sweep(delta: float, theta: float, omega_max: float, points: int) -> tuple[float, int]:
+    """omega_max and points, checked after delta and theta."""
     _check_args(delta, theta=theta)
-    omega_max = check_width("omega_max", omega_max)
-    points = check_count("points", points, 2)
-    return np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))
+    return check_width("omega_max", omega_max), check_count("points", points, 2)
 
 
 def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
                    omega_max: float, points: int) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
     """Value-set polygons and origin checks on an asinh-uniform grid over [-omega_max,
     omega_max]; the arguments are checked at the call, before the first polygon."""
-    return _polygons(kg, kf, delta, theta, _sweep_grid(delta, theta, omega_max, points))
+    omega_max, points = _check_sweep(delta, theta, omega_max, points)
+    omegas = np.sinh(np.linspace(-math.asinh(omega_max), math.asinh(omega_max), points))
+    return _polygons(kg, kf, delta, theta, omegas)
+
+
+_J_POWERS = np.array([1, 1j, -1, -1j])  # j**k for k mod 4, exactly
+
+
+def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
+                   theta: float) -> bool:
+    """True iff the origin lies on one of the sixteen EDGES at some real omega.
+
+    At omega the edge a-b is p_b + t*d, t in [0, 1], with d = p_a - p_b: g_a - g_b or
+    r*(f_a - f_b), r the rotation factor, as the other difference is 0. In powers of the real
+    omega, d(j omega) and p_b(j omega) have the rows D and P (coefficient k times j**k), and
+    D * conj(P) has the row q of d(j omega) * conj p_b(j omega). The origin is on the edge's
+    line where h = Im q has a real root, and on the edge where t = -Re q / |d|^2 is in [0, 1]
+    there. Each h is trimmed at LEADING_FLOOR of its largest coefficient; rows of one length
+    are solved in one roots_batch call, and roots within CROSSING_TOL of the real axis,
+    relative, count as real. A root where d(j omega) = 0 gives no t: the edge is then the
+    point p_b, an end of the edges beside it. An h that is all zeros has d(j omega) parallel
+    to p_b(j omega) at every omega, as when the edge's two vertices coincide (a zero-width
+    coefficient interval): such an edge is skipped.
+    """
+    (ga, fa), (gb, fb) = (tuple_rows(kg, kf, ends) for ends in zip(*EDGES))
+    spin = _J_POWERS[np.arange(ga.shape[1]) % 4]
+    r = rotation_factor(delta, theta)
+    with np.errstate(all="ignore"):  # an overflow shows as a row that is not finite
+        rows = np.stack([((ga - gb) + r * (fa - fb)) * spin, (gb + r * fb) * spin])  # D, P
+        h = multiply_rows(rows[0], rows[1].conj()).imag
+        size = np.abs(h)
+        top = size.max(axis=1, keepdims=True)
+    for k in np.flatnonzero(~np.isfinite(top[:, 0]))[:1]:
+        raise NoConvergenceError(f"edge {EDGES[k][0].label}-{EDGES[k][1].label} "
+                                 "polynomial is not finite")
+    lengths = h.shape[1] - (size > LEADING_FLOOR * top)[:, ::-1].argmax(axis=1)
+    lengths[top[:, 0] == 0.0] = 0
+    omegas = np.full((len(h), h.shape[1] - 1), np.nan)
+    for length in sorted(set(lengths.tolist()) - {0, 1}):
+        members = np.flatnonzero(lengths == length)
+        z = roots_batch(h[members, :length])[0]
+        omegas[members, : length - 1] = np.where(
+            np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
+    with np.errstate(all="ignore"):  # NaN is no root
+        d, p = eval_many(rows, omegas)
+        t = -(d * p.conj()).real / (d.real ** 2 + d.imag ** 2)
+    return bool(((t >= 0.0) & (t <= 1.0)).any())
 
 
 def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
                          delta: float, theta: float, omega_max: float,
                          points: int) -> bool:
-    """Zero-exclusion route to family stability at one (delta, theta).
+    """Zero-exclusion route to family stability at one (delta, theta), at every real omega.
 
-    Anchors on one stable member (the 1111 vertex), then requires the origin
-    to stay strictly outside the polygon at every grid frequency. A grid can
-    miss a crossing between points, so a True here cross-checks rather
-    than replaces the twelve-polynomial verdict.
+    Every member has the same degree, so the family is Hurwitz iff one member (the 1111
+    vertex) is and the origin lies outside the value-set polygon at every real omega. Each
+    point of an EDGES segment is the value of a member, as the coefficient boxes are convex,
+    and the origin can enter the polygon only across its boundary, which those segments make
+    up. So the verdict is exact: the anchor is Hurwitz and no edge holds the origin at any
+    real omega. No grid is used; omega_max and points are still checked as before. An edge
+    polynomial that overflows, or whose roots do not converge, raises NoConvergenceError
+    before any verdict.
     """
-    omegas = _sweep_grid(delta, theta, omega_max, points)
+    omega_max, _ = _check_sweep(delta, theta, omega_max, points)
     bound = family_cauchy_bound(kg, kf, delta)
     if omega_max < bound:
         raise ValueError(
@@ -368,5 +426,4 @@ def zero_exclusion_sweep(kg: IntervalPolynomial, kf: IntervalPolynomial,
         )
     anchor = perturbed_vertex_rows(*tuple_rows(kg, kf, (VertexTuple(1, 1, 1, 1),)),
                                    delta, np.array([theta]))
-    return bool(hurwitz_batch(anchor)[0]) and bool(
-        (_value_sets(kg, kf, delta, theta, omegas)[2] > 1e-12).all())
+    return not _edge_crossing(kg, kf, delta, theta) and bool(hurwitz_batch(anchor)[0])

@@ -97,6 +97,50 @@ def _all_vertex_loops_clear(kg: IntervalPolynomial, kf: IntervalPolynomial,
     return not any(np_root_margin(g + f) < margin for g in gs for f in fs)
 
 
+def np_twelve_margin(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
+                     theta: float) -> float:
+    """-max root real part over the twelve perturbed vertex polynomials, by numpy's
+    companion-matrix eigenvalues."""
+    from intervalhinf.interval import vertex_rows
+    from intervalhinf.valueset import TWELVE_TUPLES
+
+    gs, fs = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
+    factor = 1.0 + delta * np.exp(1j * theta)
+    rows = np.array([gs[t.g_row] + factor * fs[t.f_row] for t in TWELVE_TUPLES])
+    companion = np.zeros((12, rows.shape[1] - 1, rows.shape[1] - 1), dtype=complex)
+    companion[:, 0] = -rows[:, -2::-1] / rows[:, -1:]
+    companion[:, np.arange(1, rows.shape[1] - 1), np.arange(rows.shape[1] - 2)] = 1.0
+    return float(-np.linalg.eigvals(companion).real.max())
+
+
+def near_critical_cases(rng: np.random.Generator, count: int, *,
+                        eps: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)) -> list[tuple]:
+    """(kg, kf, delta, theta) on both sides of the family's stability boundary.
+
+    For a family (every third a resonant one) and a random theta, the first delta in
+    (0, 0.98] at which a twelve-vertex root reaches the right half plane is bisected to 1e-14
+    relative with numpy roots; a theta with no such delta draws again. Each boundary gives
+    delta*(1 - e) and delta*(1 + e) for each e in eps, so a verdict flips within e."""
+    out: list[tuple] = []
+    drawn = 0
+    while len(out) < count:
+        drawn += 1
+        kg, kf = (resonant_family(rng, n_min=4, n_max=8) if drawn % 3 == 0
+                  else random_stable_family(rng, n_min=2, n_max=6))
+        theta = float(rng.uniform(-np.pi, np.pi))
+        grid = np.linspace(0.02, 0.98, 25)
+        unstable = [np_twelve_margin(kg, kf, d, theta) < 0.0 for d in grid]
+        if not any(unstable):
+            continue
+        k = unstable.index(True)
+        lo, hi = (float(grid[k - 1]) if k else 0.0), float(grid[k])
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np_twelve_margin(kg, kf, mid, theta) > 0.0 else (lo, mid)
+        out += [(kg, kf, hi * (1.0 + sign * e), theta) for e in eps for sign in (-1, 1)]
+    return out[:count]
+
+
 def random_stable_plant(rng: np.random.Generator, *, n_min: int = 2, n_max: int = 6,
                         margin: float = 1e-2):
     """A single (g, f) pair with f + g comfortably Hurwitz."""

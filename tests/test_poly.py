@@ -188,6 +188,19 @@ class TestMultiplyRows:
                 bound = 1e-14 * np.convolve(np.abs(x), np.abs(y))
                 assert (np.abs(row - np.convolve(x, y)) <= bound).all()
 
+    def test_complex_rows_follow_the_same_loop(self):
+        # complex rows take the same layout and summation order as real ones, in complex
+        rng = np.random.default_rng(109)
+        for a, b in ((1, 3), (5, 5), (9, 4)):
+            p = rng.normal(size=(30, a)) + 1j * rng.normal(size=(30, a))
+            for q in (rng.normal(size=(30, b)) + 1j * rng.normal(size=(30, b)),
+                      rng.normal(size=(30, b))):
+                out = multiply_rows(p, q)
+                loop = np.zeros((30, a + b - 1), dtype=complex)
+                for i in range(a):
+                    loop[:, i : i + b] += p[:, i : i + 1] * q
+                assert out.dtype == complex and out.tobytes() == loop.tobytes()
+
 
 class TestArithmetic:
     def test_add(self):

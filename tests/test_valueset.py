@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import polygon_exterior_distance, random_stable_family, resonant_family
+from conftest import (near_critical_cases, polygon_exterior_distance, random_stable_family,
+                      resonant_family)
 from intervalhinf import valueset
 from intervalhinf.errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from intervalhinf.hinf import family_norm_bisection
@@ -15,6 +16,7 @@ from intervalhinf.poly import eval_many
 from intervalhinf.stability import hurwitz_batch
 from intervalhinf.valueset import (
     ALL_SIXTEEN,
+    EDGES,
     TWELVE_TUPLES,
     OriginCheck,
     ValueSetPolygon,
@@ -199,7 +201,7 @@ class TestOctagon:
         with pytest.raises(HullMismatchError, match=re.escape(
                 "vertex value 1111 at omega=-100.0 lies 1.254e+05 outside the predicted "
                 "polygon (tolerance 1.287e-01)")):
-            zero_exclusion_sweep(kg, kf, 0.4, 0.9, 100.0, 50)
+            list(sweep_octagons(kg, kf, 0.4, 0.9, 100.0, 50))
 
     def test_non_finite_inputs_rejected(self):
         kg, kf = widened_family()
@@ -530,7 +532,7 @@ class TestZeroExclusionSweep:
             warnings.simplefilter("error")
             with pytest.raises(NoConvergenceError, match=re.escape(
                     "vertex values at omega=-1.000000000000024e+200 are not finite")):
-                zero_exclusion_sweep(kg, kf, 0.5, 0.9, 1e200, 50)
+                list(sweep_octagons(kg, kf, 0.5, 0.9, 1e200, 50))
             with pytest.raises(NoConvergenceError, match=re.escape(
                     "vertex values at omega=1e+200 are not finite")):
                 octagon(kg, kf, 0.5, 0.9, 1e200)
@@ -547,6 +549,98 @@ class TestZeroExclusionSweep:
         with pytest.raises(ValueError, match="^omega_max: "):  # omega_max is checked first
             sweep_octagons(kg, kf, 0.5, 0.7, 0.0, 1)
         assert len(list(sweep_octagons(kg, kf, 0.5, 0.7, 30.0, 2))) == 2
+
+
+def sweep_verdict(kg, kf, delta, theta):
+    return zero_exclusion_sweep(kg, kf, delta, theta,
+                                1.05 * family_cauchy_bound(kg, kf, delta), 2000)
+
+
+def solved_rows(monkeypatch):
+    """Record the number of rows of each roots_batch call the edge route makes."""
+    rows, solve = [], valueset.roots_batch
+
+    def spy(coeffs):
+        rows.append(len(coeffs))
+        return solve(coeffs)
+
+    monkeypatch.setattr(valueset, "roots_batch", spy)
+    return rows
+
+
+class TestEdgeRoute:
+    """zero_exclusion_sweep's verdict from the sixteen value-set edges, with no grid."""
+
+    def test_edges_join_the_twelve_tuples_and_vary_one_polynomial(self):
+        assert len(EDGES) == 16
+        assert {t for edge in EDGES for t in edge} == set(TWELVE_TUPLES)
+        for a, b in EDGES:
+            assert (a.g_row == b.g_row) != (a.f_row == b.f_row), (a.label, b.label)
+
+    def test_widened_repro_is_unstable(self):
+        # delta = (1 + eps)/||S||, ||S|| the twelve-vertex worst norm, at a theta in the
+        # unstable arc; a 2,000-frequency grid missed the crossings at eps = 1e-3 and 1e-5
+        kg, kf = widened_family()
+        for eps in (1e-3, 1e-4, 1e-5):
+            delta = (1.0 + eps) / 1.6908914779404984
+            assert not family_complex_stability(kg, kf, delta, 2.97116)
+            assert not sweep_verdict(kg, kf, delta, 2.97116), eps
+
+    def test_matches_the_twelve_vertex_verdict_near_the_boundary(self):
+        # pairs delta*(1 -+ eps), eps = 1e-2 .. 1e-5, around each boundary delta*: the verdict
+        # must flip with the twelve-vertex one, in both directions
+        verdicts = []
+        for kg, kf, delta, theta in near_critical_cases(np.random.default_rng(107), 96):
+            want = family_complex_stability(kg, kf, delta, theta)
+            assert sweep_verdict(kg, kf, delta, theta) == want, (delta, theta)
+            verdicts.append(want)
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+    def test_point_family_is_decided_by_the_anchor(self, monkeypatch):
+        # zero-width boxes: every edge's two vertices coincide, so no edge polynomial is solved
+        rows = solved_rows(monkeypatch)
+        verdicts = set()
+        for delta in (1 / 1.6, 1 / 1.3):
+            for theta in np.linspace(-math.pi, math.pi, 24, endpoint=False).tolist():
+                want = family_complex_stability(POINT_KG, POINT_KF, delta, theta)
+                assert sweep_verdict(POINT_KG, POINT_KF, delta, theta) == want, (delta, theta)
+                verdicts.add(want)
+        assert rows == [] and verdicts == {True, False}
+
+    def test_coincident_vertex_edge_is_skipped(self, monkeypatch):
+        # g is a point and f's odd coefficients are points, so an edge that varies g, or only
+        # f's odd coefficients (f_11 to f_12, f_21 to f_22), joins two equal vertices: d = 0 and
+        # h = 0. That edge is one point, the end of an edge that varies f's even coefficients,
+        # so it holds no crossing of its own, and it is skipped rather than solved.
+        kg = IntervalPolynomial([0.5, 0.2], [0.5, 0.2])
+        kf = IntervalPolynomial([0.9, 2.7, 3.4, 2.0, 1.0], [1.1, 2.7, 4.0, 2.0, 1.0])
+        g, f = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
+        moving = [(a, b) for a, b in EDGES
+                  if (g[a.g_row] != g[b.g_row]).any() or (f[a.f_row] != f[b.f_row]).any()]
+        assert len(moving) == 4
+        rows = solved_rows(monkeypatch)
+        verdicts = set()
+        for delta in np.linspace(0.05, 0.95, 10).tolist():
+            for theta in np.linspace(-math.pi, math.pi, 12, endpoint=False).tolist():
+                rows.clear()
+                want = family_complex_stability(kg, kf, delta, theta)
+                assert sweep_verdict(kg, kf, delta, theta) == want, (delta, theta)
+                assert sum(rows) == len(moving)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_overflowing_edge_products_raise(self):
+        # the edge rows are finite but their products are not: exit 4, and no verdict, not even
+        # the False an unstable anchor would give
+        kg, kf = widened_family()
+        unstable = IntervalPolynomial([0.9, -3.3, 3.4, 2.0, 1.0], [1.1, -2.7, 4.0, 2.4, 1.0])
+        big_g = IntervalPolynomial(*(np.array(b) * 1e160 for b in (kg.lower, kg.upper)))
+        for f in (kf, unstable):
+            big_f = IntervalPolynomial(*(np.array(b) * 1e160 for b in (f.lower, f.upper)))
+            with pytest.raises(NoConvergenceError, match=re.escape(
+                    "edge 1111-1112 polynomial is not finite")) as err:
+                sweep_verdict(big_g, big_f, 0.5, 0.9)  # pytest makes a warning an error
+            assert err.value.exit_code == 4
 
 
 # The enclosure check and the next-kept scan as they were when every vertex value was
