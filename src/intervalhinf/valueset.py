@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
 from .poly import as_float, check_count, check_width, eval_many, multiply_rows
-from .stability import CROSSING_TOL, LEADING_FLOOR, hurwitz_batch, roots_batch
+from .stability import CROSSING_TOL, hurwitz_batch, roots_batch
 
 __all__ = [
     "VertexTuple",
@@ -360,6 +360,7 @@ def sweep_octagons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
 
 
 _J_POWERS = np.array([1, 1j, -1, -1j])  # j**k for k mod 4, exactly
+_EPS = np.finfo(float).eps
 
 
 def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
@@ -371,12 +372,20 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     omega, d(j omega) and p_b(j omega) have the rows D and P (coefficient k times j**k), and
     D * conj(P) has the row q of d(j omega) * conj p_b(j omega). The origin is on the edge's
     line where h = Im q has a real root, and on the edge where t = -Re q / |d|^2 is in [0, 1]
-    there. Each h is trimmed at LEADING_FLOOR of its largest coefficient; rows of one length
-    are solved in one roots_batch call, and roots within CROSSING_TOL of the real axis,
-    relative, count as real. A root where d(j omega) = 0 gives no t: the edge is then the
-    point p_b, an end of the edges beside it. An h that is all zeros has d(j omega) parallel
-    to p_b(j omega) at every omega, as when the edge's two vertices coincide (a zero-width
-    coefficient interval): such an edge is skipped.
+    there.
+
+    A coefficient of h within the roundoff of its own sum, 4 * len(h) eps times that of
+    |D| * |P|, counts as 0. That drops the top coefficients that cancel in exact arithmetic
+    whatever the frequency scale of the family, which a cut relative to the row's largest
+    coefficient does not. A zero lowest power gives the root omega = 0 exactly. The rest of h,
+    from its lowest to its highest nonzero coefficient, is solved in omega / scale, scale the
+    power of 2 that makes those two end coefficients about equal, so that the family's
+    frequency scale does not reach roots_batch's degeneracy test; rows of one length share one
+    roots_batch call, and one whose roots still do not converge raises. Roots within
+    CROSSING_TOL of the real axis, relative, count as real. A root where d(j omega) = 0 gives
+    no t: the edge is then the point p_b, an end of the edges beside it. An h with no nonzero
+    coefficient has d(j omega) parallel to p_b(j omega) at every omega, as when the edge's two
+    vertices coincide (a zero-width coefficient interval): such an edge is skipped.
     """
     (ga, fa), (gb, fb) = (tuple_rows(kg, kf, ends) for ends in zip(*EDGES))
     spin = _J_POWERS[np.arange(ga.shape[1]) % 4]
@@ -384,20 +393,25 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     with np.errstate(all="ignore"):  # an overflow shows as a row that is not finite
         rows = np.stack([((ga - gb) + r * (fa - fb)) * spin, (gb + r * fb) * spin])  # D, P
         h = multiply_rows(rows[0], rows[1].conj()).imag
-        size = np.abs(h)
-        top = size.max(axis=1, keepdims=True)
-    for k in np.flatnonzero(~np.isfinite(top[:, 0]))[:1]:
+        noise = multiply_rows(np.abs(rows[0]), np.abs(rows[1])) * (4 * h.shape[1] * _EPS)
+    for k in np.flatnonzero(~np.isfinite(noise).all(axis=1))[:1]:
         raise NoConvergenceError(f"edge {EDGES[k][0].label}-{EDGES[k][1].label} "
                                  "polynomial is not finite")
-    lengths = h.shape[1] - (size > LEADING_FLOOR * top)[:, ::-1].argmax(axis=1)
-    lengths[top[:, 0] == 0.0] = 0
-    omegas = np.full((len(h), h.shape[1] - 1), np.nan)
-    for length in sorted(set(lengths.tolist()) - {0, 1}):
-        members = np.flatnonzero(lengths == length)
-        z = roots_batch(h[members, :length])[0]
-        omegas[members, : length - 1] = np.where(
-            np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
-    with np.errstate(all="ignore"):  # NaN is no root
+    nonzero = np.abs(h) > noise
+    live = nonzero.any(axis=1)
+    low, high = nonzero.argmax(axis=1), h.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    span = np.where(live, high - low, 0)
+    omegas = np.full(h.shape, np.nan)  # each row's roots, then omega = 0 in the last column
+    omegas[:, -1] = np.where(live & (low > 0), 0.0, np.nan)
+    with np.errstate(all="ignore"):  # an overflow of the scaling fails roots_batch; NaN is no root
+        for length in sorted(set(span.tolist()) - {0}):
+            members = np.flatnonzero(span == length)
+            c = np.take_along_axis(h[members], low[members, None] + np.arange(length + 1), axis=1)
+            log_ratio = np.log2(np.abs(c[:, 0])) - np.log2(np.abs(c[:, -1]))
+            scale = np.exp2(np.round(log_ratio / length))[:, None]
+            z = roots_batch(c * scale ** np.arange(length + 1))[0] * scale
+            omegas[members, :length] = np.where(
+                np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
         d, p = eval_many(rows, omegas)
         t = -(d * p.conj()).real / (d.real ** 2 + d.imag ** 2)
     return bool(((t >= 0.0) & (t <= 1.0)).any())

@@ -556,6 +556,12 @@ def sweep_verdict(kg, kf, delta, theta):
                                 1.05 * family_cauchy_bound(kg, kf, delta), 2000)
 
 
+def frequency_scaled(kg, kf, k):
+    """The families of p(s/k): coefficient i times k**-i, every root times k."""
+    return tuple(IntervalPolynomial(*(np.asarray(b) * k ** -np.arange(len(b), dtype=float)
+                                      for b in (fam.lower, fam.upper))) for fam in (kg, kf))
+
+
 def solved_rows(monkeypatch):
     """Record the number of rows of each roots_batch call the edge route makes."""
     rows, solve = [], valueset.roots_batch
@@ -628,6 +634,44 @@ class TestEdgeRoute:
                 assert sum(rows) == len(moving)
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_frequency_scaled_families_keep_their_verdict(self):
+        # s -> s/k multiplies every root by k and coefficient i by k**-i, so the edge rows span
+        # k**(2n) and no coefficient cut relative to the row's largest is safe; the verdict is
+        # the unscaled family's
+        cases = [(*widened_family(), (1.0 + e) / 1.6908914779404984, 2.97116)
+                 for e in (-1e-3, 1e-3)]
+        cases += near_critical_cases(np.random.default_rng(113), 48)
+        for k in (1e2, 1e3):
+            for kg, kf, delta, theta in cases:
+                want = family_complex_stability(kg, kf, delta, theta)
+                assert sweep_verdict(*frequency_scaled(kg, kf, k), delta, theta) == want, (
+                    k, delta, theta)
+
+    def test_tangent_touch_at_a_double_root_is_a_crossing(self):
+        # f = s^5 + a s^4 + 2 w^2 s^3 + b s^2 + w^4 s + f0, f0 in [lo, lo + 2]: the odd part
+        # (x + w^2)^2 is a double root of the f0 edge's h at omega = w, where the member with
+        # f0 = lo + 1 vanishes (t = 1/2). The roots come back a little off the real axis, so
+        # only the CROSSING_TOL band finds the touch. Every member shares the odd part, so the
+        # anchor is not Hurwitz: the edge test is checked on its own.
+        kg = IntervalPolynomial([0.0], [0.0])
+        for w in (0.5, 1.0, 1.5, 2.0, 3.0):
+            for a in (0.5, 1.0, 1.5):
+                b = 2.0 + a * w ** 2
+                lo = b * w ** 2 - a * w ** 4 - 1.0
+                row = [lo, w ** 4, b, 2.0 * w ** 2, a, 1.0]
+                kf = IntervalPolynomial(row, [lo + 2.0, *row[1:]])
+                for delta in (0.25, 0.5):
+                    assert valueset._edge_crossing(kg, kf, delta, 0.0), (w, a, delta)
+
+    def test_touch_at_omega_zero_is_a_crossing(self):
+        # theta = 0 and f_1 = 0: the f0 edge's h is omega^3 (2 - omega^2) times a constant, and
+        # the member with f0 = 0 vanishes at omega = 0 (t = 1/2). The triple root at 0 is taken
+        # exactly from h's lowest power, not from eigenvalues scattered about 0.
+        kg = IntervalPolynomial([0.0], [0.0])
+        kf = IntervalPolynomial([-1.0, 0.0, 1.0, 2.0, 1.0, 1.0], [1.0, 0.0, 1.0, 2.0, 1.0, 1.0])
+        for delta in (0.25, 0.5):
+            assert valueset._edge_crossing(kg, kf, delta, 0.0)
 
     def test_overflowing_edge_products_raise(self):
         # the edge rows are finite but their products are not: exit 4, and no verdict, not even
