@@ -378,10 +378,11 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     |D| * |P|, counts as 0. That drops the top coefficients that cancel in exact arithmetic
     whatever the frequency scale of the family, which a cut relative to the row's largest
     coefficient does not. A zero lowest power gives the root omega = 0 exactly. The rest of h,
-    from its lowest to its highest nonzero coefficient, is solved in omega / scale, scale the
-    power of 2 that makes those two end coefficients about equal, so that the family's
-    frequency scale does not reach roots_batch's degeneracy test; rows of one length share one
-    roots_batch call, and one whose roots still do not converge raises. Roots within
+    from its lowest to its highest nonzero coefficient, is solved in omega / 2**e, e the least
+    that makes the leading coefficient the largest: the degree is already settled, so
+    roots_batch's degeneracy test, a cut relative to the largest coefficient, must not depend
+    on the family's frequency scale or spread either. Rows of one length share one roots_batch
+    call, whose residual test still raises for roots that do not converge. Roots within
     CROSSING_TOL of the real axis, relative, count as real. A root where d(j omega) = 0 gives
     no t: the edge is then the point p_b, an end of the edges beside it. An h with no nonzero
     coefficient has d(j omega) parallel to p_b(j omega) at every omega, as when the edge's two
@@ -403,13 +404,14 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     span = np.where(live, high - low, 0)
     omegas = np.full(h.shape, np.nan)  # each row's roots, then omega = 0 in the last column
     omegas[:, -1] = np.where(live & (low > 0), 0.0, np.nan)
-    with np.errstate(all="ignore"):  # an overflow of the scaling fails roots_batch; NaN is no root
+    with np.errstate(all="ignore"):  # log2(0) is -inf and ignored; NaN is no root
         for length in sorted(set(span.tolist()) - {0}):
             members = np.flatnonzero(span == length)
             c = np.take_along_axis(h[members], low[members, None] + np.arange(length + 1), axis=1)
-            log_ratio = np.log2(np.abs(c[:, 0])) - np.log2(np.abs(c[:, -1]))
-            scale = np.exp2(np.round(log_ratio / length))[:, None]
-            z = roots_batch(c * scale ** np.arange(length + 1))[0] * scale
+            power = np.arange(length + 1) - length  # of each coefficient, less the top's
+            bits = np.log2(np.abs(c)) - np.log2(np.abs(c[:, -1:]))
+            e = np.ceil((bits[:, :-1] / -power[:-1]).max(axis=1)).astype(int)[:, None]
+            z = roots_batch(np.ldexp(c / np.abs(c[:, -1:]), e * power))[0] * np.exp2(e)
             omegas[members, :length] = np.where(
                 np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
         d, p = eval_many(rows, omegas)

@@ -648,6 +648,23 @@ class TestEdgeRoute:
                 assert sweep_verdict(*frequency_scaled(kg, kf, k), delta, theta) == want, (
                     k, delta, theta)
 
+    def test_poles_spread_over_decades_are_solved(self):
+        # poles near 1/k and near k: no frequency scale evens the edge rows, whose middle
+        # coefficients exceed both ends by more than 1e12 at k = 1e3; each row is scaled so its
+        # leading coefficient is the largest, and the verdict still follows the twelve vertices
+        verdicts = set()
+        for k in (1e3, 1e4):
+            f = np.real(np.poly([-1 / k, -(1 + 0.5j) / k, -(1 - 0.5j) / k,
+                                 -k, -(1 + 1j) * k, -(1 - 1j) * k]))[::-1]
+            kf = IntervalPolynomial(0.99 * f, 1.01 * f)
+            kg = IntervalPolynomial([-0.5 * f[0], 0.3 * f[1]], [-0.4 * f[0], 0.5 * f[1]])
+            for delta in (0.3, 0.6, 0.9):
+                for theta in np.linspace(-math.pi, math.pi, 12, endpoint=False).tolist():
+                    want = family_complex_stability(kg, kf, delta, theta)
+                    assert sweep_verdict(kg, kf, delta, theta) == want, (k, delta, theta)
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
     def test_tangent_touch_at_a_double_root_is_a_crossing(self):
         # f = s^5 + a s^4 + 2 w^2 s^3 + b s^2 + w^4 s + f0, f0 in [lo, lo + 2]: the odd part
         # (x + w^2)^2 is a double root of the f0 edge's h at omega = w, where the member with
