@@ -374,19 +374,15 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     line where h = Im q has a real root, and on the edge where t = -Re q / |d|^2 is in [0, 1]
     there.
 
-    A coefficient of h within the roundoff of its own sum, 4 * len(h) eps times that of
-    |D| * |P|, counts as 0. That drops the top coefficients that cancel in exact arithmetic
-    whatever the frequency scale of the family, which a cut relative to the row's largest
-    coefficient does not. A zero lowest power gives the root omega = 0 exactly. The rest of h,
-    from its lowest to its highest nonzero coefficient, is solved in omega / 2**e, e the least
-    that makes the leading coefficient the largest: the degree is already settled, so
-    roots_batch's degeneracy test, a cut relative to the largest coefficient, must not depend
-    on the family's frequency scale or spread either. Rows of one length share one roots_batch
-    call, whose residual test still raises for roots that do not converge. Roots within
-    CROSSING_TOL of the real axis, relative, count as real. A root where d(j omega) = 0 gives
-    no t: the edge is then the point p_b, an end of the edges beside it. An h with no nonzero
-    coefficient has d(j omega) parallel to p_b(j omega) at every omega, as when the edge's two
-    vertices coincide (a zero-width coefficient interval): such an edge is skipped.
+    A coefficient of h within its own roundoff, 4 * len(h) eps times the same coefficient of
+    |D| * |P|, counts as 0: unlike a cut relative to the row's largest coefficient, this does
+    not depend on the family's frequency scale. A zero lowest power gives the root omega = 0
+    exactly. The rest of each h is solved in omega / 2**e, e the least that makes its leading
+    coefficient the largest, as its degree is settled; rows of one length share a roots_batch
+    call. Roots within CROSSING_TOL of the real axis, relative, count as real. A root where
+    d(j omega) = 0 gives no t: the edge is then the point p_b, an end of the edges beside it.
+    An h with no coefficient left (d(j omega) parallel to p_b(j omega) at every omega, as when
+    the edge's two vertices coincide) is skipped.
     """
     (ga, fa), (gb, fb) = (tuple_rows(kg, kf, ends) for ends in zip(*EDGES))
     spin = _J_POWERS[np.arange(ga.shape[1]) % 4]
