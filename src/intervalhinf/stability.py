@@ -212,7 +212,8 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
         raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
     first, inverse = distinct_rows(rows)
-    scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first])))
+    with np.errstate(all="ignore"):  # an overflow shows as a matrix that is not finite
+        scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first])))
     if _clears_roundoff(scaled.copy()):  # eigvalsh below needs the unshifted matrices
         return np.ones(len(rows), dtype=bool)
     try:

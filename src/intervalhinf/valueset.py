@@ -12,12 +12,11 @@ sixteen edges between the twelve tuples, and the origin is on an edge exactly
 at a real root of one polynomial per edge, so `zero_exclusion_sweep` solves
 those sixteen in a few batched root calls and needs no frequency grid.
 
-For printed polygons, a sweep prunes the corners and computes the signed origin
-margins of all frequencies in one pass; `origin_excluded` is its one-polygon
-wrapper. The sixteen vertex values are g_i + (1 + delta*e^{j theta}) f_j, so
-their largest excess over a line is the four g values' largest plus the four
-rotated f values': the enclosure check passes over four values per family, not
-sixteen.
+Printed polygons (`octagon`, `sweep_octagons`) are built one frequency at a
+time. All sixteen vertex values are first checked against the eight predicted
+corners at every frequency; then each polygon merges coincident corners, drops
+those that do not turn, and takes its signed origin margin, the same margin
+that `origin_excluded` gives for any polygon.
 """
 
 from __future__ import annotations
@@ -153,28 +152,14 @@ def predicted_tuples(omega: float, delta: float, theta: float) -> tuple[VertexTu
     return CASE_A if phi <= 0 else CASE_B
 
 
-def _check_enclosed(gv: np.ndarray, rf: np.ndarray, values: np.ndarray, corners: np.ndarray,
-                    scale: np.ndarray, omegas: np.ndarray) -> None:
-    """Raise HullMismatchError if a value g_i + rf_j passes an edge line or the corners' box by
-    1e-9*scale. Corners run clockwise; the box bounds point and segment polygons. Edges within
-    the 1e-12*scale coincidence tolerance have no reliable direction and are skipped.
-
-    The worst excess is separable: max_ij <g_i + rf_j - a, n> = max_i <g_i, n> + max_j <rf_j, n>
-    - <a, n>. Where it reaches half the tolerance, a test of each value decides and names it."""
-    c = corners.T
-    edge = np.roll(c, -1, axis=0) - c
+def _check_enclosed(values: np.ndarray, corners: np.ndarray, scale: np.ndarray,
+                    omegas: np.ndarray) -> None:
+    """Raise HullMismatchError if a vertex value passes an edge line or the corners' box by
+    1e-9*scale, naming the first such value. Corners run clockwise; the box bounds point and
+    segment polygons. Edges within the 1e-12*scale coincidence tolerance have no reliable
+    direction and are skipped."""
+    edge = (np.roll(corners, -1, axis=1) - corners)[:, :, None]  # (F, 8, 1)
     length = np.abs(edge)
-    normal = np.divide(-1j * edge.conj(), length, out=np.zeros(edge.shape, complex),
-                       where=length > 1e-12 * scale)  # conjugated outward unit normals
-    worst = np.maximum.reduce([c.real.min(0) - (gv.real.min(1) + rf.real.min(1)),
-                               (gv.real.max(1) + rf.real.max(1)) - c.real.max(0),
-                               c.imag.min(0) - (gv.imag.min(1) + rf.imag.min(1)),
-                               (gv.imag.max(1) + rf.imag.max(1)) - c.imag.max(0),
-                               ((gv.T[:, None] * normal).real.max(0) - (c * normal).real
-                                + (rf.T[:, None] * normal).real.max(0)).max(0)])
-    rows = np.flatnonzero(worst > 0.5e-9 * scale)
-    values, corners, scale, omegas = values[rows], corners[rows], scale[rows], omegas[rows]
-    edge, length = edge[:, rows].T[:, :, None], length[:, rows].T[:, :, None]  # (R, 8, 1)
     left = ((values[:, None] - corners[:, :, None]) * edge.conj()).imag  # > 0: outside an edge
     excess = np.maximum.reduce([corners.real.min(1, keepdims=True) - values.real,
                                 values.real - corners.real.max(1, keepdims=True),
@@ -188,82 +173,62 @@ def _check_enclosed(gv: np.ndarray, rf: np.ndarray, values: np.ndarray, corners:
                                 f"(tolerance {1e-9 * scale[k]:.3e})")
 
 
-def _next_kept(keep: np.ndarray) -> np.ndarray:
-    """Column of the next kept corner after each column, cyclically; every row keeps one."""
-    out, after = np.empty(keep.shape, dtype=int), keep.argmax(1)  # wraps to the first kept
-    for k in range(keep.shape[1] - 1, -1, -1):
-        out[:, k], after = after, np.where(keep[:, k], k, after)
-    return out
-
-
-def _keep_mask(corners: np.ndarray, tol: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """(F, 8) mask of the clockwise corners each polygon keeps.
+def _corner_columns(points: np.ndarray, tol: float, negative: bool) -> list[int]:
+    """Columns of the clockwise corners one polygon keeps, ending at its smallest (re, im).
 
     Coincident neighbours (within tol, also across the wrap) merge into the earliest-listed
     tuple: the run's first for omega >= 0, its latest below. A corner not turning clockwise
     between its kept neighbours is dropped unless it reverses (a segment's end)."""
-    rows, rep, last = np.arange(len(corners)), np.zeros(len(corners), dtype=int), corners[:, 0]
-    keep = np.ones(corners.shape, dtype=bool, order="F")  # column k is set before it is read
-    for k in range(1, corners.shape[1]):
-        new = np.abs(corners[:, k] - last) > tol
-        keep[:, k - 1] &= new | ~negative  # below omega = 0, rep is always k - 1
-        keep[:, k] = new | negative
-        rep, last = np.where(keep[:, k], k, rep), np.where(keep[:, k], corners[:, k], last)
-    first = keep.argmax(1)  # rep is the last kept corner, last its value
-    wrap = (first != rep) & (np.abs(last - corners[rows, first]) <= tol)
-    keep[rows[wrap], np.where(negative, first, rep)[wrap]] = False
-    before = np.take_along_axis(corners, keep.shape[1] - 1 - _next_kept(keep[:, ::-1])[:, ::-1], 1)
-    ab, bc = corners - before, np.take_along_axis(corners, _next_kept(keep), 1) - corners
-    turn, size = ab.conj() * bc, np.abs(ab) * np.abs(bc)
-    keep &= (turn.imag < -1e-12 * size) | (turn.real < 0.0) | (keep.sum(1, keepdims=True) <= 2)
-    return keep
+    kept = [0]
+    for k in range(1, len(points)):
+        if np.abs(points[k] - points[kept[-1]]) > tol:
+            kept.append(k)
+        elif negative:
+            kept[-1] = k
+    if len(kept) > 1 and np.abs(points[kept[-1]] - points[kept[0]]) <= tol:
+        del kept[0 if negative else -1]
+    if len(kept) > 2:
+        corners = points[kept]
+        ab, bc = corners - np.roll(corners, 1), np.roll(corners, -1) - corners
+        turn, size = ab.conj() * bc, np.abs(ab) * np.abs(bc)
+        kept = [k for k, t, s in zip(kept, turn, size) if t.imag < -1e-12 * s or t.real < 0.0]
+    last = kept.index(min(kept, key=lambda k: (points[k].real, points[k].imag)))
+    return kept[last + 1:] + kept[:last + 1]
 
 
-def _margins(corners: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Signed origin distance of each polygon of kept clockwise corners, shape (F,).
+def _margin(points: np.ndarray) -> float:
+    """Signed origin distance of one polygon of clockwise corners.
 
     Negative only inside three or more corners (no edge has 0 on its left);
     a lone corner's zero-length edge gives its modulus."""
-    ab = np.take_along_axis(corners, _next_kept(keep), 1) - corners
+    ab = np.roll(points, -1) - points
     length2 = np.abs(ab) ** 2
-    along = np.divide(-corners.real * ab.real - corners.imag * ab.imag, length2,
+    along = np.divide(-points.real * ab.real - points.imag * ab.imag, length2,
                       out=np.zeros(length2.shape), where=length2 > 0.0)
-    dist = np.where(keep, np.abs(corners + np.clip(along, 0.0, 1.0) * ab), np.inf).min(1)
-    left = ab.imag * corners.real - ab.real * corners.imag
-    inside = (keep.sum(1) > 2) & ((left <= 0.0) | ~keep).all(1)
-    return np.where(inside, -dist, dist)
+    dist = np.abs(points + np.clip(along, 0.0, 1.0) * ab).min()
+    left = ab.imag * points.real - ab.real * points.imag
+    return float(-dist if len(points) > 2 and (left <= 0.0).all() else dist)
 
 
-def _value_sets(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
-                omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Clockwise predicted corners (F, 8), which must enclose the sixteen vertex values,
-    their keep-mask, the margins and the two listings (the one for omega < 0 reversed)."""
+def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
+              omegas: np.ndarray) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
+    """Each omega's polygon and its origin check. The sixteen vertex values are checked
+    against the case-predicted corners first, at every omega, before any polygon is made."""
     with np.errstate(all="ignore"):
         gv, fv = (eval_many(vertex_rows(k), 1j * omegas).T for k in (kg, kf))
-        rf = rotation_factor(delta, theta) * fv
-        values = (gv[:, :, None] + rf[:, None, :]).reshape(-1, 16)
+        values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
         scale = np.maximum(1.0, np.abs(values).max(axis=1))
     for k in np.flatnonzero(~np.isfinite(scale))[:1]:
         raise NoConvergenceError(f"vertex values at omega={omegas[k]} are not finite")
     listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
     column = [[4 * t.g_row + t.f_row for t in listing] for listing in listings]
-    negative = omegas < 0
-    corners = np.where(negative[:, None], values[:, column[1]], values[:, column[0]])
-    _check_enclosed(gv, rf, values, corners, scale, omegas)
-    keep = _keep_mask(corners, 1e-12 * scale, negative)
-    return corners, keep, _margins(corners, keep), listings
-
-
-def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
-              omegas: np.ndarray) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
-    """Each omega's polygon, ending at its smallest (re, im) corner, and its origin check."""
-    corners, keep, margins, listings = _value_sets(kg, kf, delta, theta, omegas)
-    for omega, points, kept, margin in zip(omegas.tolist(), corners.tolist(), keep.tolist(),
-                                           margins.tolist()):
-        ks = [k for k in range(8) if kept[k]]
-        last = ks.index(min(ks, key=lambda k: (points[k].real, points[k].imag)))
-        vertices = tuple((points[k], listings[omega < 0][k]) for k in ks[last + 1:] + ks[:last + 1])
-        yield ValueSetPolygon(vertices, omega, delta, theta), OriginCheck(margin > 1e-12, margin)
+    corners = np.where((omegas < 0)[:, None], values[:, column[1]], values[:, column[0]])
+    _check_enclosed(values, corners, scale, omegas)
+    for omega, points, tol in zip(omegas.tolist(), corners, (1e-12 * scale).tolist()):
+        vertices = tuple((complex(points[k]), listings[omega < 0][k])
+                         for k in _corner_columns(points, tol, omega < 0))
+        polygon = ValueSetPolygon(vertices, omega, delta, theta)
+        yield polygon, origin_excluded(polygon)
 
 
 def octagon(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
@@ -281,8 +246,7 @@ def origin_excluded(polygon: ValueSetPolygon) -> OriginCheck:
 
     A point or segment has no interior. Touching the boundary (margin 0) counts as
     not excluded: zero exclusion is an open condition."""
-    points = np.array([polygon.points()], dtype=complex)
-    margin = float(_margins(points, np.ones(points.shape, dtype=bool))[0])
+    margin = _margin(np.array(polygon.points(), dtype=complex))
     return OriginCheck(excluded=margin > 1e-12, margin=margin)
 
 

@@ -140,6 +140,13 @@ class TestInputErrors:
         "--sweep without POINTS": (("valueset", "FILE", "--delta", "0.5", "--sweep", "5"),
                                    FAMILIES + "  - [1, 1]\n",
                                    "--sweep: expected MAX:POINTS, e.g. 100:500"),
+        # the CLI only parses --sweep; the sweep checks MAX and POINTS at its call
+        "--sweep of one point": (("valueset", "FILE", "--delta", "0.5", "--sweep", "10:1"),
+                                 FAMILIES + "  - [1, 1]\n", "points: expected an integer >= 2"),
+        **{f"--sweep MAX {spec}": (("valueset", "FILE", "--delta", "0.5", "--sweep", spec),
+                                   FAMILIES + "  - [1, 1]\n",
+                                   "omega_max: expected a finite float > 0")
+           for spec in ("nan:10", "inf:10", "0:10")},
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -548,3 +550,10 @@ class TestCholeskyConfirmation:
             cause = info.value.__cause__
             assert type(cause) is NoConvergenceError and cause.row is None
             assert isinstance(cause.__cause__, np.linalg.LinAlgError)
+
+    def test_underflowing_row_raises_without_a_warning(self):
+        # the Hermite entries of a row scaled by 1e-160 underflow and their scaling overflows;
+        # pytest makes a warning an error, so the NoConvergenceError must come alone
+        with pytest.raises(NoConvergenceError, match=re.escape(
+                "row 0: Hermite matrix is not finite: Eigenvalues did not converge")):
+            hurwitz_batch(np.array([[1.0, 3.3, 4.0, 2.4, 1.0]]) * 1e-160)

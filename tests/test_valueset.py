@@ -299,8 +299,8 @@ class TestOriginExcluded:
         assert not origin_excluded(poly).excluded
 
 
-# Per-polygon corner pruning and origin margin as they were before the
-# batched geometry; kept here as the reference the batched path must match.
+# Corner pruning and origin margin in plain Python: the reference the printed polygons
+# must match.
 def reference_corners(ranks, points, tol):
     kept = []
     for corner in zip(ranks, points):
@@ -363,7 +363,7 @@ def sweep_grid(omega_max, points):
 
 
 class TestBatchedGeometry:
-    """The (F, 8) keep-mask and margins against the per-polygon reference."""
+    """Printed polygons and margins against the plain-Python reference and hand-built cases."""
 
     def test_equivalent_to_per_polygon_reference(self):
         rng = np.random.default_rng(83)
@@ -392,10 +392,9 @@ class TestBatchedGeometry:
 
     @staticmethod
     def _one(corners, negative=False):
-        corners = np.array([corners], dtype=complex)
-        scale = np.maximum(1.0, np.abs(corners).max(axis=1))
-        keep = valueset._keep_mask(corners, 1e-12 * scale, np.array([negative]))
-        return keep[0].tolist(), float(valueset._margins(corners, keep)[0])
+        points = np.array(corners, dtype=complex)
+        kept = valueset._corner_columns(points, 1e-12 * max(1.0, np.abs(points).max()), negative)
+        return [k in kept for k in range(8)], valueset._margin(points[kept])
 
     def test_all_eight_coincident(self):
         for negative, kept in ((False, 0), (True, 7)):
@@ -451,6 +450,14 @@ class TestFamilyComplexStability:
         kg = IntervalPolynomial([1], [1])
         kf = IntervalPolynomial([0, -1, 1], [0, -1, 1])  # s^2 - s
         assert not family_complex_stability(kg, kf, 0.5, 0.3)
+
+    def test_overflowing_vertex_rows_raise_without_a_warning(self):
+        kg, kf = (IntervalPolynomial(np.array(k.lower) * 1e160, np.array(k.upper) * 1e160)
+                  for k in widened_family())
+        with pytest.raises(NoConvergenceError, match=re.escape(  # a warning would be an error
+                "row 0: Hermite matrix is not finite: Eigenvalues did not converge")) as err:
+            family_complex_stability(kg, kf, 0.5, 0.9)
+        assert err.value.exit_code == 4
 
 
 class TestZeroExclusionSweep:
@@ -704,8 +711,8 @@ class TestEdgeRoute:
             assert err.value.exit_code == 4
 
 
-# The enclosure check and the next-kept scan as they were when every vertex value was
-# tested against every edge; kept here as the references the sweep must match.
+# The per-value enclosure check, one edge at a time: the reference the printed polygons
+# must match.
 def reference_enclosure_message(kg, kf, delta, theta, omegas):
     """The HullMismatchError text the per-value check raises for this sweep, or None."""
     z = np.broadcast_to(1j * omegas, (4, len(omegas)))
@@ -736,15 +743,9 @@ def reference_excess_message(values, corners, scale, omegas):
     return None
 
 
-def reference_next_kept(keep):
-    m = keep.shape[1]
-    index = np.where(np.tile(keep, 2), np.arange(2 * m), 2 * m)
-    return np.minimum.accumulate(index[:, ::-1], axis=1)[:, ::-1][:, 1:m + 1] % m
-
-
 def sweep_message(kg, kf, delta, theta, omegas):
     try:
-        valueset._value_sets(kg, kf, delta, theta, omegas)
+        next(valueset._polygons(kg, kf, delta, theta, omegas))  # checks before the first
     except HullMismatchError as err:
         return str(err)
     return None
@@ -788,17 +789,8 @@ class TestEnclosureCheck:
                 corners = values[:, columns]
                 assert reference_excess_message(values, corners, scale, omegas) == message
                 try:
-                    valueset._check_enclosed(gv, rf, values, corners, scale, omegas)
+                    valueset._check_enclosed(values, corners, scale, omegas)
                 except HullMismatchError as err:
                     assert str(err) == message, direction
                 else:
                     assert message is None, direction
-
-    def test_next_kept_matches_the_doubled_index_scan(self):
-        rng = np.random.default_rng(97)
-        for width in range(1, 9):
-            keep = rng.random((500, width)) < rng.uniform(0.1, 0.9, (500, 1))
-            keep[np.arange(500), rng.integers(0, width, 500)] = True
-            got = valueset._next_kept(keep)
-            assert got.dtype == reference_next_kept(keep).dtype
-            assert np.array_equal(got, reference_next_kept(keep))
