@@ -36,6 +36,7 @@ from .valueset import octagon, sweep_octagons
 # exit code -> stderr prefix; library errors carry their exit_code, a ValueError exits 2
 _PREFIX = {2: "error", 3: "unstable", 4: "numerical failure"}
 
+_FAST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, if PyYAML has it
 _COUNT = click.IntRange(min=0)  # count flags
 _DIGITS = click.option("--digits", type=click.IntRange(min=1), default=9)  # significant digits
 # the AnalysisOptions fields a problem file may set; AnalysisOptions checks their values
@@ -92,10 +93,18 @@ def _bounds_list(node, name: str) -> tuple[list[float], list[float]]:
 
 
 def load_problem(path: str) -> AnalysisProblem:
-    """Parse and validate a YAML problem file into an AnalysisProblem."""
+    """Parse and validate a YAML problem file into an AnalysisProblem.
+
+    libyaml parses when PyYAML has it. A file it refuses is parsed again by the pure-Python
+    SafeLoader, which decides and words any syntax error, so the message does not depend on
+    libyaml."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            try:
+                doc = yaml.load(fh, Loader=_FAST_LOADER)
+            except yaml.YAMLError:
+                fh.seek(0)
+                doc = yaml.load(fh, Loader=yaml.SafeLoader)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -18,7 +18,10 @@ grid rows next to each crossing angle decides the step, since between two
 crossings a pair's rows are all Hurwitz or none is. The reference: a step
 the test declines goes to hurwitz_batch on the whole grid, in chunks of
 _THETA_CHUNK thetas, which decides each row and names a failing one.
-Neither route uses the norms, so the bisection stays independent of them.
+The bisection plans its steps from a threshold predicted by the norms of
+the shifted row pairs and decides them together, one root solve and one
+probe call for all; the norms only order the steps, and every verdict
+comes from the crossing and probe route.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, add, as_float, check_count, check_width, degrees,
                    distinct_rows, eval_at_jomega, magnitude_squared, multiply_rows)
-from .stability import hurwitz_batch, is_hurwitz_real, level_crossings
+from .stability import LevelCrossings, hurwitz_batch, is_hurwitz_real, level_crossings
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -266,34 +269,44 @@ def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
         raise type(err)(f"{where}theta={thetas[err.row]}: {err.__cause__}") from err.__cause__
 
 
-def _crossing_verdict(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
-                      g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
-                      tuples: tuple[VertexTuple, ...] = ()) -> bool | None:
-    """True iff every grid row is Hurwitz, decided from the crossing angles on the circle
-    |c| = delta; None if there is no crossing test or it declines.
+def _crossing_verdict(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
+                      deltas: list[float], thetas: np.ndarray,
+                      tuples: tuple[VertexTuple, ...] = ()) -> list[bool | None]:
+    """For each delta: True iff every grid row is Hurwitz, decided from the crossing angles on
+    the circle |c| = delta; None if there is no crossing test or it declines.
 
     No crossing certifies every row of the disk. Otherwise, between two consecutive crossing
-    angles of a row pair, its rows on the circle are all Hurwitz or none is. So the step is
-    decided by one hurwitz_batch call on the _theta_grid rows within two grid steps of each
-    crossing angle of their pair, built by perturbed_vertex_rows as the grid's own rows are:
-    they hold a row of every arc that holds a grid theta, even for an angle off by up to one
-    grid step."""
-    found = None if crossings is None else crossings(delta)
-    if found is None:
-        return None
-    pairs, angles = found
-    if not len(pairs):
-        return True
-    below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
-    at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
-    pairs = np.tile(pairs, 4)
-    probed, where = np.unique(at, return_inverse=True)
-    rows = perturbed_vertex_rows(g_rows, f_rows, delta, thetas[probed])
-    return bool(_hurwitz_rows(rows[where * len(g_rows) + pairs], thetas[at], pairs, tuples).all())
+    angles of a row pair, its rows on the circle are all Hurwitz or none is. So a delta is
+    decided by the _theta_grid rows within two grid steps of each crossing angle of their pair,
+    built by perturbed_vertex_rows as the grid's own rows are: they hold a row of every arc
+    that holds a grid theta, even for an angle off by up to one grid step. The probe rows of
+    every delta go to one hurwitz_batch call, which decides each row as it would alone."""
+    found = [None] * len(deltas) if crossings is None else crossings(deltas)
+    verdicts: list[bool | None] = [None if c is None else True for c in found]
+    steps, rows, at_thetas, at_pairs = [], [], [], []
+    for step, (delta, c) in enumerate(zip(deltas, found)):
+        if c is None or not len(c[0]):
+            continue
+        pairs, angles = c
+        below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
+        at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
+        pairs = np.tile(pairs, 4)
+        probed, where = np.unique(at, return_inverse=True)
+        grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas[probed])
+        steps.append(step)
+        rows.append(grid[where * len(g_rows) + pairs])
+        at_thetas.append(thetas[at])
+        at_pairs.append(pairs)
+    if steps:
+        stable = _hurwitz_rows(np.concatenate(rows), np.concatenate(at_thetas),
+                               np.concatenate(at_pairs), tuples)
+        for step, part in zip(steps, np.split(stable, np.cumsum([len(r) for r in rows])[:-1])):
+            verdicts[step] = bool(part.all())
+    return verdicts
 
 
-def _hurwitz_on_grid(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None,
-                     g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
+def _hurwitz_on_grid(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
+                     delta: float, thetas: np.ndarray,
                      tuples: tuple[VertexTuple, ...] = ()) -> bool:
     """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
     a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
@@ -302,7 +315,7 @@ def _hurwitz_on_grid(crossings: Callable[[float], tuple[np.ndarray, np.ndarray] 
     delta it tests, or None. A step it decides (_crossing_verdict) costs one root solve and
     at most one hurwitz_batch call on a few rows. A declined step takes the reference route:
     hurwitz_batch on the perturbed rows of the whole grid, in chunks of _THETA_CHUNK thetas."""
-    verdict = _crossing_verdict(crossings, g_rows, f_rows, delta, thetas, tuples)
+    verdict = _crossing_verdict(crossings, g_rows, f_rows, [delta], thetas, tuples)[0]
     if verdict is not None:
         return verdict
     pairs = np.tile(np.arange(len(g_rows)), _THETA_CHUNK)
@@ -334,28 +347,12 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
                             thetas)
 
 
-def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
-                          tol: float = 1e-4, theta_count: int = 720) -> float:
-    """Family-wide sensitivity peak located by bisection over gamma.
-
-    The twelve perturbed vertex polynomials with delta = 1/gamma are Hurwitz on
-    the whole theta grid exactly when the family supremum is below gamma,
-    so the transition point is the worst-case norm. Independent of the
-    per-vertex stationary-point route by construction. Each step is one
-    _hurwitz_on_grid call on the twelve row pairs, whose level_crossings
-    test is built once: a step is decided from its crossing angles, and
-    only a step that the test declines goes to hurwitz_batch on the whole
-    theta grid.
-    """
-    tol = check_width("tol", tol)
-    thetas = _theta_grid(theta_count)
-    check_families(kg, kf)
-    if not sum_family_hurwitz(kg, kf):
-        raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
-    crossings = level_crossings(g_rows, f_rows)
+def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
+    """The gamma bisection, verdict(gamma) True iff the peak is below gamma: gamma doubles from
+    2 until a verdict is True, then [1 + 1e-9, hi] halves until it is at most tol wide or two
+    adjacent floats, and its midpoint is returned."""
     hi = 2.0
-    while not _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / hi, thetas, TWELVE_TUPLES):
+    while not verdict(hi):
         hi *= 2.0
         if hi > GAMMA_CAP:
             raise NoUpperBracketError(
@@ -366,8 +363,84 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are adjacent floats: tol is below their spacing
             break
-        if _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / mid, thetas, TWELVE_TUPLES):
+        if verdict(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _predicted_threshold(crossings: LevelCrossings) -> float | None:
+    """nu, the largest ||shift(f) / shift(g + f)||_inf over the crossing test's distinct pairs,
+    from one _norm_arrays call on its shifted rows: for gamma > nu no row of the disk
+    |c| <= 1/gamma has an imaginary-axis root. None if that call raises."""
+    try:
+        return float(_norm_arrays(crossings.b, crossings.a)[1].max())
+    except IntervalHinfError:
+        return None
+
+
+def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
+                      thetas: np.ndarray, tol: float) -> dict[float, bool]:
+    """The verdict of each gamma the bisection is planned to test, decided together.
+
+    The plan replays _bisect with each verdict predicted as gamma > nu (_predicted_threshold).
+    Its deltas share one _crossing_verdict call: one root solve, and one hurwitz_batch call on
+    the probe rows, so each verdict is the one its step gets alone. A delta whose crossing test
+    declines has none. Empty if there is no test or no nu, or if the probe call raises: the
+    steps are then decided one by one, so an error is raised at the step that raises it
+    alone. The prediction only chooses the gammas; a verdict that differs from it is kept."""
+    nu = None if crossings is None else _predicted_threshold(crossings)
+    if nu is None:
+        return []
+    gammas: list[float] = []
+
+    def predicted(gamma: float) -> bool:
+        gammas.append(gamma)
+        return gamma > nu
+
+    try:
+        _bisect(predicted, tol)
+    except NoUpperBracketError:  # planned up to the cap; the bisection raises there itself
+        pass
+    try:
+        verdicts = _crossing_verdict(crossings, g_rows, f_rows, [1.0 / gamma for gamma in gammas],
+                                     thetas)
+    except (IntervalHinfError, ValueError):  # LinAlgError is a ValueError
+        return []
+    return {gamma: verdict for gamma, verdict in zip(gammas, verdicts) if verdict is not None}
+
+
+def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
+                          tol: float = 1e-4, theta_count: int = 720) -> float:
+    """Family-wide sensitivity peak located by bisection over gamma.
+
+    The twelve perturbed vertex polynomials with delta = 1/gamma are Hurwitz on
+    the whole theta grid exactly when the family supremum is below gamma,
+    so the transition point is the worst-case norm. Independent of the
+    per-vertex stationary-point route by construction. A step's verdict is
+    that of one _hurwitz_on_grid call on the twelve row pairs, whose
+    level_crossings test is built once: a step is decided from its crossing
+    angles, and only a step that the test declines goes to hurwitz_batch on
+    the whole theta grid. The steps are planned from a predicted threshold
+    and decided together first (_planned_verdicts). Once a verdict differs
+    from its prediction, the bisection leaves the planned gammas, and each
+    later step is decided alone, as is a planned step left undecided. The
+    prediction only orders the work: every verdict is the one its step gets
+    alone.
+    """
+    tol = check_width("tol", tol)
+    thetas = _theta_grid(theta_count)
+    check_families(kg, kf)
+    if not sum_family_hurwitz(kg, kf):
+        raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
+    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+    crossings = level_crossings(g_rows, f_rows)
+    planned = _planned_verdicts(crossings, g_rows, f_rows, thetas, tol)
+
+    def verdict(gamma: float) -> bool:
+        if gamma in planned:
+            return planned[gamma]
+        return _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / gamma, thetas, TWELVE_TUPLES)
+
+    return _bisect(verdict, tol)

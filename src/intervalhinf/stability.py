@@ -18,7 +18,7 @@ the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "is_hurwitz_complex",
     "hurwitz_batch",
     "level_crossings",
+    "LevelCrossings",
     "HURWITZ_TOL",
 ]
 
@@ -240,12 +241,68 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     return stable[inverse]
 
 
-def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
-                    ) -> Callable[[float], tuple[np.ndarray, np.ndarray] | None] | None:
-    """crossings(delta): the pair index and theta of each imaginary-axis crossing of the rows
-    g + (1 + delta e^{j theta}) f over the real (g, f) row pairs (P, n+1), both empty when
-    there is none; None when that cannot be decided. Instead of crossings, None (no test at
-    all) unless hurwitz_batch's unit-diagonal Cholesky test confirms every g + f Hurwitz.
+@dataclass(frozen=True, eq=False)
+class LevelCrossings:
+    """The level-crossing test of level_crossings over P distinct (g, f) row pairs: `pairs`
+    holds the first index of each, a = shift(g + f) and b = shift(f) their rows, ma and mb
+    magnitude_squared(a) and magnitude_squared(b)."""
+
+    pairs: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    ma: np.ndarray
+    mb: np.ndarray
+
+    def __call__(self, deltas) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """For each delta: the pair index and theta of each crossing, or None if it declines.
+
+        The level rows of every delta that passes the checks share one roots_batch call. If
+        that call raises, each delta is solved alone, so a failing row declines only its own
+        delta. Every kernel works row by row, so each answer equals asking for its delta alone.
+        """
+        deltas = np.asarray(deltas, dtype=float)
+        with np.errstate(all="ignore"):  # anything that overflows decides nothing
+            level = self.ma - (deltas * deltas)[:, None, None] * self.mb
+            ok = (np.isfinite(level).all(axis=(1, 2))
+                  & (level[..., -1] > CROSSING_TOL * self.ma[:, -1]).all(axis=1)
+                  & (np.abs(level[..., 0]) > CROSSING_TOL * self.ma[:, 0]).all(axis=1))
+            x = np.full(level[..., 1:].shape, np.nan, dtype=complex)
+            if ok.any():
+                try:
+                    x[ok] = roots_batch(level[ok].reshape(-1, level.shape[2]))[0].reshape(
+                        -1, *x.shape[1:])
+                except IntervalHinfError:
+                    for d in np.flatnonzero(ok):
+                        try:
+                            x[d] = roots_batch(level[d])[0]
+                        except IntervalHinfError:
+                            ok[d] = False
+            # NaN roots of a declined delta are never near
+            near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
+            i, u, k = np.nonzero(near)  # by delta, then pair
+            at = eval_at_jomega(np.stack([self.a[u], self.b[u]]),
+                                np.sqrt(x.real[i, u, k])[:, None])[..., 0]
+            theta = np.angle(-at[0] * at[1].conj())
+        bounds = np.searchsorted(i, np.arange(len(deltas) + 1))
+        found: list[tuple[np.ndarray, np.ndarray] | None] = []
+        for d, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            t, p = theta[start:stop], self.pairs[u[start:stop]]
+            if not ok[d] or not np.isfinite(t).all():
+                found.append(None)
+            elif start < stop:
+                found.append((np.concatenate([p, p]), np.concatenate([t, -t])))
+            else:
+                found.append((np.zeros(0, dtype=int), np.zeros(0))
+                             if (level[d, :, 0] > 0.0).all() else None)
+        return found
+
+
+def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | None:
+    """The crossing test of the rows g + (1 + delta e^{j theta}) f over the real (g, f) row
+    pairs (P, n+1). Called with an array of delta, it gives for each delta the pair index and
+    theta of each imaginary-axis crossing, both empty when there is none, or None when that
+    cannot be decided. None instead of a test unless hurwitz_batch's unit-diagonal Cholesky
+    test confirms every g + f Hurwitz.
 
     With a = shift(g + f) and b = shift(f), the Taylor shift of hurwitz_batch, a + c b has the
     root j omega exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the
@@ -255,10 +312,11 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
     continuously with c. So between two consecutive crossing thetas of a pair, its rows on the
     circle are all Hurwitz or none is; and if the level polynomial is positive at x = 0 and
     has no root within CROSSING_TOL of [0, inf), no row on the whole disk |c| <= delta has a
-    root on the axis, and every row is Hurwitz, as a is. The rows are solved in one
-    roots_batch call. A failure there, a row that is not finite, or a leading coefficient
-    (delta near 1) or value at x = 0 (a crossing at or near omega = 0, which the root filter
-    can miss) within CROSSING_TOL of 0 relative to M_a's decides nothing.
+    root on the axis, and every row is Hurwitz, as a is. The rows of all deltas are solved in
+    one roots_batch call. A failure there for a delta solved alone, a row that is not finite,
+    or a leading coefficient (delta near 1) or value at x = 0 (a crossing at or near
+    omega = 0, which the root filter can miss) within CROSSING_TOL of 0 relative to M_a's
+    decides nothing for that delta.
     """
     first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
     a = _taylor_shift(g_rows[first] + f_rows[first])
@@ -266,26 +324,4 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray
     with np.errstate(all="ignore"):  # an overflow shows as a matrix or row that is not finite
         if not _clears_roundoff(_unit_diagonal(_hermite_matrix(a))):
             return None
-        ma, mb = magnitude_squared(a), magnitude_squared(b)
-
-    def crossings(delta: float) -> tuple[np.ndarray, np.ndarray] | None:
-        with np.errstate(all="ignore"):  # anything that overflows decides nothing
-            level = ma - (delta * delta) * mb
-            if not (np.isfinite(level).all() and (level[:, -1] > CROSSING_TOL * ma[:, -1]).all()
-                    and (np.abs(level[:, 0]) > CROSSING_TOL * ma[:, 0]).all()):
-                return None
-            try:
-                x = roots_batch(level)[0]
-            except IntervalHinfError:
-                return None
-            near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
-            if not near.any():
-                return (np.zeros(0, dtype=int), np.zeros(0)) if (level[:, 0] > 0.0).all() else None
-            u, k = np.nonzero(near)
-            at = eval_at_jomega(np.stack([a[u], b[u]]), np.sqrt(x.real[u, k])[:, None])[..., 0]
-            theta = np.angle(-at[0] * at[1].conj())
-        if not np.isfinite(theta).all():
-            return None
-        return np.concatenate([first[u], first[u]]), np.concatenate([theta, -theta])
-
-    return crossings
+        return LevelCrossings(first, a, b, magnitude_squared(a), magnitude_squared(b))

@@ -110,6 +110,10 @@ CASE_B = _tuples("1111 1211 1212 2212 2222 2122 2121 1121")
 EDGES = tuple(sorted({tuple(sorted(pair)) for listing in (CASE_A, CASE_B)
                       for pair in zip(listing, listing[1:] + listing[:1])}))
 
+# Frequencies per _check_enclosed call of a printed sweep, which bounds its (F, 8, 16) arrays
+# (about 3 KB per frequency) whatever the sweep's length.
+_ENCLOSURE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ValueSetPolygon:
@@ -213,7 +217,8 @@ def _margin(points: np.ndarray) -> float:
 def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, theta: float,
               omegas: np.ndarray) -> Iterator[tuple[ValueSetPolygon, OriginCheck]]:
     """Each omega's polygon and its origin check. The sixteen vertex values are checked
-    against the case-predicted corners first, at every omega, before any polygon is made."""
+    against the case-predicted corners first, at every omega (in blocks of _ENCLOSURE_BLOCK,
+    in order, so the first mismatch is named), before any polygon is made."""
     with np.errstate(all="ignore"):
         gv, fv = (eval_many(vertex_rows(k), 1j * omegas).T for k in (kg, kf))
         values = (gv[:, :, None] + rotation_factor(delta, theta) * fv[:, None, :]).reshape(-1, 16)
@@ -223,7 +228,9 @@ def _polygons(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float, thet
     listings = (predicted_tuples(0.0, delta, theta), predicted_tuples(-1.0, delta, theta)[::-1])
     column = [[4 * t.g_row + t.f_row for t in listing] for listing in listings]
     corners = np.where((omegas < 0)[:, None], values[:, column[1]], values[:, column[0]])
-    _check_enclosed(values, corners, scale, omegas)
+    for start in range(0, len(omegas), _ENCLOSURE_BLOCK):
+        block = slice(start, start + _ENCLOSURE_BLOCK)
+        _check_enclosed(values[block], corners[block], scale[block], omegas[block])
     for omega, points, tol in zip(omegas.tolist(), corners, (1e-12 * scale).tolist()):
         vertices = tuple((complex(points[k]), listings[omega < 0][k])
                          for k in _corner_columns(points, tol, omega < 0))

@@ -7,10 +7,12 @@ from pathlib import Path
 import click
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import intervalhinf
-from intervalhinf import errors
+from conftest import perfbench_population
+from intervalhinf import cli, errors
 from intervalhinf.cli import _guard, fmt, format_polynomial, load_problem, main, report_to_dict
 from intervalhinf.errors import ProblemFileError
 from intervalhinf.theorem import AnalysisOptions, analyze
@@ -37,6 +39,18 @@ class TestProblemFiles:
         for name in ("point_plant.yaml", "widened_family.yaml", "unstable_family.yaml"):
             prob = load_problem(str(PROBLEMS / name))
             assert prob.kf.degree > prob.kg.degree
+
+    def test_libyaml_and_safe_loader_give_the_same_problems(self, tmp_path, monkeypatch):
+        # the shipped files and benchmark-style files of every analyze-families shape
+        population = perfbench_population()
+        paths = sorted(PROBLEMS.glob("*.yaml"))
+        for k, fam in enumerate(population.analyze_families(4111, 8)):
+            paths.append(write(tmp_path, f"family{k}.yaml", population.family_yaml(fam, k, 50)))
+        if yaml.__with_libyaml__:
+            assert cli._FAST_LOADER is yaml.CSafeLoader
+        fast = [load_problem(str(path)) for path in paths]
+        monkeypatch.setattr(cli, "_FAST_LOADER", yaml.SafeLoader)
+        assert [load_problem(str(path)) for path in paths] == fast
 
     def test_crossed_bounds_reported_with_field_path(self, tmp_path):
         path = write(tmp_path, "bad.yaml",
@@ -393,6 +407,8 @@ class TestGoldens:
         "vertices": ("vertices", "--format", "machine"),
         "oracle": ("oracle", "--samples", "300", "--seed", "42"),
         "valueset": ("valueset", "--delta", "0.5", "--theta", "0.7", "--sweep", "30:400"),
+        # every float of the report to its last bit; the text goldens round to 9 digits
+        "analyze-machine": ("analyze", "--seed", "42", "--format", "machine"),
     }
 
     def test_outputs_match_goldens(self):

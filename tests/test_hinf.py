@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -397,17 +398,23 @@ class TestFamilyNormBisection:
         assert 1.0 <= val <= 1.0 + 2e-4
 
     def test_tolerance_below_float_spacing_stops_at_adjacent_floats(self, monkeypatch):
-        # at tol 1e-300 the bracket narrows to adjacent floats and stops there; a step cap
-        # turns a bracket that never closes into a failure instead of a hang
-        steps, on_grid = [], hinf._hurwitz_on_grid
+        # at tol 1e-300 the bracket narrows to adjacent floats and stops there; a step cap on
+        # every run of the loop, the plan's replay included, turns a bracket that never
+        # closes into a failure instead of a hang
+        bisect = hinf._bisect
 
-        def capped(*args):
-            steps.append(args)
-            assert len(steps) < 200, "bisection does not end"
-            return on_grid(*args)
+        def capped(verdict, tol):
+            steps = []
+
+            def counted(gamma):
+                steps.append(gamma)
+                assert len(steps) < 200, "bisection does not end"
+                return verdict(gamma)
+
+            return bisect(counted, tol)
 
         coarse = family_norm_bisection(*POINT, tol=1e-15, theta_count=36)
-        monkeypatch.setattr(hinf, "_hurwitz_on_grid", capped)
+        monkeypatch.setattr(hinf, "_bisect", capped)
         assert family_norm_bisection(*POINT, tol=1e-300, theta_count=36) == coarse
 
     def test_tolerance_must_be_finite_and_positive(self):
@@ -473,22 +480,45 @@ class TestThetaGridFailures:
             check_gamma_equivalence(g, f, 2.0)
 
 
-def bisection_steps(monkeypatch, kg, kf):
-    """(crossings, *args) of every _hurwitz_on_grid step of family_norm_bisection."""
-    steps, on_grid = [], hinf._hurwitz_on_grid
+def reference_bisection(kg, kf, tol=1e-4, theta_count=720, steps=None):
+    """The reference for family_norm_bisection: the same bisection rule with no plan, each step
+    one _hurwitz_on_grid call in turn; (crossings, *args) of each step are appended to `steps`
+    if given."""
+    thetas = hinf._theta_grid(theta_count)
+    g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+    crossings = hinf.level_crossings(g_rows, f_rows)
 
-    def recorded(*args):
-        steps.append(args)
-        return on_grid(*args)
+    def step(gamma):
+        args = (crossings, g_rows, f_rows, 1.0 / gamma, thetas, TWELVE_TUPLES)
+        if steps is not None:
+            steps.append(args)
+        return hinf._hurwitz_on_grid(*args)
 
-    with monkeypatch.context() as patched:
-        patched.setattr(hinf, "_hurwitz_on_grid", recorded)
-        family_norm_bisection(kg, kf, tol=1e-4, theta_count=720)
+    hi = 2.0
+    while not step(hi):
+        hi *= 2.0
+        assert hi <= hinf.GAMMA_CAP
+    lo = 1.0 + 1e-9
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if step(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def bisection_steps(kg, kf):
+    """(crossings, *args) of every _hurwitz_on_grid step of the reference bisection."""
+    steps = []
+    reference_bisection(kg, kf, steps=steps)
     return steps
 
 
 def probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas):
-    """The rows _crossing_verdict sends to hurwitz_batch, and its verdict."""
+    """The rows _crossing_verdict sends to hurwitz_batch for one delta, and its verdict."""
     batches = []
 
     def recorded(rows):
@@ -497,8 +527,24 @@ def probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas):
 
     with monkeypatch.context() as patched:
         patched.setattr(hinf, "hurwitz_batch", recorded)
-        verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, delta, thetas)
+        verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, [delta], thetas)[0]
     return batches, verdict
+
+
+def rewired(crossings, answer):
+    """A copy of the crossing test `crossings` whose answers pass through
+    answer(deltas, found), found being the test's own answers."""
+    class Rewired(type(crossings)):
+        def __call__(self, deltas):
+            return answer(deltas, super().__call__(deltas))
+
+    return Rewired(*(getattr(crossings, field.name) for field in dataclasses.fields(crossings)))
+
+
+def family_of(fam):
+    """(kg, kf) of a perfbench population family."""
+    return (IntervalPolynomial(fam.g_lower, fam.g_upper),
+            IntervalPolynomial(fam.f_lower, fam.f_upper))
 
 
 WIDENED = (IntervalPolynomial([0.4, 0.1], [0.6, 0.2]),
@@ -509,52 +555,48 @@ UNIT = (IntervalPolynomial([0.0, 1.0], [0.0, 1.0]),  # |S| = |(1 + s)^2 / (1 + 3
 
 
 class TestLevelCrossings:
-    def test_decided_steps_agree_with_the_grid(self, monkeypatch):
+    def test_decided_steps_agree_with_the_grid(self):
         # every bisection step of the shipped families, two analyze-families seeds and
         # degree 6-10 resonant families is decided unless its crossing test declines, and
         # each verdict is the reference's: hurwitz_batch on the whole grid
         families = [POINT, WIDENED]
         for seed in (4111, 4112):
-            families += [(IntervalPolynomial(fam.g_lower, fam.g_upper),
-                          IntervalPolynomial(fam.f_lower, fam.f_upper))
-                         for fam in perfbench_population().analyze_families(seed, 8)]
+            families += [family_of(fam) for fam in perfbench_population().analyze_families(seed, 8)]
         rng = np.random.default_rng(5)
         families += [resonant_family(rng) for _ in range(12)]
         outcomes = {(True, False): 0, (True, True): 0, (False, True): 0, None: 0}
         for kg, kf in families:
-            for crossings, *args in bisection_steps(monkeypatch, kg, kf):
+            for crossings, g_rows, f_rows, delta, *args in bisection_steps(kg, kf):
                 assert crossings is not None  # every g + f is confirmed Hurwitz
-                found = crossings(args[2])
-                verdict = hinf._crossing_verdict(crossings, *args)
+                found = crossings([delta])[0]
+                verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, [delta], *args)[0]
                 assert (verdict is None) == (found is None)
                 if verdict is None:
                     outcomes[None] += 1
                     continue
                 outcomes[verdict, len(found[0]) > 0] += 1
-                assert hinf._hurwitz_on_grid(None, *args) is verdict
+                assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, *args) is verdict
         assert outcomes[True, False] > 100 and outcomes[False, True] > 100
         assert outcomes[True, True] > 0 and outcomes[None] < 5
 
-    def test_angles_off_by_most_of_a_grid_step_keep_every_verdict(self, monkeypatch):
+    def test_angles_off_by_most_of_a_grid_step_keep_every_verdict(self):
         # the four probes around a crossing angle hold a row of every arc that holds a grid
         # theta even for an angle that is off by up to a grid step: with every angle shifted
         # by +-0.9 steps, each decided verdict is still that of hurwitz_batch on the whole grid
         families = [POINT, WIDENED] + [
-            (IntervalPolynomial(fam.g_lower, fam.g_upper),
-             IntervalPolynomial(fam.f_lower, fam.f_upper))
-            for fam in perfbench_population().analyze_families(4111, 8)]
+            family_of(fam) for fam in perfbench_population().analyze_families(4111, 8)]
         step = 2.0 * np.pi / 720
         decided = 0
         for kg, kf in families:
-            for crossings, *args in bisection_steps(monkeypatch, kg, kf):
-                reference = hinf._hurwitz_on_grid(None, *args)
+            for crossings, g_rows, f_rows, delta, *args in bisection_steps(kg, kf):
+                reference = hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, *args)
                 for shift in (0.9 * step, -0.9 * step):
 
-                    def shifted(delta, shift=shift):
-                        found = crossings(delta)
-                        return None if found is None else (found[0], found[1] + shift)
+                    def moved(deltas, found, shift=shift):
+                        return [None if c is None else (c[0], c[1] + shift) for c in found]
 
-                    verdict = hinf._crossing_verdict(shifted, *args)
+                    verdict = hinf._crossing_verdict(rewired(crossings, moved), g_rows, f_rows,
+                                                     [delta], *args)[0]
                     if verdict is not None:
                         assert verdict is reference
                         decided += 1
@@ -568,7 +610,7 @@ class TestLevelCrossings:
         thetas, delta = hinf._theta_grid(720), 1 / 1.4678895
         assert 1 / delta < GOLDEN
         crossings = hinf.level_crossings(g_rows, f_rows)
-        assert len(crossings(delta)[0]) == 4
+        assert len(crossings([delta])[0][0]) == 4
         batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
         assert verdict is True and len(batches) == 1
         assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, thetas) is True
@@ -578,34 +620,24 @@ class TestLevelCrossings:
         # |S| <= 1, so no row on any disk |c| <= delta < 1 crosses the axis: every step is
         # certified stable by its root solve alone. With every k-th step's crossing test
         # declined, hurwitz_batch sees exactly those steps' whole grids, chunk by chunk, in order
-        steps, declined, batched = [], [], []
-        on_grid, built = hinf._hurwitz_on_grid, hinf.level_crossings
-
-        def step(*args):
-            steps.append(on_grid(*args))
-            return steps[-1]
+        steps = bisection_steps(*UNIT)
+        assert len(steps) > 10 and all(hinf._hurwitz_on_grid(*args) for args in steps)
+        declined = [args[3] for k, args in enumerate(steps)
+                    if decline_every and k % decline_every == decline_every - 1]
+        batched = []
+        built = hinf.level_crossings
 
         def declining(g_rows, f_rows):
-            crossings = built(g_rows, f_rows)
-
-            def found(delta):
-                if decline_every and len(steps) % decline_every == decline_every - 1:
-                    declined.append(delta)
-                    return None
-                return crossings(delta)
-
-            return found
+            return rewired(built(g_rows, f_rows), lambda deltas, found: [
+                None if delta in declined else c for delta, c in zip(deltas, found)])
 
         def batch(rows):
             batched.append(rows)
             return hurwitz_batch(rows)
 
-        monkeypatch.setattr(hinf, "_hurwitz_on_grid", step)
         monkeypatch.setattr(hinf, "level_crossings", declining)
         monkeypatch.setattr(hinf, "hurwitz_batch", batch)
         assert family_norm_bisection(*UNIT, tol=1e-4, theta_count=720) == 1.0000305185780944
-        assert len(steps) > 10 and all(steps)
-        assert len(declined) == (len(steps) // 3 if decline_every else 0)
         g_rows, f_rows = tuple_rows(*UNIT, TWELVE_TUPLES)
         thetas = hinf._theta_grid(720)
         expected = [perturbed_vertex_rows(g_rows, f_rows, delta,
@@ -633,7 +665,7 @@ class TestLevelCrossings:
         huge = np.full((1, 9), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert stability.level_crossings(g_rows, f_rows)(near_one) is None
+            assert stability.level_crossings(g_rows, f_rows)([near_one]) == [None]
             # an overflowing pair's Hermite matrices cannot confirm g + f Hurwitz: no test
             assert stability.level_crossings(np.zeros((1, 9)), huge) is None
             assert stability.level_crossings(huge, huge) is None
@@ -642,14 +674,15 @@ class TestLevelCrossings:
                 raise DegenerateLeadingError("stub")
 
             monkeypatch.setattr(stability, "roots_batch", failing)
-            assert stability.level_crossings(g_rows, f_rows)(0.5) is None
+            assert stability.level_crossings(g_rows, f_rows)([0.5, 0.6]) == [None, None]
 
     def test_crossing_at_zero_frequency_declines(self):
         # g + (1 + c) f = (0.5 + c) + (1 + c) s has its root at s = 0 for c = -0.5, on the
         # circle |c| = 0.5: a crossing at omega = 0 that the x >= 0 root filter can miss
         crossings = stability.level_crossings(np.array([[-0.5, 0.0]]), np.array([[1.0, 1.0]]))
-        assert crossings(0.5) is None
-        assert len(crossings(0.4)[0]) == 0 and len(crossings(0.6)[0]) == 2
+        below, at_zero, above = crossings([0.4, 0.5, 0.6])
+        assert at_zero is None
+        assert len(below[0]) == 0 and len(above[0]) == 2
 
     def test_probe_rows_are_grid_rows_next_to_a_crossing(self, monkeypatch):
         # each probed row is bitwise a perturbed_vertex_rows row of the full grid, of the pair
@@ -660,10 +693,10 @@ class TestLevelCrossings:
         for kg, kf in (POINT, WIDENED):
             g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
             crossings = hinf.level_crossings(g_rows, f_rows)
-            for args in bisection_steps(monkeypatch, kg, kf):
+            for args in bisection_steps(kg, kf):
                 delta = args[3]
                 batches, _ = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
-                pairs, angles = crossings(delta)
+                pairs, angles = crossings([delta])[0]
                 assert len(batches) == (len(pairs) > 0)
                 grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas)
                 lowest = {row.tobytes(): i for i, row in reversed(list(enumerate(grid)))}
@@ -690,3 +723,128 @@ class TestLevelCrossings:
                            f"theta={re.escape(str(thetas[k]))}: stub$"):
             hinf._hurwitz_on_grid(crossings, g_rows, f_rows, 1 / 1.5, thetas,
                                   TWELVE_TUPLES)
+
+
+def planned_families():
+    """The shipped-like families, two analyze-families seeds, a grid miss on which the
+    prediction goes wrong late (seed 109), a peak at omega = 0 whose last steps decline (seed
+    2003) and degree 6-10 resonant families."""
+    population = perfbench_population()
+    families = [POINT, WIDENED, UNIT]
+    for seed in (4111, 4112):
+        families += [family_of(fam) for fam in population.analyze_families(seed, 8)]
+    families.append(family_of(population.analyze_families(109, 12)[11]))
+    families.append(family_of(population.analyze_families(2003, 18)[17]))
+    rng = np.random.default_rng(5)
+    return families + [resonant_family(rng) for _ in range(12)]
+
+
+class TestPlannedBisection:
+    @pytest.mark.parametrize("prediction", ["computed", "too high", "too low", "absent"])
+    def test_equals_the_step_by_step_reference(self, monkeypatch, prediction):
+        # the predicted threshold orders the work and never decides a verdict: right, wrong
+        # either way or missing (its norms raise), the result is the reference's bit for bit
+        predicted, on_grid = hinf._predicted_threshold, hinf._hurwitz_on_grid
+        if prediction == "absent":
+            def failing(num_rows, den_rows):
+                raise NoConvergenceError("stub")
+
+            monkeypatch.setattr(hinf, "_norm_arrays", failing)
+        else:
+            factor = {"computed": 1.0, "too high": 1.001, "too low": 0.999}[prediction]
+            monkeypatch.setattr(hinf, "_predicted_threshold",
+                                lambda crossings: predicted(crossings) * factor)
+        alone = []
+        monkeypatch.setattr(hinf, "_hurwitz_on_grid",
+                            lambda *args: alone.append(args[3]) or on_grid(*args))
+        routes = []  # (steps taken alone, steps) per family
+        for kg, kf in planned_families():
+            alone.clear()
+            value = family_norm_bisection(kg, kf)
+            taken, steps = list(alone), []
+            assert value == reference_bisection(kg, kf, steps=steps)
+            # the steps decided alone are the reference's last steps
+            assert taken == [args[3] for args in steps][len(steps) - len(taken) :]
+            routes.append((len(taken), len(steps)))
+        if prediction == "absent":
+            assert all(taken == steps for taken, steps in routes)
+        elif prediction == "computed":
+            assert routes[0][0] == routes[2][0] == 0  # POINT and UNIT: every step planned
+            assert sum(taken == 0 for taken, _ in routes) > len(routes) / 2
+            assert 0 < routes[19][0] < routes[19][1] and routes[20][0] > 0  # seeds 109, 2003
+        else:
+            assert sum(0 < taken < steps for taken, steps in routes) > 10
+
+    def test_batched_crossings_equal_per_delta_calls(self):
+        # the crossing test answers an array of delta as it answers each delta alone: the same
+        # pairs and thetas bit for bit, and the same deltas declined
+        declined = 0
+        for kg, kf in planned_families():
+            steps = bisection_steps(kg, kf)
+            crossings = steps[0][0]
+            deltas = [args[3] for args in steps] + [1.0 - 1e-13]  # delta near 1 declines
+            for delta, found in zip(deltas, crossings(deltas)):
+                alone = crossings([delta])[0]
+                assert (found is None) == (alone is None)
+                if found is None:
+                    declined += 1
+                    continue
+                assert found[0].dtype == alone[0].dtype and found[1].dtype == alone[1].dtype
+                assert found[0].tobytes() == alone[0].tobytes()
+                assert found[1].tobytes() == alone[1].tobytes()
+        assert declined > len(planned_families())  # the omega = 0 peak's steps as well
+
+    def test_a_failing_level_row_declines_only_its_delta(self, monkeypatch):
+        # one level row that raises fails the shared root solve; each delta is then solved
+        # alone, so only the delta holding that row declines
+        g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
+        crossings = hinf.level_crossings(g_rows, f_rows)
+        deltas = [0.3, 1 / 1.5, 0.55]
+        expected = [crossings([delta])[0] for delta in deltas]
+        assert all(found is not None for found in expected)
+        target = (crossings.ma - (deltas[1] * deltas[1]) * crossings.mb)[4]
+        solve = stability.roots_batch
+
+        def failing(coeffs):
+            if (coeffs == target).all(axis=1).any():
+                raise NoConvergenceError("stub")
+            return solve(coeffs)
+
+        monkeypatch.setattr(stability, "roots_batch", failing)
+        found = crossings(deltas)
+        assert found[1] is None
+        for i in (0, 2):
+            assert all(np.array_equal(x, y) for x, y in zip(found[i], expected[i]))
+
+    def test_a_right_prediction_decides_every_step_together(self, monkeypatch):
+        # the point plant: every step is planned, the crossing test is asked once for all of
+        # their deltas (one root solve), and the probe rows of the steps with crossings go to
+        # one hurwitz_batch call; no step is decided alone
+        count = len(bisection_steps(*POINT))
+        asked, batches, alone = [], [], []
+        built, on_grid = hinf.level_crossings, hinf._hurwitz_on_grid
+
+        def counted(g_rows, f_rows):
+            return rewired(built(g_rows, f_rows),
+                           lambda deltas, found: asked.append(len(deltas)) or found)
+
+        monkeypatch.setattr(hinf, "level_crossings", counted)
+        monkeypatch.setattr(hinf, "hurwitz_batch",
+                            lambda rows: batches.append(len(rows)) or hurwitz_batch(rows))
+        monkeypatch.setattr(hinf, "_hurwitz_on_grid", lambda *args: alone.append(args) or
+                            on_grid(*args))
+        assert family_norm_bisection(*POINT) == 1.4678649907665102
+        assert asked == [count] and len(batches) == 1 and alone == []
+
+    def test_errors_are_raised_at_the_step_that_raises_alone(self, monkeypatch):
+        # a probe row that fails when solved alone fails the plan's shared probe call; the
+        # steps then go one by one, and the error is the reference bisection's, naming the
+        # tuple and theta of that row
+        steps = bisection_steps(*WIDENED)
+        args = next(args for args in steps if len(args[0]([args[3]])[0][0]))
+        batches, _ = probe_batches(monkeypatch, *args[:5])
+        fail_on_row(monkeypatch, batches[0][0])
+        with pytest.raises(NoConvergenceError, match="^tuple [12]{4} at theta=") as reference:
+            reference_bisection(*WIDENED)
+        with pytest.raises(NoConvergenceError, match=f"^{re.escape(str(reference.value))}$"):
+            family_norm_bisection(*WIDENED)

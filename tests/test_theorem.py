@@ -319,7 +319,8 @@ class TestAnalyze:
         analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
         assert calls[:3] == [("interval", 4), ("theorem", 16), ("hinf", 16)]
         assert calls[3][0] == "hinf" and 16 < calls[3][1] <= 65 + 20
-        assert calls[4:] == [("interval", 4)]  # the bisection's own gate
+        # the bisection's own gate, and its predicted threshold: the norms of its 12 shifted pairs
+        assert calls[4:] == [("interval", 4), ("hinf", 12)]
 
     def test_precondition_gap_names_the_first_failing_tuple(self, monkeypatch):
         def two_fail(rows):

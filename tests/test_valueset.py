@@ -774,6 +774,34 @@ class TestEnclosureCheck:
                 passed += want is None
         assert raised >= 50 and passed >= 100
 
+    def test_a_mismatch_past_the_first_block_is_named(self, monkeypatch):
+        # the check runs over blocks of _ENCLOSURE_BLOCK frequencies, every block before the
+        # first polygon, and names the first mismatch of the whole sweep: here at frequency
+        # 2000, in the second block, with another in the third
+        kg, kf = widened_family()
+        monkeypatch.setattr(valueset, "CASE_A", valueset.CASE_B)  # wrong corners at some omegas
+        grid = sweep_grid(1.05 * family_cauchy_bound(kg, kf, 0.5), 201)
+        fails = [reference_enclosure_message(kg, kf, 0.5, 0.7, grid[k : k + 1]) is not None
+                 for k in range(len(grid))]
+        good, bad, other = grid[fails.index(False)], *grid[np.flatnonzero(fails)[[0, -1]]]
+        omegas = np.full(3000, good)
+        omegas[2000], omegas[2500] = bad, other
+        want = reference_enclosure_message(kg, kf, 0.5, 0.7, omegas)
+        assert want is not None and f"omega={bad} " in want
+        blocks, check = [], valueset._check_enclosed
+
+        def recorded(values, *args):
+            blocks.append(len(values))
+            return check(values, *args)
+
+        monkeypatch.setattr(valueset, "_check_enclosed", recorded)
+        assert sweep_message(kg, kf, 0.5, 0.7, omegas) == want
+        assert blocks == [1024, 1024]
+        omegas[2000] = good
+        blocks.clear()
+        assert f"omega={other} " in sweep_message(kg, kf, 0.5, 0.7, omegas)
+        assert blocks == [1024, 1024, 952]
+
     def test_each_box_side_is_checked(self):
         # g is a point and rf a segment, so every edge lies on one line and only the
         # corners' box can find the value left out of the corners
