@@ -3,9 +3,10 @@
 The exact route turns |p(j w)|^2 into an even polynomial ratio in
 x = w^2, finds the stationary points of that ratio as roots of a single
 polynomial, and re-evaluates every candidate through the transfer
-function itself, each stage for a whole batch of rows at once. The
-supremum may be approached only as w -> inf, so the at-infinity limit is
-always a candidate and NormResult keeps an explicit infinity sentinel.
+function itself, each stage for a whole batch of rows at once: rows in,
+arrays of norms and frequencies out. The supremum may be approached only
+as w -> inf, so the at-infinity limit is always a candidate, and the
+frequency it is attained at is then the sentinel math.inf.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import stability
 from .errors import (
     DegreeOrderError,
     DeltaRangeError,
@@ -44,9 +44,10 @@ from .errors import (
     UnstableFamilyError,
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
-from .poly import (RealPolynomial, add, as_float, check_count, check_width, degrees,
-                   distinct_rows, eval_at_jomega, magnitude_squared, multiply_rows)
-from .stability import LevelCrossings, hurwitz_batch, is_hurwitz_real, level_crossings
+from .poly import (RealPolynomial, as_float, check_count, check_width, degrees, distinct_rows,
+                   eval_at_jomega, magnitude_squared, multiply_rows)
+from .stability import (LevelCrossings, hurwitz_batch, is_hurwitz_real, level_crossings,
+                        solve_rows)
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -62,7 +63,7 @@ __all__ = [
 
 GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
-_NORM_CHUNK = 128  # stationarity rows per roots_batch call; bounds its (rows, d, d) arrays
+_NORM_CHUNK = 128  # stationarity rows per solve_rows call; bounds its (rows, d, d) arrays
 _TRIM_REL = 1e-14  # stationarity coefficients this small relative to the largest are dropped
 
 
@@ -89,7 +90,6 @@ class RationalFunction:
 class NormResult:
     value: float
     attained_at: float  # frequency, or math.inf when approached at infinity
-    candidates: tuple[tuple[float, float], ...]  # (frequency, magnitude) pairs
 
 
 def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
@@ -97,10 +97,11 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
     if g.degree >= f.degree:
         raise DegreeOrderError(f"plant must be strictly proper: numerator degree {g.degree} "
                                f">= denominator degree {f.degree}")
-    closed = add(f, g)
-    if not is_hurwitz_real([closed.coeffs])[0]:
+    n = max(len(f.coeffs), len(g.coeffs))
+    closed = np.pad(f.coeffs, (0, n - len(f.coeffs))) + np.pad(g.coeffs, (0, n - len(g.coeffs)))
+    if not is_hurwitz_real([closed])[0]:
         raise UnstableClosedLoopError("f + g is not Hurwitz; sensitivity undefined")
-    return RationalFunction(num=f, den=closed)
+    return RationalFunction(num=f, den=RealPolynomial(closed))
 
 
 def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray:
@@ -111,19 +112,6 @@ def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray
     lhs = multiply_rows(md, mn * np.arange(mn.shape[1]))  # M' kept as i * M_i at x^i,
     rhs = multiply_rows(mn, md * np.arange(md.shape[1]))  # so x^0 is dropped after
     return (lhs - rhs)[:, 1:] if lhs.shape[1] > 1 else np.zeros_like(lhs)
-
-
-def _chunk_roots(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, IntervalHinfError]]]:
-    """Roots of each same-degree row, and (index, error) of each row that fails alone: a chunk
-    that fails is solved again row by row, and a failing row's roots are NaN."""
-    try:
-        return stability.roots_batch(coeffs)[0], []
-    except IntervalHinfError as err:
-        if len(coeffs) == 1:
-            return np.full((1, coeffs.shape[1] - 1), np.nan, dtype=complex), [(0, err)]
-    solved = [_chunk_roots(row[None, :]) for row in coeffs]
-    return (np.concatenate([roots for roots, _ in solved]),
-            [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
 
 
 def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, dn: np.ndarray,
@@ -140,11 +128,22 @@ def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, 
     return mags[0] / mags[1], np.abs(limits)
 
 
-def _norm_arrays(num_rows, den_rows
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """hinf_norm_batch's work as arrays over the byte-distinct row pairs: each input row's
-    position among them, and per distinct pair its norm, its candidate frequencies (ascending,
-    then NaN), their magnitudes and the limit at inf. Validated and raised as hinf_norm_batch.
+def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Peak magnitude over the imaginary axis of each num/den row pair, and the frequency it
+    is attained at (math.inf for the limit at inf), as two (B,) arrays in row order.
+
+    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients. Candidate squared
+    frequencies are the nonnegative real roots of M_num' * M_den - M_num * M_den', plus x = 0,
+    plus the x -> inf limit; each finite candidate is re-evaluated through the transfer
+    function. Ties go to the smallest frequency, and to a finite one over the limit.
+
+    Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
+    its lowest row, before any other work. Each stage runs once over all byte-distinct row
+    pairs; trimmed stationarity rows of one length share solve_rows calls of at most
+    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
+    solving its row alone. Any other failure is the lowest failing row's error as solved alone
+    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
+    in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -185,7 +184,7 @@ def _norm_arrays(num_rows, den_rows
         members = np.flatnonzero(lengths == length)
         for start in range(0, len(members), _NORM_CHUNK):
             chunk = members[start : start + _NORM_CHUNK]
-            roots, failed = _chunk_roots(stations[chunk, :length])
+            roots, failed = solve_rows(stations[chunk, :length])
             failures += [(int(first[chunk[i]]), err) for i, err in failed]
             real = (np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)
             omegas[chunk, 1:length] = np.sort(np.sqrt(np.where(real, roots.real, np.nan)), axis=1)
@@ -197,35 +196,12 @@ def _norm_arrays(num_rows, den_rows
 
     mags, gains = _magnitudes(nums, dens, omegas, dn, dd)
     peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
-    return inverse, np.where(gains > peaks, gains, peaks), omegas, mags, gains
-
-
-def hinf_norm_batch(num_rows, den_rows) -> list[NormResult]:
-    """Peak magnitude over the imaginary axis of each num/den row pair, in order.
-
-    num_rows (B, m+1) and den_rows (B, n+1) hold ascending coefficients. Candidate squared
-    frequencies are the nonnegative real roots of M_num' * M_den - M_num * M_den', plus x = 0,
-    plus the x -> inf limit; each finite candidate is re-evaluated through the transfer
-    function. Ties go to the smallest frequency, and to a finite one over the limit.
-
-    Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
-    its lowest row, before any other work. Each stage runs once over all byte-distinct row
-    pairs; trimmed stationarity rows of one length share roots_batch calls of at most
-    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
-    solving its row alone. Any other failure is the lowest failing row's error as solved alone
-    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
-    in the message. Only the NormResult objects are built row by row, from _norm_arrays.
-    """
-    inverse, values, omegas, mags, gains = _norm_arrays(num_rows, den_rows)
-    norms = []
-    for value, om, mag, gain in zip(values.tolist(), omegas, mags, gains.tolist()):
-        present = ~np.isnan(om)  # the row's candidates come first, ascending
-        candidates = tuple(zip(om[present].tolist(), mag[present].tolist()))
-        # the first of equal peaks; none: the limit at inf is above every candidate
-        attained = next((w for w, m in candidates if m == value), math.inf)
-        norms.append(NormResult(value=value, attained_at=attained,
-                                candidates=candidates + ((math.inf, gain),)))
-    return [norms[u] for u in inverse]
+    values = np.where(gains > peaks, gains, peaks)
+    # the candidates come first, ascending: the first of equal peaks, or inf if the limit wins
+    peak = mags == values[:, None]
+    attained = np.where(peak.any(axis=1), omegas[np.arange(len(omegas)), peak.argmax(axis=1)],
+                        math.inf)
+    return values[inverse], attained[inverse]
 
 
 def hinf_norm_exact(rf: RationalFunction) -> NormResult:
@@ -234,9 +210,10 @@ def hinf_norm_exact(rf: RationalFunction) -> NormResult:
     Errors are raised as solving the function alone raises them, without a row.
     """
     try:
-        return hinf_norm_batch([rf.num.coeffs], [rf.den.coeffs])[0]
+        values, attained = hinf_norm_batch([rf.num.coeffs], [rf.den.coeffs])
     except IntervalHinfError as err:
         raise err.__cause__ from None
+    return NormResult(value=float(values[0]), attained_at=float(attained[0]))
 
 
 def hinf_norm_grid(rf: RationalFunction, omega_max: float, points: int) -> float:
@@ -372,10 +349,10 @@ def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
 
 def _predicted_threshold(crossings: LevelCrossings) -> float | None:
     """nu, the largest ||shift(f) / shift(g + f)||_inf over the crossing test's distinct pairs,
-    from one _norm_arrays call on its shifted rows: for gamma > nu no row of the disk
+    from one hinf_norm_batch call on its shifted rows: for gamma > nu no row of the disk
     |c| <= 1/gamma has an imaginary-axis root. None if that call raises."""
     try:
-        return float(_norm_arrays(crossings.b, crossings.a)[1].max())
+        return float(hinf_norm_batch(crossings.b, crossings.a)[0].max())
     except IntervalHinfError:
         return None
 

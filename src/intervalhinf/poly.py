@@ -23,7 +23,6 @@ __all__ = [
     "RealPolynomial",
     "eval_at_jomega",
     "magnitude_squared",
-    "add",
 ]
 
 ZERO_DEGREE = -1  # degree sentinel for the zero polynomial
@@ -150,11 +149,3 @@ def magnitude_squared(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     signed = rows * (1 - (np.arange(rows.shape[1]) & 2))
     return multiply_rows(signed, signed)[:, 0::2]
-
-
-def add(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:
-    """Coefficientwise sum, the shorter operand zero-padded."""
-    n = max(len(p.coeffs), len(q.coeffs))
-    pc = p.coeffs + (0.0,) * (n - len(p.coeffs))
-    qc = q.coeffs + (0.0,) * (n - len(q.coeffs))
-    return RealPolynomial(a + b for a, b in zip(pc, qc))

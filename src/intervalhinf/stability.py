@@ -11,8 +11,9 @@ delta e^{j theta} on a circle at which a row has an imaginary-axis root,
 so one root solve gives the arcs of the circle on which each pair's rows
 are all Hurwitz or none is. Roots, the eigenvalues of batched companion
 matrices, serve root sets, the norms' stationary points, those level
-polynomials and the rare rows whose Hermite verdict is within roundoff of
-the boundary.
+polynomials, the value-set edges and the rare rows whose Hermite verdict is
+within roundoff of the boundary; solve_rows names each row of a batch that
+fails alone.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "roots_complex",
     "is_hurwitz_complex",
     "hurwitz_batch",
+    "solve_rows",
     "level_crossings",
     "LevelCrossings",
     "HURWITZ_TOL",
@@ -62,9 +64,10 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     """Routh verdict of each real ascending row (B, n+1): Hurwitz iff the first d + 1
     first-column entries of its Routh array are positive, d the row's own degree.
 
-    Leading coefficients are normalized positive. A zero in the first column is
-    conclusive "not Hurwitz"; there is no epsilon continuation because the target
-    set is the open left half plane. A degree-0 row is Hurwitz.
+    Leading coefficients are normalized positive, and each row is scaled by an exact power of
+    two that puts its largest coefficient in [0.5, 1), so a verdict does not depend on the
+    row's scale. A zero in the first column is conclusive "not Hurwitz"; there is no epsilon
+    continuation because the target set is the open left half plane. A degree-0 row is Hurwitz.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or not np.isfinite(rows).all():
@@ -76,6 +79,7 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
     desc = np.where(back >= 0, rows[np.arange(len(rows))[:, None], np.maximum(back, 0)], 0.0)
     desc[desc[:, 0] < 0] *= -1.0
+    desc = np.ldexp(desc, -np.frexp(np.abs(desc).max(axis=1))[1][:, None])
 
     hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
     lo[:, : (n + 1) // 2] = desc[:, 1::2]
@@ -131,6 +135,20 @@ def roots_batch(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (res <= ACCEPT_RESIDUAL).all():
         raise NoConvergenceError(f"root residual {res.max():.3e} above {ACCEPT_RESIDUAL:g}")
     return roots, res
+
+
+def solve_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, IntervalHinfError]]]:
+    """roots_batch's roots of each same-degree row, and (row, error) of each row that fails
+    alone, in row order: a batch that fails is solved again row by row, and a failing row's
+    roots are NaN. Each matrix is solved on its own, so every row's roots are its own."""
+    try:
+        return roots_batch(coeffs)[0], []
+    except IntervalHinfError as err:
+        if len(coeffs) == 1:
+            return np.full((1, coeffs.shape[1] - 1), np.nan, dtype=complex), [(0, err)]
+    solved = [solve_rows(row[None, :]) for row in coeffs]
+    return (np.concatenate([roots for roots, _ in solved]),
+            [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
 
 
 def roots_complex(coeffs: Sequence[complex]) -> RootSet:
@@ -256,9 +274,9 @@ class LevelCrossings:
     def __call__(self, deltas) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """For each delta: the pair index and theta of each crossing, or None if it declines.
 
-        The level rows of every delta that passes the checks share one roots_batch call. If
-        that call raises, each delta is solved alone, so a failing row declines only its own
-        delta. Every kernel works row by row, so each answer equals asking for its delta alone.
+        The level rows of every delta that passes the checks share one solve_rows call, and a
+        row that fails alone declines only its own delta. Every kernel works row by row, so
+        each answer equals asking for its delta alone.
         """
         deltas = np.asarray(deltas, dtype=float)
         with np.errstate(all="ignore"):  # anything that overflows decides nothing
@@ -268,16 +286,10 @@ class LevelCrossings:
                   & (np.abs(level[..., 0]) > CROSSING_TOL * self.ma[:, 0]).all(axis=1))
             x = np.full(level[..., 1:].shape, np.nan, dtype=complex)
             if ok.any():
-                try:
-                    x[ok] = roots_batch(level[ok].reshape(-1, level.shape[2]))[0].reshape(
-                        -1, *x.shape[1:])
-                except IntervalHinfError:
-                    for d in np.flatnonzero(ok):
-                        try:
-                            x[d] = roots_batch(level[d])[0]
-                        except IntervalHinfError:
-                            ok[d] = False
-            # NaN roots of a declined delta are never near
+                roots, failed = solve_rows(level[ok].reshape(-1, level.shape[2]))
+                x[ok] = roots.reshape(-1, *x.shape[1:])
+                ok[np.flatnonzero(ok)[[row // len(self.pairs) for row, _ in failed]]] = False
+            # NaN roots are never near; a declined delta's crossings are dropped below
             near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
             i, u, k = np.nonzero(near)  # by delta, then pair
             at = eval_at_jomega(np.stack([self.a[u], self.b[u]]),
@@ -313,10 +325,10 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | 
     circle are all Hurwitz or none is; and if the level polynomial is positive at x = 0 and
     has no root within CROSSING_TOL of [0, inf), no row on the whole disk |c| <= delta has a
     root on the axis, and every row is Hurwitz, as a is. The rows of all deltas are solved in
-    one roots_batch call. A failure there for a delta solved alone, a row that is not finite,
-    or a leading coefficient (delta near 1) or value at x = 0 (a crossing at or near
-    omega = 0, which the root filter can miss) within CROSSING_TOL of 0 relative to M_a's
-    decides nothing for that delta.
+    one solve_rows call. A level row that fails alone, a row that is not finite, or a leading
+    coefficient (delta near 1) or value at x = 0 (a crossing at or near omega = 0, which the
+    root filter can miss) within CROSSING_TOL of 0 relative to M_a's decides nothing for that
+    delta.
     """
     first, _ = distinct_rows(np.hstack([g_rows, f_rows]))
     a = _taylor_shift(g_rows[first] + f_rows[first])

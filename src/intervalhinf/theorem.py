@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
-from .hinf import NormResult, _norm_arrays, family_norm_bisection, hinf_norm_batch
+from .hinf import family_norm_bisection, hinf_norm_batch
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import check_count, check_width
 from .stability import hurwitz_batch, is_hurwitz_real
@@ -102,9 +102,10 @@ def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
 
 
 def _vertex_norms(prob: AnalysisProblem,
-                  tuples: tuple[VertexTuple, ...]) -> dict[VertexTuple, NormResult]:
-    """Exact sensitivity norm f/(g + f) of each tuple's vertex pair, in order,
-    every closed loop Hurwitz-checked before any norm."""
+                  tuples: tuple[VertexTuple, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sensitivity norm f/(g + f) of each tuple's vertex pair and the frequency it is
+    attained at, as hinf_norm_batch's arrays in the tuples' order, every closed loop
+    Hurwitz-checked before any norm."""
     g_rows, f_rows = tuple_rows(prob.kg, prob.kf, tuples)
     dens = g_rows + f_rows
     stable = is_hurwitz_real(dens)
@@ -114,23 +115,23 @@ def _vertex_norms(prob: AnalysisProblem,
             "although the matched sums are; the vertex reduction hypothesis does not extend"
         )
     try:
-        norms = hinf_norm_batch(f_rows, dens)
+        return hinf_norm_batch(f_rows, dens)
     except IntervalHinfError as err:
         raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
-    return dict(zip(tuples, norms))
 
 
-def _twelve_report(prob: AnalysisProblem,
-                   norms: dict[VertexTuple, NormResult]) -> AnalysisReport:
-    # max keeps the first of equal norms: ties go to the canonical listing
-    argmax = max(TWELVE_TUPLES, key=lambda t: norms[t].value)
+def _twelve_report(prob: AnalysisProblem, values: np.ndarray,
+                   attained: np.ndarray) -> AnalysisReport:
+    """The twelve-tuple report from _vertex_norms arrays that list the TWELVE_TUPLES first."""
+    norms = values[: len(TWELVE_TUPLES)].tolist()
+    k = norms.index(max(norms))  # the first of equal norms: ties go to the canonical listing
     return AnalysisReport(
         family_stable=True,
         seed=prob.options.seed,
-        worst_norm=norms[argmax].value,
-        argmax_tuple=argmax,
-        attained_omega=norms[argmax].attained_at,
-        per_tuple_norms={t: norms[t].value for t in TWELVE_TUPLES},
+        worst_norm=norms[k],
+        argmax_tuple=TWELVE_TUPLES[k],
+        attained_omega=float(attained[k]),
+        per_tuple_norms=dict(zip(TWELVE_TUPLES, norms)),
     )
 
 
@@ -143,14 +144,14 @@ def max_sensitivity_twelve(prob: AnalysisProblem) -> AnalysisReport:
     """
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    return _twelve_report(prob, _vertex_norms(prob, TWELVE_TUPLES))
+    return _twelve_report(prob, *_vertex_norms(prob, TWELVE_TUPLES))
 
 
 def max_sensitivity_sixteen(prob: AnalysisProblem) -> float:
     """Maximum over all sixteen tuples; must reproduce the twelve-tuple value."""
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    return max(r.value for r in _vertex_norms(prob, ALL_SIXTEEN).values())
+    return float(_vertex_norms(prob, ALL_SIXTEEN)[0].max())
 
 
 def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +191,12 @@ def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
     kept = np.arange(len(dens))
     try:
         kept = kept[hurwitz_batch(dens)]
-        inverse, values = _norm_arrays(fs[kept], dens[kept])[:2]
+        values = hinf_norm_batch(fs[kept], dens[kept])[0]
     except IntervalHinfError as err:
         k = int(kept[err.row])
         where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
         raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
 
-    values = values[inverse]
     best_k = int(kept[values.argmax()]) if len(kept) else 0  # the first of equal maxima
     return OracleResult(
         oracle_max=float(values.max(initial=-np.inf)),
@@ -212,13 +212,12 @@ def analyze(prob: AnalysisProblem) -> AnalysisReport:
     """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks."""
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
-    norms = _vertex_norms(prob, _TWELVE_FIRST)
-    sixteen = max(norms[t].value for t in ALL_SIXTEEN)
+    values, attained = _vertex_norms(prob, _TWELVE_FIRST)
     oracle = monte_carlo_oracle(prob)
     bisect = family_norm_bisection(
         prob.kg, prob.kf,
         tol=prob.options.bisection_tol,
         theta_count=prob.options.theta_points,
     )
-    return replace(_twelve_report(prob, norms), sixteen_tuple_max=sixteen,
+    return replace(_twelve_report(prob, values, attained), sixteen_tuple_max=float(values.max()),
                    oracle=oracle, bisection_norm=bisect)

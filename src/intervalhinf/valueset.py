@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
 from .poly import as_float, check_count, check_width, eval_many, multiply_rows
-from .stability import CROSSING_TOL, hurwitz_batch, roots_batch
+from .stability import CROSSING_TOL, hurwitz_batch, solve_rows
 
 __all__ = [
     "VertexTuple",
@@ -349,8 +349,9 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     |D| * |P|, counts as 0: unlike a cut relative to the row's largest coefficient, this does
     not depend on the family's frequency scale. A zero lowest power gives the root omega = 0
     exactly. The rest of each h is solved in omega / 2**e, e the least that makes its leading
-    coefficient the largest, as its degree is settled; rows of one length share a roots_batch
-    call. Roots within CROSSING_TOL of the real axis, relative, count as real. A root where
+    coefficient the largest, as its degree is settled; rows of one length share a solve_rows
+    call, and a root failure raises the lowest failing edge's error, naming the edge. Roots
+    within CROSSING_TOL of the real axis, relative, count as real. A root where
     d(j omega) = 0 gives no t: the edge is then the point p_b, an end of the edges beside it.
     An h with no coefficient left (d(j omega) parallel to p_b(j omega) at every omega, as when
     the edge's two vertices coincide) is skipped.
@@ -371,6 +372,7 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     span = np.where(live, high - low, 0)
     omegas = np.full(h.shape, np.nan)  # each row's roots, then omega = 0 in the last column
     omegas[:, -1] = np.where(live & (low > 0), 0.0, np.nan)
+    failed = []
     with np.errstate(all="ignore"):  # log2(0) is -inf and ignored; NaN is no root
         for length in sorted(set(span.tolist()) - {0}):
             members = np.flatnonzero(span == length)
@@ -378,9 +380,14 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
             power = np.arange(length + 1) - length  # of each coefficient, less the top's
             bits = np.log2(np.abs(c)) - np.log2(np.abs(c[:, -1:]))
             e = np.ceil((bits[:, :-1] / -power[:-1]).max(axis=1)).astype(int)[:, None]
-            z = roots_batch(np.ldexp(c / np.abs(c[:, -1:]), e * power))[0] * np.exp2(e)
+            z, errors = solve_rows(np.ldexp(c / np.abs(c[:, -1:]), e * power))
+            failed += [(int(members[i]), err) for i, err in errors]
+            z *= np.exp2(e)
             omegas[members, :length] = np.where(
                 np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
+        if failed:
+            k, err = min(failed, key=lambda failure: failure[0])
+            raise type(err)(f"edge {EDGES[k][0].label}-{EDGES[k][1].label}: {err}") from err
         d, p = eval_many(rows, omegas)
         t = -(d * p.conj()).real / (d.real ** 2 + d.imag ** 2)
     return bool(((t >= 0.0) & (t <= 1.0)).any())

@@ -18,7 +18,6 @@ from intervalhinf.errors import (
     UnstableDenominatorError,
 )
 from intervalhinf.hinf import (
-    NormResult,
     RationalFunction,
     check_gamma_equivalence,
     family_norm_bisection,
@@ -50,6 +49,14 @@ class TestSensitivity:
         s = worked_sensitivity()
         assert s.num.coeffs == (0.0, 1.0, 1.0)
         assert s.den.coeffs == (1.0, 1.0, 1.0)
+
+    def test_shorter_row_is_zero_padded(self):
+        # g has more coefficients than f, its extra ones zero: f + g keeps g's length, and each
+        # coefficient is the sum of the two zero-padded rows
+        g, f = RealPolynomial([1.5, -2.0, 0.0, 0.0, 0.0]), RealPolynomial([0.25, 3.0, 1.0])
+        s = sensitivity(g, f)
+        assert s.num == f
+        assert s.den.coeffs == (1.75, 1.0, 1.0, 0.0, 0.0) and s.den.degree == 2
 
     def test_rejects_improper_plant(self):
         with pytest.raises(DegreeOrderError):
@@ -85,10 +92,6 @@ class TestExactNorm:
         assert res.value == pytest.approx(1.0)
         assert math.isinf(res.attained_at)
 
-    def test_candidates_never_beat_value(self):
-        res = hinf_norm_exact(worked_sensitivity())
-        assert all(mag <= res.value + 1e-15 for _, mag in res.candidates)
-
     def test_spread_plant_reaches_its_grid_peak_without_warnings(self):
         # norm-spread's degree-14 spread plant 845 at seed 3002, whose stationarity roots once
         # overflowed their residual check with a RuntimeWarning
@@ -108,7 +111,7 @@ class TestExactNorm:
                                 ([1e200], [1e200], 1.0)):
             rf = RationalFunction(num=RealPolynomial(num), den=RealPolynomial(den))
             res = hinf_norm_exact(rf)
-            assert res == NormResult(value, 0.0, ((0.0, value), (math.inf, value)))
+            assert (res.value, res.attained_at) == (value, 0.0)
             assert hinf_norm_grid(rf, 100.0, 50) == value
 
     def test_unstable_denominator_rejected(self):
@@ -137,6 +140,13 @@ def padded(coeffs, width):
     return row
 
 
+def assert_rows_alone(batch, nums, dens):
+    """Each row of hinf_norm_batch's two arrays is bitwise that of its row pair alone."""
+    alone = [hinf_norm_batch([n], [d]) for n, d in zip(nums, dens)]
+    for got, column in zip(batch, zip(*alone)):
+        assert got.dtype == float and got.tobytes() == np.concatenate(column).tobytes()
+
+
 class TestNormBatch:
     def test_each_row_equals_its_row_alone(self, monkeypatch):
         # degrees 2-8 give several stationarity lengths, the degree-3 ones more than one
@@ -144,7 +154,7 @@ class TestNormBatch:
         # width trim to different lengths. Duplicates, a num = den row (no stationary point),
         # a peak at omega = 0, a peak at the limit at infinity, an all-pass row whose omega = 0
         # and infinity candidates tie, and norm-spread's degree-14 spread plant ride along;
-        # == on NormResult compares every float
+        # the arrays are compared bit for bit
         rng = np.random.default_rng(67)
         width = 15
         nums, dens, degrees = [], [], set()
@@ -181,28 +191,32 @@ class TestNormBatch:
         batch = hinf_norm_batch(nums, dens)
         assert max(sizes) == hinf._NORM_CHUNK and len(sizes) > 2
         assert len(lengths) >= 8
-        alone = [hinf_norm_batch(n[None, :], d[None, :])[0] for n, d in zip(nums, dens)]
-        assert batch == alone
+        assert_rows_alone(batch, nums, dens)
         where = np.argsort(order)  # each row's position in the permuted batch
-        got = {name: batch[where[k]] for k, name in enumerate(special, len(order) - len(special))}
-        assert got["num = den"].value == 1.0
-        assert (got["peak at 0"].value, got["peak at 0"].attained_at) == (2.0, 0.0)
-        assert (got["peak at inf"].value, got["peak at inf"].attained_at) == (1.0, math.inf)
-        # the limit at infinity wins only if strictly larger: the smaller frequency wins the tie
-        assert got["tie"].candidates == ((0.0, 1.0), (math.inf, 1.0))
-        assert (got["tie"].value, got["tie"].attained_at) == (1.0, 0.0)
-        assert got["spread"].value >= perfbench_population().product_form_peak(spread) * (1 - 1e-9)
+        got = {name: (batch[0][where[k]], batch[1][where[k]])
+               for k, name in enumerate(special, len(order) - len(special))}
+        assert got["num = den"][0] == 1.0
+        assert got["peak at 0"] == (2.0, 0.0)
+        assert got["peak at inf"] == (1.0, math.inf)
+        # the limit at infinity wins only if strictly larger: the smaller frequency wins the
+        # tie, here of the omega = 0 candidate with the limit, both exactly 1
+        tie = [padded(c, width)[None, :] for c in special["tie"]]
+        mags, limit = hinf._magnitudes(*tie, np.zeros((1, 1)), np.array([2]), np.array([2]))
+        assert mags.tolist() == [[1.0]] and limit.tolist() == [1.0]
+        assert got["tie"] == (1.0, 0.0)
+        assert got["spread"][0] >= perfbench_population().product_form_peak(spread) * (1 - 1e-9)
 
     def test_empty_batch(self):
-        assert hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3))) == []
+        values, attained = hinf_norm_batch(np.zeros((0, 3)), np.zeros((0, 3)))
+        assert values.shape == attained.shape == (0,)
+        assert values.dtype == attained.dtype == float
 
     def test_constant_rows(self):
         # width-1 rows give width-1 magnitude-squared rows and no stationarity coefficient
         nums, dens = [[1.0], [3.0], [0.0], [1.0]], [[2.0], [-2.0], [5.0], [2.0]]
         batch = hinf_norm_batch(nums, dens)
-        assert [(r.value, r.attained_at) for r in batch] == [(0.5, 0.0), (1.5, 0.0), (0.0, 0.0),
-                                                             (0.5, 0.0)]
-        assert batch == [hinf_norm_batch([n], [d])[0] for n, d in zip(nums, dens)]
+        assert batch[0].tolist() == [0.5, 1.5, 0.0, 0.5] and batch[1].tolist() == [0.0] * 4
+        assert_rows_alone(batch, nums, dens)
 
     def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
         # and one magnitude_squared call per operand, over the distinct row pairs
@@ -749,7 +763,7 @@ class TestPlannedBisection:
             def failing(num_rows, den_rows):
                 raise NoConvergenceError("stub")
 
-            monkeypatch.setattr(hinf, "_norm_arrays", failing)
+            monkeypatch.setattr(hinf, "hinf_norm_batch", failing)
         else:
             factor = {"computed": 1.0, "too high": 1.001, "too low": 0.999}[prediction]
             monkeypatch.setattr(hinf, "_predicted_threshold",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from intervalhinf.hinf import (check_gamma_equivalence, family_norm_bisection, hinf_norm_grid,
                                sensitivity)
 from intervalhinf.interval import IntervalPolynomial
-from intervalhinf.poly import (RealPolynomial, add, eval_at_jomega, eval_many, magnitude_squared,
+from intervalhinf.poly import (RealPolynomial, eval_at_jomega, eval_many, magnitude_squared,
                                multiply_rows)
 from intervalhinf.stability import is_hurwitz_complex, roots_complex
 from intervalhinf.valueset import (family_complex_stability, octagon, sweep_octagons,
@@ -203,13 +203,6 @@ class TestMultiplyRows:
 
 
 class TestArithmetic:
-    def test_add(self):
-        assert add(RealPolynomial([1, 1]), RealPolynomial([-1, 1])).coeffs == (0.0, 2.0)
-
-    def test_add_mixed_lengths(self):
-        out = add(RealPolynomial([1]), RealPolynomial([0, 0, 3]))
-        assert out.coeffs == (1.0, 0.0, 3.0)
-
     def test_degree_tracks_trailing_zeros(self):
         assert RealPolynomial([1, 2, 0, 0]).degree == 1
         assert RealPolynomial([0]).degree == -1

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from intervalhinf.stability import (
     is_hurwitz_real,
     roots_batch,
     roots_complex,
+    solve_rows,
 )
 
 
@@ -151,7 +153,9 @@ def scalar_routh(coeffs, zero_pivots=None) -> bool:
     if d == 0:
         return True
 
-    desc = [float(coeffs[i]) for i in range(d, -1, -1)]
+    # an exact power of two puts the largest coefficient in [0.5, 1), as the batch does
+    e = math.frexp(max(abs(float(c)) for c in coeffs))[1]
+    desc = [math.ldexp(float(coeffs[i]), -e) for i in range(d, -1, -1)]
     if desc[0] < 0:
         desc = [-c for c in desc]
 
@@ -233,6 +237,18 @@ class TestRouth:
         assert len(zero_pivots) > 500 and set(zero_pivots) == set(range(2, 15))
         assert 0.1 < np.mean(reference) < 0.9
         assert (rows[:, 0] == 0).sum() > 500 and (rows.max(axis=1) <= 0).sum() > 5000
+
+
+    def test_verdict_does_not_depend_on_the_scale(self):
+        # a stable row and (s + 1)(s^2 + 1), whose zero pivot must stay exactly 0, times s from
+        # 1e-300 to 1e300: each row is scaled by an exact power of two first, so no pivot
+        # overflows or underflows
+        stable, unstable = np.array([1, 3.3, 4, 2.4, 1]), np.array([1, 1, 1, 1, 0])
+        scales = 10.0 ** np.arange(-300, 301, 10)
+        assert is_hurwitz_real(stable * scales[:, None]).all()
+        assert not is_hurwitz_real(unstable * scales[:, None]).any()
+        for s in scales:
+            assert is_hurwitz_real([stable * s, -unstable * s]).tolist() == [True, False]
 
 
 class TestRootsBatch:
@@ -375,6 +391,45 @@ class TestHurwitzComplex:
         # (s+1)(s+1-j) = s^2 + (2-j)s + (1-j)
         v = is_hurwitz_complex([1 - 1j, 2 - 1j, 1])
         assert v.is_hurwitz and v.margin == pytest.approx(1.0)
+
+
+class TestSolveRows:
+    def test_failing_rows_are_nan_and_named_in_order(self, monkeypatch):
+        # 40 degree-6 rows; rows 3 and 31 fail alone by the numerics (a leading coefficient
+        # below LEADING_FLOOR), row 17 by a stub residual failure: the batch is solved again
+        # row by row, and every other row's roots are bitwise its own
+        rng = np.random.default_rng(4123)
+        rows = rng.uniform(-5, 5, (40, 7))
+        rows[:, -1] += 6.0
+        rows[[3, 31], -1] = 1e-13
+        solve = stability.roots_batch
+
+        def failing(coeffs):
+            if (coeffs == rows[17]).all(axis=1).any():
+                raise NoConvergenceError("stub")
+            return solve(coeffs)
+
+        monkeypatch.setattr(stability, "roots_batch", failing)
+        roots, failed = solve_rows(rows)
+        assert [(k, type(err)) for k, err in failed] == [
+            (3, DegenerateLeadingError), (17, NoConvergenceError), (31, DegenerateLeadingError)]
+        assert str(failed[1][1]) == "stub"
+        assert roots.shape == (40, 6) and roots.dtype == complex
+        for k, row in enumerate(rows):
+            if k in (3, 17, 31):
+                assert np.isnan(roots[k]).all()
+            else:
+                assert roots[k].tobytes() == solve(row[None, :])[0][0].tobytes(), k
+
+    def test_a_batch_that_solves_is_one_call(self, monkeypatch):
+        calls = []
+        solve = stability.roots_batch
+        monkeypatch.setattr(stability, "roots_batch",
+                            lambda coeffs: calls.append(len(coeffs)) or solve(coeffs))
+        rows = np.array([[2.0, 3.0, 1.0], [1.0, -1.0, 1.0], [1j, 0.0, 1.0]])
+        roots, failed = solve_rows(rows)
+        assert calls == [3] and failed == []
+        assert roots.tobytes() == solve(rows)[0].tobytes()
 
 
 class TestRouthRootsAgreement:

@@ -187,8 +187,7 @@ def widened_problem(**opts):
 
 
 def unstable_den_at(row, batch):
-    """hinf_norm_batch (or its _norm_arrays core) with the denominator of one row made
-    non-Hurwitz."""
+    """hinf_norm_batch with the denominator of one row made non-Hurwitz."""
     def wrapper(nums, dens):
         dens = np.array(dens)
         dens[row, 0] = -1.0
@@ -213,8 +212,8 @@ class TestOracleBatching:
 
     @pytest.mark.parametrize("row, where", [(3, "oracle probe 3"), (70, "oracle draw 5")])
     def test_failure_names_the_probe_or_draw(self, monkeypatch, row, where):
-        # the oracle reads its norms as arrays from hinf_norm_batch's core
-        monkeypatch.setattr(theorem, "_norm_arrays", unstable_den_at(row, theorem._norm_arrays))
+        monkeypatch.setattr(theorem, "hinf_norm_batch",
+                            unstable_den_at(row, theorem.hinf_norm_batch))
         with pytest.raises(UnstableDenominatorError, match=f"^{where}: "):
             monte_carlo_oracle(widened_problem(seed=42, oracle_samples=20))
 

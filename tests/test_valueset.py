@@ -570,14 +570,14 @@ def frequency_scaled(kg, kf, k):
 
 
 def solved_rows(monkeypatch):
-    """Record the number of rows of each roots_batch call the edge route makes."""
-    rows, solve = [], valueset.roots_batch
+    """Record the number of rows of each root solve the edge route makes."""
+    rows, solve = [], valueset.solve_rows
 
     def spy(coeffs):
         rows.append(len(coeffs))
         return solve(coeffs)
 
-    monkeypatch.setattr(valueset, "roots_batch", spy)
+    monkeypatch.setattr(valueset, "solve_rows", spy)
     return rows
 
 
@@ -671,6 +671,20 @@ class TestEdgeRoute:
                     assert sweep_verdict(kg, kf, delta, theta) == want, (k, delta, theta)
                     verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_root_failure_names_its_edge(self):
+        # poles near 1e-6 and 1e6: the 1111-2111 edge's roots miss ACCEPT_RESIDUAL, and the
+        # verdict raises that edge's error, exit 4, with no warning
+        k = 1e6
+        f = np.real(np.poly([-1 / k, -(1 + 0.5j) / k, -(1 - 0.5j) / k,
+                             -k, -(1 + 1j) * k, -(1 - 1j) * k]))[::-1]
+        kf = IntervalPolynomial(0.99 * f, 1.01 * f)
+        kg = IntervalPolynomial([0.1 * f[0]], [0.2 * f[0]])
+        with pytest.raises(NoConvergenceError, match="^edge 1111-2111: root residual 3.666e-09 "
+                           "above 1e-09$") as err:
+            sweep_verdict(kg, kf, 0.3, 1.0)  # pytest makes a warning an error
+        assert type(err.value.__cause__) is NoConvergenceError
+        assert err.value.exit_code == 4
 
     def test_tangent_touch_at_a_double_root_is_a_crossing(self):
         # f = s^5 + a s^4 + 2 w^2 s^3 + b s^2 + w^4 s + f0, f0 in [lo, lo + 2]: the odd part
