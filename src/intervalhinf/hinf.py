@@ -4,9 +4,15 @@ The exact route turns |p(j w)|^2 into an even polynomial ratio in
 x = w^2, finds the stationary points of that ratio as roots of a single
 polynomial, and re-evaluates every candidate through the transfer
 function itself, each stage for a whole batch of rows at once: rows in,
-arrays of norms and frequencies out. The supremum may be approached only
-as w -> inf, so the at-infinity limit is always a candidate, and the
-frequency it is attained at is then the sentinel math.inf.
+arrays of norms and frequencies out. Each row is scaled by an exact power
+of two first, so a row's scale alone cannot make its products overflow or
+underflow. The supremum may be approached only as w -> inf, so the at-infinity
+limit is always a candidate, and the frequency it is attained at is then
+the sentinel math.inf. A cheaper question, whether a row's peak is below a
+given gamma, is answered in float by hinf_norm_below from the level
+polynomial gamma^2 M_den - M_num, of degree n in x where the stationarity
+row has degree 2n - 1; it only ever answers "below" or "undecided", and
+hinf_norm_batch stays the only route that computes a norm.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
@@ -37,7 +43,6 @@ from .errors import (
     DegreeOrderError,
     DeltaRangeError,
     IntervalHinfError,
-    NoConvergenceError,
     NoUpperBracketError,
     UnstableClosedLoopError,
     UnstableDenominatorError,
@@ -45,9 +50,9 @@ from .errors import (
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, as_float, check_count, check_width, degrees, distinct_rows,
-                   eval_at_jomega, magnitude_squared, multiply_rows)
-from .stability import (LevelCrossings, hurwitz_batch, is_hurwitz_real, level_crossings,
-                        solve_rows)
+                   eval_at_jomega, magnitude_squared, multiply_rows, scale_exponents)
+from .stability import (CROSSING_TOL, LEADING_FLOOR, LevelCrossings, hurwitz_batch,
+                        is_hurwitz_real, level_crossings, near_nonnegative, solve_rows)
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -56,6 +61,7 @@ __all__ = [
     "sensitivity",
     "hinf_norm_exact",
     "hinf_norm_batch",
+    "hinf_norm_below",
     "hinf_norm_grid",
     "check_gamma_equivalence",
     "family_norm_bisection",
@@ -141,9 +147,11 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
     its lowest row, before any other work. Each stage runs once over all byte-distinct row
     pairs; trimmed stationarity rows of one length share solve_rows calls of at most
     _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
-    solving its row alone. Any other failure is the lowest failing row's error as solved alone
-    (NoConvergenceError if its stationarity row overflows), re-raised with `row` set and named
-    in the message.
+    solving its row alone. Each num and den row is scaled by the exact power of two that puts
+    its largest coefficient in [0.5, 1) before its stationarity row is formed, which moves no
+    root and keeps every finite row's products finite, and the candidates are evaluated on the
+    rows as given. Any other failure is the lowest failing row's error as solved alone,
+    re-raised with `row` set and named in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -167,15 +175,11 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
         u = np.flatnonzero(bad)[first[bad].argmin()]
         failures.append((int(first[u]), _improper(dn[u], dd[u]) if dn[u] > dd[u] else
                          UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")))
-    with np.errstate(all="ignore"):  # an overflow shows as a row that is not finite
-        stations = _stationarity_rows(nums, dens)
+    # each row scaled by a power of two: no stationary point moves, and no product overflows
+    stations = _stationarity_rows(np.ldexp(nums, -scale_exponents(nums)),
+                                  np.ldexp(dens, -scale_exponents(dens)))
     sizes = np.abs(stations)
-    top = sizes.max(axis=1, keepdims=True)
-    overflowed = ~np.isfinite(top[:, 0])
-    if overflowed.any():
-        failures.append((int(first[overflowed].min()),
-                         NoConvergenceError("stationarity polynomial is not finite")))
-    kept = sizes > _TRIM_REL * top  # none in a row that is not finite: it solves no roots
+    kept = sizes > _TRIM_REL * sizes.max(axis=1, keepdims=True)
     kept[:, 0] = True
     lengths = stations.shape[1] - kept[:, ::-1].argmax(axis=1)
     omegas = np.zeros((len(first), lengths.max(initial=1)))  # column 0 is x = 0
@@ -202,6 +206,44 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
     attained = np.where(peak.any(axis=1), omegas[np.arange(len(omegas)), peak.argmax(axis=1)],
                         math.inf)
     return values[inverse], attained[inverse]
+
+
+def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
+    """True for each num/den row pair whose magnitude stays below gamma on the whole imaginary
+    axis and in the limit at inf, as a (B,) array in row order; False decides nothing.
+
+    The float pre-screen of the gamma-iterations (Boyd-Balakrishnan 1990, Bruinsma-Steinbuch
+    1990): with both rows of a pair scaled by one exact power of two, the level polynomial
+    P = gamma^2 M_den - M_num in x = omega^2 (M as in magnitude_squared) is positive on
+    [0, inf) when P(0) and P's leading coefficient, at the pair's larger degree, are above
+    CROSSING_TOL relative to gamma^2 |M_den| + |M_num| there, and no root of P is
+    near_nonnegative. Each distinct pair is decided once, and level rows of one degree share
+    solve_rows calls of at most _NORM_CHUNK rows. A row whose leading coefficient roots_batch
+    would reject (LEADING_FLOOR) is False without a solve, so a batch is solved again row by
+    row only after a residual or LAPACK failure; a row that fails is False, as is a row that
+    is not finite. Stability is not checked: a norm also needs a Hurwitz denominator.
+    """
+    width = np.shape(num_rows)[1]
+    pairs = np.hstack([np.asarray(num_rows, dtype=float), np.asarray(den_rows, dtype=float)])
+    first, inverse = distinct_rows(pairs)
+    with np.errstate(all="ignore"):  # a row that is not finite clears nothing
+        nums, dens = np.hsplit(np.ldexp(pairs[first], -scale_exponents(pairs[first])), [width])
+        mn, md = np.zeros((2, len(first), max(nums.shape[1], dens.shape[1])))
+        mn[:, : nums.shape[1]] = magnitude_squared(nums)
+        md[:, : dens.shape[1]] = magnitude_squared(dens)
+        level, size = gamma * gamma * md - mn, gamma * gamma * np.abs(md) + np.abs(mn)
+    pair, top = np.arange(len(first)), np.maximum(degrees(nums), degrees(dens)).clip(0)
+    lead = level[pair, top]
+    clear = ((level[:, 0] > CROSSING_TOL * size[:, 0]) & (lead > CROSSING_TOL * size[pair, top])
+             & (lead > LEADING_FLOOR * np.abs(level).max(axis=1)))
+    for degree in sorted(set(top[clear].tolist()) - {0}):
+        members = np.flatnonzero(clear & (top == degree))
+        for start in range(0, len(members), _NORM_CHUNK):
+            chunk = members[start : start + _NORM_CHUNK]
+            roots, failed = solve_rows(level[chunk, : degree + 1])
+            clear[chunk] = ~near_nonnegative(roots).any(axis=1)
+            clear[chunk[[i for i, _ in failed]]] = False
+    return clear[inverse]
 
 
 def hinf_norm_exact(rf: RationalFunction) -> NormResult:

@@ -97,6 +97,13 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+def scale_exponents(rows: np.ndarray) -> np.ndarray:
+    """(B, 1) exponents e that put the largest |coefficient| of each row (B, d+1) in [0.5, 1)
+    once scaled by np.ldexp(rows, -e), exact unless a coefficient falls below the normal range;
+    0 for a zero row."""
+    return np.frexp(np.abs(rows).max(axis=1))[1][:, None]
+
+
 def eval_many(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The package's one polynomial evaluation: ascending rows (..., d+1) at points (..., k),
     broadcasting, by Horner in place in np.result_type(coeffs, z), so real rows at real points

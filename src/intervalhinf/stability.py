@@ -11,9 +11,10 @@ delta e^{j theta} on a circle at which a row has an imaginary-axis root,
 so one root solve gives the arcs of the circle on which each pair's rows
 are all Hurwitz or none is. Roots, the eigenvalues of batched companion
 matrices, serve root sets, the norms' stationary points, those level
-polynomials, the value-set edges and the rare rows whose Hermite verdict is
-within roundoff of the boundary; solve_rows names each row of a batch that
-fails alone.
+polynomials and the norm screen's, the value-set edges and the rare rows
+whose Hermite verdict is within roundoff of the boundary; solve_rows names
+each row of a batch that fails alone, and near_nonnegative is the one rule
+for a level polynomial's roots on [0, inf).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError)
 from .poly import (ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_at_jomega,
-                   eval_many, magnitude_squared)
+                   eval_many, magnitude_squared, scale_exponents)
 
 __all__ = [
     "StabilityVerdict",
@@ -36,6 +37,7 @@ __all__ = [
     "is_hurwitz_complex",
     "hurwitz_batch",
     "solve_rows",
+    "near_nonnegative",
     "level_crossings",
     "LevelCrossings",
     "HURWITZ_TOL",
@@ -79,7 +81,7 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
     desc = np.where(back >= 0, rows[np.arange(len(rows))[:, None], np.maximum(back, 0)], 0.0)
     desc[desc[:, 0] < 0] *= -1.0
-    desc = np.ldexp(desc, -np.frexp(np.abs(desc).max(axis=1))[1][:, None])
+    desc = np.ldexp(desc, -scale_exponents(desc))
 
     hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
     lo[:, : (n + 1) // 2] = desc[:, 1::2]
@@ -149,6 +151,12 @@ def solve_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, Interval
     solved = [solve_rows(row[None, :]) for row in coeffs]
     return (np.concatenate([roots for roots, _ in solved]),
             [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
+
+
+def near_nonnegative(roots: np.ndarray) -> np.ndarray:
+    """True for each root within CROSSING_TOL of [0, inf), relative to its modulus: the real
+    roots x = omega^2 >= 0 of a level polynomial. A NaN root is never near."""
+    return (np.abs(roots.imag) <= CROSSING_TOL * np.abs(roots)) & (roots.real >= 0.0)
 
 
 def roots_complex(coeffs: Sequence[complex]) -> RootSet:
@@ -290,8 +298,7 @@ class LevelCrossings:
                 x[ok] = roots.reshape(-1, *x.shape[1:])
                 ok[np.flatnonzero(ok)[[row // len(self.pairs) for row, _ in failed]]] = False
             # NaN roots are never near; a declined delta's crossings are dropped below
-            near = (np.abs(x.imag) <= CROSSING_TOL * np.abs(x)) & (x.real >= 0.0)
-            i, u, k = np.nonzero(near)  # by delta, then pair
+            i, u, k = np.nonzero(near_nonnegative(x))  # by delta, then pair
             at = eval_at_jomega(np.stack([self.a[u], self.b[u]]),
                                 np.sqrt(x.real[i, u, k])[:, None])[..., 0]
             theta = np.angle(-at[0] * at[1].conj())

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intervalhinf import hinf, stability
+from intervalhinf import hinf, stability, theorem
 from intervalhinf.errors import NoConvergenceError
 from intervalhinf.interval import IntervalPolynomial
 
@@ -170,16 +170,62 @@ def perfbench_population():
 
 
 def fail_on_row(monkeypatch, target):
-    """Send every Hurwitz verdict to roots, and make solving `target` alone raise "stub"."""
+    """Send every Hurwitz verdict to roots, and make solving `target` alone raise "stub": a
+    roots_batch call that holds it raises, so solve_rows solves that batch row by row."""
     solve_alone = stability.roots_batch
 
     def solve(coeffs, **kwargs):
-        if np.array_equal(coeffs[0], target):
+        if any(np.array_equal(row, target) for row in coeffs):
             raise NoConvergenceError("stub")
         return solve_alone(coeffs, **kwargs)
 
     monkeypatch.setattr(stability, "HERMITE_ROUNDOFF", np.inf)
     monkeypatch.setattr(stability, "roots_batch", solve)
+
+
+def roots_calls(monkeypatch, fn, *args):
+    """fn(*args), and the rows of every roots_batch call it made, call by call."""
+    calls = []
+    solve = stability.roots_batch
+
+    def recorded(coeffs, **kwargs):
+        calls.append(np.array(coeffs))
+        return solve(coeffs, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "roots_batch", recorded)
+        return fn(*args), calls
+
+
+def oracle_rows(prob):
+    """The rows g, f and g + f of the oracle's probes (theorem._probe_pairs), then its draws."""
+    from intervalhinf.interval import sample_many
+
+    rng = np.random.default_rng(prob.options.seed)
+    gs, fs = theorem._probe_pairs(prob)
+    gs = np.vstack([gs, sample_many(prob.kg, prob.options.oracle_samples, rng)])
+    fs = np.vstack([fs, sample_many(prob.kf, prob.options.oracle_samples, rng)])
+    dens = fs.copy()
+    dens[:, : gs.shape[1]] += gs
+    return gs, fs, dens
+
+
+def reference_oracle(prob):
+    """monte_carlo_oracle without its screen: the exact norm of every probe and draw that the
+    Hermite filter keeps, in one hinf_norm_batch call, and the first of equal maxima."""
+    samples = prob.options.oracle_samples
+    gs, fs, dens = oracle_rows(prob)
+    kept = np.flatnonzero(stability.hurwitz_batch(dens))
+    values = hinf.hinf_norm_batch(fs[kept], dens[kept])[0]
+    best = int(kept[values.argmax()]) if len(kept) else 0
+    return theorem.OracleResult(
+        oracle_max=float(values.max(initial=-np.inf)),
+        argmax_g=tuple(float(c) for c in gs[best]),
+        argmax_f=tuple(float(c) for c in fs[best]),
+        samples=samples,
+        skipped=len(dens) - len(kept),
+        seed=prob.options.seed,
+    )
 
 
 def decline_crossings(monkeypatch):

@@ -301,11 +301,12 @@ class TestNorm:
             assert res.exit_code == 2
             assert res.output == "error: rational function needs a nonzero denominator\n"
 
-    def test_overflowing_stationarity_exits_4(self):
-        # every coefficient is finite, but |num(j w)|^2 and |den(j w)|^2 overflow
+    def test_overflowing_magnitudes_give_the_true_norm(self):
+        # |num(j w)|^2 and |den(j w)|^2 overflow unless the rows are scaled first; 1e200 /
+        # (1e200 + 2s) peaks at 1 at omega = 0
         res = run("norm", "--num", "1e200", "--den", "1e200,2")
-        assert res.exit_code == 4
-        assert res.output == "numerical failure: stationarity polynomial is not finite\n"
+        assert res.exit_code == 0
+        assert res.output.startswith("exact: 1  attained near omega 0\n")
 
     def test_point_file_matches_golden(self):
         # pins the exact line and the grid line of the worked plant

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (decline_crossings, fail_on_row, perfbench_population, random_stable_plant,
-                      resonant_family)
+                      resonant_family, roots_calls)
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (
     DegenerateLeadingError,
@@ -26,7 +26,7 @@ from intervalhinf.hinf import (
     hinf_norm_grid,
     sensitivity,
 )
-from intervalhinf.interval import IntervalPolynomial
+from intervalhinf.interval import IntervalPolynomial, vertex_rows
 from intervalhinf.poly import RealPolynomial, eval_at_jomega, magnitude_squared
 from intervalhinf.stability import hurwitz_batch, roots_batch
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
@@ -131,7 +131,8 @@ class TestExactNorm:
 
 UNSTABLE = [-1.0, 1.0, 1.0]
 DEGENERATE = [1.5000000000001, 2.0, 1.0]  # its stationarity leading term cancels
-OVERFLOW = ([1e200, 1.0, 0.0], [1e200, 2.0, 0.0])  # finite rows whose M(x) rows overflow
+OVERFLOW = ([1e200, 1.0, 0.0], [1e200, 2.0, 0.0])  # finite rows whose unscaled M(x) rows overflow
+STUB = ([0.0, 1.0, 1.0], [1.25, 1.0, 1.0])  # a pair whose stationarity solve fail_on_row fails
 
 
 def padded(coeffs, width):
@@ -219,7 +220,8 @@ class TestNormBatch:
         assert_rows_alone(batch, nums, dens)
 
     def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
-        # and one magnitude_squared call per operand, over the distinct row pairs
+        # and one magnitude_squared call per operand, over the distinct row pairs, each row
+        # scaled by the power of two that puts its largest coefficient in [0.5, 1)
         seen, squared = [], []
 
         def recorded(rows):
@@ -236,7 +238,28 @@ class TestNormBatch:
         dens = [[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [3.0, 1.0, 1.0]]
         hinf_norm_batch(nums, dens)
         assert len(seen) == 1 and sorted(seen[0]) == sorted([dens[0], dens[1], dens[3]])
-        assert len(squared) == 2 and squared[0] == [nums[0]] * 3 and squared[1] == seen[0]
+        scaled = {(1.0, 1.0, 1.0): [0.5, 0.5, 0.5], (2.0, 1.0, 1.0): [0.5, 0.25, 0.25],
+                  (3.0, 1.0, 1.0): [0.75, 0.25, 0.25]}
+        assert len(squared) == 2 and squared[0] == [[0.0, 0.5, 0.5]] * 3
+        assert squared[1] == [scaled[tuple(den)] for den in seen[0]]
+
+    def test_overflowing_magnitudes_are_scaled_away(self):
+        # |num(j w)|^2 and |den(j w)|^2 of OVERFLOW overflow unscaled; the true norm is 1 at 0
+        values, attained = hinf_norm_batch(*([row] for row in OVERFLOW))
+        assert values.tolist() == [1.0] and attained.tolist() == [0.0]
+
+    def test_norm_does_not_depend_on_the_scale(self):
+        # a power of two leaves every row bitwise; 1e+-150 once underflowed to the limit at
+        # infinity and overflowed to an error, and now moves the norm by roundoff only
+        rng = np.random.default_rng(71)
+        nums, dens = sensitivity_rows([random_stable_plant(rng, n_max=8) for _ in range(40)], 9)
+        values, attained = hinf_norm_batch(nums, dens)
+        for k in (-900, -300, 300, 900):
+            got = hinf_norm_batch(np.ldexp(nums, k), np.ldexp(dens, k))
+            assert got[0].tobytes() == values.tobytes() and got[1].tobytes() == attained.tobytes()
+        for scale in (1e-150, 1e150):
+            got = hinf_norm_batch(nums * scale, dens * scale)
+            np.testing.assert_allclose(got[0], values, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("row, column, value, message", [
         (3, None, 0.0, "zero denominator"),
@@ -268,18 +291,22 @@ class TestNormBatch:
         # a root failure and a Routh failure: the lower row wins either way
         ({2: DEGENERATE, 4: UNSTABLE}, 2, DegenerateLeadingError),
         ({2: UNSTABLE, 4: DEGENERATE}, 2, UnstableDenominatorError),
-        # an overflowing stationarity row, alone and against root and Routh failures
-        ({3: OVERFLOW, 5: OVERFLOW}, 3, NoConvergenceError),
-        ({2: OVERFLOW, 3: UNSTABLE, 4: DEGENERATE}, 2, NoConvergenceError),
-        ({2: UNSTABLE, 4: OVERFLOW}, 2, UnstableDenominatorError),
-        ({2: DEGENERATE, 4: OVERFLOW}, 2, DegenerateLeadingError),
+        # a stationarity solve that fails alone, alone and against root and Routh failures
+        ({3: STUB, 5: STUB}, 3, NoConvergenceError),
+        ({2: STUB, 3: UNSTABLE, 4: DEGENERATE}, 2, NoConvergenceError),
+        ({2: UNSTABLE, 4: STUB}, 2, UnstableDenominatorError),
+        ({2: DEGENERATE, 4: STUB}, 2, DegenerateLeadingError),
     ])
-    def test_failure_names_the_lowest_failing_row(self, bad, row, error):
+    def test_failure_names_the_lowest_failing_row(self, monkeypatch, bad, row, error):
         nums = [[0.0, 1.0, 1.0]] * 6
         dens = [[1.0 + 0.1 * k, 1.0, 1.0] for k in range(6)]
         for k, den in bad.items():
             nums[k], dens[k] = den if isinstance(den, tuple) else (nums[k], den)
-        message = "stationarity polynomial is not finite" if error is NoConvergenceError else ""
+        if STUB in bad.values():  # the stationarity row that the STUB pair solves alone
+            (value, _), calls = roots_calls(monkeypatch, hinf_norm_batch, *([r] for r in STUB))
+            assert value[0] > 1.0 and len(calls) == 1
+            fail_on_row(monkeypatch, calls[0][0])
+        message = "stub" if error is NoConvergenceError else ""
         with pytest.raises(error, match=f"^row {row}: {message}") as info:
             hinf_norm_batch(nums, dens)
         assert info.value.row == row
@@ -290,6 +317,116 @@ class TestNormBatch:
                                              RealPolynomial(dens[row])))
         assert info.value.row is None
         assert not str(info.value).startswith("row")
+
+
+def sensitivity_rows(pairs, width):
+    """num and den rows (B, width) of f/(f + g) for (g, f) RealPolynomial pairs."""
+    rfs = [sensitivity(g, f) for g, f in pairs]
+    return (np.array([padded(rf.num.coeffs, width) for rf in rfs]),
+            np.array([padded(rf.den.coeffs, width) for rf in rfs]))
+
+
+def screened_populations():
+    """(name, nums, dens, peaks): random and resonant sensitivities with their exact norms,
+    and norm-spread's spread plants with the product-form reference peak, which also holds
+    where the exact route raises."""
+    rng = np.random.default_rng(73)
+    random = sensitivity_rows([random_stable_plant(rng, n_max=8) for _ in range(150)], 9)
+    pairs = []
+    for _ in range(8):
+        kg, kf = resonant_family(rng)
+        gs, fs = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
+        pairs += [(RealPolynomial(g), RealPolynomial(f)) for g in gs for f in fs]
+    resonant = sensitivity_rows(pairs, 11)
+    population = perfbench_population()
+    spread = [case for case in population.norm_cases(3002, 400) if case.kind == "spread"][:60]
+    width = max(len(case.den) for case in spread)
+    return [("random", *random, hinf_norm_batch(*random)[0]),
+            ("resonant", *resonant, hinf_norm_batch(*resonant)[0]),
+            ("spread", np.array([padded(case.num, width) for case in spread]),
+             np.array([padded(case.den, width) for case in spread]),
+             np.array([population.product_form_peak(case) for case in spread]))]
+
+
+class TestNormBelow:
+    @pytest.mark.parametrize("name, nums, dens, peaks", screened_populations())
+    def test_clears_only_rows_below_gamma(self, name, nums, dens, peaks):
+        # at gammas through the peaks, just above each and far above them all, every row it
+        # clears peaks below gamma. At twice the largest peak it clears every sensitivity; a
+        # spread plant's level row, whose coefficients span the square of its root spread,
+        # can fail LEADING_FLOOR and is then left to the exact route
+        for gamma in [*np.quantile(peaks, [0.0, 0.25, 0.5, 0.75, 1.0]),
+                      *(peaks[:20] * (1 + 1e-9)), *(peaks[:20] * (1 + 1e-3)), peaks.max() * 2]:
+            cleared = hinf.hinf_norm_below(nums, dens, gamma)
+            assert cleared.dtype == bool and cleared.shape == (len(nums),)
+            assert (peaks[cleared] < gamma).all()
+        assert cleared.all() if name != "spread" else cleared.mean() > 0.5
+
+    @pytest.mark.parametrize("name, nums, dens, peaks", screened_populations()[:2])
+    def test_never_clears_a_row_at_its_own_norm_or_one(self, name, nums, dens, peaks):
+        # a sensitivity tends to 1 at infinity, so gamma = 1 clears none
+        assert not hinf.hinf_norm_below(nums, dens, 1.0).any()
+        for k in range(0, len(nums), 3):
+            assert not hinf.hinf_norm_below(nums, dens, peaks[k])[k]
+
+    def test_peaks_at_zero_and_at_infinity_and_constant_rows(self):
+        below = hinf.hinf_norm_below
+        # 2/(1 + s)... peaks 2 at omega = 0; (1 + s)/(2 + s) tends to its peak 1 at infinity
+        assert below([[2.0, 1.0]], [[1.0, 1.0]], 2.0 * (1 + 1e-3)).tolist() == [True]
+        assert below([[2.0, 1.0]], [[1.0, 1.0]], 2.0 * (1 + 1e-8)).tolist() == [False]
+        assert below([[1.0, 1.0]], [[2.0, 1.0]], 1.001).tolist() == [True]
+        assert below([[1.0, 1.0]], [[2.0, 1.0]], 1.0).tolist() == [False]
+        # constants: 1/2, 0/5 and 3/-2, at gammas above 1/2 and at it
+        nums, dens = [[1.0], [0.0], [3.0]], [[2.0], [5.0], [-2.0]]
+        assert below(nums, dens, 0.6).tolist() == [True, True, False]
+        assert below(nums, dens, 0.5).tolist() == [False, True, False]
+        assert below(np.zeros((0, 3)), np.zeros((0, 3)), 2.0).shape == (0,)
+        # rows that are not finite, or a zero denominator, clear nothing and warn nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not below([[math.nan, 1.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]], 2.0).any()
+            assert not below([[math.inf, 1.0]], [[1.0, 1.0]], 2.0).any()
+
+    def test_verdict_does_not_depend_on_the_scale(self):
+        # one power of two per pair keeps num/den, so 1e+-150 rows keep every verdict
+        name, nums, dens, peaks = screened_populations()[0]
+        gamma = float(np.median(peaks))
+        cleared = hinf.hinf_norm_below(nums, dens, gamma)
+        assert 0 < cleared.sum() < len(nums)
+        for scale in (2.0 ** -900, 1e-150, 1e150, 2.0 ** 900):
+            assert (hinf.hinf_norm_below(nums * scale, dens * scale, gamma) == cleared).all()
+
+    def test_point_family_duplicates_are_solved_once(self, monkeypatch):
+        num, den = sensitivity_rows([random_stable_plant(np.random.default_rng(5))], 4)
+        nums, dens = np.repeat(num, 565, axis=0), np.repeat(den, 565, axis=0)
+        peak = hinf_norm_batch(num, den)[0][0]
+        cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, 2 * peak)
+        assert cleared.all() and [len(rows) for rows in calls] == [1]
+
+    def test_one_solve_per_chunk_and_no_retry_for_a_degenerate_row(self, monkeypatch):
+        # 200 degree-3 rows and, at row 100, a stable one whose level row is degenerate:
+        # |den|^2's leading term is 1e-14 of the rest, below LEADING_FLOOR. It is False without
+        # a solve, so the chunks are never solved again row by row
+        rng = np.random.default_rng(79)
+        nums, dens = sensitivity_rows([random_stable_plant(rng, n_min=3, n_max=3)
+                                       for _ in range(200)], 4)
+        gamma = 2.0 * hinf_norm_batch(nums, dens)[0].max()
+        nums[100], dens[100] = [0.5, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1e-7]
+        solves = []
+
+        def counted(coeffs):
+            solves.append(len(coeffs))
+            return stability.solve_rows(coeffs)
+
+        monkeypatch.setattr(hinf, "solve_rows", counted)
+        cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, gamma)
+        assert solves == [hinf._NORM_CHUNK, 199 - hinf._NORM_CHUNK]
+        assert [len(rows) for rows in calls] == solves
+        assert not cleared[100] and cleared.sum() == 199
+        # a level row whose solve fails alone is False; the others keep their verdicts
+        fail_on_row(monkeypatch, calls[1][7])
+        failing = hinf.hinf_norm_below(nums, dens, gamma)
+        assert failing.sum() == 198 and (failing <= cleared).all()
 
 
 class TestGridNorm:

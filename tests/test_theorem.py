@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fail_on_row, random_stable_family
+from conftest import (fail_on_row, oracle_rows, random_stable_family, random_stable_plant,
+                      reference_oracle, resonant_family)
 from intervalhinf import hinf, interval, stability, theorem
 from intervalhinf.errors import (NoConvergenceError, TheoremPreconditionGapError,
                                  UnstableDenominatorError, UnstableFamilyError)
@@ -195,10 +196,56 @@ def unstable_den_at(row, batch):
     return wrapper
 
 
+def screened_families():
+    """(name, problem) of random, resonant and point families and widened_family."""
+    rng = np.random.default_rng(113)
+    cases = [(f"random {k}", family_problem(*random_stable_family(rng), seed=k,
+                                            oracle_samples=500 if k % 2 else 2000))
+             for k in range(6)]
+    cases += [(f"resonant {k}", family_problem(*resonant_family(rng), seed=k, oracle_samples=500))
+              for k in range(4)]
+    for k in range(3):
+        g, f = random_stable_plant(rng)
+        cases.append((f"point {k}", family_problem(IntervalPolynomial(g.coeffs, g.coeffs),
+                                                   IntervalPolynomial(f.coeffs, f.coeffs),
+                                                   seed=k, oracle_samples=500)))
+    return cases + [("point golden", point_problem(seed=42, oracle_samples=500)),
+                    ("widened", widened_problem(seed=42, oracle_samples=2000))]
+
+
+class TestOracleScreen:
+    @pytest.mark.parametrize("probes", ["all", "centre"])
+    @pytest.mark.parametrize("name, prob", screened_families())
+    def test_equals_the_exact_norm_of_every_kept_row(self, monkeypatch, name, prob, probes):
+        # with the box centre as the only probe, draws beat its norm and reach the exact route
+        if probes == "centre":
+            gs, fs = theorem._probe_pairs(prob)
+            monkeypatch.setattr(theorem, "_probe_pairs", lambda prob: (gs[-1:], fs[-1:]))
+        assert monte_carlo_oracle(prob) == reference_oracle(prob)
+
+    def test_draws_above_the_centre_probe_reach_the_exact_route(self, monkeypatch):
+        # with the box centre as the only probe, T is its norm: draws beat it, are left by
+        # the screen, and one of them sets the maximum and the argmax
+        prob = widened_problem(seed=42, oracle_samples=500)
+        gs, fs = theorem._probe_pairs(prob)
+        monkeypatch.setattr(theorem, "_probe_pairs", lambda prob: (gs[-1:], fs[-1:]))
+        batch, sizes = theorem.hinf_norm_batch, []
+
+        def norms(nums, dens):
+            sizes.append(len(nums))
+            return batch(nums, dens)
+
+        monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
+        oracle = monte_carlo_oracle(prob)
+        assert sizes[0] == 1 and 0 < sizes[1] < 500
+        assert (oracle.argmax_g, oracle.argmax_f) != (tuple(gs[-1]), tuple(fs[-1]))
+        assert oracle == reference_oracle(prob)
+
+
 class TestOracleBatching:
     def test_norms_share_a_few_kernel_calls(self, monkeypatch):
-        # 65 probes and 500 draws: one margin batch plus one call per
-        # stationarity length, not one per sample
+        # 65 probes and 500 draws: one call per stationarity length of the probes' norms and
+        # one per 128 draws the screen solves, not one per sample
         calls = []
 
         def counted(coeffs, **kwargs):
@@ -212,10 +259,26 @@ class TestOracleBatching:
 
     @pytest.mark.parametrize("row, where", [(3, "oracle probe 3"), (70, "oracle draw 5")])
     def test_failure_names_the_probe_or_draw(self, monkeypatch, row, where):
-        monkeypatch.setattr(theorem, "hinf_norm_batch",
-                            unstable_den_at(row, theorem.hinf_norm_batch))
+        # the screen clears every draw of this family, so the row is kept from it and reaches
+        # the exact route, whose error names it; a cleared draw's error would not surface
+        prob = widened_problem(seed=42, oracle_samples=20)
+        _, nums, dens = oracle_rows(prob)
+        target = dens[row]
+        screen, batch = theorem.hinf_norm_below, theorem.hinf_norm_batch
+        assert screen(nums[65:], dens[65:], monte_carlo_oracle(prob).oracle_max).all()
+
+        def kept_from_screen(nums, dens, gamma):
+            return screen(nums, dens, gamma) & ~(dens == target).all(axis=1)
+
+        def unstable_target(nums, dens):
+            dens = np.array(dens)
+            dens[(dens == target).all(axis=1), 0] = -1.0
+            return batch(nums, dens)
+
+        monkeypatch.setattr(theorem, "hinf_norm_below", kept_from_screen)
+        monkeypatch.setattr(theorem, "hinf_norm_batch", unstable_target)
         with pytest.raises(UnstableDenominatorError, match=f"^{where}: "):
-            monte_carlo_oracle(widened_problem(seed=42, oracle_samples=20))
+            monte_carlo_oracle(prob)
 
     def test_verdict_failure_names_the_draw(self, monkeypatch):
         prob = widened_problem(seed=42, oracle_samples=20)
@@ -308,18 +371,33 @@ class TestAnalyze:
 
     def test_one_routh_call_per_caller(self, monkeypatch):
         # the gate's 4 matched sums, the 16 vertex closed loops, and each norm
-        # batch's distinct denominators are each tested in one call
+        # batch's distinct denominators are each tested in one call: the oracle's probes, then
+        # the draws that its screen leaves, none here unless the screen is made to clear none
         calls = []
         for module in (interval, theorem, hinf):
             def recorded(rows, name=module.__name__.rsplit(".", 1)[1]):
                 calls.append((name, len(rows)))
                 return stability.is_hurwitz_real(rows)
             monkeypatch.setattr(module, "is_hurwitz_real", recorded)
-        analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
-        assert calls[:3] == [("interval", 4), ("theorem", 16), ("hinf", 16)]
-        assert calls[3][0] == "hinf" and 16 < calls[3][1] <= 65 + 20
-        # the bisection's own gate, and its predicted threshold: the norms of its 12 shifted pairs
-        assert calls[4:] == [("interval", 4), ("hinf", 12)]
+        batch = theorem.hinf_norm_batch
+
+        def norms(nums, dens):
+            calls.append(("norms", len(nums)))
+            return batch(nums, dens)
+
+        monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
+        for drawn in ([], [("norms", 20), ("hinf", 20)]):
+            if drawn:
+                monkeypatch.setattr(theorem, "hinf_norm_below",
+                                    lambda nums, dens, gamma: np.zeros(len(nums), dtype=bool))
+            calls.clear()
+            analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
+            assert calls[:5] == [("interval", 4), ("theorem", 16), ("norms", 16), ("hinf", 16),
+                                 ("norms", 65)]
+            assert calls[5][0] == "hinf" and 16 < calls[5][1] <= 65
+            # the bisection's own gate, and its predicted threshold: the norms of its 12
+            # shifted pairs
+            assert calls[6:] == drawn + [("interval", 4), ("hinf", 12)]
 
     def test_precondition_gap_names_the_first_failing_tuple(self, monkeypatch):
         def two_fail(rows):
