@@ -11,8 +11,10 @@ limit is always a candidate, and the frequency it is attained at is then
 the sentinel math.inf. A cheaper question, whether a row's peak is below a
 given gamma, is answered in float by hinf_norm_below from the level
 polynomial gamma^2 M_den - M_num, of degree n in x where the stationarity
-row has degree 2n - 1; it only ever answers "below" or "undecided", and
-hinf_norm_batch stays the only route that computes a norm.
+row has degree 2n - 1: stability.positive_on_halfline decides its sign on
+[0, inf) from Bernstein coefficients, without solving for roots. It only
+ever answers "below" or "undecided", and hinf_norm_batch stays the only
+route that computes a norm.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
@@ -50,9 +52,10 @@ from .errors import (
 )
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, as_float, check_count, check_width, degrees, distinct_rows,
-                   eval_at_jomega, magnitude_squared, multiply_rows, scale_exponents)
-from .stability import (CROSSING_TOL, LEADING_FLOOR, LevelCrossings, hurwitz_batch,
-                        is_hurwitz_real, level_crossings, near_nonnegative, solve_rows)
+                   eval_at_jomega, magnitude_bounds, magnitude_squared, multiply_rows,
+                   scale_exponents)
+from .stability import (CROSSING_TOL, LevelCrossings, hurwitz_batch, is_hurwitz_real,
+                        level_crossings, positive_on_halfline, solve_rows)
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -71,6 +74,7 @@ GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
 _NORM_CHUNK = 128  # stationarity rows per solve_rows call; bounds its (rows, d, d) arrays
 _TRIM_REL = 1e-14  # stationarity coefficients this small relative to the largest are dropped
+_LEVEL_ROUNDOFF = 64  # hinf_norm_below's level-row error bound, in (d+1) eps of |M| terms
 
 
 def _improper(m: int, n: int) -> DegreeOrderError:
@@ -216,33 +220,31 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
     1990): with both rows of a pair scaled by one exact power of two, the level polynomial
     P = gamma^2 M_den - M_num in x = omega^2 (M as in magnitude_squared) is positive on
     [0, inf) when P(0) and P's leading coefficient, at the pair's larger degree, are above
-    CROSSING_TOL relative to gamma^2 |M_den| + |M_num| there, and no root of P is
-    near_nonnegative. Each distinct pair is decided once, and level rows of one degree share
-    solve_rows calls of at most _NORM_CHUNK rows. A row whose leading coefficient roots_batch
-    would reject (LEADING_FLOOR) is False without a solve, so a batch is solved again row by
-    row only after a residual or LAPACK failure; a row that fails is False, as is a row that
-    is not finite. Stability is not checked: a norm also needs a Hurwitz denominator.
+    CROSSING_TOL relative to gamma^2 |M_den| + |M_num| there, and stability.positive_on_halfline
+    finds P positive by more than its roundoff bound, _LEVEL_ROUNDOFF (d+1) eps times
+    gamma^2 Mbar_den + Mbar_num, Mbar every other coefficient of |p| * |p|. Each distinct pair
+    is decided once, level rows of one degree in one call, and no root is solved; a row that
+    is not finite is False. Stability is not checked: a norm also needs a Hurwitz denominator.
     """
     width = np.shape(num_rows)[1]
     pairs = np.hstack([np.asarray(num_rows, dtype=float), np.asarray(den_rows, dtype=float)])
     first, inverse = distinct_rows(pairs)
+    g2 = gamma * gamma
     with np.errstate(all="ignore"):  # a row that is not finite clears nothing
         nums, dens = np.hsplit(np.ldexp(pairs[first], -scale_exponents(pairs[first])), [width])
-        mn, md = np.zeros((2, len(first), max(nums.shape[1], dens.shape[1])))
-        mn[:, : nums.shape[1]] = magnitude_squared(nums)
-        md[:, : dens.shape[1]] = magnitude_squared(dens)
-        level, size = gamma * gamma * md - mn, gamma * gamma * np.abs(md) + np.abs(mn)
+        rows = np.zeros((2 * len(first), max(nums.shape[1], dens.shape[1])))
+        rows[: len(first), : nums.shape[1]], rows[len(first) :, : dens.shape[1]] = nums, dens
+        mn, md = np.split(magnitude_squared(rows), 2)
+        bn, bd = np.split(magnitude_bounds(rows), 2)
+        level, size, bound = g2 * md - mn, g2 * np.abs(md) + np.abs(mn), g2 * bd + bn
     pair, top = np.arange(len(first)), np.maximum(degrees(nums), degrees(dens)).clip(0)
-    lead = level[pair, top]
-    clear = ((level[:, 0] > CROSSING_TOL * size[:, 0]) & (lead > CROSSING_TOL * size[pair, top])
-             & (lead > LEADING_FLOOR * np.abs(level).max(axis=1)))
+    clear = ((level[:, 0] > CROSSING_TOL * size[:, 0])
+             & (level[pair, top] > CROSSING_TOL * size[pair, top]))
     for degree in sorted(set(top[clear].tolist()) - {0}):
         members = np.flatnonzero(clear & (top == degree))
-        for start in range(0, len(members), _NORM_CHUNK):
-            chunk = members[start : start + _NORM_CHUNK]
-            roots, failed = solve_rows(level[chunk, : degree + 1])
-            clear[chunk] = ~near_nonnegative(roots).any(axis=1)
-            clear[chunk[[i for i, _ in failed]]] = False
+        clear[members] = positive_on_halfline(
+            level[members, : degree + 1],
+            _LEVEL_ROUNDOFF * (degree + 1) * np.finfo(float).eps * bound[members, : degree + 1])
     return clear[inverse]
 
 

@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,3 +157,24 @@ def magnitude_squared(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     signed = rows * (1 - (np.arange(rows.shape[1]) & 2))
     return multiply_rows(signed, signed)[:, 0::2]
+
+
+@cache
+def _even_diagonals(width: int) -> np.ndarray:
+    """(width^2, width) 0/1 matrix that sums entry (i, j) of a flattened (width, width) outer
+    product into column k where i + j = 2k. Read-only: every caller shares it."""
+    i, j = np.divmod(np.arange(width * width), width)
+    even = np.flatnonzero((i + j) % 2 == 0)
+    out = np.zeros((width * width, width))
+    out[even, (i + j)[even] // 2] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+def magnitude_bounds(rows: np.ndarray) -> np.ndarray:
+    """Ascending rows (B, n+1) of Mbar, every other coefficient of |p| * |p|, for real rows p
+    (B, n+1): magnitude_squared's coefficients with every term taken in absolute value, so
+    |M| <= Mbar, and the scale of M's roundoff."""
+    a = np.abs(np.asarray(rows, dtype=float))
+    count, width = a.shape
+    return (a[:, :, None] * a[:, None, :]).reshape(count, width * width) @ _even_diagonals(width)

@@ -11,15 +11,19 @@ delta e^{j theta} on a circle at which a row has an imaginary-axis root,
 so one root solve gives the arcs of the circle on which each pair's rows
 are all Hurwitz or none is. Roots, the eigenvalues of batched companion
 matrices, serve root sets, the norms' stationary points, those level
-polynomials and the norm screen's, the value-set edges and the rare rows
-whose Hermite verdict is within roundoff of the boundary; solve_rows names
-each row of a batch that fails alone, and near_nonnegative is the one rule
-for a level polynomial's roots on [0, inf).
+polynomials, the value-set edges and the rare rows whose Hermite verdict is
+within roundoff of the boundary; solve_rows names each row of a batch that
+fails alone, and near_nonnegative is the one rule for a level polynomial's
+roots on [0, inf). The norm screen's level polynomials need only their sign
+there: positive_on_halfline reads it from Bernstein coefficients, by matrix
+products and halving, with no root solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +42,7 @@ __all__ = [
     "hurwitz_batch",
     "solve_rows",
     "near_nonnegative",
+    "positive_on_halfline",
     "level_crossings",
     "LevelCrossings",
     "HURWITZ_TOL",
@@ -48,6 +53,7 @@ HERMITE_ROUNDOFF = 1e-12    # scaled Hermite eigenvalues this near 0 have no tru
 ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
 LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
 CROSSING_TOL = 1e-6         # level-polynomial roots this near [0, inf), relative, are crossings
+PIECE_DEPTH = 12            # halvings of a Bernstein piece before positive_on_halfline gives up
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,64 @@ def near_nonnegative(roots: np.ndarray) -> np.ndarray:
     """True for each root within CROSSING_TOL of [0, inf), relative to its modulus: the real
     roots x = omega^2 >= 0 of a level polynomial. A NaN root is never near."""
     return (np.abs(roots.imag) <= CROSSING_TOL * np.abs(roots)) & (roots.real >= 0.0)
+
+
+@cache
+def _bernstein_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For degree d: the (d+1, d+1) matrix whose transpose takes ascending coefficients to
+    Bernstein coefficients on [0, 1], and the (d+1, 2d+2) matrix that takes a piece's
+    Bernstein coefficients to those of its two halves, side by side (de Casteljau at 1/2).
+    Every entry is nonnegative. Read-only: every caller shares them."""
+    k = np.arange(d + 1)
+    choose = np.array([[comb(i, j) for j in k] for i in k], dtype=float)  # comb is 0 above i
+    to_bernstein = (choose / choose[d]).T
+    left = choose / 2.0 ** k[:, None]             # left_i = sum_j C(i, j) b_j / 2^i
+    right = left[::-1, ::-1]                      # the mirror image: right_i = left_{d-i} reversed
+    halves = np.hstack([left.T, right.T])
+    for m in (to_bernstein, halves):
+        m.setflags(write=False)
+    return to_bernstein, halves
+
+
+def positive_on_halfline(level_rows: np.ndarray, bound_rows: np.ndarray) -> np.ndarray:
+    """True for each ascending row P (K, d+1), d >= 1, that is positive on all of [0, inf) by
+    more than its roundoff bound; False decides nothing.
+
+    bound_rows (K, d+1) are nonnegative bounds on the error of each coefficient. Each row is
+    first centred on its own frequency scale, x -> 2^e x with e = rint(log2|P_0 / P_d| / d)
+    (0 if that is not finite), which is exact. Its Bernstein coefficients on [0, 1], and
+    those of its reversal x^d P(1/x) on [0, 1], which cover [1, inf], decide each piece: every
+    coefficient above the bound's (carried through the same nonnegative matrices) clears it,
+    and an end coefficient, the value at an end, at or below it fails the row. Undecided
+    pieces are halved by de Casteljau; a row with a piece still undecided after PIECE_DEPTH
+    halvings, or with a coefficient that is not finite, is False. This is the Bernstein
+    range test of Garloff (1986) and Zettler-Garloff (1998): matrix products, no root solve.
+    """
+    level = np.asarray(level_rows, dtype=float)
+    bound = np.asarray(bound_rows, dtype=float)
+    count, width = level.shape
+    if width < 2:
+        raise ValueError("positive_on_halfline needs rows of degree >= 1")
+    to_bernstein, halves = _bernstein_matrices(width - 1)
+    with np.errstate(all="ignore"):  # a row that is not finite is False
+        e = np.rint(np.log2(np.abs(level[:, 0] / level[:, -1])) / (width - 1))
+        e = np.where(np.isfinite(e), e, 0.0).astype(np.int64)[:, None] * np.arange(width)
+        level, bound = np.ldexp(level, e), np.ldexp(bound, e)
+        verdict = np.isfinite(level).all(axis=1) & np.isfinite(bound).all(axis=1)
+        owner = np.tile(np.flatnonzero(verdict), 2)
+        coeffs = np.concatenate([level[verdict], level[verdict, ::-1]]) @ to_bernstein
+        margin = np.concatenate([bound[verdict], bound[verdict, ::-1]]) @ to_bernstein
+        for depth in range(PIECE_DEPTH + 1):
+            above = coeffs > margin
+            verdict[owner[~(above[:, 0] & above[:, -1])]] = False
+            left = ~above.all(axis=1) & verdict[owner]
+            if depth == PIECE_DEPTH or not left.any():
+                verdict[owner[left]] = False
+                break
+            coeffs = (coeffs[left] @ halves).reshape(-1, width)
+            margin = (margin[left] @ halves).reshape(-1, width)
+            owner = np.repeat(owner[left], 2)
+    return verdict
 
 
 def roots_complex(coeffs: Sequence[complex]) -> RootSet:

@@ -181,9 +181,10 @@ def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
     are skipped and counted. The kept probes' exact norms come first, and their
     maximum T is attained by a probe; a kept draw that hinf_norm_below clears at T
     has its norm below T and cannot change the result, so only the draws it leaves
-    get exact norms. The result is bitwise that of the exact norm of every kept
-    row, but a cleared draw's exact-route error no longer surfaces. A failure
-    names its probe or draw.
+    get exact norms. That screen solves no roots: it reads the sign of each draw's
+    level polynomial from Bernstein coefficients. The result is bitwise that of
+    the exact norm of every kept row, but a cleared draw's exact-route error no
+    longer surfaces. A failure names its probe or draw.
     """
     samples = prob.options.oracle_samples
     rng = np.random.default_rng(prob.options.seed)

@@ -210,6 +210,35 @@ def oracle_rows(prob):
     return gs, fs, dens
 
 
+def reference_norm_below(num_rows, den_rows, gamma):
+    """hinf_norm_below by roots instead of Bernstein signs: True where the pair-scaled level
+    row gamma^2 M_den - M_num passes the same end rule, its leading coefficient clears
+    LEADING_FLOOR, and none of its roots, from one solve_rows call per degree, is
+    near_nonnegative; a row that fails its solve or is not finite is False."""
+    from intervalhinf.poly import degrees, distinct_rows, magnitude_squared, scale_exponents
+
+    width = np.shape(num_rows)[1]
+    pairs = np.hstack([np.asarray(num_rows, dtype=float), np.asarray(den_rows, dtype=float)])
+    first, inverse = distinct_rows(pairs)
+    with np.errstate(all="ignore"):
+        nums, dens = np.hsplit(np.ldexp(pairs[first], -scale_exponents(pairs[first])), [width])
+        mn, md = np.zeros((2, len(first), max(nums.shape[1], dens.shape[1])))
+        mn[:, : nums.shape[1]] = magnitude_squared(nums)
+        md[:, : dens.shape[1]] = magnitude_squared(dens)
+        level, size = gamma * gamma * md - mn, gamma * gamma * np.abs(md) + np.abs(mn)
+    pair, top = np.arange(len(first)), np.maximum(degrees(nums), degrees(dens)).clip(0)
+    lead = level[pair, top]
+    clear = ((level[:, 0] > stability.CROSSING_TOL * size[:, 0])
+             & (lead > stability.CROSSING_TOL * size[pair, top])
+             & (lead > stability.LEADING_FLOOR * np.abs(level).max(axis=1)))
+    for degree in sorted(set(top[clear].tolist()) - {0}):
+        members = np.flatnonzero(clear & (top == degree))
+        roots, failed = stability.solve_rows(level[members, : degree + 1])
+        clear[members] = ~stability.near_nonnegative(roots).any(axis=1)
+        clear[members[[i for i, _ in failed]]] = False
+    return clear[inverse]
+
+
 def reference_oracle(prob):
     """monte_carlo_oracle without its screen: the exact norm of every probe and draw that the
     Hermite filter keeps, in one hinf_norm_batch call, and the first of equal maxima."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (decline_crossings, fail_on_row, perfbench_population, random_stable_plant,
-                      resonant_family, roots_calls)
+                      reference_norm_below, resonant_family, roots_calls)
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (
     DegenerateLeadingError,
@@ -354,7 +354,8 @@ class TestNormBelow:
         # at gammas through the peaks, just above each and far above them all, every row it
         # clears peaks below gamma. At twice the largest peak it clears every sensitivity; a
         # spread plant's level row, whose coefficients span the square of its root spread,
-        # can fail LEADING_FLOOR and is then left to the exact route
+        # can hold frequency scales that PIECE_DEPTH halvings do not separate, and is then
+        # left to the exact route
         for gamma in [*np.quantile(peaks, [0.0, 0.25, 0.5, 0.75, 1.0]),
                       *(peaks[:20] * (1 + 1e-9)), *(peaks[:20] * (1 + 1e-3)), peaks.max() * 2]:
             cleared = hinf.hinf_norm_below(nums, dens, gamma)
@@ -368,6 +369,16 @@ class TestNormBelow:
         assert not hinf.hinf_norm_below(nums, dens, 1.0).any()
         for k in range(0, len(nums), 3):
             assert not hinf.hinf_norm_below(nums, dens, peaks[k])[k]
+
+    @pytest.mark.parametrize("name, nums, dens, peaks", screened_populations()[:2])
+    def test_clears_every_row_the_root_rule_clears(self, name, nums, dens, peaks):
+        # within about 1e-6 of a row's own peak, its level row has a near-double root that
+        # PIECE_DEPTH halvings cannot separate from the axis, so gammas stop at 1e-3 above
+        for gamma in [*np.quantile(peaks, [0.0, 0.25, 0.5, 0.75, 1.0]),
+                      *(peaks[:40] * (1 + 1e-3)), peaks.max() * 2]:
+            cleared = hinf.hinf_norm_below(nums, dens, gamma)
+            assert (cleared >= reference_norm_below(nums, dens, gamma)).all()
+            assert (peaks[cleared] < gamma).all()
 
     def test_peaks_at_zero_and_at_infinity_and_constant_rows(self):
         below = hinf.hinf_norm_below
@@ -396,37 +407,34 @@ class TestNormBelow:
         for scale in (2.0 ** -900, 1e-150, 1e150, 2.0 ** 900):
             assert (hinf.hinf_norm_below(nums * scale, dens * scale, gamma) == cleared).all()
 
-    def test_point_family_duplicates_are_solved_once(self, monkeypatch):
+    def test_point_family_duplicates_reach_the_kernel_once(self, monkeypatch):
         num, den = sensitivity_rows([random_stable_plant(np.random.default_rng(5))], 4)
         nums, dens = np.repeat(num, 565, axis=0), np.repeat(den, 565, axis=0)
         peak = hinf_norm_batch(num, den)[0][0]
-        cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, 2 * peak)
-        assert cleared.all() and [len(rows) for rows in calls] == [1]
+        kernel, rows = hinf.positive_on_halfline, []
 
-    def test_one_solve_per_chunk_and_no_retry_for_a_degenerate_row(self, monkeypatch):
-        # 200 degree-3 rows and, at row 100, a stable one whose level row is degenerate:
-        # |den|^2's leading term is 1e-14 of the rest, below LEADING_FLOOR. It is False without
-        # a solve, so the chunks are never solved again row by row
+        def recorded(level, bound):
+            rows.append(len(level))
+            return kernel(level, bound)
+
+        monkeypatch.setattr(hinf, "positive_on_halfline", recorded)
+        cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, 2 * peak)
+        assert cleared.all() and rows == [1] and calls == []
+
+    def test_no_root_solve_and_a_degenerate_row_is_left_to_the_exact_route(self, monkeypatch):
+        # 200 degree-3 rows and, at row 100, a stable one whose |den|^2 leading term is 1e-14
+        # of the rest: its exact norm raises, and its level row's two frequency scales, 2^16
+        # apart, are more than PIECE_DEPTH halvings can separate, so it is not cleared. Every
+        # other row is, and no row is solved for roots
         rng = np.random.default_rng(79)
         nums, dens = sensitivity_rows([random_stable_plant(rng, n_min=3, n_max=3)
                                        for _ in range(200)], 4)
         gamma = 2.0 * hinf_norm_batch(nums, dens)[0].max()
         nums[100], dens[100] = [0.5, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1e-7]
-        solves = []
-
-        def counted(coeffs):
-            solves.append(len(coeffs))
-            return stability.solve_rows(coeffs)
-
-        monkeypatch.setattr(hinf, "solve_rows", counted)
+        with pytest.raises(DegenerateLeadingError):
+            hinf_norm_batch(nums[100:101], dens[100:101])
         cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, gamma)
-        assert solves == [hinf._NORM_CHUNK, 199 - hinf._NORM_CHUNK]
-        assert [len(rows) for rows in calls] == solves
-        assert not cleared[100] and cleared.sum() == 199
-        # a level row whose solve fails alone is False; the others keep their verdicts
-        fail_on_row(monkeypatch, calls[1][7])
-        failing = hinf.hinf_norm_below(nums, dens, gamma)
-        assert failing.sum() == 198 and (failing <= cleared).all()
+        assert calls == [] and not cleared[100] and cleared.sum() == 199
 
 
 class TestGridNorm:

@@ -432,6 +432,75 @@ class TestSolveRows:
         assert roots.tobytes() == solve(rows)[0].tobytes()
 
 
+EPS = np.finfo(float).eps
+SCALES = [0.3, 1.0, 3.0, 2.0 ** 40, 2.0 ** -40]
+
+
+def halfline(rows):
+    """positive_on_halfline of rows with a roundoff bound of 64 (d+1) eps |coefficient|."""
+    rows = np.array(rows, dtype=float)
+    return stability.positive_on_halfline(rows, 64 * rows.shape[1] * EPS * np.abs(rows))
+
+
+def real_rows(*root_lists):
+    """Ascending real rows, one per list, of (x + 2 r) times the monic polynomial with those
+    roots, r the first root's modulus; a complex root brings its conjugate."""
+    out = []
+    for roots in root_lists:
+        roots = list(roots) + [complex(r).conjugate() for r in roots if complex(r).imag]
+        out.append(np.real(np.poly(roots + [-2 * abs(roots[0])]))[::-1])
+    return out
+
+
+class TestPositiveOnHalfline:
+    @pytest.mark.parametrize("r", SCALES)
+    def test_roots_on_the_axis_fail_and_a_pair_just_off_it_clears(self, r):
+        # two simple roots at r and 1.25 r (r = 1 puts one at the end shared by both pieces),
+        # a double root at r, and a pair at angle 1e-3 from the positive axis
+        rows = real_rows([r, 1.25 * r], [r, r], [r * np.exp(1e-3j)])
+        assert halfline(rows).tolist() == [False, False, True]
+
+    def test_a_deep_valley_clears_and_a_shallow_dip_below_zero_fails(self):
+        valley, dip = np.array([[1.0, 0.0, -2.0, 0.0, 1.0]] * 2)  # (x^2 - 1)^2
+        valley[2] += 2e-6  # its minimum at x = 1 is 2e-6
+        dip[2] -= 2e-6
+        assert halfline([valley, dip]).tolist() == [True, False]
+
+    def test_a_power_of_two_scale_keeps_every_verdict(self):
+        rows = np.array([row for r in SCALES for row in real_rows(
+            [r, 1.25 * r], [r, r], [r * np.exp(1e-3j)], [r * np.exp(0.5j)])])
+        verdicts = halfline(rows)
+        assert verdicts.sum() == 2 * len(SCALES)
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            assert (halfline(rows * scale) == verdicts).all()
+
+    def test_a_row_that_is_not_finite_is_false_without_a_warning(self):
+        rows = [[math.nan, 1.0, 1.0], [1.0, math.inf, 1.0], [1.0, 1.0, -math.inf], [1.0, 0.0, 1.0]]
+        assert halfline(rows).tolist() == [False, False, False, True]
+        bound = np.zeros((1, 3))
+        bound[0, 1] = math.nan
+        assert not stability.positive_on_halfline([[1.0, 0.0, 1.0]], bound).any()
+        assert halfline(np.zeros((0, 4))).shape == (0,)
+        with pytest.raises(ValueError):
+            halfline([[1.0], [2.0]])
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_matrices_give_bernstein_coefficients_and_halves(self, d):
+        # on [0, 1], b_i = sum_k C(i, k) / C(d, k) a_k; the halves are the coefficients of
+        # a(x / 2) and a((1 + x) / 2), each on [0, 1]
+        from numpy.polynomial import Polynomial
+
+        to_bernstein, halves = stability._bernstein_matrices(d)
+        a = np.random.default_rng(d).uniform(-1.0, 1.0, d + 1)
+        b = [sum(math.comb(i, k) / math.comb(d, k) * a[k] for k in range(i + 1))
+             for i in range(d + 1)]
+        assert np.allclose(a @ to_bernstein, b, rtol=0.0, atol=1e-14)
+        left, right = (Polynomial(a)(Polynomial([lo, 0.5])).coef for lo in (0.0, 0.5))
+        assert np.allclose(a @ to_bernstein @ halves,
+                           np.concatenate([left @ to_bernstein, right @ to_bernstein]),
+                           rtol=0.0, atol=1e-14)
+
+
 class TestRouthRootsAgreement:
     def test_thousand_random_polynomials(self):
         # routes agree outside a 1e-7 root-margin dead zone

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (fail_on_row, oracle_rows, random_stable_family, random_stable_plant,
-                      reference_oracle, resonant_family)
+from conftest import (fail_on_row, oracle_rows, perfbench_population, random_stable_family,
+                      random_stable_plant, reference_norm_below, reference_oracle, resonant_family)
 from intervalhinf import hinf, interval, stability, theorem
 from intervalhinf.errors import (NoConvergenceError, TheoremPreconditionGapError,
                                  UnstableDenominatorError, UnstableFamilyError)
@@ -242,10 +242,56 @@ class TestOracleScreen:
         assert oracle == reference_oracle(prob)
 
 
+def frequency_scaled(prob, a):
+    """prob with coefficient k of both families times 2^(a k), p(s) -> p(2^a s), exact in
+    floats: every norm is unchanged, and coefficient k of each level row moves by 2^(2a k)."""
+    def scaled(family):
+        power = np.ldexp(1.0, a * np.arange(len(family.lower)))
+        return IntervalPolynomial(np.array(family.lower) * power, np.array(family.upper) * power)
+
+    return AnalysisProblem(kg=scaled(prob.kg), kf=scaled(prob.kf), options=prob.options)
+
+
+class TestOracleScreenKernel:
+    def test_clears_what_the_root_rule_clears_on_benchmark_families(self):
+        # the oracle's draws of the analyze-families workload, at each family's probe maximum:
+        # every draw the root rule clears is cleared, and none whose exact norm reaches T
+        population = perfbench_population()
+        for k, fam in enumerate(population.analyze_families(2401, 40)):
+            prob = family_problem(IntervalPolynomial(fam.g_lower, fam.g_upper),
+                                  IntervalPolynomial(fam.f_lower, fam.f_upper),
+                                  seed=2401, oracle_samples=500)
+            _, fs, dens = oracle_rows(prob)
+            kept = np.flatnonzero(stability.hurwitz_batch(dens))
+            probes, drawn = kept[kept < 65], kept[kept >= 65]
+            peak = hinf.hinf_norm_batch(fs[probes], dens[probes])[0].max()
+            cleared = hinf.hinf_norm_below(fs[drawn], dens[drawn], peak)
+            assert (cleared >= reference_norm_below(fs[drawn], dens[drawn], peak)).all(), k
+            rows = drawn[cleared]
+            assert (hinf.hinf_norm_batch(fs[rows], dens[rows])[0] < peak).all(), k
+
+    @pytest.mark.parametrize("a", [-3, 3, 7, 10])
+    def test_frequency_scaled_family_keeps_the_oracle(self, monkeypatch, a):
+        # each row is centred on its own frequency scale, so at a = 7 and 10, level rows that
+        # span 2^56 and 2^80 still clear every draw; a <= -5 is left out, because the exact
+        # norms there raise DegenerateLeadingError
+        prob = frequency_scaled(widened_problem(seed=42, oracle_samples=500), a)
+        batch, sizes = theorem.hinf_norm_batch, []
+
+        def norms(nums, dens):
+            sizes.append(len(nums))
+            return batch(nums, dens)
+
+        monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
+        assert monte_carlo_oracle(prob) == reference_oracle(prob)
+        if a >= 7:
+            assert sizes == [65]  # the probes alone: no draw is left to the exact route
+
+
 class TestOracleBatching:
     def test_norms_share_a_few_kernel_calls(self, monkeypatch):
-        # 65 probes and 500 draws: one call per stationarity length of the probes' norms and
-        # one per 128 draws the screen solves, not one per sample
+        # 65 probes and 500 draws: one call per stationarity length of the probes' norms, and
+        # none for the screen, not one per sample
         calls = []
 
         def counted(coeffs, **kwargs):
