@@ -27,9 +27,9 @@ grid rows next to each crossing angle decides the step, since between two
 crossings a pair's rows are all Hurwitz or none is. The reference: a step
 the test declines goes to hurwitz_batch on the whole grid, in chunks of
 _THETA_CHUNK thetas, which decides each row and names a failing one.
-The bisection plans its steps from a threshold predicted by the norms of
-the shifted row pairs and decides them together, one root solve and one
-probe call for all; the norms only order the steps, and every verdict
+The bisection plans its steps from the twelve-vertex maximum, the threshold
+the paper predicts, and decides them together, one root solve and one
+probe call for all; that maximum only orders the steps, and every verdict
 comes from the crossing and probe route.
 """
 
@@ -391,29 +391,25 @@ def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _predicted_threshold(crossings: LevelCrossings) -> float | None:
-    """nu, the largest ||shift(f) / shift(g + f)||_inf over the crossing test's distinct pairs,
-    from one hinf_norm_batch call on its shifted rows: for gamma > nu no row of the disk
-    |c| <= 1/gamma has an imaginary-axis root. None if that call raises."""
-    try:
-        return float(hinf_norm_batch(crossings.b, crossings.a)[0].max())
-    except IntervalHinfError:
-        return None
-
-
 def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
-                      thetas: np.ndarray, tol: float) -> dict[float, bool]:
+                      thetas: np.ndarray, tol: float, nu: float | None) -> dict[float, bool]:
     """The verdict of each gamma the bisection is planned to test, decided together.
 
-    The plan replays _bisect with each verdict predicted as gamma > nu (_predicted_threshold).
-    Its deltas share one _crossing_verdict call: one root solve, and one hurwitz_batch call on
-    the probe rows, so each verdict is the one its step gets alone. A delta whose crossing test
-    declines has none. Empty if there is no test or no nu, or if the probe call raises: the
-    steps are then decided one by one, so an error is raised at the step that raises it
-    alone. The prediction only chooses the gammas; a verdict that differs from it is kept."""
-    nu = None if crossings is None else _predicted_threshold(crossings)
+    The plan replays _bisect with each verdict predicted as gamma > nu, the largest
+    ||f / (g + f)||_inf over the row pairs; nu None is computed here, by one hinf_norm_batch
+    call. Its deltas share one _crossing_verdict call: one root solve, and one hurwitz_batch
+    call on the probe rows, so each verdict is the one its step gets alone. A delta whose
+    crossing test declines has none. Empty if there is no test, if nu's norms raise, or if the
+    probe call raises: the steps are then decided one by one, so an error is raised at the
+    step that raises it alone. nu only chooses the gammas; a verdict that differs from its
+    prediction is kept."""
+    if crossings is None:
+        return {}
     if nu is None:
-        return []
+        try:
+            nu = float(hinf_norm_batch(f_rows, g_rows + f_rows)[0].max())
+        except IntervalHinfError:
+            return {}
     gammas: list[float] = []
 
     def predicted(gamma: float) -> bool:
@@ -428,12 +424,13 @@ def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_ro
         verdicts = _crossing_verdict(crossings, g_rows, f_rows, [1.0 / gamma for gamma in gammas],
                                      thetas)
     except (IntervalHinfError, ValueError):  # LinAlgError is a ValueError
-        return []
+        return {}
     return {gamma: verdict for gamma, verdict in zip(gammas, verdicts) if verdict is not None}
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
-                          tol: float = 1e-4, theta_count: int = 720) -> float:
+                          tol: float = 1e-4, theta_count: int = 720,
+                          vertex_max: float | None = None) -> float:
     """Family-wide sensitivity peak located by bisection over gamma.
 
     The twelve perturbed vertex polynomials with delta = 1/gamma are Hurwitz on
@@ -443,12 +440,14 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     that of one _hurwitz_on_grid call on the twelve row pairs, whose
     level_crossings test is built once: a step is decided from its crossing
     angles, and only a step that the test declines goes to hurwitz_batch on
-    the whole theta grid. The steps are planned from a predicted threshold
-    and decided together first (_planned_verdicts). Once a verdict differs
-    from its prediction, the bisection leaves the planned gammas, and each
-    later step is decided alone, as is a planned step left undecided. The
-    prediction only orders the work: every verdict is the one its step gets
-    alone.
+    the whole theta grid. The steps are planned from vertex_max, the largest
+    norm of the twelve vertex pairs, and decided together first
+    (_planned_verdicts); analyze passes the value it has, and None computes
+    it with one hinf_norm_batch call on the twelve pairs. Once a verdict
+    differs from its prediction, the bisection leaves the planned gammas, and
+    each later step is decided alone, as is a planned step left undecided.
+    vertex_max only orders the work: every verdict is the one its step gets
+    alone, so any value, or none, gives the same gamma.
     """
     tol = check_width("tol", tol)
     thetas = _theta_grid(theta_count)
@@ -457,7 +456,7 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     crossings = level_crossings(g_rows, f_rows)
-    planned = _planned_verdicts(crossings, g_rows, f_rows, thetas, tol)
+    planned = _planned_verdicts(crossings, g_rows, f_rows, thetas, tol, vertex_max)
 
     def verdict(gamma: float) -> bool:
         if gamma in planned:

@@ -4,13 +4,16 @@ The family maximum over the whole coefficient box reduces to twelve
 vertex plant pairs. This module wires that reduction end to end: the
 matched-vertex stability hypothesis, the twelve-norm maximum, and three
 independent cross-checks (all sixteen tuples, Monte-Carlo box sampling,
-and the gamma-bisection route). The sampling takes exact norms of its
-deterministic probes, and of only those draws that a float level-polynomial
-screen cannot place below the probes' maximum.
+and the gamma-bisection route). Each vertex norm is computed once per
+analysis: the sampling reads the sixteen vertex pairs' norms, and takes exact
+norms of only those other probes and draws that a float level-polynomial
+screen cannot place below their maximum; the bisection plans its steps from
+the twelve-vertex maximum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
 from .hinf import family_norm_bisection, hinf_norm_batch, hinf_norm_below
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
-from .poly import check_count, check_width
+from .poly import check_count, check_width, distinct_rows
 from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, check_families, tuple_rows
 
@@ -37,6 +40,7 @@ __all__ = [
 # All sixteen tuples, the twelve first: a precondition gap then names the
 # tuple that max_sensitivity_twelve would name.
 _TWELVE_FIRST = TWELVE_TUPLES + tuple(t for t in ALL_SIXTEEN if t not in TWELVE_TUPLES)
+_VERTEX_PROBES = 16  # the first rows of _probe_pairs: every g vertex with every f vertex
 
 
 _LEAST = {"theta_points": 1, "oracle_samples": 0, "seed": 0, "grid_points": 2}  # count -> least
@@ -103,12 +107,11 @@ def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
     return sum_family_hurwitz(prob.kg, prob.kf)
 
 
-def _vertex_norms(prob: AnalysisProblem,
+def _vertex_norms(g_rows: np.ndarray, f_rows: np.ndarray,
                   tuples: tuple[VertexTuple, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sensitivity norm f/(g + f) of each tuple's vertex pair and the frequency it is
-    attained at, as hinf_norm_batch's arrays in the tuples' order, every closed loop
-    Hurwitz-checked before any norm."""
-    g_rows, f_rows = tuple_rows(prob.kg, prob.kf, tuples)
+    """Exact sensitivity norm f/(g + f) of each tuple's vertex pair (tuple_rows) and the
+    frequency it is attained at, as hinf_norm_batch's arrays in the tuples' order, every
+    closed loop Hurwitz-checked before any norm."""
     dens = g_rows + f_rows
     stable = is_hurwitz_real(dens)
     if not stable.all():
@@ -120,6 +123,11 @@ def _vertex_norms(prob: AnalysisProblem,
         return hinf_norm_batch(f_rows, dens)
     except IntervalHinfError as err:
         raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
+
+
+def _pair_bytes(num_rows: np.ndarray, den_rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row pair [num | den], the key of monte_carlo_oracle's known norms."""
+    return [row.tobytes() for row in np.hstack([num_rows, den_rows])]
 
 
 def _twelve_report(prob: AnalysisProblem, values: np.ndarray,
@@ -146,14 +154,16 @@ def max_sensitivity_twelve(prob: AnalysisProblem) -> AnalysisReport:
     """
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    return _twelve_report(prob, *_vertex_norms(prob, TWELVE_TUPLES))
+    g_rows, f_rows = tuple_rows(prob.kg, prob.kf, TWELVE_TUPLES)
+    return _twelve_report(prob, *_vertex_norms(g_rows, f_rows, TWELVE_TUPLES))
 
 
 def max_sensitivity_sixteen(prob: AnalysisProblem) -> float:
     """Maximum over all sixteen tuples; must reproduce the twelve-tuple value."""
     if not closed_loop_family_stable(prob):
         raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
-    return float(_vertex_norms(prob, ALL_SIXTEEN)[0].max())
+    g_rows, f_rows = tuple_rows(prob.kg, prob.kf, ALL_SIXTEEN)
+    return float(_vertex_norms(g_rows, f_rows, ALL_SIXTEEN)[0].max())
 
 
 def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -172,25 +182,31 @@ def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(g_rows), np.vstack(f_rows)
 
 
-def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
+def monte_carlo_oracle(prob: AnalysisProblem,
+                       known_norms: Mapping[bytes, float] | None = None) -> OracleResult:
     """Box-sampling lower bound on the family maximum.
 
     Draws options.oracle_samples i.i.d. coefficient vectors from both boxes on
     top of the deterministic probes, so the certified maximum is always witnessed.
     Samples whose closed loop has a root at Re >= -1e-9 (Hermite verdict)
-    are skipped and counted. The kept probes' exact norms come first, and their
-    maximum T is attained by a probe; a kept draw that hinf_norm_below clears at T
-    has its norm below T and cannot change the result, so only the draws it leaves
-    get exact norms. That screen solves no roots: it reads the sign of each draw's
-    level polynomial from Bernstein coefficients. The result is bitwise that of
-    the exact norm of every kept row, but a cleared draw's exact-route error no
-    longer surfaces. A failure names its probe or draw.
+    are skipped and counted. Only the kept vertex probes, the first _VERTEX_PROBES
+    rows of _probe_pairs, take exact norms. A norm found in known_norms, keyed by
+    the _pair_bytes of the probe's (f, g + f) rows, is read, not computed: analyze
+    passes the sixteen it has. The vertex maximum T is attained by a vertex probe.
+    A kept row byte-equal to a vertex row has that row's norm, and that row comes
+    first, so it cannot change the result. The other probes and the draws go to
+    hinf_norm_below at T; a row it clears has its norm below T, and only the rows
+    it leaves get exact norms. That screen solves no roots: it reads the sign of
+    each row's level polynomial from Bernstein coefficients. The result is bitwise
+    that of the exact norm of every kept row, with the first of equal maxima in row
+    order, but the exact-route error of a row that is cleared or equals a vertex
+    row no longer surfaces. A failure names its probe or draw.
     """
     samples = prob.options.oracle_samples
     rng = np.random.default_rng(prob.options.seed)
 
     gs, fs = _probe_pairs(prob)
-    probes = len(gs)
+    probes, vertices = len(gs), min(_VERTEX_PROBES, len(gs))
     gs = np.vstack([gs, sample_many(prob.kg, samples, rng)])  # g draws before f draws
     fs = np.vstack([fs, sample_many(prob.kf, samples, rng)])
 
@@ -199,20 +215,26 @@ def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
     kept = rows = np.arange(len(dens))  # rows: the oracle rows of the call that may raise
     try:
         kept = rows[hurwitz_batch(dens)]
-        rows = kept[kept < probes]
-        values = hinf_norm_batch(fs[rows], dens[rows])[0]
-        drawn = kept[kept >= probes]
-        if len(values):  # a cleared draw is below the probes' maximum, which a probe attains
-            drawn = drawn[~hinf_norm_below(fs[drawn], dens[drawn], values.max())]
-        if len(drawn):
-            rows = drawn
+        vertex = kept[kept < vertices]
+        known = known_norms or {}
+        values = np.array([known.get(key, np.nan) for key in _pair_bytes(fs[vertex], dens[vertex])])
+        missing = np.isnan(values)
+        rows = vertex[missing]
+        if len(rows):
+            values[missing] = hinf_norm_batch(fs[rows], dens[rows])[0]
+        first, inverse = distinct_rows(np.hstack([fs[kept], dens[kept]]))
+        others = kept[(kept >= vertices) & (first[inverse] >= len(vertex))]  # no vertex twin
+        if len(values) and len(others):  # a cleared row is below T, which a vertex attains
+            others = others[~hinf_norm_below(fs[others], dens[others], values.max())]
+        if len(others):
+            rows = others
             values = np.concatenate([values, hinf_norm_batch(fs[rows], dens[rows])[0]])
     except IntervalHinfError as err:
         k = int(rows[err.row])
         where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
         raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
 
-    rows = np.concatenate([kept[kept < probes], drawn])  # in the order of their values
+    rows = np.concatenate([vertex, others])  # in the order of their values
     best_k = int(rows[values.argmax()]) if len(rows) else 0  # the first of equal maxima
     return OracleResult(
         oracle_max=float(values.max(initial=-np.inf)),
@@ -225,15 +247,21 @@ def monte_carlo_oracle(prob: AnalysisProblem) -> OracleResult:
 
 
 def analyze(prob: AnalysisProblem) -> AnalysisReport:
-    """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks."""
+    """Full pipeline: stability gate, twelve-vertex maximum, all cross-checks. Each vertex
+    norm is computed once: the oracle reads the sixteen, and the bisection plans its steps
+    from the twelve-vertex maximum."""
     if not closed_loop_family_stable(prob):
         return AnalysisReport(family_stable=False, seed=prob.options.seed)
-    values, attained = _vertex_norms(prob, _TWELVE_FIRST)
-    oracle = monte_carlo_oracle(prob)
+    g_rows, f_rows = tuple_rows(prob.kg, prob.kf, _TWELVE_FIRST)
+    values, attained = _vertex_norms(g_rows, f_rows, _TWELVE_FIRST)
+    report = _twelve_report(prob, values, attained)
+    oracle = monte_carlo_oracle(prob, dict(zip(_pair_bytes(f_rows, g_rows + f_rows),
+                                               values.tolist())))
     bisect = family_norm_bisection(
         prob.kg, prob.kf,
         tol=prob.options.bisection_tol,
         theta_count=prob.options.theta_points,
+        vertex_max=report.worst_norm,
     )
-    return replace(_twelve_report(prob, values, attained), sixteen_tuple_max=float(values.max()),
-                   oracle=oracle, bisection_norm=bisect)
+    return replace(report, sixteen_tuple_max=float(values.max()), oracle=oracle,
+                   bisection_norm=bisect)

@@ -29,6 +29,7 @@ from intervalhinf.hinf import (
 from intervalhinf.interval import IntervalPolynomial, vertex_rows
 from intervalhinf.poly import RealPolynomial, eval_at_jomega, magnitude_squared
 from intervalhinf.stability import hurwitz_batch, roots_batch
+from intervalhinf.theorem import AnalysisProblem, max_sensitivity_twelve
 from intervalhinf.valueset import TWELVE_TUPLES, perturbed_vertex_rows, tuple_rows
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
@@ -901,25 +902,27 @@ def planned_families():
 class TestPlannedBisection:
     @pytest.mark.parametrize("prediction", ["computed", "too high", "too low", "absent"])
     def test_equals_the_step_by_step_reference(self, monkeypatch, prediction):
-        # the predicted threshold orders the work and never decides a verdict: right, wrong
-        # either way or missing (its norms raise), the result is the reference's bit for bit
-        predicted, on_grid = hinf._predicted_threshold, hinf._hurwitz_on_grid
+        # the predicted threshold, the twelve-vertex maximum, orders the work and never
+        # decides a verdict: right, passed in wrong either way, or missing (its norms raise),
+        # the result is the reference's bit for bit
+        on_grid = hinf._hurwitz_on_grid
+        factor = {"too high": 1.001, "too low": 0.999}.get(prediction)
         if prediction == "absent":
             def failing(num_rows, den_rows):
                 raise NoConvergenceError("stub")
 
             monkeypatch.setattr(hinf, "hinf_norm_batch", failing)
-        else:
-            factor = {"computed": 1.0, "too high": 1.001, "too low": 0.999}[prediction]
-            monkeypatch.setattr(hinf, "_predicted_threshold",
-                                lambda crossings: predicted(crossings) * factor)
         alone = []
         monkeypatch.setattr(hinf, "_hurwitz_on_grid",
                             lambda *args: alone.append(args[3]) or on_grid(*args))
         routes = []  # (steps taken alone, steps) per family
         for kg, kf in planned_families():
             alone.clear()
-            value = family_norm_bisection(kg, kf)
+            nu = None
+            if factor is not None:
+                g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+                nu = factor * hinf.hinf_norm_batch(f_rows, g_rows + f_rows)[0].max()
+            value = family_norm_bisection(kg, kf, vertex_max=nu)
             taken, steps = list(alone), []
             assert value == reference_bisection(kg, kf, steps=steps)
             # the steps decided alone are the reference's last steps
@@ -933,6 +936,21 @@ class TestPlannedBisection:
             assert 0 < routes[19][0] < routes[19][1] and routes[20][0] > 0  # seeds 109, 2003
         else:
             assert sum(0 < taken < steps for taken, steps in routes) > 10
+
+    def test_a_passed_vertex_maximum_gives_the_same_gamma(self, monkeypatch):
+        # analyze passes the twelve-vertex maximum it already has; called alone, the bisection
+        # computes it with one hinf_norm_batch call on its twelve pairs. Either way the
+        # bisection takes the same gamma, bit for bit
+        batch, calls = hinf.hinf_norm_batch, []
+        monkeypatch.setattr(hinf, "hinf_norm_batch",
+                            lambda nums, dens: calls.append(len(nums)) or batch(nums, dens))
+        for kg, kf in planned_families():
+            nu = max_sensitivity_twelve(AnalysisProblem(kg, kf)).worst_norm
+            calls.clear()
+            passed = family_norm_bisection(kg, kf, vertex_max=nu)
+            assert calls == []
+            assert family_norm_bisection(kg, kf) == passed
+            assert calls == [12]
 
     def test_batched_crossings_equal_per_delta_calls(self):
         # the crossing test answers an array of delta as it answers each delta alone: the same

@@ -273,8 +273,8 @@ class TestOracleScreenKernel:
     @pytest.mark.parametrize("a", [-3, 3, 7, 10])
     def test_frequency_scaled_family_keeps_the_oracle(self, monkeypatch, a):
         # each row is centred on its own frequency scale, so at a = 7 and 10, level rows that
-        # span 2^56 and 2^80 still clear every draw; a <= -5 is left out, because the exact
-        # norms there raise DegenerateLeadingError
+        # span 2^56 and 2^80 still clear every draw and every non-vertex probe; a <= -5 is left
+        # out, because the exact norms there raise DegenerateLeadingError
         prob = frequency_scaled(widened_problem(seed=42, oracle_samples=500), a)
         batch, sizes = theorem.hinf_norm_batch, []
 
@@ -285,13 +285,74 @@ class TestOracleScreenKernel:
         monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
         assert monte_carlo_oracle(prob) == reference_oracle(prob)
         if a >= 7:
-            assert sizes == [65]  # the probes alone: no draw is left to the exact route
+            assert sizes == [16]  # the vertex probes alone: no other row is left to it
+
+
+def recorded_calls(monkeypatch):
+    """Row counts of the oracle's hinf_norm_batch calls, and the number of its screen calls."""
+    batch, screen, calls = theorem.hinf_norm_batch, theorem.hinf_norm_below, {"norms": [],
+                                                                               "screens": 0}
+
+    def norms(nums, dens):
+        calls["norms"].append(len(nums))
+        return batch(nums, dens)
+
+    def below(nums, dens, gamma):
+        calls["screens"] += 1
+        return screen(nums, dens, gamma)
+
+    monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
+    monkeypatch.setattr(theorem, "hinf_norm_below", below)
+    return calls
+
+
+class TestOracleReusesVertexNorms:
+    @pytest.mark.parametrize("name, prob", screened_families() + [
+        (f"widened scaled 2^{a}k", frequency_scaled(widened_problem(seed=42, oracle_samples=500),
+                                                    a)) for a in (3, 7, 10)])
+    def test_oracle_inside_analyze_equals_the_oracle_alone(self, name, prob):
+        # analyze hands the oracle its sixteen vertex norms, looked up by row bytes; the result
+        # is the oracle's own, and the exact norm of every kept row
+        oracle = analyze(prob).oracle
+        assert oracle == monte_carlo_oracle(prob) == reference_oracle(prob)
+
+    def test_analyze_takes_no_norm_in_the_oracle_here(self, monkeypatch):
+        # every vertex probe's norm is known, and the screen clears every other row
+        prob = widened_problem(seed=42, oracle_samples=500)
+        calls = recorded_calls(monkeypatch)
+        oracle = analyze(prob).oracle
+        assert calls == {"norms": [16], "screens": 1}  # the vertex norms, then the screen
+        assert oracle == reference_oracle(prob)
+
+    def test_a_known_norm_is_read_not_computed(self, monkeypatch):
+        # a vertex probe's norm found in known_norms is taken as given: a false value there
+        # shows in the result, and only the other vertex probes take exact norms
+        prob = widened_problem(seed=42, oracle_samples=20)
+        _, fs, dens = oracle_rows(prob)
+        known = dict(zip(theorem._pair_bytes(fs[2:3], dens[2:3]), [7.0]))
+        calls = recorded_calls(monkeypatch)
+        oracle = monte_carlo_oracle(prob, known)
+        assert oracle.oracle_max == 7.0 and oracle.argmax_f == tuple(fs[2])
+        assert calls["norms"] == [15]
+
+    @pytest.mark.parametrize("name, prob", [case for case in screened_families()
+                                            if case[0].startswith("point")])
+    def test_point_family_takes_only_its_vertex_norms(self, monkeypatch, name, prob):
+        # every probe and draw of a point family is byte-equal to a vertex row, so it has that
+        # row's norm: no screen call, and no exact norm beyond the sixteen vertex rows (none
+        # inside analyze, which knows them)
+        calls = recorded_calls(monkeypatch)
+        assert monte_carlo_oracle(prob) == reference_oracle(prob)
+        assert calls == {"norms": [16], "screens": 0}
+        calls["norms"].clear()
+        assert analyze(prob).oracle == reference_oracle(prob)
+        assert calls == {"norms": [16], "screens": 0}  # analyze's own vertex norms
 
 
 class TestOracleBatching:
     def test_norms_share_a_few_kernel_calls(self, monkeypatch):
-        # 65 probes and 500 draws: one call per stationarity length of the probes' norms, and
-        # none for the screen, not one per sample
+        # 65 probes and 500 draws: one call per stationarity length of the 16 vertex probes'
+        # norms, and none for the screen, not one per sample
         calls = []
 
         def counted(coeffs, **kwargs):
@@ -387,38 +448,34 @@ class TestAnalyze:
         assert analyze(prob) == analyze(prob)
 
     def test_each_piece_of_work_runs_once(self, monkeypatch):
-        # one stability gate and the sixteen vertex norms, the twelve read from them
+        # one stability gate and the sixteen vertex norms, the twelve read from them: the
+        # oracle reads the sixteen, its screen clears every other row here, and the bisection
+        # plans from the twelve-vertex maximum, so no other row takes an exact norm
         calls = {"gate": 0, "norms": 0}
-        in_oracle = []
 
         def counted(name, fn, weight=lambda *args: 1):
             def wrapper(*args, **kwargs):
-                if not in_oracle:
-                    calls[name] += weight(*args)
+                calls[name] += weight(*args)
                 return fn(*args, **kwargs)
             return wrapper
 
-        def oracle(*args, **kwargs):
-            in_oracle.append(True)
-            try:
-                return monte_carlo_oracle(*args, **kwargs)
-            finally:
-                in_oracle.pop()
-
         monkeypatch.setattr(theorem, "closed_loop_family_stable",
                             counted("gate", theorem.closed_loop_family_stable))
-        monkeypatch.setattr(theorem, "hinf_norm_batch",
-                            counted("norms", theorem.hinf_norm_batch,
-                                    lambda nums, dens: len(nums)))
-        monkeypatch.setattr(theorem, "monte_carlo_oracle", oracle)
+        for module in (theorem, hinf):
+            monkeypatch.setattr(module, "hinf_norm_batch",
+                                counted("norms", module.hinf_norm_batch,
+                                        lambda nums, dens: len(nums)))
         report = analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
         assert report.family_stable
         assert calls == {"gate": 1, "norms": 16}
 
     def test_one_routh_call_per_caller(self, monkeypatch):
-        # the gate's 4 matched sums, the 16 vertex closed loops, and each norm
-        # batch's distinct denominators are each tested in one call: the oracle's probes, then
-        # the draws that its screen leaves, none here unless the screen is made to clear none
+        # the gate's 4 matched sums, the 16 vertex closed loops and the 16 vertex norms'
+        # denominators are each tested in one call; the oracle reads those norms, and its
+        # screen leaves no other row here unless it is made to clear none: one norm call then
+        # takes the 49 other probes and the 20 draws, 61 distinct denominators (two of the six
+        # midpoints of each family's four vertices are its centre). The bisection's own gate
+        # follows; it plans from the twelve-vertex maximum analyze passes, so it takes no norm
         calls = []
         for module in (interval, theorem, hinf):
             def recorded(rows, name=module.__name__.rsplit(".", 1)[1]):
@@ -432,18 +489,14 @@ class TestAnalyze:
             return batch(nums, dens)
 
         monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
-        for drawn in ([], [("norms", 20), ("hinf", 20)]):
+        for drawn in ([], [("norms", 69), ("hinf", 61)]):
             if drawn:
                 monkeypatch.setattr(theorem, "hinf_norm_below",
                                     lambda nums, dens, gamma: np.zeros(len(nums), dtype=bool))
             calls.clear()
             analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
-            assert calls[:5] == [("interval", 4), ("theorem", 16), ("norms", 16), ("hinf", 16),
-                                 ("norms", 65)]
-            assert calls[5][0] == "hinf" and 16 < calls[5][1] <= 65
-            # the bisection's own gate, and its predicted threshold: the norms of its 12
-            # shifted pairs
-            assert calls[6:] == drawn + [("interval", 4), ("hinf", 12)]
+            assert calls == [("interval", 4), ("theorem", 16), ("norms", 16), ("hinf", 16),
+                             *drawn, ("interval", 4)]
 
     def test_precondition_gap_names_the_first_failing_tuple(self, monkeypatch):
         def two_fail(rows):
