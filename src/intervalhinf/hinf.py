@@ -222,22 +222,22 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
     [0, inf) when P(0) and P's leading coefficient, at the pair's larger degree, are above
     CROSSING_TOL relative to gamma^2 |M_den| + |M_num| there, and stability.positive_on_halfline
     finds P positive by more than its roundoff bound, _LEVEL_ROUNDOFF (d+1) eps times
-    gamma^2 Mbar_den + Mbar_num, Mbar every other coefficient of |p| * |p|. Each distinct pair
-    is decided once, level rows of one degree in one call, and no root is solved; a row that
-    is not finite is False. Stability is not checked: a norm also needs a Hurwitz denominator.
+    gamma^2 Mbar_den + Mbar_num, Mbar every other coefficient of |p| * |p|. Each pair is
+    decided on its own, so the caller passes distinct rows (the oracle dedupes its own); level
+    rows of one degree share one call, and no root is solved; a row that is not finite is
+    False. Stability is not checked: a norm also needs a Hurwitz denominator.
     """
     width = np.shape(num_rows)[1]
     pairs = np.hstack([np.asarray(num_rows, dtype=float), np.asarray(den_rows, dtype=float)])
-    first, inverse = distinct_rows(pairs)
     g2 = gamma * gamma
     with np.errstate(all="ignore"):  # a row that is not finite clears nothing
-        nums, dens = np.hsplit(np.ldexp(pairs[first], -scale_exponents(pairs[first])), [width])
-        rows = np.zeros((2 * len(first), max(nums.shape[1], dens.shape[1])))
-        rows[: len(first), : nums.shape[1]], rows[len(first) :, : dens.shape[1]] = nums, dens
+        nums, dens = np.hsplit(np.ldexp(pairs, -scale_exponents(pairs)), [width])
+        rows = np.zeros((2 * len(pairs), max(nums.shape[1], dens.shape[1])))
+        rows[: len(pairs), : nums.shape[1]], rows[len(pairs) :, : dens.shape[1]] = nums, dens
         mn, md = np.split(magnitude_squared(rows), 2)
         bn, bd = np.split(magnitude_bounds(rows), 2)
         level, size, bound = g2 * md - mn, g2 * np.abs(md) + np.abs(mn), g2 * bd + bn
-    pair, top = np.arange(len(first)), np.maximum(degrees(nums), degrees(dens)).clip(0)
+    pair, top = np.arange(len(pairs)), np.maximum(degrees(nums), degrees(dens)).clip(0)
     clear = ((level[:, 0] > CROSSING_TOL * size[:, 0])
              & (level[pair, top] > CROSSING_TOL * size[pair, top]))
     for degree in sorted(set(top[clear].tolist()) - {0}):
@@ -245,7 +245,7 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
         clear[members] = positive_on_halfline(
             level[members, : degree + 1],
             _LEVEL_ROUNDOFF * (degree + 1) * np.finfo(float).eps * bound[members, : degree + 1])
-    return clear[inverse]
+    return clear
 
 
 def hinf_norm_exact(rf: RationalFunction) -> NormResult:

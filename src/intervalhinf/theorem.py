@@ -5,10 +5,10 @@ vertex plant pairs. This module wires that reduction end to end: the
 matched-vertex stability hypothesis, the twelve-norm maximum, and three
 independent cross-checks (all sixteen tuples, Monte-Carlo box sampling,
 and the gamma-bisection route). Each vertex norm is computed once per
-analysis: the sampling reads the sixteen vertex pairs' norms, and takes exact
-norms of only those other probes and draws that a float level-polynomial
-screen cannot place below their maximum; the bisection plans its steps from
-the twelve-vertex maximum.
+analysis: the sampling reads the sixteen vertex pairs' norms by tuple, values
+each distinct probe and draw once, and takes exact norms of only those that a
+float level-polynomial screen cannot place below the vertex maximum; the
+bisection plans its steps from the twelve-vertex maximum.
 """
 
 from __future__ import annotations
@@ -125,11 +125,6 @@ def _vertex_norms(g_rows: np.ndarray, f_rows: np.ndarray,
         raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
 
 
-def _pair_bytes(num_rows: np.ndarray, den_rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row pair [num | den], the key of monte_carlo_oracle's known norms."""
-    return [row.tobytes() for row in np.hstack([num_rows, den_rows])]
-
-
 def _twelve_report(prob: AnalysisProblem, values: np.ndarray,
                    attained: np.ndarray) -> AnalysisReport:
     """The twelve-tuple report from _vertex_norms arrays that list the TWELVE_TUPLES first."""
@@ -169,7 +164,8 @@ def max_sensitivity_sixteen(prob: AnalysisProblem) -> float:
 def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic oracle probes: 16 vertex pairs plus midpoint blends.
 
-    Returns the numerator and denominator rows of all 65 pairs.
+    Returns the numerator and denominator rows of all 65 pairs. The first 16,
+    g-major, are the vertex pairs of ALL_SIXTEEN in its order.
     """
     gs, fs = vertex_rows(prob.kg), vertex_rows(prob.kf)
     a, b = np.triu_indices(4, 1)
@@ -183,24 +179,24 @@ def _probe_pairs(prob: AnalysisProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def monte_carlo_oracle(prob: AnalysisProblem,
-                       known_norms: Mapping[bytes, float] | None = None) -> OracleResult:
+                       vertex_norms: Mapping[VertexTuple, float] | None = None) -> OracleResult:
     """Box-sampling lower bound on the family maximum.
 
     Draws options.oracle_samples i.i.d. coefficient vectors from both boxes on
     top of the deterministic probes, so the certified maximum is always witnessed.
     Samples whose closed loop has a root at Re >= -1e-9 (Hermite verdict)
-    are skipped and counted. Only the kept vertex probes, the first _VERTEX_PROBES
-    rows of _probe_pairs, take exact norms. A norm found in known_norms, keyed by
-    the _pair_bytes of the probe's (f, g + f) rows, is read, not computed: analyze
+    are skipped and counted. Each byte-distinct kept (f, g + f) row is valued once,
+    at its first occurrence. Probe k < _VERTEX_PROBES of _probe_pairs is the vertex
+    pair of ALL_SIXTEEN[k], and only these vertex probes take exact norms; given
+    vertex_norms, all sixteen keyed by tuple, they are read, not computed: analyze
     passes the sixteen it has. The vertex maximum T is attained by a vertex probe.
-    A kept row byte-equal to a vertex row has that row's norm, and that row comes
-    first, so it cannot change the result. The other probes and the draws go to
-    hinf_norm_below at T; a row it clears has its norm below T, and only the rows
-    it leaves get exact norms. That screen solves no roots: it reads the sign of
-    each row's level polynomial from Bernstein coefficients. The result is bitwise
-    that of the exact norm of every kept row, with the first of equal maxima in row
-    order, but the exact-route error of a row that is cleared or equals a vertex
-    row no longer surfaces. A failure names its probe or draw.
+    The other probes and the draws go to hinf_norm_below at T; a row it clears has
+    its norm below T, and only the rows it leaves get exact norms. That screen solves
+    no roots: it reads the sign of each row's level polynomial from Bernstein
+    coefficients. The result is bitwise that of the exact norm of every kept row,
+    with the first of equal maxima in row order, but the exact-route error of a row
+    that is cleared or repeats an earlier row no longer surfaces. A failure names
+    its probe or draw.
     """
     samples = prob.options.oracle_samples
     rng = np.random.default_rng(prob.options.seed)
@@ -215,15 +211,13 @@ def monte_carlo_oracle(prob: AnalysisProblem,
     kept = rows = np.arange(len(dens))  # rows: the oracle rows of the call that may raise
     try:
         kept = rows[hurwitz_batch(dens)]
-        vertex = kept[kept < vertices]
-        known = known_norms or {}
-        values = np.array([known.get(key, np.nan) for key in _pair_bytes(fs[vertex], dens[vertex])])
-        missing = np.isnan(values)
-        rows = vertex[missing]
-        if len(rows):
-            values[missing] = hinf_norm_batch(fs[rows], dens[rows])[0]
-        first, inverse = distinct_rows(np.hstack([fs[kept], dens[kept]]))
-        others = kept[(kept >= vertices) & (first[inverse] >= len(vertex))]  # no vertex twin
+        distinct = kept[np.sort(distinct_rows(np.hstack([fs[kept], dens[kept]]))[0])]
+        vertex, others = distinct[distinct < vertices], distinct[distinct >= vertices]
+        if vertex_norms is None:
+            rows = vertex
+            values = hinf_norm_batch(fs[rows], dens[rows])[0]
+        else:
+            values = np.array([vertex_norms[ALL_SIXTEEN[k]] for k in vertex.tolist()])
         if len(values) and len(others):  # a cleared row is below T, which a vertex attains
             others = others[~hinf_norm_below(fs[others], dens[others], values.max())]
         if len(others):
@@ -255,8 +249,7 @@ def analyze(prob: AnalysisProblem) -> AnalysisReport:
     g_rows, f_rows = tuple_rows(prob.kg, prob.kf, _TWELVE_FIRST)
     values, attained = _vertex_norms(g_rows, f_rows, _TWELVE_FIRST)
     report = _twelve_report(prob, values, attained)
-    oracle = monte_carlo_oracle(prob, dict(zip(_pair_bytes(f_rows, g_rows + f_rows),
-                                               values.tolist())))
+    oracle = monte_carlo_oracle(prob, dict(zip(_TWELVE_FIRST, values.tolist())))
     bisect = family_norm_bisection(
         prob.kg, prob.kf,
         tol=prob.options.bisection_tol,

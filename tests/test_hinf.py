@@ -408,20 +408,6 @@ class TestNormBelow:
         for scale in (2.0 ** -900, 1e-150, 1e150, 2.0 ** 900):
             assert (hinf.hinf_norm_below(nums * scale, dens * scale, gamma) == cleared).all()
 
-    def test_point_family_duplicates_reach_the_kernel_once(self, monkeypatch):
-        num, den = sensitivity_rows([random_stable_plant(np.random.default_rng(5))], 4)
-        nums, dens = np.repeat(num, 565, axis=0), np.repeat(den, 565, axis=0)
-        peak = hinf_norm_batch(num, den)[0][0]
-        kernel, rows = hinf.positive_on_halfline, []
-
-        def recorded(level, bound):
-            rows.append(len(level))
-            return kernel(level, bound)
-
-        monkeypatch.setattr(hinf, "positive_on_halfline", recorded)
-        cleared, calls = roots_calls(monkeypatch, hinf.hinf_norm_below, nums, dens, 2 * peak)
-        assert cleared.all() and rows == [1] and calls == []
-
     def test_no_root_solve_and_a_degenerate_row_is_left_to_the_exact_route(self, monkeypatch):
         # 200 degree-3 rows and, at row 100, a stable one whose |den|^2 leading term is 1e-14
         # of the rest: its exact norm raises, and its level row's two frequency scales, 2^16

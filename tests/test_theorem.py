@@ -21,7 +21,7 @@ from intervalhinf.theorem import (
     max_sensitivity_twelve,
     monte_carlo_oracle,
 )
-from intervalhinf.valueset import TWELVE_TUPLES
+from intervalhinf.valueset import ALL_SIXTEEN, TWELVE_TUPLES, tuple_rows
 
 GOLDEN = math.sqrt((3 + 2 * math.sqrt(3)) / 3)
 
@@ -197,7 +197,8 @@ def unstable_den_at(row, batch):
 
 
 def screened_families():
-    """(name, problem) of random, resonant and point families and widened_family."""
+    """(name, problem) of random, resonant, point and one-side-point families and
+    widened_family."""
     rng = np.random.default_rng(113)
     cases = [(f"random {k}", family_problem(*random_stable_family(rng), seed=k,
                                             oracle_samples=500 if k % 2 else 2000))
@@ -209,8 +210,17 @@ def screened_families():
         cases.append((f"point {k}", family_problem(IntervalPolynomial(g.coeffs, g.coeffs),
                                                    IntervalPolynomial(f.coeffs, f.coeffs),
                                                    seed=k, oracle_samples=500)))
-    return cases + [("point golden", point_problem(seed=42, oracle_samples=500)),
-                    ("widened", widened_problem(seed=42, oracle_samples=2000))]
+    cases += [("point golden", point_problem(seed=42, oracle_samples=500)),
+              ("widened", widened_problem(seed=42, oracle_samples=2000))]
+    for k, side in enumerate(["numerator", "numerator", "denominator"]):
+        # one side a point, a vertex of its box: that side's midpoint probes repeat vertex rows
+        kg, kf = random_stable_family(rng)
+        vertex = vertex_rows(kg if side == "numerator" else kf)[k]
+        point = IntervalPolynomial(vertex, vertex)
+        kg, kf = (point, kf) if side == "numerator" else (kg, point)
+        cases.append((f"{side} point {k}", family_problem(kg, kf, seed=k,
+                                                          oracle_samples=300 + 100 * k)))
+    return cases
 
 
 class TestOracleScreen:
@@ -222,6 +232,24 @@ class TestOracleScreen:
             gs, fs = theorem._probe_pairs(prob)
             monkeypatch.setattr(theorem, "_probe_pairs", lambda prob: (gs[-1:], fs[-1:]))
         assert monte_carlo_oracle(prob) == reference_oracle(prob)
+
+    @pytest.mark.parametrize("name, prob", screened_families())
+    def test_the_screen_takes_each_row_once_and_no_vertex_row(self, monkeypatch, name, prob):
+        # the oracle dedupes its kept rows once: no row reaches hinf_norm_below twice, and
+        # none that repeats a vertex probe, whose norm the vertex maximum already holds
+        _, fs, dens = oracle_rows(prob)
+        pairs = [row.tobytes() for row in np.hstack([fs, dens])]
+        screen, screened = theorem.hinf_norm_below, []
+
+        def below(nums, dens, gamma):
+            screened.extend(row.tobytes() for row in np.hstack([nums, dens]))
+            return screen(nums, dens, gamma)
+
+        monkeypatch.setattr(theorem, "hinf_norm_below", below)
+        assert monte_carlo_oracle(prob) == reference_oracle(prob)
+        assert len(set(screened)) == len(screened) and not set(screened) & set(pairs[:16])
+        if " point " in name:  # one side a point: its midpoint probes repeat vertex rows
+            assert set(pairs[16:65]) & set(pairs[:16])
 
     def test_draws_above_the_centre_probe_reach_the_exact_route(self, monkeypatch):
         # with the box centre as the only probe, T is its norm: draws beat it, are left by
@@ -306,12 +334,30 @@ def recorded_calls(monkeypatch):
     return calls
 
 
+class TestOracleProbes:
+    def test_the_first_sixteen_probes_are_all_sixteen_tuples_in_order(self):
+        # monte_carlo_oracle reads the norm of probe k < 16 as that of ALL_SIXTEEN[k]; on
+        # families whose 16 vertex pairs are distinct, any reordering of the probes fails this
+        rng = np.random.default_rng(127)
+        done = 0
+        while done < 5:
+            kg, kf = random_stable_family(rng)
+            gs, fs = theorem._probe_pairs(family_problem(kg, kf))
+            if len(np.unique(np.hstack([gs[:16], fs[:16]]), axis=0)) < 16:
+                continue  # a constant numerator has two vertices, not four
+            done += 1
+            g_rows, f_rows = tuple_rows(kg, kf, ALL_SIXTEEN)
+            width = gs.shape[1]
+            assert np.array_equal(gs[:16], g_rows[:, :width]) and not g_rows[:, width:].any()
+            assert np.array_equal(fs[:16], f_rows)
+
+
 class TestOracleReusesVertexNorms:
     @pytest.mark.parametrize("name, prob", screened_families() + [
         (f"widened scaled 2^{a}k", frequency_scaled(widened_problem(seed=42, oracle_samples=500),
                                                     a)) for a in (3, 7, 10)])
     def test_oracle_inside_analyze_equals_the_oracle_alone(self, name, prob):
-        # analyze hands the oracle its sixteen vertex norms, looked up by row bytes; the result
+        # analyze hands the oracle its sixteen vertex norms, keyed by tuple; the result
         # is the oracle's own, and the exact norm of every kept row
         oracle = analyze(prob).oracle
         assert oracle == monte_carlo_oracle(prob) == reference_oracle(prob)
@@ -325,25 +371,27 @@ class TestOracleReusesVertexNorms:
         assert oracle == reference_oracle(prob)
 
     def test_a_known_norm_is_read_not_computed(self, monkeypatch):
-        # a vertex probe's norm found in known_norms is taken as given: a false value there
-        # shows in the result, and only the other vertex probes take exact norms
+        # the sixteen vertex norms, keyed by tuple, are taken as given: a false value for
+        # ALL_SIXTEEN[2] shows in the result, and no vertex probe takes an exact norm
         prob = widened_problem(seed=42, oracle_samples=20)
-        _, fs, dens = oracle_rows(prob)
-        known = dict(zip(theorem._pair_bytes(fs[2:3], dens[2:3]), [7.0]))
+        gs, fs, dens = oracle_rows(prob)
+        known = dict(zip(ALL_SIXTEEN, hinf.hinf_norm_batch(fs[:16], dens[:16])[0].tolist()))
+        known[ALL_SIXTEEN[2]] = 7.0
         calls = recorded_calls(monkeypatch)
         oracle = monte_carlo_oracle(prob, known)
-        assert oracle.oracle_max == 7.0 and oracle.argmax_f == tuple(fs[2])
-        assert calls["norms"] == [15]
+        assert oracle.oracle_max == 7.0
+        assert (oracle.argmax_g, oracle.argmax_f) == (tuple(gs[2]), tuple(fs[2]))
+        assert calls["norms"] == []
 
     @pytest.mark.parametrize("name, prob", [case for case in screened_families()
                                             if case[0].startswith("point")])
     def test_point_family_takes_only_its_vertex_norms(self, monkeypatch, name, prob):
-        # every probe and draw of a point family is byte-equal to a vertex row, so it has that
-        # row's norm: no screen call, and no exact norm beyond the sixteen vertex rows (none
-        # inside analyze, which knows them)
+        # every probe and draw of a point family is byte-equal to the first vertex row (565
+        # copies at 500 samples), so the oracle values that one row: no screen call, and one
+        # exact norm (none inside analyze, which knows the sixteen)
         calls = recorded_calls(monkeypatch)
         assert monte_carlo_oracle(prob) == reference_oracle(prob)
-        assert calls == {"norms": [16], "screens": 0}
+        assert calls == {"norms": [1], "screens": 0}
         calls["norms"].clear()
         assert analyze(prob).oracle == reference_oracle(prob)
         assert calls == {"norms": [16], "screens": 0}  # analyze's own vertex norms
@@ -473,7 +521,7 @@ class TestAnalyze:
         # the gate's 4 matched sums, the 16 vertex closed loops and the 16 vertex norms'
         # denominators are each tested in one call; the oracle reads those norms, and its
         # screen leaves no other row here unless it is made to clear none: one norm call then
-        # takes the 49 other probes and the 20 draws, 61 distinct denominators (two of the six
+        # takes the 61 distinct rows of the 49 other probes and the 20 draws (two of the six
         # midpoints of each family's four vertices are its centre). The bisection's own gate
         # follows; it plans from the twelve-vertex maximum analyze passes, so it takes no norm
         calls = []
@@ -489,7 +537,7 @@ class TestAnalyze:
             return batch(nums, dens)
 
         monkeypatch.setattr(theorem, "hinf_norm_batch", norms)
-        for drawn in ([], [("norms", 69), ("hinf", 61)]):
+        for drawn in ([], [("norms", 61), ("hinf", 61)]):
             if drawn:
                 monkeypatch.setattr(theorem, "hinf_norm_below",
                                     lambda nums, dens, gamma: np.zeros(len(nums), dtype=bool))
