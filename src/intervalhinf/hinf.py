@@ -28,9 +28,9 @@ crossings a pair's rows are all Hurwitz or none is. The reference: a step
 the test declines goes to hurwitz_batch on the whole grid, in chunks of
 _THETA_CHUNK thetas, which decides each row and names a failing one.
 The bisection plans its steps from the twelve-vertex maximum, the threshold
-the paper predicts, and decides them together, one root solve and one
-probe call for all; that maximum only orders the steps, and every verdict
-comes from the crossing and probe route.
+the paper predicts, and decides them together, one root solve, one probe
+row build and one probe call for all; that maximum only orders the steps,
+and every verdict comes from the crossing and probe route.
 """
 
 from __future__ import annotations
@@ -300,30 +300,24 @@ def _crossing_verdict(crossings: LevelCrossings | None, g_rows: np.ndarray, f_ro
     angles of a row pair, its rows on the circle are all Hurwitz or none is. So a delta is
     decided by the _theta_grid rows within two grid steps of each crossing angle of their pair,
     built by perturbed_vertex_rows as the grid's own rows are: they hold a row of every arc
-    that holds a grid theta, even for an angle off by up to one grid step. The probe rows of
-    every delta go to one hurwitz_batch call, which decides each row as it would alone."""
-    found = [None] * len(deltas) if crossings is None else crossings(deltas)
-    verdicts: list[bool | None] = [None if c is None else True for c in found]
-    steps, rows, at_thetas, at_pairs = [], [], [], []
-    for step, (delta, c) in enumerate(zip(deltas, found)):
-        if c is None or not len(c[0]):
-            continue
-        pairs, angles = c
-        below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
-        at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
-        pairs = np.tile(pairs, 4)
-        probed, where = np.unique(at, return_inverse=True)
-        grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas[probed])
-        steps.append(step)
-        rows.append(grid[where * len(g_rows) + pairs])
-        at_thetas.append(thetas[at])
-        at_pairs.append(pairs)
-    if steps:
-        stable = _hurwitz_rows(np.concatenate(rows), np.concatenate(at_thetas),
-                               np.concatenate(at_pairs), tuples)
-        for step, part in zip(steps, np.split(stable, np.cumsum([len(r) for r in rows])[:-1])):
-            verdicts[step] = bool(part.all())
-    return verdicts
+    that holds a grid theta, even for an angle off by up to one grid step. Each distinct
+    (delta, grid theta) probed is built once, by one perturbed_vertex_rows call with a delta
+    per theta, and every probe row goes to one hurwitz_batch call, which decides each row as
+    it would alone; a step is False if any of its probes is."""
+    if crossings is None:
+        return [None] * len(deltas)
+    decided, steps, pairs, angles = crossings(deltas)
+    below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
+    at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
+    steps, pairs = np.tile(steps, 4), np.tile(pairs, 4)
+    unstable = np.zeros(len(deltas), dtype=bool)
+    if len(at):
+        probed, where = np.unique(steps * len(thetas) + at, return_inverse=True)
+        grid = perturbed_vertex_rows(g_rows, f_rows, np.asarray(deltas)[probed // len(thetas)],
+                                     thetas[probed % len(thetas)])
+        stable = _hurwitz_rows(grid[where * len(g_rows) + pairs], thetas[at], pairs, tuples)
+        unstable[steps[~stable]] = True
+    return np.where(decided, ~unstable, None).tolist()
 
 
 def _hurwitz_on_grid(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,

@@ -9,14 +9,15 @@ rows g + (1 + delta e^{j theta}) f over real (g, f) pairs, the level
 polynomial |shift(g + f)|^2 - delta^2 |shift(f)|^2 in x = w^2 finds every
 delta e^{j theta} on a circle at which a row has an imaginary-axis root,
 so one root solve gives the arcs of the circle on which each pair's rows
-are all Hurwitz or none is. Roots, the eigenvalues of batched companion
-matrices, serve root sets, the norms' stationary points, those level
-polynomials, the value-set edges and the rare rows whose Hermite verdict is
-within roundoff of the boundary; solve_rows names each row of a batch that
-fails alone, and near_nonnegative is the one rule for a level polynomial's
-roots on [0, inf). The norm screen's level polynomials need only their sign
-there: positive_on_halfline reads it from Bernstein coefficients, by matrix
-products and halving, with no root solve.
+are all Hurwitz or none is, for a whole array of delta in flat arrays.
+Roots, the eigenvalues of batched companion matrices, serve root sets, the
+norms' stationary points, those level polynomials, the value-set edges and
+the rare rows whose Hermite verdict is within roundoff of the boundary;
+solve_rows names each row of a batch that fails alone, and near_nonnegative
+is the one rule for a level polynomial's roots on [0, inf). The norm
+screen's level polynomials need only their sign there: positive_on_halfline
+reads it from Bernstein coefficients, by matrix products and halving, with
+no root solve.
 """
 
 from __future__ import annotations
@@ -343,12 +344,14 @@ class LevelCrossings:
     ma: np.ndarray
     mb: np.ndarray
 
-    def __call__(self, deltas) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """For each delta: the pair index and theta of each crossing, or None if it declines.
+    def __call__(self, deltas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(decided, steps, pairs, thetas): decided (D,) False where the test declines a
+        delta; each crossing of a decided delta is one entry of steps (its index into deltas),
+        pairs and thetas, every +theta first, then every -theta, by delta, then pair.
 
         The level rows of every delta that passes the checks share one solve_rows call, and a
         row that fails alone declines only its own delta. Every kernel works row by row, so
-        each answer equals asking for its delta alone.
+        each delta's entries equal those of asking for it alone.
         """
         deltas = np.asarray(deltas, dtype=float)
         with np.errstate(all="ignore"):  # anything that overflows decides nothing
@@ -366,25 +369,20 @@ class LevelCrossings:
             at = eval_at_jomega(np.stack([self.a[u], self.b[u]]),
                                 np.sqrt(x.real[i, u, k])[:, None])[..., 0]
             theta = np.angle(-at[0] * at[1].conj())
-        bounds = np.searchsorted(i, np.arange(len(deltas) + 1))
-        found: list[tuple[np.ndarray, np.ndarray] | None] = []
-        for d, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            t, p = theta[start:stop], self.pairs[u[start:stop]]
-            if not ok[d] or not np.isfinite(t).all():
-                found.append(None)
-            elif start < stop:
-                found.append((np.concatenate([p, p]), np.concatenate([t, -t])))
-            else:
-                found.append((np.zeros(0, dtype=int), np.zeros(0))
-                             if (level[d, :, 0] > 0.0).all() else None)
-        return found
+            unsure = np.bincount(i, weights=~np.isfinite(theta), minlength=len(deltas))
+            # no crossing decides a delta only while level(0) > 0 at every pair
+            decided = ok & (unsure == 0) & ((np.bincount(i, minlength=len(deltas)) > 0)
+                                            | (level[..., 0] > 0.0).all(axis=1))
+        keep = decided[i]
+        i, p, t = i[keep], self.pairs[u[keep]], theta[keep]
+        return decided, np.concatenate([i, i]), np.concatenate([p, p]), np.concatenate([t, -t])
 
 
 def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | None:
     """The crossing test of the rows g + (1 + delta e^{j theta}) f over the real (g, f) row
-    pairs (P, n+1). Called with an array of delta, it gives for each delta the pair index and
-    theta of each imaginary-axis crossing, both empty when there is none, or None when that
-    cannot be decided. None instead of a test unless hurwitz_batch's unit-diagonal Cholesky
+    pairs (P, n+1). Called with an array of deltas, it gives in flat arrays the delta index,
+    pair index and theta of each imaginary-axis crossing of every delta it decides, and which
+    deltas it decides. None instead of a test unless hurwitz_batch's unit-diagonal Cholesky
     test confirms every g + f Hurwitz.
 
     With a = shift(g + f) and b = shift(f), the Taylor shift of hurwitz_batch, a + c b has the

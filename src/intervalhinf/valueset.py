@@ -265,13 +265,15 @@ def tuple_rows(kg: IntervalPolynomial, kf: IntervalPolynomial,
     return g[[t.g_row for t in tuples]], f[[t.f_row for t in tuples]]
 
 
-def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float,
+def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float | np.ndarray,
                           thetas: np.ndarray) -> np.ndarray:
     """Perturbed vertex rows g + (1 + delta*e^{j theta}) * f over a theta grid.
 
     Shape (len(thetas) * len(g_rows), n + 1), theta outer and row pair inner;
     uniform degree n because the leading coefficient is
-    (1 + delta*e^{j theta}) * a_n with a_n > 0.
+    (1 + delta*e^{j theta}) * a_n with a_n > 0. delta is a float or one delta
+    per theta: row k of a delta-per-theta call is bitwise the call at
+    (delta_k, theta_k), the same float arithmetic.
     """
     factors = 1.0 + delta * np.exp(1j * thetas)
     rows = g_rows[None, :, :] + factors[:, None, None] * f_rows[None, :, :]

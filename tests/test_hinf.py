@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -714,13 +715,13 @@ class TestLevelCrossings:
         for kg, kf in families:
             for crossings, g_rows, f_rows, delta, *args in bisection_steps(kg, kf):
                 assert crossings is not None  # every g + f is confirmed Hurwitz
-                found = crossings([delta])[0]
+                decided, steps, _, _ = crossings([delta])
                 verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, [delta], *args)[0]
-                assert (verdict is None) == (found is None)
+                assert (verdict is None) == (not decided[0])
                 if verdict is None:
                     outcomes[None] += 1
                     continue
-                outcomes[verdict, len(found[0]) > 0] += 1
+                outcomes[verdict, bool((steps == 0).any())] += 1
                 assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, *args) is verdict
         assert outcomes[True, False] > 100 and outcomes[False, True] > 100
         assert outcomes[True, True] > 0 and outcomes[None] < 5
@@ -739,7 +740,8 @@ class TestLevelCrossings:
                 for shift in (0.9 * step, -0.9 * step):
 
                     def moved(deltas, found, shift=shift):
-                        return [None if c is None else (c[0], c[1] + shift) for c in found]
+                        decided, steps, pairs, angles = found
+                        return decided, steps, pairs, angles + shift
 
                     verdict = hinf._crossing_verdict(rewired(crossings, moved), g_rows, f_rows,
                                                      [delta], *args)[0]
@@ -756,7 +758,8 @@ class TestLevelCrossings:
         thetas, delta = hinf._theta_grid(720), 1 / 1.4678895
         assert 1 / delta < GOLDEN
         crossings = hinf.level_crossings(g_rows, f_rows)
-        assert len(crossings([delta])[0][0]) == 4
+        decided, steps, _, _ = crossings([delta])
+        assert decided.tolist() == [True] and (steps == 0).sum() == 4
         batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
         assert verdict is True and len(batches) == 1
         assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, thetas) is True
@@ -773,9 +776,14 @@ class TestLevelCrossings:
         batched = []
         built = hinf.level_crossings
 
+        def decline(deltas, found):
+            decided, steps, pairs, angles = found
+            decided = decided & ~np.isin(deltas, declined)
+            keep = decided[steps]  # a declined delta has no crossings
+            return decided, steps[keep], pairs[keep], angles[keep]
+
         def declining(g_rows, f_rows):
-            return rewired(built(g_rows, f_rows), lambda deltas, found: [
-                None if delta in declined else c for delta, c in zip(deltas, found)])
+            return rewired(built(g_rows, f_rows), decline)
 
         def batch(rows):
             batched.append(rows)
@@ -811,7 +819,8 @@ class TestLevelCrossings:
         huge = np.full((1, 9), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert stability.level_crossings(g_rows, f_rows)([near_one]) == [None]
+            decided, steps, _, _ = stability.level_crossings(g_rows, f_rows)([near_one])
+            assert decided.tolist() == [False] and len(steps) == 0
             # an overflowing pair's Hermite matrices cannot confirm g + f Hurwitz: no test
             assert stability.level_crossings(np.zeros((1, 9)), huge) is None
             assert stability.level_crossings(huge, huge) is None
@@ -820,15 +829,16 @@ class TestLevelCrossings:
                 raise DegenerateLeadingError("stub")
 
             monkeypatch.setattr(stability, "roots_batch", failing)
-            assert stability.level_crossings(g_rows, f_rows)([0.5, 0.6]) == [None, None]
+            decided, steps, _, _ = stability.level_crossings(g_rows, f_rows)([0.5, 0.6])
+            assert decided.tolist() == [False, False] and len(steps) == 0
 
     def test_crossing_at_zero_frequency_declines(self):
         # g + (1 + c) f = (0.5 + c) + (1 + c) s has its root at s = 0 for c = -0.5, on the
         # circle |c| = 0.5: a crossing at omega = 0 that the x >= 0 root filter can miss
         crossings = stability.level_crossings(np.array([[-0.5, 0.0]]), np.array([[1.0, 1.0]]))
-        below, at_zero, above = crossings([0.4, 0.5, 0.6])
-        assert at_zero is None
-        assert len(below[0]) == 0 and len(above[0]) == 2
+        decided, steps, _, _ = crossings([0.4, 0.5, 0.6])
+        assert decided.tolist() == [True, False, True]
+        assert [(steps == d).sum() for d in range(3)] == [0, 0, 2]
 
     def test_probe_rows_are_grid_rows_next_to_a_crossing(self, monkeypatch):
         # each probed row is bitwise a perturbed_vertex_rows row of the full grid, of the pair
@@ -842,8 +852,8 @@ class TestLevelCrossings:
             for args in bisection_steps(kg, kf):
                 delta = args[3]
                 batches, _ = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
-                pairs, angles = crossings([delta])[0]
-                assert len(batches) == (len(pairs) > 0)
+                decided, _, pairs, angles = crossings([delta])
+                assert decided[0] and len(batches) == (len(pairs) > 0)
                 grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas)
                 lowest = {row.tobytes(): i for i, row in reversed(list(enumerate(grid)))}
                 for row in batches[0] if batches else ():
@@ -886,11 +896,13 @@ def planned_families():
 
 
 class TestPlannedBisection:
-    @pytest.mark.parametrize("prediction", ["computed", "too high", "too low", "absent"])
+    @pytest.mark.parametrize("prediction",
+                             ["computed", "too high", "too low", "absent", "above the cap"])
     def test_equals_the_step_by_step_reference(self, monkeypatch, prediction):
         # the predicted threshold, the twelve-vertex maximum, orders the work and never
-        # decides a verdict: right, passed in wrong either way, or missing (its norms raise),
-        # the result is the reference's bit for bit
+        # decides a verdict: right, passed in wrong either way, missing (its norms raise) or
+        # above GAMMA_CAP (the plan runs up to the cap and stops there), the result is the
+        # reference's bit for bit
         on_grid = hinf._hurwitz_on_grid
         factor = {"too high": 1.001, "too low": 0.999}.get(prediction)
         if prediction == "absent":
@@ -908,6 +920,8 @@ class TestPlannedBisection:
             if factor is not None:
                 g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
                 nu = factor * hinf.hinf_norm_batch(f_rows, g_rows + f_rows)[0].max()
+            elif prediction == "above the cap":
+                nu = 2.0**40
             value = family_norm_bisection(kg, kf, vertex_max=nu)
             taken, steps = list(alone), []
             assert value == reference_bisection(kg, kf, steps=steps)
@@ -922,6 +936,39 @@ class TestPlannedBisection:
             assert 0 < routes[19][0] < routes[19][1] and routes[20][0] > 0  # seeds 109, 2003
         else:
             assert sum(0 < taken < steps for taken, steps in routes) > 10
+
+    def test_one_probe_batch_holds_the_rows_of_the_one_delta_batches(self, monkeypatch):
+        # the plan builds the probe rows of all its deltas with one perturbed_vertex_rows call,
+        # a delta per theta: its one probe batch holds exactly the rows, bitwise and as a
+        # multiset, of the probe batches its deltas get one by one, with the same verdicts
+        verdict, plans = hinf._crossing_verdict, []
+
+        def recorded(crossings, g_rows, f_rows, deltas, *args):
+            if len(deltas) > 1:
+                plans.append((crossings, g_rows, f_rows, deltas, *args))
+            return verdict(crossings, g_rows, f_rows, deltas, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(hinf, "_crossing_verdict", recorded)
+            for kg, kf in planned_families():
+                family_norm_bisection(kg, kf)
+        assert len(plans) == len(planned_families())
+        compared = 0
+        for crossings, g_rows, f_rows, deltas, thetas in plans:
+            batches = []
+            with monkeypatch.context() as patched:
+                patched.setattr(hinf, "hurwitz_batch",
+                                lambda rows: batches.append(rows) or hurwitz_batch(rows))
+                together = verdict(crossings, g_rows, f_rows, deltas, thetas)
+            alone = [probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
+                     for delta in deltas]
+            assert together == [step for _, step in alone]
+            assert len(batches) <= 1
+            assert (Counter(row.tobytes() for rows in batches for row in rows)
+                    == Counter(row.tobytes() for rows, _ in alone for batch in rows
+                               for row in batch))
+            compared += len(batches)
+        assert compared > 20
 
     def test_a_passed_vertex_maximum_gives_the_same_gamma(self, monkeypatch):
         # analyze passes the twelve-vertex maximum it already has; called alone, the bisection
@@ -946,15 +993,18 @@ class TestPlannedBisection:
             steps = bisection_steps(kg, kf)
             crossings = steps[0][0]
             deltas = [args[3] for args in steps] + [1.0 - 1e-13]  # delta near 1 declines
-            for delta, found in zip(deltas, crossings(deltas)):
-                alone = crossings([delta])[0]
-                assert (found is None) == (alone is None)
-                if found is None:
+            decided, steps, pairs, angles = crossings(deltas)
+            assert decided[steps].all()  # a declined delta has no crossings
+            for d, delta in enumerate(deltas):
+                alone = crossings([delta])
+                assert decided[d] == alone[0][0]
+                if not decided[d]:
                     declined += 1
                     continue
-                assert found[0].dtype == alone[0].dtype and found[1].dtype == alone[1].dtype
-                assert found[0].tobytes() == alone[0].tobytes()
-                assert found[1].tobytes() == alone[1].tobytes()
+                mine = steps == d
+                assert pairs.dtype == alone[2].dtype and angles.dtype == alone[3].dtype
+                assert pairs[mine].tobytes() == alone[2].tobytes()
+                assert angles[mine].tobytes() == alone[3].tobytes()
         assert declined > len(planned_families())  # the omega = 0 peak's steps as well
 
     def test_a_failing_level_row_declines_only_its_delta(self, monkeypatch):
@@ -963,8 +1013,8 @@ class TestPlannedBisection:
         g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
         crossings = hinf.level_crossings(g_rows, f_rows)
         deltas = [0.3, 1 / 1.5, 0.55]
-        expected = [crossings([delta])[0] for delta in deltas]
-        assert all(found is not None for found in expected)
+        expected = [crossings([delta]) for delta in deltas]
+        assert all(alone[0][0] for alone in expected)
         target = (crossings.ma - (deltas[1] * deltas[1]) * crossings.mb)[4]
         solve = stability.roots_batch
 
@@ -974,10 +1024,12 @@ class TestPlannedBisection:
             return solve(coeffs)
 
         monkeypatch.setattr(stability, "roots_batch", failing)
-        found = crossings(deltas)
-        assert found[1] is None
-        for i in (0, 2):
-            assert all(np.array_equal(x, y) for x, y in zip(found[i], expected[i]))
+        decided, steps, pairs, angles = crossings(deltas)
+        assert decided.tolist() == [True, False, True] and not (steps == 1).any()
+        for d in (0, 2):
+            mine = steps == d
+            assert np.array_equal(pairs[mine], expected[d][2])
+            assert np.array_equal(angles[mine], expected[d][3])
 
     def test_a_right_prediction_decides_every_step_together(self, monkeypatch):
         # the point plant: every step is planned, the crossing test is asked once for all of
@@ -1002,12 +1054,27 @@ class TestPlannedBisection:
     def test_errors_are_raised_at_the_step_that_raises_alone(self, monkeypatch):
         # a probe row that fails when solved alone fails the plan's shared probe call; the
         # steps then go one by one, and the error is the reference bisection's, naming the
-        # tuple and theta of that row
+        # tuple and theta of that row. fail_on_row sends every Hermite verdict to roots, under
+        # which no crossing test is built, so both bisections get the test built before it
         steps = bisection_steps(*WIDENED)
-        args = next(args for args in steps if len(args[0]([args[3]])[0][0]))
+        crossings = steps[0][0]
+        args = next(args for args in steps if len(crossings([args[3]])[1]))
         batches, _ = probe_batches(monkeypatch, *args[:5])
         fail_on_row(monkeypatch, batches[0][0])
+        monkeypatch.setattr(hinf, "level_crossings", lambda g_rows, f_rows: crossings)
         with pytest.raises(NoConvergenceError, match="^tuple [12]{4} at theta=") as reference:
             reference_bisection(*WIDENED)
+        verdict, raised = hinf._crossing_verdict, []
+
+        def recorded(crossings, g_rows, f_rows, deltas, *args):
+            try:
+                return verdict(crossings, g_rows, f_rows, deltas, *args)
+            except NoConvergenceError:
+                raised.append(len(deltas))
+                raise
+
+        monkeypatch.setattr(hinf, "_crossing_verdict", recorded)
         with pytest.raises(NoConvergenceError, match=f"^{re.escape(str(reference.value))}$"):
             family_norm_bisection(*WIDENED)
+        assert raised[0] > 1  # the plan's shared probe call, then the step alone
+        assert raised[1:] == [1]

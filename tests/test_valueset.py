@@ -81,6 +81,18 @@ class TestPerturbedVertexPolynomial:
         row = perturbed_row(POINT_KG, kf, VertexTuple(2, 2, 2, 2), 0.5, math.pi / 2)
         assert row.tolist() == pytest.approx([2 + 0.5j, 1 + 0.5j])
 
+    def test_one_delta_per_theta_equals_the_scalar_calls(self):
+        # with an array of delta, one per theta, each theta's rows are bitwise those of the
+        # call at that delta and theta alone
+        rng = np.random.default_rng(29)
+        for kg, kf in [widened_family()] + [random_stable_family(rng) for _ in range(4)]:
+            g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
+            deltas, thetas = rng.uniform(0.01, 0.99, 40), rng.uniform(-math.pi, math.pi, 40)
+            rows = perturbed_vertex_rows(g_rows, f_rows, deltas, thetas)
+            alone = np.concatenate([perturbed_vertex_rows(g_rows, f_rows, float(d), np.array([t]))
+                                    for d, t in zip(deltas, thetas)])
+            assert rows.shape == alone.shape and rows.tobytes() == alone.tobytes()
+
     def test_delta_range_is_enforced(self):
         for bad in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(DeltaRangeError):
