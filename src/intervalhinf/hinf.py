@@ -386,17 +386,18 @@ def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
 
 
 def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
-                      thetas: np.ndarray, tol: float, nu: float | None) -> dict[float, bool]:
+                      thetas: np.ndarray, tol: float,
+                      nu: float | None) -> dict[float, bool | None]:
     """The verdict of each gamma the bisection is planned to test, decided together.
 
     The plan replays _bisect with each verdict predicted as gamma > nu, the largest
     ||f / (g + f)||_inf over the row pairs; nu None is computed here, by one hinf_norm_batch
     call. Its deltas share one _crossing_verdict call: one root solve, and one hurwitz_batch
     call on the probe rows, so each verdict is the one its step gets alone. A delta whose
-    crossing test declines has none. Empty if there is no test, if nu's norms raise, or if the
-    probe call raises: the steps are then decided one by one, so an error is raised at the
-    step that raises it alone. nu only chooses the gammas; a verdict that differs from its
-    prediction is kept."""
+    crossing test declines maps to None, as it would alone. Empty if there is no test, if nu's
+    norms raise, or if the probe call raises: the steps are then decided one by one, so an
+    error is raised at the step that raises it alone. nu only chooses the gammas; a verdict
+    that differs from its prediction is kept."""
     if crossings is None:
         return {}
     if nu is None:
@@ -417,9 +418,9 @@ def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_ro
     try:
         verdicts = _crossing_verdict(crossings, g_rows, f_rows, [1.0 / gamma for gamma in gammas],
                                      thetas)
-    except (IntervalHinfError, ValueError):  # LinAlgError is a ValueError
+    except (IntervalHinfError, ValueError):  # ValueError: a probe row that is not finite
         return {}
-    return {gamma: verdict for gamma, verdict in zip(gammas, verdicts) if verdict is not None}
+    return dict(zip(gammas, verdicts))
 
 
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
@@ -439,7 +440,8 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     (_planned_verdicts); analyze passes the value it has, and None computes
     it with one hinf_norm_batch call on the twelve pairs. Once a verdict
     differs from its prediction, the bisection leaves the planned gammas, and
-    each later step is decided alone, as is a planned step left undecided.
+    each later step is decided alone. A planned step whose crossing test
+    declined goes straight to the whole theta grid, without asking it again.
     vertex_max only orders the work: every verdict is the one its step gets
     alone, so any value, or none, gives the same gamma.
     """
@@ -453,8 +455,9 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     planned = _planned_verdicts(crossings, g_rows, f_rows, thetas, tol, vertex_max)
 
     def verdict(gamma: float) -> bool:
-        if gamma in planned:
+        if planned.get(gamma) is not None:
             return planned[gamma]
-        return _hurwitz_on_grid(crossings, g_rows, f_rows, 1.0 / gamma, thetas, TWELVE_TUPLES)
+        return _hurwitz_on_grid(None if gamma in planned else crossings, g_rows, f_rows,
+                                1.0 / gamma, thetas, TWELVE_TUPLES)
 
     return _bisect(verdict, tol)

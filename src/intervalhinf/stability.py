@@ -1,10 +1,13 @@
 """Hurwitz stability verdicts.
 
-Routh over real coefficient rows, all rows at once. Batches of complex
-coefficient rows get Hermite's criterion: a row is Hurwitz exactly when
-its Hermite matrix is positive definite. One batched Cholesky
-factorization confirms that for a whole batch without iterating; a batch
-it cannot confirm is decided row by row from batched eigenvalues. For
+Routh over real coefficient rows, all rows at once. Batches of real or
+complex coefficient rows get Hermite's criterion, real rows in real
+arithmetic: a row is Hurwitz exactly when its Hermite matrix is positive
+definite. One vectorised elimination without pivoting gives the pivot
+signs of every row of a batch, with no eigenvalue solve: all positive
+less a roundoff margin on the diagonal confirms a row, a matrix that is
+not finite is an error, and the other rows are tested again plus the
+margin. For
 rows g + (1 + delta e^{j theta}) f over real (g, f) pairs, the level
 polynomial |shift(g + f)|^2 - delta^2 |shift(f)|^2 in x = w^2 finds every
 delta e^{j theta} on a circle at which a row has an imaginary-axis root,
@@ -253,14 +256,16 @@ def _taylor_shift(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _hermite_matrix(x: np.ndarray) -> np.ndarray:
-    """(B, n, n) Hermite matrices K of rows x (degree n, ascending). K_ik multiplies
-    s^i conj(w)^k in (x(s) conj x(w) - x#(s) conj x#(w)) / (s + conj w), where
-    p#(s) = conj p(-conj s). Solved top row first from
-    N_ik = x_i conj x_k - (-1)^(i+k) conj x_i x_k = K_(i-1,k) + K_(i,k-1)."""
+    """(B, n, n) Hermite matrices K of rows x (degree n, ascending), in x's dtype: real rows
+    give real matrices. K_ik multiplies s^i conj(w)^k in
+    (x(s) conj x(w) - x#(s) conj x#(w)) / (s + conj w), where p#(s) = conj p(-conj s). Solved
+    top row first from N_ik = P_ik - (-1)^(i+k) conj P_ik = K_(i-1,k) + K_(i,k-1), with
+    P_ik = x_i conj x_k."""
     n = x.shape[1] - 1
     sign = (-1.0) ** np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    N = x[:, :, None] * x[:, None, :].conj() - sign * x[:, :, None].conj() * x[:, None, :]
-    K = np.zeros((len(x), n, n), dtype=complex)
+    P = x[:, :, None] * x[:, None, :].conj()
+    N = P - sign * P.conj()
+    K = np.zeros((len(x), n, n), dtype=x.dtype)
     K[:, n - 1] = N[:, n, :n]
     for i in range(n - 1, 0, -1):
         K[:, i - 1, 0] = N[:, i, 0]
@@ -269,62 +274,68 @@ def _hermite_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _unit_diagonal(K: np.ndarray) -> np.ndarray:
+    """K scaled in place to unit diagonal (every caller passes fresh matrices), times the
+    reciprocal of d_i d_k: bitwise what dividing a complex K gives, so a real K scales to
+    its real part, and a product d_i d_k below the normal range leaves K not finite."""
     d = np.sqrt(np.abs(K.real.diagonal(axis1=1, axis2=2)))
     d[d == 0.0] = 1.0
-    K /= d[:, :, None] * d[:, None, :]  # in place: every caller passes fresh matrices
+    K *= 1.0 / (d[:, :, None] * d[:, None, :])
     return K
 
 
-def _clears_roundoff(scaled: np.ndarray) -> bool:
-    """True if one batched Cholesky factorization of the unit-diagonal matrices, less
-    HERMITE_ROUNDOFF on the diagonal in place, succeeds: every smallest eigenvalue then exceeds
-    HERMITE_ROUNDOFF. A NaN entry passes LAPACK's pivot test, so only a finite factor counts."""
-    diag = np.arange(scaled.shape[1])
-    scaled[:, diag, diag] -= HERMITE_ROUNDOFF
-    try:
-        return bool(np.isfinite(np.linalg.cholesky(scaled)).all())
-    except np.linalg.LinAlgError:
-        return False
+def _positive_pivots(K: np.ndarray, shift: float) -> np.ndarray:
+    """True for each Hermitian matrix of K + shift I that is finite and whose pivots all stay
+    positive in Gaussian elimination without pivoting. Pivots are ratios of leading principal
+    minors, so they do exactly when the matrix is positive definite, and while they do the
+    elimination is a Cholesky factorization, which is backward stable. Pivot j is the diagonal
+    entry j once j steps are done; after a pivot that is not positive, the rest are moot."""
+    n = K.shape[1]
+    A = np.array(K.transpose(1, 2, 0), order="C")  # a copy, batch last: long inner loops
+    A[np.arange(n), np.arange(n)] += shift
+    with np.errstate(all="ignore"):  # a failed row may divide by zero; its verdict is kept
+        for j in range(n - 1):
+            rest = A[j + 1 :, j + 1 :]
+            rest -= A[j + 1 :, j : j + 1] * (A[j : j + 1, j + 1 :] / A[j, j].real)
+    return np.isfinite(K).all(axis=(1, 2)) & (A.real.diagonal() > 0.0).all(axis=1)
 
 
 def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     """True for each row whose roots all have Re < -HURWITZ_TOL, by Hermite's criterion.
 
-    coeffs: (B, n+1), ascending, n >= 1, leading column nonzero. The test is the smallest
-    eigenvalue of the Hermite matrix of p(s - HURWITZ_TOL) at unit diagonal. If one batched
-    Cholesky factorization of those matrices less HERMITE_ROUNDOFF on the diagonal succeeds,
-    every smallest eigenvalue exceeds HERMITE_ROUNDOFF and every row is Hurwitz. Otherwise the
-    eigenvalues decide by sign; rows where one is within HERMITE_ROUNDOFF of 0 are decided by
-    their roots, each solved alone, and a failure there is that of the lowest such row,
-    re-raised with `row` set and named in the message. If the eigenvalues do not converge,
-    the lowest row whose scaled matrix is not finite (its entries overflowed) is named the same
-    way in a NoConvergenceError. Byte-identical rows are tested once.
+    coeffs: (B, n+1) real or complex, ascending, n >= 1, leading column nonzero; real rows are
+    tested in real arithmetic. The test is the smallest eigenvalue of the Hermite matrix of
+    p(s - HURWITZ_TOL) at unit diagonal, read from pivot signs. A row whose pivots stay
+    positive less HERMITE_ROUNDOFF on the diagonal is Hurwitz; if every row's do, that one
+    elimination of the batch decides it. Otherwise, if any scaled matrix is not finite (its
+    entries overflowed), the lowest such row is named in a NoConvergenceError. Else a row
+    whose pivots do not stay positive plus HERMITE_ROUNDOFF is not Hurwitz. The rest, within
+    HERMITE_ROUNDOFF of the boundary, are decided by their roots, each solved alone as a
+    complex row, and a failure there is that of the lowest such row, re-raised with `row` set
+    and named in the message. A row's verdict does not depend on its batch. Byte-identical
+    rows are tested once.
     """
-    rows = np.ascontiguousarray(coeffs, dtype=complex)
+    rows = np.ascontiguousarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
         raise ValueError("Hurwitz test needs finite (B, n+1) coefficient rows with n >= 1")
     first, inverse = distinct_rows(rows)
     with np.errstate(all="ignore"):  # an overflow shows as a matrix that is not finite
         scaled = _unit_diagonal(_hermite_matrix(_taylor_shift(rows[first])))
-    if _clears_roundoff(scaled.copy()):  # eigvalsh below needs the unshifted matrices
-        return np.ones(len(rows), dtype=bool)
-    try:
-        lam = np.linalg.eigvalsh(scaled)[:, 0]
-    except np.linalg.LinAlgError as err:
-        overflowed = ~np.isfinite(scaled).all(axis=(1, 2))
-        if not overflowed.any():
-            raise
+    stable = _positive_pivots(scaled, -HERMITE_ROUNDOFF)
+    if stable.all():
+        return stable[inverse]
+    overflowed = ~np.isfinite(scaled).all(axis=(1, 2))
+    if overflowed.any():
         k = int(first[overflowed].min())
-        cause = NoConvergenceError(f"Hermite matrix is not finite: {err}")
-        cause.__cause__ = err
+        cause = NoConvergenceError("Hermite matrix is not finite")
         located = NoConvergenceError(f"row {k}: {cause}")
         located.row = k
         raise located from cause
-    stable = lam > 0.0
-    for u in sorted(np.flatnonzero(np.abs(lam) <= HERMITE_ROUNDOFF), key=first.__getitem__):
+    unsure = np.flatnonzero(~stable)[_positive_pivots(scaled[~stable], HERMITE_ROUNDOFF)]
+    for u in sorted(unsure, key=first.__getitem__):
         k = int(first[u])
         try:
-            stable[u] = roots_batch(rows[k : k + 1])[0].real.max() < -HURWITZ_TOL
+            stable[u] = (roots_batch(rows[k : k + 1].astype(complex))[0].real.max()
+                         < -HURWITZ_TOL)
         except IntervalHinfError as err:
             located = type(err)(f"row {k}: {err}")
             located.row = k
@@ -382,8 +393,8 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | 
     """The crossing test of the rows g + (1 + delta e^{j theta}) f over the real (g, f) row
     pairs (P, n+1). Called with an array of deltas, it gives in flat arrays the delta index,
     pair index and theta of each imaginary-axis crossing of every delta it decides, and which
-    deltas it decides. None instead of a test unless hurwitz_batch's unit-diagonal Cholesky
-    test confirms every g + f Hurwitz.
+    deltas it decides. None instead of a test unless hurwitz_batch's first pivot test confirms
+    every g + f Hurwitz.
 
     With a = shift(g + f) and b = shift(f), the Taylor shift of hurwitz_batch, a + c b has the
     root j omega exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the
@@ -403,6 +414,6 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | 
     a = _taylor_shift(g_rows[first] + f_rows[first])
     b = _taylor_shift(f_rows[first])
     with np.errstate(all="ignore"):  # an overflow shows as a matrix or row that is not finite
-        if not _clears_roundoff(_unit_diagonal(_hermite_matrix(a))):
+        if not _positive_pivots(_unit_diagonal(_hermite_matrix(a)), -HERMITE_ROUNDOFF).all():
             return None
         return LevelCrossings(first, a, b, magnitude_squared(a), magnitude_squared(b))

@@ -613,7 +613,7 @@ class TestThetaGridFailures:
         thetas = hinf._theta_grid(720)
         with np.errstate(all="ignore"), pytest.raises(
                 NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(thetas[0]))}: "
-                "Hermite matrix is not finite: Eigenvalues did not converge$"):
+                "Hermite matrix is not finite$"):
             hinf._hurwitz_on_grid(hinf.level_crossings(g_rows, f_rows), g_rows, f_rows, 0.5,
                                   thetas, TWELVE_TUPLES[:1])
 
@@ -702,6 +702,16 @@ UNIT = (IntervalPolynomial([0.0, 1.0], [0.0, 1.0]),  # |S| = |(1 + s)^2 / (1 + 3
 
 
 class TestLevelCrossings:
+    def test_one_unstable_pair_gives_no_test(self):
+        # the test needs every g + f Hurwitz: one pair whose g + f has a negative coefficient,
+        # among eleven stable pairs, leaves no test to build
+        g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
+        assert stability.level_crossings(g_rows, f_rows) is not None
+        f_rows = f_rows.copy()
+        f_rows[5, 2] = -f_rows[5, 2]
+        assert hurwitz_batch(g_rows + f_rows).tolist() == [True] * 5 + [False] + [True] * 6
+        assert stability.level_crossings(g_rows, f_rows) is None
+
     def test_decided_steps_agree_with_the_grid(self):
         # every bisection step of the shipped families, two analyze-families seeds and
         # degree 6-10 resonant families is decided unless its crossing test declines, and
@@ -1050,6 +1060,27 @@ class TestPlannedBisection:
                             on_grid(*args))
         assert family_norm_bisection(*POINT) == 1.4678649907665102
         assert asked == [count] and len(batches) == 1 and alone == []
+
+    def test_a_declined_planned_step_is_not_asked_again(self, monkeypatch):
+        # the peak at omega = 0: the plan asks the crossing test once, for all 20 of its
+        # deltas, and the one it declines goes straight to the whole grid without asking the
+        # test again; hurwitz_batch gets the plan's probe batch and that step's 15 theta chunks
+        kg, kf = family_of(perfbench_population().analyze_families(2003, 18)[17])
+        asked, declined, batches = [], [], []
+        built = hinf.level_crossings
+
+        def counted(deltas, found):
+            asked.append(len(deltas))
+            declined.append(int((~found[0]).sum()))
+            return found
+
+        monkeypatch.setattr(hinf, "level_crossings",
+                            lambda g_rows, f_rows: rewired(built(g_rows, f_rows), counted))
+        monkeypatch.setattr(hinf, "hurwitz_batch",
+                            lambda rows: batches.append(len(rows)) or hurwitz_batch(rows))
+        assert family_norm_bisection(kg, kf) == 5.613643646581144
+        assert asked == [20] and declined == [1]
+        assert len(batches) == 16 and sum(batches) == 8848
 
     def test_errors_are_raised_at_the_step_that_raises_alone(self, monkeypatch):
         # a probe row that fails when solved alone fails the plan's shared probe call; the

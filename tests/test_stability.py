@@ -1,10 +1,9 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
-from conftest import decline_crossings, np_root_margin
+from conftest import decline_crossings, np_root_margin, oracle_rows, perfbench_population
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
@@ -19,31 +18,49 @@ from intervalhinf.stability import (
     roots_complex,
     solve_rows,
 )
+from intervalhinf.theorem import AnalysisOptions, AnalysisProblem
 
 
-def known_root_rows(rng, degree, spread, count):
+def known_root_rows(rng, degree, spread, count, real=False, pin=(-9, -6)):
     """Rows built from constructed roots: (rows, Hurwitz truth, pinned mask).
 
     Root magnitudes are log-uniform over 10^-spread..10^spread, at angles at
     least 0.05 rad inside the left half plane, times a random unit leading
-    coefficient. About 30 % of rows get one root pinned 1e-9 to 1e-6 to either
-    side of Re = -HURWITZ_TOL; half of the other rows get one root mirrored
-    into the right half plane.
+    coefficient. About 30 % of rows get one root pinned 10^pin[0] to 10^pin[1]
+    to either side of Re = -HURWITZ_TOL; half of the other rows get one root
+    mirrored into the right half plane.
+
+    real=True closes the roots under conjugation, so each row is real: the
+    roots drawn are the upper members of conjugate pairs, the first pair is the
+    one pinned or mirrored, one negative real root is added at odd degree, and
+    the leading coefficient is a random sign times 10^(-1..1).
     """
-    mags = 10.0 ** rng.uniform(-spread, spread, (count, degree))
-    roots = mags * np.exp(1j * rng.uniform(np.pi / 2 + 0.05, 1.5 * np.pi - 0.05, (count, degree)))
+    drawn = degree // 2 if real else degree
+    top = np.pi - 0.05 if real else 1.5 * np.pi - 0.05
+    mags = 10.0 ** rng.uniform(-spread, spread, (count, drawn))
+    roots = mags * np.exp(1j * rng.uniform(np.pi / 2 + 0.05, top, (count, drawn)))
     pinned = rng.random(count) < 0.3
-    gaps = 10.0 ** rng.uniform(-9, -6, count) * rng.choice([-1.0, 1.0], count)
+    gaps = 10.0 ** rng.uniform(*pin, count) * rng.choice([-1.0, 1.0], count)
     roots[pinned, 0] = -HURWITZ_TOL + gaps[pinned] + 1j * roots[pinned, 0].imag
     mirrored = ~pinned & (rng.random(count) < 0.5)
     roots[mirrored, 0] = -roots[mirrored, 0].conj()
+    truth = (roots.real < -HURWITZ_TOL).all(axis=1)
+    if real:
+        rows = rng.choice([-1.0, 1.0], (count, 1)) * 10.0 ** rng.uniform(-1, 1, (count, 1))
+        pairs = [np.stack([np.abs(r) ** 2, -2.0 * r.real, np.ones(count)], axis=1)
+                 for r in roots.T]
+        reals = -(10.0 ** rng.uniform(-spread, spread, (count, degree % 2)))
+        for factor in pairs + [np.stack([-r, np.ones(count)], axis=1) for r in reals.T]:
+            rows = np.stack([np.convolve(a, b) for a, b in zip(rows, factor)])
+        return rows, truth, pinned
     rows = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (count, 1)))
     for r in roots.T:  # multiply by (s - r), ascending
         pad = np.zeros((count, 1))
         rows = np.hstack([pad, rows]) - r[:, None] * np.hstack([rows, pad])
-    return rows, (roots.real < -HURWITZ_TOL).all(axis=1), pinned
+    return rows, truth, pinned
 
 
+DEAD_ZONE_PIN = (-14, -9)  # real rows pinned this close hold Hermite dead-zone rows at every degree
 _EIGVALSH = np.linalg.eigvalsh  # bound at import, so counting wrappers never see the reference
 
 
@@ -118,19 +135,20 @@ def memo_roots(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls hurwitz_batch makes to np.linalg.eigvalsh and stability.roots_batch."""
-    calls = {"eigvalsh": 0, "roots": 0}
-    eigvalsh, roots = np.linalg.eigvalsh, stability.roots_batch
+    """Calls hurwitz_batch makes to stability._positive_pivots, as (matrices, shift) each, and
+    the number it makes to stability.roots_batch."""
+    calls = {"pivots": [], "roots": 0}
+    pivots, roots = stability._positive_pivots, stability.roots_batch
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(a, *args, **kwargs)
+    def counting_pivots(K, shift):
+        calls["pivots"].append((len(K), shift))
+        return pivots(K, shift)
 
     def counting_roots(coeffs):
         calls["roots"] += 1
         return roots(coeffs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(stability, "_positive_pivots", counting_pivots)
     monkeypatch.setattr(stability, "roots_batch", counting_roots)
     return calls
 
@@ -591,7 +609,8 @@ class TestCholeskyConfirmation:
     def test_verdicts_equal_eigvalsh_reference(self, memo_roots, counted, spread):
         # known_root_rows of degree 4..14 in whole batches, then the rows the reference calls
         # stable by sign alone in sub-batches of 48: identical verdicts and errors; a
-        # sub-batch whose eigenvalues all clear 10 * HERMITE_ROUNDOFF never reaches eigvalsh
+        # sub-batch whose eigenvalues all clear 10 * HERMITE_ROUNDOFF is confirmed by one
+        # pivot test, less HERMITE_ROUNDOFF on the diagonal, and goes no further
         rng = np.random.default_rng(4100 + spread)
         for degree in range(4, 15):
             rows = known_root_rows(rng, degree, spread, 2000)[0]
@@ -605,9 +624,10 @@ class TestCholeskyConfirmation:
                 for start in range(0, len(by_sign), 48):
                     sub = by_sign[start : start + 48]
                     assert eigvalsh_verdicts(sub).all()
-                    counted["eigvalsh"] = 0
+                    counted.update(pivots=[], roots=0)
                     assert hurwitz_batch(sub).all()
-                    assert not confirmed or counted["eigvalsh"] == 0, degree
+                    assert not confirmed or counted == {
+                        "pivots": [(len(sub), -stability.HERMITE_ROUNDOFF)], "roots": 0}, degree
 
     @pytest.mark.parametrize("name", ["point_plant", "widened_family"])
     def test_bisection_chunks_equal_eigvalsh_reference(self, monkeypatch, name):
@@ -633,13 +653,14 @@ class TestCholeskyConfirmation:
         clear = rows[smallest_eigenvalues(rows) > 10 * stability.HERMITE_ROUNDOFF]
         assert len(clear) > 500
         assert hurwitz_batch(clear).tolist() == [True] * len(clear)
-        assert counted == {"eigvalsh": 0, "roots": 0}
+        assert counted == {"pivots": [(len(clear), -stability.HERMITE_ROUNDOFF)], "roots": 0}
 
     def test_other_batches_keep_the_reference_verdicts(self, counted):
         # among 80 clear rows: one unstable row, or the dead-zone row of lowest or of highest
-        # eigenvalue (one verdict each); and a row whose Hermite matrix overflows to NaN,
-        # which a Cholesky factor carries without failing (its verdict is only compared).
-        # eigvalsh once, roots only for the dead-zone row
+        # eigenvalue (one verdict each). The batch fails the pivot test less HERMITE_ROUNDOFF,
+        # only the odd row takes the pivot test plus HERMITE_ROUNDOFF, and only the dead-zone
+        # row reaches its roots. A row whose 2x2 Hermite matrix overflows to NaN, which the
+        # reference calls unstable, is named in a NoConvergenceError
         rows = known_root_rows(np.random.default_rng(4103), 8, 1, 2000)[0]
         lam = smallest_eigenvalues(rows)
         clear = rows[lam > 10 * stability.HERMITE_ROUNDOFF][:80]
@@ -647,37 +668,136 @@ class TestCholeskyConfirmation:
         in_dead_zone = np.abs(lam) <= stability.HERMITE_ROUNDOFF
         dead = rows[in_dead_zone][np.argsort(lam[in_dead_zone])[[0, -1]]]  # lowest, highest
         assert lam[in_dead_zone].max() > 0.5 * stability.HERMITE_ROUNDOFF
-        overflow = np.array([[2.0, 3.0, 1.0], [1.0, 3e200, 1e200], [1.0, 2.0, 1.0]])
         cases = [(np.vstack([clear[:40], unstable, clear[40:]]), 40, False, 0),
                  (np.vstack([clear[:40], dead[:1], clear[40:]]), 40, False, 1),
-                 (np.vstack([clear[:40], dead[1:], clear[40:]]), 40, True, 1),
-                 (overflow, 1, None, 0)]
+                 (np.vstack([clear[:40], dead[1:], clear[40:]]), 40, True, 1)]
+        eps = stability.HERMITE_ROUNDOFF
         for batch, k, verdict, roots in cases:
-            with np.errstate(all="ignore"):
-                reference = eigvalsh_verdicts(batch)
-                counted.update(eigvalsh=0, roots=0)
-                assert hurwitz_batch(batch).tolist() == reference.tolist()
-            assert np.delete(reference, k).all() and verdict in (None, reference[k])
-            assert counted == {"eigvalsh": 1, "roots": roots}
+            reference = eigvalsh_verdicts(batch)
+            counted.update(pivots=[], roots=0)
+            assert hurwitz_batch(batch).tolist() == reference.tolist()
+            assert np.delete(reference, k).all() and reference[k] == verdict
+            assert counted == {"pivots": [(81, -eps), (1, eps)], "roots": roots}
+        overflow = np.array([[2.0, 3.0, 1.0], [1.0, 3e200, 1e200], [1.0, 2.0, 1.0]])
+        with np.errstate(all="ignore"):
+            assert eigvalsh_verdicts(overflow).tolist() == [True, False, True]
+            counted.update(pivots=[], roots=0)
+            with pytest.raises(NoConvergenceError) as info:
+                hurwitz_batch(overflow)
+        assert str(info.value) == "row 1: Hermite matrix is not finite" and info.value.row == 1
+        assert counted == {"pivots": [(3, -eps)], "roots": 0}
 
     def test_overflowing_hermite_matrix_names_its_row(self):
-        # eigenvalues of a Hermite matrix that overflowed to NaN beyond a 2x2 block do not
-        # converge; the lowest such row is named in a NoConvergenceError (exit 4)
+        # a Hermite matrix that overflowed to NaN has no pivot signs; the lowest such row is
+        # named in a NoConvergenceError (exit 4) whose cause is the unlocated error
         stable = np.poly(-np.arange(1.0, 9.0))[::-1]
         huge = np.full(9, 1e200)
         for rows, k in ((huge[None, :], 0), (np.vstack([stable, huge, stable, huge]), 1)):
             with np.errstate(all="ignore"), pytest.raises(NoConvergenceError) as info:
                 hurwitz_batch(rows)
-            assert str(info.value) == (f"row {k}: Hermite matrix is not finite: "
-                                       "Eigenvalues did not converge")
+            assert str(info.value) == f"row {k}: Hermite matrix is not finite"
             assert info.value.row == k and info.value.exit_code == 4
             cause = info.value.__cause__
             assert type(cause) is NoConvergenceError and cause.row is None
-            assert isinstance(cause.__cause__, np.linalg.LinAlgError)
+            assert str(cause) == "Hermite matrix is not finite" and cause.__cause__ is None
 
     def test_underflowing_row_raises_without_a_warning(self):
         # the Hermite entries of a row scaled by 1e-160 underflow and their scaling overflows;
         # pytest makes a warning an error, so the NoConvergenceError must come alone
-        with pytest.raises(NoConvergenceError, match=re.escape(
-                "row 0: Hermite matrix is not finite: Eigenvalues did not converge")):
+        with pytest.raises(NoConvergenceError, match="^row 0: Hermite matrix is not finite$"):
             hurwitz_batch(np.array([[1.0, 3.3, 4.0, 2.4, 1.0]]) * 1e-160)
+
+
+class TestRealRowsAndPivots:
+    def test_pivot_signs_follow_the_smallest_eigenvalue(self):
+        # random Hermitian matrices, real and complex, n = 2..14, moved so their smallest
+        # eigenvalues straddle 0: at either shift, pivots all positive exactly where the
+        # smallest eigenvalue of K + shift I is positive, wherever it clears roundoff. A
+        # matrix that is not finite fails, also one whose only infinite entry is a pivot
+        rng, eps = np.random.default_rng(4203), stability.HERMITE_ROUNDOFF
+        for n in range(2, 15):
+            for imag in (0.0, 1.0):
+                M = rng.standard_normal((200, n, n)) + imag * 1j * rng.standard_normal((200, n, n))
+                K = M @ M.conj().transpose(0, 2, 1)
+                lowest = _EIGVALSH(K)[:, 0] * rng.uniform(0.5, 1.5, 200)
+                K = K - lowest[:, None, None] * np.eye(n)
+                for shift in (-eps, eps):
+                    lam = _EIGVALSH(K + shift * np.eye(n))[:, 0]
+                    clear = np.abs(lam) > 1e-9 * np.abs(K).max(axis=(1, 2))
+                    assert clear.sum() > 150, n
+                    got = stability._positive_pivots(K, shift)
+                    assert (got[clear] == (lam[clear] > 0.0)).all(), (n, imag, shift)
+                    assert 0 < got.sum() < 200
+        bad = np.tile(np.eye(3), (3, 1, 1))
+        bad[0, 1, 1] = bad[2, 2, 2] = np.inf
+        bad[1, 0, 2] = bad[1, 2, 0] = np.nan
+        assert not stability._positive_pivots(bad, -eps).any()
+
+    def test_real_hermite_matrices_are_the_real_part_of_the_complex_build(self):
+        # real rows build real matrices, bitwise the real part of the complex build of the
+        # same rows, whose imaginary part is all zeros; the unit-diagonal scaling keeps that
+        rng = np.random.default_rng(4200)
+        for degree in range(2, 15):
+            rows = rng.standard_normal((500, degree + 1)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+            if degree >= 4:
+                known = known_root_rows(rng, degree, 2, 200, True, DEAD_ZONE_PIN)[0]
+                rows = np.vstack([rows, known])
+            real = stability._hermite_matrix(stability._taylor_shift(rows))
+            built = stability._hermite_matrix(stability._taylor_shift(rows.astype(complex)))
+            assert real.dtype == float and not built.imag.any(), degree
+            assert real.tobytes() == built.real.tobytes(), degree
+            real, built = stability._unit_diagonal(real), stability._unit_diagonal(built)
+            assert real.tobytes() == built.real.tobytes() and not built.imag.any(), degree
+
+    @pytest.mark.parametrize("seed", [2401, 2611, 4001])
+    def test_oracle_rows_take_the_same_verdicts_real_or_complex(self, seed):
+        # the oracle's real closed-loop rows of analyze-families workloads: the same verdicts
+        # as those rows as complex, and as the eigenvalue reference
+        population = perfbench_population()
+        for fam in population.analyze_families(seed, 8):
+            prob = AnalysisProblem(IntervalPolynomial(fam.g_lower, fam.g_upper),
+                                   IntervalPolynomial(fam.f_lower, fam.f_upper),
+                                   AnalysisOptions(seed=7, oracle_samples=500))
+            dens = oracle_rows(prob)[2]
+            verdict = hurwitz_batch(dens).tolist()
+            assert verdict == hurwitz_batch(dens.astype(complex)).tolist()
+            assert verdict == eigvalsh_verdicts(dens).tolist()
+
+    def test_real_rows_take_the_same_verdicts_real_or_complex(self, memo_roots):
+        # conjugate-closed known roots of degree 4..14, dead-zone rows among them: the real
+        # rows, the same rows as complex and the eigenvalue reference give identical verdicts
+        # and errors, and every verdict is the constructed one where the rows decide
+        rng = np.random.default_rng(4201)
+        for degree in range(4, 15):
+            rows, truth, pinned = known_root_rows(rng, degree, 1, 300, True, DEAD_ZONE_PIN)
+            dead = np.abs(smallest_eigenvalues(rows)) <= stability.HERMITE_ROUNDOFF
+            assert dead.any() and pinned[dead].all(), degree
+            got = verdicts_or_errors(hurwitz_batch, rows)
+            assert got == verdicts_or_errors(hurwitz_batch, rows.astype(complex)), degree
+            assert got == verdicts_or_errors(eigvalsh_verdicts, rows), degree
+            decided = [v == t for v, t, p in zip(got, truth, pinned) if not p]
+            assert all(decided), degree
+
+    @pytest.mark.parametrize("kind", ["unstable", "dead zone"])
+    def test_a_verdict_does_not_depend_on_its_batch(self, counted, kind):
+        # twelve confirmed rows with one unstable or one dead-zone row, real and as complex:
+        # the batch fails the pivot test less HERMITE_ROUNDOFF, only the odd row is tested
+        # again plus HERMITE_ROUNDOFF, and each row's verdict, from its own pivots (the
+        # dead-zone row's from its roots), is the one it gets alone
+        rng, eps = np.random.default_rng(4202), stability.HERMITE_ROUNDOFF
+        for degree in range(4, 15):
+            rows = known_root_rows(rng, degree, 1, 300, True, DEAD_ZONE_PIN)[0]
+            lam = smallest_eigenvalues(rows)
+            odd = (lam < -10 * stability.HERMITE_ROUNDOFF if kind == "unstable"
+                   else np.abs(lam) <= stability.HERMITE_ROUNDOFF)
+            clear = rows[lam > 10 * stability.HERMITE_ROUNDOFF][:12]
+            assert odd.any() and len(clear) == 12, degree
+            real = np.vstack([clear[:6], rows[odd][:1], clear[6:]])
+            for batch in (real, real.astype(complex)):
+                counted.update(pivots=[], roots=0)
+                verdicts = hurwitz_batch(batch).tolist()
+                assert counted == {"pivots": [(13, -eps), (1, eps)],
+                                   "roots": int(kind == "dead zone")}, degree
+                assert verdicts == [hurwitz_batch(row[None, :])[0] for row in batch], degree
+                assert verdicts[:6] + verdicts[7:] == [True] * 12
+                assert kind == "dead zone" or verdicts[6] is False

@@ -466,8 +466,8 @@ class TestFamilyComplexStability:
     def test_overflowing_vertex_rows_raise_without_a_warning(self):
         kg, kf = (IntervalPolynomial(np.array(k.lower) * 1e160, np.array(k.upper) * 1e160)
                   for k in widened_family())
-        with pytest.raises(NoConvergenceError, match=re.escape(  # a warning would be an error
-                "row 0: Hermite matrix is not finite: Eigenvalues did not converge")) as err:
+        with pytest.raises(NoConvergenceError,  # a warning would be an error
+                           match="^row 0: Hermite matrix is not finite$") as err:
             family_complex_stability(kg, kf, 0.5, 0.9)
         assert err.value.exit_code == 4
 
