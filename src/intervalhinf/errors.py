@@ -66,10 +66,6 @@ class UnstableFamilyError(IntervalHinfError):
     exit_code = 3
 
 
-class TheoremPreconditionGapError(IntervalHinfError):
-    """A mixed vertex sum failed the Hurwitz check despite stable matched sums."""
-
-
 class ProblemFileError(IntervalHinfError):
     """A problem file failed to parse or validate; carries a field-path diagnostic."""
 

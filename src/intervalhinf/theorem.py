@@ -4,11 +4,14 @@ The family maximum over the whole coefficient box reduces to twelve
 vertex plant pairs. This module wires that reduction end to end: the
 matched-vertex stability hypothesis, the twelve-norm maximum, and three
 independent cross-checks (all sixteen tuples, Monte-Carlo box sampling,
-and the gamma-bisection route). Each vertex norm is computed once per
-analysis: the sampling reads the sixteen vertex pairs' norms by tuple, values
-each distinct probe and draw once, and takes exact norms of only those that a
-float level-polynomial screen cannot place below the vertex maximum; the
-bisection plans its steps from the twelve-vertex maximum.
+and the gamma-bisection route). The gate's four matched sums settle the
+stability of every member of the closed-loop sum box (Kharitonov), so each
+closed loop built here is tested once more only by the norm that values it.
+Each vertex norm is computed once per analysis: the sampling reads the
+sixteen vertex pairs' norms by tuple, values each distinct probe and draw
+once, and takes exact norms of only those that a float level-polynomial
+screen cannot place below the vertex maximum; the bisection plans its steps
+from the twelve-vertex maximum.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IntervalHinfError, TheoremPreconditionGapError, UnstableFamilyError
+from .errors import IntervalHinfError, UnstableFamilyError
 from .hinf import family_norm_bisection, hinf_norm_batch, hinf_norm_below
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import check_count, check_width, distinct_rows
-from .stability import hurwitz_batch, is_hurwitz_real
 from .valueset import ALL_SIXTEEN, TWELVE_TUPLES, VertexTuple, check_families, tuple_rows
 
 __all__ = [
@@ -37,8 +39,8 @@ __all__ = [
     "analyze",
 ]
 
-# All sixteen tuples, the twelve first: a precondition gap then names the
-# tuple that max_sensitivity_twelve would name.
+# All sixteen tuples, the twelve first: hinf_norm_batch names the lowest failing
+# row, so a failure names the tuple that max_sensitivity_twelve would name.
 _TWELVE_FIRST = TWELVE_TUPLES + tuple(t for t in ALL_SIXTEEN if t not in TWELVE_TUPLES)
 _VERTEX_PROBES = 16  # the first rows of _probe_pairs: every g vertex with every f vertex
 
@@ -85,7 +87,7 @@ class OracleResult:
     argmax_g: tuple[float, ...]
     argmax_f: tuple[float, ...]
     samples: int
-    skipped: int
+    skipped: int  # always 0: every probe and draw is valued
     seed: int
 
 
@@ -110,17 +112,11 @@ def closed_loop_family_stable(prob: AnalysisProblem) -> bool:
 def _vertex_norms(g_rows: np.ndarray, f_rows: np.ndarray,
                   tuples: tuple[VertexTuple, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Exact sensitivity norm f/(g + f) of each tuple's vertex pair (tuple_rows) and the
-    frequency it is attained at, as hinf_norm_batch's arrays in the tuples' order, every
-    closed loop Hurwitz-checked before any norm."""
-    dens = g_rows + f_rows
-    stable = is_hurwitz_real(dens)
-    if not stable.all():
-        raise TheoremPreconditionGapError(
-            f"mixed vertex sum for tuple {tuples[stable.argmin()].label} is not Hurwitz "
-            "although the matched sums are; the vertex reduction hypothesis does not extend"
-        )
+    frequency it is attained at, as hinf_norm_batch's arrays in the tuples' order. Each
+    closed loop is a member of the family the gate passed; hinf_norm_batch's own Routh test
+    names a failing tuple all the same."""
     try:
-        return hinf_norm_batch(f_rows, dens)
+        return hinf_norm_batch(f_rows, g_rows + f_rows)
     except IntervalHinfError as err:
         raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
 
@@ -143,8 +139,8 @@ def _twelve_report(prob: AnalysisProblem, values: np.ndarray,
 def max_sensitivity_twelve(prob: AnalysisProblem) -> AnalysisReport:
     """Family worst-case norm as the maximum over the twelve vertex tuples.
 
-    Every tuple's closed loop is Hurwitz-checked first, including the
-    mixed-index sums the stability hypothesis only implies indirectly.
+    The stability gate runs first; it settles every tuple's closed loop,
+    the mixed-index sums included, as members of the closed-loop family.
     Ties resolve to the earliest tuple in the canonical listing.
     """
     if not closed_loop_family_stable(prob):
@@ -184,8 +180,10 @@ def monte_carlo_oracle(prob: AnalysisProblem,
 
     Draws options.oracle_samples i.i.d. coefficient vectors from both boxes on
     top of the deterministic probes, so the certified maximum is always witnessed.
-    Samples whose closed loop has a root at Re >= -1e-9 (Hermite verdict)
-    are skipped and counted. Each byte-distinct kept (f, g + f) row is valued once,
+    Every probe and draw is a member of the closed-loop family, so the stability
+    gate settles them all: without vertex_norms it runs first, and an unstable
+    family raises UnstableFamilyError; with them, the caller has run it (analyze
+    does). No row is skipped. Each byte-distinct (f, g + f) row is valued once,
     at its first occurrence. Probe k < _VERTEX_PROBES of _probe_pairs is the vertex
     pair of ALL_SIXTEEN[k], and only these vertex probes take exact norms; given
     vertex_norms, all sixteen keyed by tuple, they are read, not computed: analyze
@@ -193,11 +191,13 @@ def monte_carlo_oracle(prob: AnalysisProblem,
     The other probes and the draws go to hinf_norm_below at T; a row it clears has
     its norm below T, and only the rows it leaves get exact norms. That screen solves
     no roots: it reads the sign of each row's level polynomial from Bernstein
-    coefficients. The result is bitwise that of the exact norm of every kept row,
-    with the first of equal maxima in row order, but the exact-route error of a row
-    that is cleared or repeats an earlier row no longer surfaces. A failure names
-    its probe or draw.
+    coefficients. The result is bitwise that of the exact norm of every row, with
+    the first of equal maxima in row order, but the exact-route error of a row that
+    is cleared or repeats an earlier row no longer surfaces. A failure names its
+    probe or draw.
     """
+    if vertex_norms is None and not closed_loop_family_stable(prob):
+        raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     samples = prob.options.oracle_samples
     rng = np.random.default_rng(prob.options.seed)
 
@@ -205,37 +205,36 @@ def monte_carlo_oracle(prob: AnalysisProblem,
     probes, vertices = len(gs), min(_VERTEX_PROBES, len(gs))
     gs = np.vstack([gs, sample_many(prob.kg, samples, rng)])  # g draws before f draws
     fs = np.vstack([fs, sample_many(prob.kf, samples, rng)])
-
     dens = fs.copy()
     dens[:, : gs.shape[1]] += gs
-    kept = rows = np.arange(len(dens))  # rows: the oracle rows of the call that may raise
-    try:
-        kept = rows[hurwitz_batch(dens)]
-        distinct = kept[np.sort(distinct_rows(np.hstack([fs[kept], dens[kept]]))[0])]
-        vertex, others = distinct[distinct < vertices], distinct[distinct >= vertices]
-        if vertex_norms is None:
-            rows = vertex
-            values = hinf_norm_batch(fs[rows], dens[rows])[0]
-        else:
-            values = np.array([vertex_norms[ALL_SIXTEEN[k]] for k in vertex.tolist()])
-        if len(values) and len(others):  # a cleared row is below T, which a vertex attains
-            others = others[~hinf_norm_below(fs[others], dens[others], values.max())]
-        if len(others):
-            rows = others
-            values = np.concatenate([values, hinf_norm_batch(fs[rows], dens[rows])[0]])
-    except IntervalHinfError as err:
-        k = int(rows[err.row])
-        where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
-        raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
+
+    def norms(rows: np.ndarray) -> np.ndarray:
+        try:
+            return hinf_norm_batch(fs[rows], dens[rows])[0]
+        except IntervalHinfError as err:
+            k = int(rows[err.row])
+            where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
+            raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
+
+    distinct = np.sort(distinct_rows(np.hstack([fs, dens]))[0])  # row 0: a vertex
+    vertex, others = distinct[distinct < vertices], distinct[distinct >= vertices]
+    if vertex_norms is None:
+        values = norms(vertex)
+    else:
+        values = np.array([vertex_norms[ALL_SIXTEEN[k]] for k in vertex.tolist()])
+    if len(others):  # a cleared row is below T, which a vertex attains
+        others = others[~hinf_norm_below(fs[others], dens[others], values.max())]
+    if len(others):
+        values = np.concatenate([values, norms(others)])
 
     rows = np.concatenate([vertex, others])  # in the order of their values
-    best_k = int(rows[values.argmax()]) if len(rows) else 0  # the first of equal maxima
+    best_k = int(rows[values.argmax()])  # the first of equal maxima
     return OracleResult(
-        oracle_max=float(values.max(initial=-np.inf)),
+        oracle_max=float(values.max()),
         argmax_g=tuple(float(c) for c in gs[best_k]),
         argmax_f=tuple(float(c) for c in fs[best_k]),
         samples=samples,
-        skipped=len(dens) - len(kept),
+        skipped=0,
         seed=prob.options.seed,
     )
 

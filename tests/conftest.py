@@ -241,7 +241,9 @@ def reference_norm_below(num_rows, den_rows, gamma):
 
 def reference_oracle(prob):
     """monte_carlo_oracle without its screen: the exact norm of every probe and draw that the
-    Hermite filter keeps, in one hinf_norm_batch call, and the first of equal maxima."""
+    Hermite filter keeps, in one hinf_norm_batch call, and the first of equal maxima. The
+    oracle has no such filter and reports 0 skipped, so equality with it also asserts that
+    the filter skips no row of the family."""
     samples = prob.options.oracle_samples
     gs, fs, dens = oracle_rows(prob)
     kept = np.flatnonzero(stability.hurwitz_batch(dens))

@@ -455,7 +455,6 @@ class TestExitCodes:
         errors.HullMismatchError: (4, "numerical failure"),
         errors.NoConvergenceError: (4, "numerical failure"),
         errors.NoUpperBracketError: (4, "numerical failure"),
-        errors.TheoremPreconditionGapError: (4, "numerical failure"),
         errors.ZeroPolynomialError: (4, "numerical failure"),
     }
 

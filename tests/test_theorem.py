@@ -1,15 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (fail_on_row, oracle_rows, perfbench_population, random_stable_family,
-                      random_stable_plant, reference_norm_below, reference_oracle, resonant_family)
+from conftest import (oracle_rows, perfbench_population, random_stable_family, random_stable_plant,
+                      reference_norm_below, reference_oracle, resonant_family)
 from intervalhinf import hinf, interval, stability, theorem
-from intervalhinf.errors import (NoConvergenceError, TheoremPreconditionGapError,
-                                 UnstableDenominatorError, UnstableFamilyError)
+from intervalhinf.cli import load_problem
+from intervalhinf.errors import UnstableDenominatorError, UnstableFamilyError
 from intervalhinf.hinf import check_gamma_equivalence
-from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
+from intervalhinf.interval import IntervalPolynomial, vertex_rows
 from intervalhinf.poly import RealPolynomial
 from intervalhinf.stability import roots_batch
 from intervalhinf.theorem import (
@@ -235,7 +236,7 @@ class TestOracleScreen:
 
     @pytest.mark.parametrize("name, prob", screened_families())
     def test_the_screen_takes_each_row_once_and_no_vertex_row(self, monkeypatch, name, prob):
-        # the oracle dedupes its kept rows once: no row reaches hinf_norm_below twice, and
+        # the oracle dedupes its rows once: no row reaches hinf_norm_below twice, and
         # none that repeats a vertex probe, whose norm the vertex maximum already holds
         _, fs, dens = oracle_rows(prob)
         pairs = [row.tobytes() for row in np.hstack([fs, dens])]
@@ -358,7 +359,7 @@ class TestOracleReusesVertexNorms:
                                                     a)) for a in (3, 7, 10)])
     def test_oracle_inside_analyze_equals_the_oracle_alone(self, name, prob):
         # analyze hands the oracle its sixteen vertex norms, keyed by tuple; the result
-        # is the oracle's own, and the exact norm of every kept row
+        # is the oracle's own, and the exact norm of every row
         oracle = analyze(prob).oracle
         assert oracle == monte_carlo_oracle(prob) == reference_oracle(prob)
 
@@ -435,14 +436,39 @@ class TestOracleBatching:
         with pytest.raises(UnstableDenominatorError, match=f"^{where}: "):
             monte_carlo_oracle(prob)
 
-    def test_verdict_failure_names_the_draw(self, monkeypatch):
-        prob = widened_problem(seed=42, oracle_samples=20)
-        rng = np.random.default_rng(42)  # the oracle's draws: 20 numerators, then 20 denominators
-        g, f = sample_many(prob.kg, 20, rng)[5], sample_many(prob.kf, 20, rng)[5]
-        f[: len(g)] += g
-        fail_on_row(monkeypatch, f)
-        with pytest.raises(NoConvergenceError, match="^oracle draw 5: stub$"):
+    def test_unstable_family_raises(self):
+        # no closed loop of this family is stable: the oracle alone runs the stability gate
+        # and refuses it, rather than returning a maximum over no valued row
+        prob = load_problem(str(Path(__file__).parent.parent / "problems" / "unstable_family.yaml"))
+        with pytest.raises(UnstableFamilyError, match="^matched vertex sums are not all Hurwitz$"):
             monte_carlo_oracle(prob)
+
+    def test_the_oracle_alone_runs_the_gate_once(self, monkeypatch):
+        # without vertex norms the oracle runs the stability gate itself, once; given them,
+        # its caller has run it (analyze does), so it runs none
+        calls = []
+        gate = theorem.closed_loop_family_stable
+        monkeypatch.setattr(theorem, "closed_loop_family_stable",
+                            lambda prob: calls.append(prob) or gate(prob))
+        prob = widened_problem(seed=42, oracle_samples=20)
+        alone = monte_carlo_oracle(prob)
+        assert len(calls) == 1
+        _, fs, dens = oracle_rows(prob)
+        known = dict(zip(ALL_SIXTEEN, hinf.hinf_norm_batch(fs[:16], dens[:16])[0].tolist()))
+        assert monte_carlo_oracle(prob, known) == alone
+        assert len(calls) == 1
+
+    def test_a_closed_loop_inside_the_dead_zone_is_valued(self):
+        # the closed loop s + 5e-10 passes the gate, whose Routh test has no dead zone, but
+        # its root lies in (-HURWITZ_TOL, 0), which the Hermite filter rejects: every row was
+        # once skipped, for a maximum of -inf. Now each is valued, at the vertex maximum
+        prob = family_problem(IntervalPolynomial([5e-10], [5e-10]),
+                              IntervalPolynomial([0, 1], [0, 1]), seed=3, oracle_samples=50)
+        assert closed_loop_family_stable(prob)
+        assert not stability.hurwitz_batch(np.array([[5e-10, 1.0]]))[0]
+        oracle = monte_carlo_oracle(prob)
+        assert oracle.skipped == 0
+        assert oracle.oracle_max == max_sensitivity_twelve(prob).worst_norm == pytest.approx(1.0)
 
     def test_vertex_norm_failure_names_the_tuple(self, monkeypatch):
         monkeypatch.setattr(theorem, "hinf_norm_batch",
@@ -518,18 +544,22 @@ class TestAnalyze:
         assert calls == {"gate": 1, "norms": 16}
 
     def test_one_routh_call_per_caller(self, monkeypatch):
-        # the gate's 4 matched sums, the 16 vertex closed loops and the 16 vertex norms'
-        # denominators are each tested in one call; the oracle reads those norms, and its
+        # the gate's 4 matched sums and the 16 vertex norms' denominators are each tested in
+        # one call; the gate settles every other closed loop as a member of the family, so
+        # none is tested again before its norm. The oracle reads the vertex norms, and its
         # screen leaves no other row here unless it is made to clear none: one norm call then
         # takes the 61 distinct rows of the 49 other probes and the 20 draws (two of the six
         # midpoints of each family's four vertices are its centre). The bisection's own gate
-        # follows; it plans from the twelve-vertex maximum analyze passes, so it takes no norm
+        # follows; it plans from the twelve-vertex maximum analyze passes, so it takes no norm.
+        # theorem's names are recorded too, were it to test a closed loop itself
         calls = []
-        for module in (interval, theorem, hinf):
-            def recorded(rows, name=module.__name__.rsplit(".", 1)[1]):
-                calls.append((name, len(rows)))
-                return stability.is_hurwitz_real(rows)
-            monkeypatch.setattr(module, "is_hurwitz_real", recorded)
+        for module, name in ((interval, "is_hurwitz_real"), (theorem, "is_hurwitz_real"),
+                             (theorem, "hurwitz_batch"), (hinf, "is_hurwitz_real")):
+            def recorded(rows, caller=module.__name__.rsplit(".", 1)[1],
+                         test=getattr(stability, name)):
+                calls.append((caller, len(rows)))
+                return test(rows)
+            monkeypatch.setattr(module, name, recorded, raising=False)
         batch = theorem.hinf_norm_batch
 
         def norms(nums, dens):
@@ -543,19 +573,8 @@ class TestAnalyze:
                                     lambda nums, dens, gamma: np.zeros(len(nums), dtype=bool))
             calls.clear()
             analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
-            assert calls == [("interval", 4), ("theorem", 16), ("norms", 16), ("hinf", 16),
-                             *drawn, ("interval", 4)]
-
-    def test_precondition_gap_names_the_first_failing_tuple(self, monkeypatch):
-        def two_fail(rows):
-            verdicts = np.ones(len(rows), dtype=bool)
-            verdicts[[9, 5]] = False
-            return verdicts
-
-        monkeypatch.setattr(theorem, "is_hurwitz_real", two_fail)
-        with pytest.raises(TheoremPreconditionGapError,
-                           match=f"^mixed vertex sum for tuple {CANONICAL_ORDER[5]} is not"):
-            max_sensitivity_twelve(widened_problem())
+            assert calls == [("interval", 4), ("norms", 16), ("hinf", 16), *drawn,
+                             ("interval", 4)]
 
     @pytest.mark.parametrize("count", [2.5, True, 0])
     def test_theta_points_are_checked_before_any_work(self, monkeypatch, count):
