@@ -116,12 +116,16 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
 
 def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray:
     """Rows of M_num' * M_den - M_num * M_den', d/dx of each M_num/M_den times M_den^2 (a row
-    0 if both are constant). Both products sum their terms in the same order, so where M_num
-    and M_den share coefficients (f and f + g share all above deg g) they cancel exactly."""
-    mn, md = magnitude_squared(num_rows), magnitude_squared(den_rows)
-    lhs = multiply_rows(md, mn * np.arange(mn.shape[1]))  # M' kept as i * M_i at x^i,
-    rhs = multiply_rows(mn, md * np.arange(md.shape[1]))  # so x^0 is dropped after
-    return (lhs - rhs)[:, 1:] if lhs.shape[1] > 1 else np.zeros_like(lhs)
+    0 if both are constant), each row first scaled as hinf_norm_batch says, num rows padded
+    and stacked on den rows. Both products sum their terms in the same order (padding adds zeros),
+    so where M_num and M_den share coefficients (f, f + g above deg g) they cancel exactly."""
+    count, width = len(num_rows), max(num_rows.shape[1], den_rows.shape[1])
+    rows = np.zeros((2 * count, width))
+    rows[:count, : num_rows.shape[1]], rows[count:, : den_rows.shape[1]] = num_rows, den_rows
+    m = magnitude_squared(np.ldexp(rows, -scale_exponents(rows)))  # [M_num; M_den]
+    # [M_den; M_num] times [M_num'; M_den'], M' kept as i * M_i at x^i, so x^0 is dropped after
+    products = multiply_rows(np.concatenate([m[count:], m[:count]]), m * np.arange(width))
+    return (products[:count] - products[count:])[:, 1:] if width > 1 else np.zeros((count, 1))
 
 
 def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, dn: np.ndarray,
@@ -179,9 +183,7 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
         u = np.flatnonzero(bad)[first[bad].argmin()]
         failures.append((int(first[u]), _improper(dn[u], dd[u]) if dn[u] > dd[u] else
                          UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")))
-    # each row scaled by a power of two: no stationary point moves, and no product overflows
-    stations = _stationarity_rows(np.ldexp(nums, -scale_exponents(nums)),
-                                  np.ldexp(dens, -scale_exponents(dens)))
+    stations = _stationarity_rows(nums, dens)
     sizes = np.abs(stations)
     kept = sizes > _TRIM_REL * sizes.max(axis=1, keepdims=True)
     kept[:, 0] = True

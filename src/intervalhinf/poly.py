@@ -92,6 +92,8 @@ def degrees(rows: np.ndarray) -> np.ndarray:
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index of each byte-distinct row, and each row's position among those."""
+    if len(rows) == 1:  # nothing to sort
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     rows = np.ascontiguousarray(rows)
     _, first, inverse = np.unique(rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel(),
                                   return_index=True, return_inverse=True)

@@ -90,27 +90,29 @@ def is_hurwitz_real(rows: np.ndarray) -> np.ndarray:
     n = int(deg.max(initial=0))
     back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
     desc = np.where(back >= 0, rows[np.arange(len(rows))[:, None], np.maximum(back, 0)], 0.0)
-    desc[desc[:, 0] < 0] *= -1.0
+    np.negative(desc, out=desc, where=desc[:, :1] < 0)
     desc = np.ldexp(desc, -scale_exponents(desc))
 
-    hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
-    lo[:, : (n + 1) // 2] = desc[:, 1::2]
-    first_column = [hi[:, 0], lo[:, 0]]
+    # Routh rows 0..n (and a row 1 for constant rows), batch last, filled in place
+    table = np.zeros((max(n, 1) + 1, (n + 2) // 2, len(rows)))
+    table[0], table[1, : (n + 1) // 2] = desc[:, 0::2].T, desc[:, 1::2].T
+    heads, tails, cross = table[:, :1], table[:, 1:], np.empty(table.shape[1:])[1:]
     # a shorter row's padding stays +-0 unless a zero or non-finite pivot already failed it
     with np.errstate(all="ignore"):
-        for _ in range(n - 1):
-            pivot = lo[:, :1]
-            nxt = np.zeros(hi.shape)
-            nxt[:, :-1] = (pivot * hi[:, 1:] - hi[:, :1] * lo[:, 1:]) / pivot
-            hi, lo = lo, nxt
-            first_column.append(nxt[:, 0])
-    positive = np.array(first_column[: n + 1]).T > 0.0
-    return (positive | (np.arange(n + 1) > deg[:, None])).all(axis=1)
+        for hi0, hi, lo0, lo, nxt in zip(heads, tails, heads[1:], tails[1:], table[2:, :-1]):
+            np.multiply(lo0, hi, out=nxt)  # (lo0 * hi - hi0 * lo) / lo0, the pivot lo0
+            nxt -= np.multiply(hi0, lo, out=cross)
+            nxt /= lo0
+    return ((table[: n + 1, 0].T > 0.0) | (np.arange(n + 1) > deg[:, None])).all(axis=1)
 
 
 def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """max over each row's roots z of |p(z)| / sum_k |c_k||z|^k."""
-    value, scale = np.abs(eval_many(coeffs, roots)), eval_many(np.abs(coeffs), np.abs(roots))
+    """max over each row's roots z of |p(z)| / sum_k |c_k||z|^k, in one eval_many call: the sum
+    is the real part of |c| at the complex |z|, the real Horner's bits, or NaN where it is inf."""
+    both = eval_many(np.concatenate([coeffs, np.abs(coeffs)]),
+                     np.concatenate([roots, np.abs(roots)]))
+    value, scale = np.abs(both[: len(coeffs)]), both[len(coeffs) :].real
+    scale[np.isnan(scale)] = np.inf
     return (value / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
 
 

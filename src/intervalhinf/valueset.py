@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -257,12 +258,19 @@ def origin_excluded(polygon: ValueSetPolygon) -> OriginCheck:
     return OriginCheck(excluded=margin > 1e-12, margin=margin)
 
 
+@cache
+def _vertex_indices(tuples: tuple[VertexTuple, ...]) -> np.ndarray:
+    """(2, len(tuples)) g_row and f_row of each tuple, built once per listing; read-only."""
+    indices = np.array([[t.g_row for t in tuples], [t.f_row for t in tuples]], dtype=np.intp)
+    indices.setflags(write=False)
+    return indices
+
+
 def tuple_rows(kg: IntervalPolynomial, kf: IntervalPolynomial,
                tuples: tuple[VertexTuple, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator vertex rows of each tuple, both (len(tuples), n + 1)."""
-    g = vertex_rows(kg, len(kf.lower))
-    f = vertex_rows(kf)
-    return g[[t.g_row for t in tuples]], f[[t.f_row for t in tuples]]
+    g, f = _vertex_indices(tuples)
+    return vertex_rows(kg, len(kf.lower))[g], vertex_rows(kf)[f]
 
 
 def perturbed_vertex_rows(g_rows: np.ndarray, f_rows: np.ndarray, delta: float | np.ndarray,
@@ -358,7 +366,8 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     An h with no coefficient left (d(j omega) parallel to p_b(j omega) at every omega, as when
     the edge's two vertices coincide) is skipped.
     """
-    (ga, fa), (gb, fb) = (tuple_rows(kg, kf, ends) for ends in zip(*EDGES))
+    g, f = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
+    (ga, fa), (gb, fb) = ((g[gi], f[fi]) for gi, fi in map(_vertex_indices, zip(*EDGES)))
     spin = _J_POWERS[np.arange(ga.shape[1]) % 4]
     r = rotation_factor(delta, theta)
     with np.errstate(all="ignore"):  # an overflow shows as a row that is not finite

@@ -210,6 +210,42 @@ def oracle_rows(prob):
     return gs, fs, dens
 
 
+def reference_routh(rows):
+    """is_hurwitz_real's verdicts (B,) and first Routh column (B, n+1) by the row-array
+    recursion the in-place table replaced: each Routh row a new (B, w) array,
+    (pivot * hi[1:] - hi[:1] * lo[1:]) / pivot, and the first column collected step by step."""
+    from intervalhinf.poly import degrees, scale_exponents
+
+    rows = np.asarray(rows, dtype=float)
+    deg = degrees(rows)
+    n = int(deg.max(initial=0))
+    back = deg[:, None] - np.arange(n + 1)  # descending, left-aligned
+    desc = np.where(back >= 0, rows[np.arange(len(rows))[:, None], np.maximum(back, 0)], 0.0)
+    desc[desc[:, 0] < 0] *= -1.0
+    desc = np.ldexp(desc, -scale_exponents(desc))
+    hi, lo = desc[:, 0::2], np.zeros((len(rows), (n + 2) // 2))
+    lo[:, : (n + 1) // 2] = desc[:, 1::2]
+    first_column = [hi[:, 0], lo[:, 0]]
+    with np.errstate(all="ignore"):
+        for _ in range(n - 1):
+            pivot = lo[:, :1]
+            nxt = np.zeros(hi.shape)
+            nxt[:, :-1] = (pivot * hi[:, 1:] - hi[:, :1] * lo[:, 1:]) / pivot
+            hi, lo = lo, nxt
+            first_column.append(nxt[:, 0])
+    column = np.array(first_column[: n + 1]).T
+    return ((column > 0.0) | (np.arange(n + 1) > deg[:, None])).all(axis=1), column
+
+
+def reference_residuals(coeffs, roots):
+    """stability._residuals by two eval_many passes: |p(z)|, and the real Horner of |c| at
+    |z|, which overflows to inf."""
+    from intervalhinf.poly import eval_many
+
+    value, scale = np.abs(eval_many(coeffs, roots)), eval_many(np.abs(coeffs), np.abs(roots))
+    return (value / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
+
+
 def reference_norm_below(num_rows, den_rows, gamma):
     """hinf_norm_below by roots instead of Bernstein signs: True where the pair-scaled level
     row gamma^2 M_den - M_num passes the same end rule, its leading coefficient clears

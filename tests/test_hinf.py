@@ -222,8 +222,9 @@ class TestNormBatch:
         assert_rows_alone(batch, nums, dens)
 
     def test_one_routh_call_over_the_distinct_denominators(self, monkeypatch):
-        # and one magnitude_squared call per operand, over the distinct row pairs, each row
-        # scaled by the power of two that puts its largest coefficient in [0.5, 1)
+        # and one magnitude_squared call over the distinct row pairs, num rows stacked on den
+        # rows, each row scaled by the power of two that puts its largest coefficient in
+        # [0.5, 1)
         seen, squared = [], []
 
         def recorded(rows):
@@ -242,8 +243,16 @@ class TestNormBatch:
         assert len(seen) == 1 and sorted(seen[0]) == sorted([dens[0], dens[1], dens[3]])
         scaled = {(1.0, 1.0, 1.0): [0.5, 0.5, 0.5], (2.0, 1.0, 1.0): [0.5, 0.25, 0.25],
                   (3.0, 1.0, 1.0): [0.75, 0.25, 0.25]}
-        assert len(squared) == 2 and squared[0] == [[0.0, 0.5, 0.5]] * 3
-        assert squared[1] == [scaled[tuple(den)] for den in seen[0]]
+        assert len(squared) == 1
+        assert squared[0] == [[0.0, 0.5, 0.5]] * 3 + [scaled[tuple(den)] for den in seen[0]]
+
+    def test_one_row_equals_its_row_in_a_large_batch(self):
+        # a B = 1 call skips the distinct-row sort and runs a one-row Routh table and
+        # stationarity stack; each of 565 rows of degree 1-14, padded to width 16, equals it
+        rng = np.random.default_rng(3203)
+        nums, dens = sensitivity_rows([random_stable_plant(rng, n_min=1, n_max=14)
+                                       for _ in range(565)], 16)
+        assert_rows_alone(hinf_norm_batch(nums, dens), nums, dens)
 
     def test_overflowing_magnitudes_are_scaled_away(self):
         # |num(j w)|^2 and |den(j w)|^2 of OVERFLOW overflow unscaled; the true norm is 1 at 0

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from intervalhinf.hinf import (check_gamma_equivalence, family_norm_bisection, hinf_norm_grid,
                                sensitivity)
 from intervalhinf.interval import IntervalPolynomial
-from intervalhinf.poly import (RealPolynomial, eval_at_jomega, eval_many, magnitude_squared,
-                               multiply_rows)
+from intervalhinf.poly import (RealPolynomial, distinct_rows, eval_at_jomega, eval_many,
+                               magnitude_squared, multiply_rows)
 from intervalhinf.stability import is_hurwitz_complex, roots_complex
 from intervalhinf.valueset import (family_complex_stability, octagon, sweep_octagons,
                                   zero_exclusion_sweep)
@@ -200,6 +200,16 @@ class TestMultiplyRows:
                 for i in range(a):
                     loop[:, i : i + b] += p[:, i : i + 1] * q
                 assert out.dtype == complex and out.tobytes() == loop.tobytes()
+
+
+class TestDistinctRows:
+    def test_one_row_is_its_own_first_without_a_sort(self):
+        # the one-row return has the dtype np.unique's indices have for any larger batch
+        first, inverse = distinct_rows(np.array([[1.0, 2.0, 3.0]]))
+        many = distinct_rows(np.array([[1.0, 2.0, 3.0], [0.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+        assert first.tolist() == inverse.tolist() == [0]
+        assert many[0].tolist() == [1, 0] and many[1].tolist() == [1, 0, 1]
+        assert first.dtype == inverse.dtype == many[0].dtype == many[1].dtype == np.intp
 
 
 class TestArithmetic:

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import decline_crossings, np_root_margin, oracle_rows, perfbench_population
+from conftest import (decline_crossings, np_root_margin, oracle_rows, perfbench_population,
+                      reference_residuals, reference_routh)
 from intervalhinf import hinf, stability
 from intervalhinf.errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                                  ZeroPolynomialError)
@@ -256,6 +258,46 @@ class TestRouth:
         assert 0.1 < np.mean(reference) < 0.9
         assert (rows[:, 0] == 0).sum() > 500 and (rows.max(axis=1) <= 0).sum() > 5000
 
+    @pytest.mark.parametrize("count", [1, 565])
+    def test_in_place_table_equals_the_row_array_reference(self, monkeypatch, count):
+        # 12,000 rows of degree 0-15 with trailing zeros, so mixed degrees, and small-integer
+        # (zero pivots), negative-leading and decade-spread coefficients, in batches of 565 or
+        # 2,000 rows alone: the verdicts and every first-column entry of the in-place table
+        # (its one np.zeros array, kept here) equal the row-array recursion's bytes
+        tables = []
+
+        class KeepTable:  # numpy, but keeps what np.zeros returns
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros(self, *args, **kwargs):
+                tables.append(np.zeros(*args, **kwargs))
+                return tables[-1]
+
+        monkeypatch.setattr(stability, "np", KeepTable())
+        rng = np.random.default_rng(3200 + count)
+        zero_pivots, verdicts = [], []
+        for _ in range(12_000 // count if count > 1 else 2000):
+            rows = np.zeros((count, 17))
+            for row in rows:
+                d = int(rng.integers(0, 16))
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    c = rng.integers(-2, 3, d + 1).astype(float)
+                elif kind == 1:
+                    c = -rng.uniform(0.1, 5, d + 1)
+                else:
+                    c = rng.uniform(-5, 5, d + 1) * 10.0 ** rng.uniform(-4 * kind, 4 * kind, d + 1)
+                c[-1] = c[-1] or 1.0
+                row[: d + 1] = c
+                scalar_routh(row, zero_pivots)
+            tables.clear()
+            got = is_hurwitz_real(rows)
+            want, column = reference_routh(rows)
+            assert len(tables) == 1 and got.tobytes() == want.tobytes()
+            assert tables[0][: column.shape[1], 0].T.tobytes() == column.tobytes()
+            verdicts.append(want)
+        assert len(zero_pivots) > 50 and 0.05 < np.concatenate(verdicts).mean() < 0.95
 
     def test_verdict_does_not_depend_on_the_scale(self):
         # a stable row and (s + 1)(s^2 + 1), whose zero pivot must stay exactly 0, times s from
@@ -270,6 +312,20 @@ class TestRouth:
 
 
 class TestRootsBatch:
+    def test_a_degree_one_complex_row_alone_keeps_its_batch_residual(self):
+        # the two-pass residual of one such row alone differed from the same row's in a batch
+        # in about 4 of 10 rows (a one-element complex Horner); the stacked pass evaluates at
+        # least two elements, so each row's roots and residual are its own at any batch size
+        rows = np.random.default_rng(5).normal(size=(300, 2, 2)) @ np.array([1.0, 1j])
+        roots, res = roots_batch(rows)
+        alone = [roots_batch(row[None, :]) for row in rows]
+        assert roots.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+        assert res.tobytes() == np.concatenate([r for _, r in alone]).tobytes()
+        with np.errstate(all="ignore"):
+            two_pass = [reference_residuals(row[None, :], r)[0]
+                        for row, (r, _) in zip(rows, alone)]
+        assert (np.array(two_pass) != res).sum() > 50
+
     def test_each_row_equals_its_row_alone(self):
         # a real batch (all-real roots, complex pairs, real roots spread over 1e+-2) and a
         # complex batch of known_root_rows, degree 10: every row's roots and residual are
@@ -293,30 +349,38 @@ class TestRootsBatch:
 
 
     def test_residuals_equal_two_pass_reference(self):
-        # the one-pass residual runs both Horner recurrences of the two-pass one in the same
-        # order: bitwise equal, also where a row overflows to inf or NaN
+        # the one eval_many call over [c, |c|] at [z, |z|] runs the two-pass Horner
+        # recurrences in the same order: bitwise equal at B = 1, 40 and 565, also where
+        # sum_k |c_k||z|^k overflows (its real part is then NaN, read as inf) and where a row's
+        # value is inf or NaN. The reference runs on two copies of the batch: numpy's in-place
+        # complex multiply rounds a one-element array (one degree-1 complex row) apart from any
+        # longer one
         rng = np.random.default_rng(4127)
-
-        def two_pass(coeffs, roots):
-            pv = np.abs(eval_many(coeffs, roots))
-            mags, az = np.abs(coeffs), np.abs(roots)
-            scale = np.broadcast_to(mags[:, -1:], roots.shape).copy()
-            for k in range(coeffs.shape[1] - 2, -1, -1):
-                scale = scale * az + mags[:, k : k + 1]
-            return (pv / np.maximum(scale, np.finfo(float).tiny)).max(axis=1)
-
-        for d in (1, 2, 5, 9, 14):
-            real = rng.uniform(-5, 5, (40, d + 1)) * 10.0 ** rng.uniform(-3, 3, (40, d + 1))
-            real[-10:] *= 1e300
-            complex_rows = real + 1j * rng.uniform(-5, 5, (40, d + 1))
-            points = (rng.normal(size=(40, d)) + 1j * rng.normal(size=(40, d))) \
-                * 10.0 ** rng.uniform(-3, 3, (40, d))
-            points[-5:] *= 1e200
-            for coeffs in (real, complex_rows):
-                with np.errstate(all="ignore"):
-                    got, want = stability._residuals(coeffs, points), two_pass(coeffs, points)
-                assert got.tobytes() == want.tobytes()
-                assert not np.isfinite(got).all()  # the overflow rows are in
+        overflowed = 0
+        for count, d in itertools.product((1, 40, 565), (1, 2, 5, 9, 14, 15)):
+            for _ in range(max(1, 40 // count)):
+                real = (rng.uniform(-5, 5, (count, d + 1))
+                        * 10.0 ** rng.uniform(-3, 3, (count, d + 1)))
+                real[rng.random(count) < 0.2] *= 1e300
+                complex_rows = real + 1j * rng.uniform(-5, 5, (count, d + 1))
+                points = ((rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d)))
+                          * 10.0 ** rng.uniform(-3, 3, (count, d)))
+                points[rng.random(count) < 0.2] *= 1e200
+                for coeffs in (real, complex_rows):
+                    with np.errstate(all="ignore"):
+                        got = stability._residuals(coeffs, points)
+                        want = reference_residuals(np.vstack([coeffs, coeffs]),
+                                                   np.vstack([points, points]))[:count]
+                        scale = eval_many(np.abs(coeffs), np.abs(points))
+                    assert got.tobytes() == want.tobytes()
+                    overflowed += int(np.isinf(scale).any())
+        assert overflowed > 20
+        # at z = 1e200 the top terms cancel, so |p(z)| = 5 while the scale overflows, and two
+        # Horner steps later the one-pass real part is NaN: read as inf, the residual is 0
+        coeffs, z = np.array([[5.0, 0.0, 0.0, -1e200, 1.0]]), np.full((1, 4), 1e200 + 0j)
+        with np.errstate(all="ignore"):
+            assert stability._residuals(coeffs, z).tolist() == [0.0]
+            assert reference_residuals(coeffs, z).tolist() == [0.0]
 
 
 class TestRootsComplex:
