@@ -16,6 +16,22 @@ class IntervalHinfError(Exception):
     row: int | None = None
 
 
+def at_row(k: int, err: IntervalHinfError) -> IntervalHinfError:
+    """err, raised by input row k alone, as a batched call raises it: "row k: err", with `row`
+    set to k and err as its cause."""
+    located = type(err)(f"row {k}: {err}")
+    located.row, located.__cause__ = k, err
+    return located
+
+
+def renamed(err: IntervalHinfError, where: str = "") -> IntervalHinfError:
+    """An at_row error as the batch's caller raises it: its row's own error renamed "where:
+    cause" (just the cause's text if where is empty), with that error as its cause."""
+    located = type(err)(f"{where}: {err.__cause__}" if where else str(err.__cause__))
+    located.__cause__ = err.__cause__
+    return located
+
+
 class DegreeOrderError(IntervalHinfError):
     """Numerator/plant degree does not sit strictly below the denominator degree."""
 

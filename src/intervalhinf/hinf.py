@@ -17,20 +17,18 @@ ever answers "below" or "undecided", and hinf_norm_batch stays the only
 route that computes a norm.
 
 The gamma-equivalence test and the family bisection ask whether the rows
-g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid. Both build the
-row pairs' level-crossing test (stability.level_crossings) once and share
-one step, decided by one of two routes. The certificate: the test finds
-the thetas at which a row on the circle |c| = delta, c = delta e^{j theta},
-has an imaginary-axis root. None at all certifies every row of the disk,
-so every grid row, without matrix work; otherwise hurwitz_batch on the
-grid rows next to each crossing angle decides the step, since between two
-crossings a pair's rows are all Hurwitz or none is. The reference: a step
-the test declines goes to hurwitz_batch on the whole grid, in chunks of
-_THETA_CHUNK thetas, which decides each row and names a failing one.
-The bisection plans its steps from the twelve-vertex maximum, the threshold
-the paper predicts, and decides them together, one root solve, one probe
-row build and one probe call for all; that maximum only orders the steps,
-and every verdict comes from the crossing and probe route.
+g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, and decide each
+delta the same way (_decide), from the row pairs' level-crossing test
+(stability.level_crossings), built once. The test finds the thetas at which
+a row on the circle |c| = delta, c = delta e^{j theta}, has an imaginary-axis
+root. None at all certifies every row of the disk without matrix work;
+otherwise hurwitz_batch on the grid rows next to each crossing angle decides
+the delta, since between two crossings a pair's rows are all Hurwitz or none
+is. A delta the test declines goes to hurwitz_batch on the whole grid, in
+chunks of _THETA_CHUNK thetas. The bisection predicts its steps from the
+twelve-vertex maximum, the threshold the paper predicts, and decides them in
+rounds, each round's deltas with one root solve, one probe row build and one
+probe call; that maximum only orders the steps.
 """
 
 from __future__ import annotations
@@ -41,15 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegreeOrderError,
-    DeltaRangeError,
-    IntervalHinfError,
-    NoUpperBracketError,
-    UnstableClosedLoopError,
-    UnstableDenominatorError,
-    UnstableFamilyError,
-)
+from .errors import (DegreeOrderError, DeltaRangeError, IntervalHinfError, NoUpperBracketError,
+                     UnstableClosedLoopError, UnstableDenominatorError, UnstableFamilyError,
+                     at_row, renamed)
 from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, as_float, check_count, check_width, degrees, distinct_rows,
                    eval_at_jomega, magnitude_bounds, magnitude_squared, multiply_rows,
@@ -199,10 +191,7 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
             real = (np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)
             omegas[chunk, 1:length] = np.sort(np.sqrt(np.where(real, roots.real, np.nan)), axis=1)
     if failures:
-        k, err = min(failures, key=lambda failure: failure[0])
-        located = type(err)(f"row {k}: {err}")
-        located.row = k
-        raise located from err
+        raise at_row(*min(failures, key=lambda failure: failure[0]))
 
     mags, gains = _magnitudes(nums, dens, omegas, dn, dd)
     peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
@@ -258,7 +247,7 @@ def hinf_norm_exact(rf: RationalFunction) -> NormResult:
     try:
         values, attained = hinf_norm_batch([rf.num.coeffs], [rf.den.coeffs])
     except IntervalHinfError as err:
-        raise err.__cause__ from None
+        raise renamed(err)
     return NormResult(value=float(values[0]), attained_at=float(attained[0]))
 
 
@@ -289,7 +278,7 @@ def _hurwitz_rows(rows: np.ndarray, thetas: np.ndarray, pairs: np.ndarray,
         return hurwitz_batch(rows)
     except IntervalHinfError as err:
         where = f"tuple {tuples[pairs[err.row]].label} at " if tuples else ""
-        raise type(err)(f"{where}theta={thetas[err.row]}: {err.__cause__}") from err.__cause__
+        raise renamed(err, f"{where}theta={thetas[err.row]}")
 
 
 def _crossing_verdict(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
@@ -322,19 +311,11 @@ def _crossing_verdict(crossings: LevelCrossings | None, g_rows: np.ndarray, f_ro
     return np.where(decided, ~unstable, None).tolist()
 
 
-def _hurwitz_on_grid(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
-                     delta: float, thetas: np.ndarray,
-                     tuples: tuple[VertexTuple, ...] = ()) -> bool:
-    """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta;
-    a failing verdict raises again, naming the theta and, if given, the row pair's tuple.
-
-    `crossings` is the row pairs' level_crossings, which the caller builds once for every
-    delta it tests, or None. A step it decides (_crossing_verdict) costs one root solve and
-    at most one hurwitz_batch call on a few rows. A declined step takes the reference route:
-    hurwitz_batch on the perturbed rows of the whole grid, in chunks of _THETA_CHUNK thetas."""
-    verdict = _crossing_verdict(crossings, g_rows, f_rows, [delta], thetas, tuples)[0]
-    if verdict is not None:
-        return verdict
+def _grid_verdict(g_rows: np.ndarray, f_rows: np.ndarray, delta: float, thetas: np.ndarray,
+                  tuples: tuple[VertexTuple, ...] = ()) -> bool:
+    """True iff every g + (1 + delta e^{j theta}) f row is Hurwitz at every grid theta, by
+    hurwitz_batch on the perturbed rows of the whole grid, in chunks of _THETA_CHUNK thetas;
+    a failing verdict raises again, naming the theta and, if given, the row pair's tuple."""
     pairs = np.tile(np.arange(len(g_rows)), _THETA_CHUNK)
     for start in range(0, len(thetas), _THETA_CHUNK):
         chunk = thetas[start : start + _THETA_CHUNK]
@@ -344,14 +325,26 @@ def _hurwitz_on_grid(crossings: LevelCrossings | None, g_rows: np.ndarray, f_row
     return True
 
 
+def _decide(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
+            gammas: list[float], thetas: np.ndarray,
+            tuples: tuple[VertexTuple, ...] = ()) -> list[bool]:
+    """The _grid_verdict of each delta = 1/gamma, as each gets it alone: one _crossing_verdict
+    call (crossings is the row pairs' level_crossings, or None) decides every delta it can,
+    and each delta it declines goes to _grid_verdict, in order."""
+    deltas = [1.0 / gamma for gamma in gammas]
+    verdicts = _crossing_verdict(crossings, g_rows, f_rows, deltas, thetas, tuples)
+    return [_grid_verdict(g_rows, f_rows, delta, thetas, tuples) if verdict is None else verdict
+            for delta, verdict in zip(deltas, verdicts)]
+
+
 def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
                   theta_count: int = 720) -> bool:
     """Grid version of the gamma-equivalence for a single plant.
 
     True iff g + (1 + (1/gamma) e^{j theta}) f is Hurwitz at every grid
     theta; up to grid resolution this equals ||f/(f+g)||_inf < gamma.
-    Decided as one _hurwitz_on_grid step. The plant g/f must be strictly proper with f + g
-    Hurwitz, as `sensitivity` requires.
+    Decided as one _decide step. The plant g/f must be strictly proper
+    with f + g Hurwitz, as `sensitivity` requires.
     """
     if not gamma > 1.0:
         raise DeltaRangeError(f"gamma must exceed 1, got {gamma}")
@@ -360,8 +353,7 @@ def check_gamma_equivalence(g: RealPolynomial, f: RealPolynomial, gamma: float,
     g_row, f_row = np.zeros((2, 1, f.degree + 1))
     g_row[0, : g.degree + 1] = g.coeffs[: g.degree + 1]
     f_row[0, : f.degree + 1] = f.coeffs[: f.degree + 1]
-    return _hurwitz_on_grid(level_crossings(g_row, f_row), g_row, f_row, 1.0 / as_float(gamma),
-                            thetas)
+    return _decide(level_crossings(g_row, f_row), g_row, f_row, [as_float(gamma)], thetas)[0]
 
 
 def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
@@ -387,44 +379,6 @@ def _bisect(verdict: Callable[[float], bool], tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _planned_verdicts(crossings: LevelCrossings | None, g_rows: np.ndarray, f_rows: np.ndarray,
-                      thetas: np.ndarray, tol: float,
-                      nu: float | None) -> dict[float, bool | None]:
-    """The verdict of each gamma the bisection is planned to test, decided together.
-
-    The plan replays _bisect with each verdict predicted as gamma > nu, the largest
-    ||f / (g + f)||_inf over the row pairs; nu None is computed here, by one hinf_norm_batch
-    call. Its deltas share one _crossing_verdict call: one root solve, and one hurwitz_batch
-    call on the probe rows, so each verdict is the one its step gets alone. A delta whose
-    crossing test declines maps to None, as it would alone. Empty if there is no test, if nu's
-    norms raise, or if the probe call raises: the steps are then decided one by one, so an
-    error is raised at the step that raises it alone. nu only chooses the gammas; a verdict
-    that differs from its prediction is kept."""
-    if crossings is None:
-        return {}
-    if nu is None:
-        try:
-            nu = float(hinf_norm_batch(f_rows, g_rows + f_rows)[0].max())
-        except IntervalHinfError:
-            return {}
-    gammas: list[float] = []
-
-    def predicted(gamma: float) -> bool:
-        gammas.append(gamma)
-        return gamma > nu
-
-    try:
-        _bisect(predicted, tol)
-    except NoUpperBracketError:  # planned up to the cap; the bisection raises there itself
-        pass
-    try:
-        verdicts = _crossing_verdict(crossings, g_rows, f_rows, [1.0 / gamma for gamma in gammas],
-                                     thetas)
-    except (IntervalHinfError, ValueError):  # ValueError: a probe row that is not finite
-        return {}
-    return dict(zip(gammas, verdicts))
-
-
 def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
                           tol: float = 1e-4, theta_count: int = 720,
                           vertex_max: float | None = None) -> float:
@@ -433,33 +387,54 @@ def family_norm_bisection(kg: IntervalPolynomial, kf: IntervalPolynomial,
     The twelve perturbed vertex polynomials with delta = 1/gamma are Hurwitz on
     the whole theta grid exactly when the family supremum is below gamma,
     so the transition point is the worst-case norm. Independent of the
-    per-vertex stationary-point route by construction. A step's verdict is
-    that of one _hurwitz_on_grid call on the twelve row pairs, whose
-    level_crossings test is built once: a step is decided from its crossing
-    angles, and only a step that the test declines goes to hurwitz_batch on
-    the whole theta grid. The steps are planned from vertex_max, the largest
-    norm of the twelve vertex pairs, and decided together first
-    (_planned_verdicts); analyze passes the value it has, and None computes
-    it with one hinf_norm_batch call on the twelve pairs. Once a verdict
-    differs from its prediction, the bisection leaves the planned gammas, and
-    each later step is decided alone. A planned step whose crossing test
-    declined goes straight to the whole theta grid, without asking it again.
-    vertex_max only orders the work: every verdict is the one its step gets
-    alone, so any value, or none, gives the same gamma.
+    per-vertex stationary-point route by construction. The twelve row pairs'
+    level_crossings test is built first, and the stability gate runs only if
+    it cannot be: the four matched sums are among the twelve g + f rows that
+    the test certifies Hurwitz. The steps go in rounds. Each round replays the
+    bisection rule on the verdicts known so far, predicting each unknown one as
+    gamma > vertex_max, and one _decide call settles every gamma it tested;
+    the last replay needs none. vertex_max is the twelve vertex pairs' largest
+    norm, which analyze passes and None computes. With no prediction (those
+    norms raise) or no crossing test, a round settles its first gamma only, and
+    so does a round whose call raised again, so an error is the one its step
+    raises alone. Every verdict is the one its step gets alone: vertex_max only
+    orders the work, and any value, or none, gives the same gamma.
     """
     tol = check_width("tol", tol)
     thetas = _theta_grid(theta_count)
     check_families(kg, kf)
-    if not sum_family_hurwitz(kg, kf):
-        raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     crossings = level_crossings(g_rows, f_rows)
-    planned = _planned_verdicts(crossings, g_rows, f_rows, thetas, tol, vertex_max)
+    if crossings is None and not sum_family_hurwitz(kg, kf):
+        raise UnstableFamilyError("matched vertex sums are not all Hurwitz")
+    nu = vertex_max
+    try:
+        if nu is None and crossings is not None:
+            nu = float(hinf_norm_batch(f_rows, g_rows + f_rows)[0].max())
+    except IntervalHinfError:  # no prediction
+        pass
+    known: dict[float, bool] = {}
+    while True:
+        unknown: list[float] = []
 
-    def verdict(gamma: float) -> bool:
-        if planned.get(gamma) is not None:
-            return planned[gamma]
-        return _hurwitz_on_grid(None if gamma in planned else crossings, g_rows, f_rows,
-                                1.0 / gamma, thetas, TWELVE_TUPLES)
+        def replayed(gamma: float) -> bool:
+            if gamma not in known:
+                unknown.append(gamma)
+            return known.get(gamma, nu is not None and gamma > nu)
 
-    return _bisect(verdict, tol)
+        try:
+            found = _bisect(replayed, tol)
+        except NoUpperBracketError:  # a replay predicted up to the cap
+            if not unknown:
+                raise
+        if not unknown:
+            return found
+        batch = unknown if nu is not None and crossings is not None else unknown[:1]
+        try:
+            verdicts = _decide(crossings, g_rows, f_rows, batch, thetas, TWELVE_TUPLES)
+        except (IntervalHinfError, ValueError):  # ValueError: a probe row that is not finite
+            if len(batch) == 1:
+                raise
+            batch = batch[:1]  # alone, it raises where its step raises
+            verdicts = _decide(crossings, g_rows, f_rows, batch, thetas, TWELVE_TUPLES)
+        known.update(zip(batch, verdicts))

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
-                     ZeroPolynomialError)
+                     ZeroPolynomialError, at_row)
 from .poly import (ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_at_jomega,
                    eval_many, magnitude_squared, scale_exponents)
 
@@ -327,11 +327,8 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
         return stable[inverse]
     overflowed = ~np.isfinite(scaled).all(axis=(1, 2))
     if overflowed.any():
-        k = int(first[overflowed].min())
-        cause = NoConvergenceError("Hermite matrix is not finite")
-        located = NoConvergenceError(f"row {k}: {cause}")
-        located.row = k
-        raise located from cause
+        raise at_row(int(first[overflowed].min()),
+                     NoConvergenceError("Hermite matrix is not finite"))
     unsure = np.flatnonzero(~stable)[_positive_pivots(scaled[~stable], HERMITE_ROUNDOFF)]
     for u in sorted(unsure, key=first.__getitem__):
         k = int(first[u])
@@ -339,9 +336,7 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
             stable[u] = (roots_batch(rows[k : k + 1].astype(complex))[0].real.max()
                          < -HURWITZ_TOL)
         except IntervalHinfError as err:
-            located = type(err)(f"row {k}: {err}")
-            located.row = k
-            raise located from err
+            raise at_row(k, err)
     return stable[inverse]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import IntervalHinfError, UnstableFamilyError
+from .errors import IntervalHinfError, UnstableFamilyError, renamed
 from .hinf import family_norm_bisection, hinf_norm_batch, hinf_norm_below
 from .interval import IntervalPolynomial, sample_many, sum_family_hurwitz, vertex_rows
 from .poly import check_count, check_width, distinct_rows
@@ -118,7 +118,7 @@ def _vertex_norms(g_rows: np.ndarray, f_rows: np.ndarray,
     try:
         return hinf_norm_batch(f_rows, g_rows + f_rows)
     except IntervalHinfError as err:
-        raise type(err)(f"tuple {tuples[err.row].label}: {err.__cause__}") from err.__cause__
+        raise renamed(err, f"tuple {tuples[err.row].label}")
 
 
 def _twelve_report(prob: AnalysisProblem, values: np.ndarray,
@@ -213,8 +213,7 @@ def monte_carlo_oracle(prob: AnalysisProblem,
             return hinf_norm_batch(fs[rows], dens[rows])[0]
         except IntervalHinfError as err:
             k = int(rows[err.row])
-            where = f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}"
-            raise type(err)(f"{where}: {err.__cause__}") from err.__cause__
+            raise renamed(err, f"oracle probe {k}" if k < probes else f"oracle draw {k - probes}")
 
     distinct = np.sort(distinct_rows(np.hstack([fs, dens]))[0])  # row 0: a vertex
     vertex, others = distinct[distinct < vertices], distinct[distinct >= vertices]

@@ -593,6 +593,24 @@ class TestFamilyNormBisection:
         with pytest.raises(UnstableFamilyError):
             family_norm_bisection(kg, kf)
 
+    def test_the_gate_runs_only_without_a_crossing_test(self, monkeypatch):
+        # the crossing test certifies the twelve g + f rows, the four matched sums among them,
+        # so the stability gate runs only when no test is built; every round then settles one
+        # gamma, as a step alone does, though vertex_max is given
+        gates, rounds = [], []
+        gate, decide = hinf.sum_family_hurwitz, hinf._decide
+        monkeypatch.setattr(hinf, "sum_family_hurwitz",
+                            lambda kg, kf: gates.append(kg) or gate(kg, kf))
+        monkeypatch.setattr(hinf, "_decide", lambda crossings, g_rows, f_rows, gammas, *args:
+                            rounds.append(len(gammas))
+                            or decide(crossings, g_rows, f_rows, gammas, *args))
+        assert family_norm_bisection(*WIDENED) == 1.6908264163247984
+        assert gates == [] and rounds == [15]
+        decline_crossings(monkeypatch)
+        rounds.clear()
+        assert family_norm_bisection(*WIDENED, vertex_max=1.6908) == 1.6908264163247984
+        assert len(gates) == 1 and rounds == [1] * 15
+
     def test_near_instability_exhausts_the_bracket(self):
         from intervalhinf.errors import NoUpperBracketError
 
@@ -623,8 +641,8 @@ class TestThetaGridFailures:
         with np.errstate(all="ignore"), pytest.raises(
                 NoConvergenceError, match=f"^tuple 1111 at theta={re.escape(str(thetas[0]))}: "
                 "Hermite matrix is not finite$"):
-            hinf._hurwitz_on_grid(hinf.level_crossings(g_rows, f_rows), g_rows, f_rows, 0.5,
-                                  thetas, TWELVE_TUPLES[:1])
+            hinf._decide(hinf.level_crossings(g_rows, f_rows), g_rows, f_rows, [2.0], thetas,
+                         TWELVE_TUPLES[:1])
 
     def test_gamma_equivalence_names_theta(self, monkeypatch):
         decline_crossings(monkeypatch)  # so the step reaches the chunk holding the row
@@ -636,10 +654,19 @@ class TestThetaGridFailures:
             check_gamma_equivalence(g, f, 2.0)
 
 
+def reference_step(crossings, g_rows, f_rows, delta, thetas, tuples=()):
+    """One step decided alone: the crossing test on its one delta, then, if it declines,
+    hurwitz_batch on the whole grid."""
+    verdict = hinf._crossing_verdict(crossings, g_rows, f_rows, [delta], thetas, tuples)[0]
+    if verdict is None:
+        verdict = hinf._grid_verdict(g_rows, f_rows, delta, thetas, tuples)
+    return verdict
+
+
 def reference_bisection(kg, kf, tol=1e-4, theta_count=720, steps=None):
     """The reference for family_norm_bisection: the same bisection rule with no plan, each step
-    one _hurwitz_on_grid call in turn; (crossings, *args) of each step are appended to `steps`
-    if given."""
+    one reference_step in turn; (crossings, *args) of each step are appended to `steps` if
+    given."""
     thetas = hinf._theta_grid(theta_count)
     g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
     crossings = hinf.level_crossings(g_rows, f_rows)
@@ -648,7 +675,7 @@ def reference_bisection(kg, kf, tol=1e-4, theta_count=720, steps=None):
         args = (crossings, g_rows, f_rows, 1.0 / gamma, thetas, TWELVE_TUPLES)
         if steps is not None:
             steps.append(args)
-        return hinf._hurwitz_on_grid(*args)
+        return reference_step(*args)
 
     hi = 2.0
     while not step(hi):
@@ -667,7 +694,7 @@ def reference_bisection(kg, kf, tol=1e-4, theta_count=720, steps=None):
 
 
 def bisection_steps(kg, kf):
-    """(crossings, *args) of every _hurwitz_on_grid step of the reference bisection."""
+    """(crossings, *args) of every reference_step of the reference bisection."""
     steps = []
     reference_bisection(kg, kf, steps=steps)
     return steps
@@ -741,7 +768,7 @@ class TestLevelCrossings:
                     outcomes[None] += 1
                     continue
                 outcomes[verdict, bool((steps == 0).any())] += 1
-                assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, *args) is verdict
+                assert hinf._grid_verdict(g_rows, f_rows, delta, *args) is verdict
         assert outcomes[True, False] > 100 and outcomes[False, True] > 100
         assert outcomes[True, True] > 0 and outcomes[None] < 5
 
@@ -755,7 +782,7 @@ class TestLevelCrossings:
         decided = 0
         for kg, kf in families:
             for crossings, g_rows, f_rows, delta, *args in bisection_steps(kg, kf):
-                reference = hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, *args)
+                reference = hinf._grid_verdict(g_rows, f_rows, delta, *args)
                 for shift in (0.9 * step, -0.9 * step):
 
                     def moved(deltas, found, shift=shift):
@@ -781,7 +808,7 @@ class TestLevelCrossings:
         assert decided.tolist() == [True] and (steps == 0).sum() == 4
         batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
         assert verdict is True and len(batches) == 1
-        assert hinf._hurwitz_on_grid(None, g_rows, f_rows, delta, thetas) is True
+        assert hinf._grid_verdict(g_rows, f_rows, delta, thetas) is True
 
     @pytest.mark.parametrize("decline_every", [0, 3])
     def test_all_stable_bisection_batches_only_declined_steps(self, monkeypatch, decline_every):
@@ -789,7 +816,7 @@ class TestLevelCrossings:
         # certified stable by its root solve alone. With every k-th step's crossing test
         # declined, hurwitz_batch sees exactly those steps' whole grids, chunk by chunk, in order
         steps = bisection_steps(*UNIT)
-        assert len(steps) > 10 and all(hinf._hurwitz_on_grid(*args) for args in steps)
+        assert len(steps) > 10 and all(reference_step(*args) for args in steps)
         declined = [args[3] for k, args in enumerate(steps)
                     if decline_every and k % decline_every == decline_every - 1]
         batched = []
@@ -896,8 +923,7 @@ class TestLevelCrossings:
         fail_on_row(monkeypatch, target)
         with pytest.raises(NoConvergenceError, match=f"^tuple {TWELVE_TUPLES[p].label} at "
                            f"theta={re.escape(str(thetas[k]))}: stub$"):
-            hinf._hurwitz_on_grid(crossings, g_rows, f_rows, 1 / 1.5, thetas,
-                                  TWELVE_TUPLES)
+            hinf._decide(crossings, g_rows, f_rows, [1.5], thetas, TWELVE_TUPLES)
 
 
 def planned_families():
@@ -920,21 +946,23 @@ class TestPlannedBisection:
     def test_equals_the_step_by_step_reference(self, monkeypatch, prediction):
         # the predicted threshold, the twelve-vertex maximum, orders the work and never
         # decides a verdict: right, passed in wrong either way, missing (its norms raise) or
-        # above GAMMA_CAP (the plan runs up to the cap and stops there), the result is the
-        # reference's bit for bit
-        on_grid = hinf._hurwitz_on_grid
+        # above GAMMA_CAP (the first round runs up to the cap), the result is the reference's
+        # bit for bit. Each round settles only gammas no earlier round settled, and together
+        # they settle every step of the reference
+        decide = hinf._decide
         factor = {"too high": 1.001, "too low": 0.999}.get(prediction)
         if prediction == "absent":
             def failing(num_rows, den_rows):
                 raise NoConvergenceError("stub")
 
             monkeypatch.setattr(hinf, "hinf_norm_batch", failing)
-        alone = []
-        monkeypatch.setattr(hinf, "_hurwitz_on_grid",
-                            lambda *args: alone.append(args[3]) or on_grid(*args))
-        routes = []  # (steps taken alone, steps) per family
+        rounds = []
+        monkeypatch.setattr(hinf, "_decide", lambda crossings, g_rows, f_rows, gammas, *args:
+                            rounds.append(list(gammas))
+                            or decide(crossings, g_rows, f_rows, gammas, *args))
+        routes = []  # (round sizes, steps) per family
         for kg, kf in planned_families():
-            alone.clear()
+            rounds.clear()
             nu = None
             if factor is not None:
                 g_rows, f_rows = tuple_rows(kg, kf, TWELVE_TUPLES)
@@ -942,24 +970,30 @@ class TestPlannedBisection:
             elif prediction == "above the cap":
                 nu = 2.0**40
             value = family_norm_bisection(kg, kf, vertex_max=nu)
-            taken, steps = list(alone), []
+            steps = []
             assert value == reference_bisection(kg, kf, steps=steps)
-            # the steps decided alone are the reference's last steps
-            assert taken == [args[3] for args in steps][len(steps) - len(taken) :]
-            routes.append((len(taken), len(steps)))
-        if prediction == "absent":
-            assert all(taken == steps for taken, steps in routes)
-        elif prediction == "computed":
-            assert routes[0][0] == routes[2][0] == 0  # POINT and UNIT: every step planned
-            assert sum(taken == 0 for taken, _ in routes) > len(routes) / 2
-            assert 0 < routes[19][0] < routes[19][1] and routes[20][0] > 0  # seeds 109, 2003
-        else:
-            assert sum(0 < taken < steps for taken, steps in routes) > 10
+            settled = [1.0 / gamma for gammas in rounds for gamma in gammas]
+            assert len(set(settled)) == len(settled)
+            assert {args[3] for args in steps} <= set(settled)
+            if prediction == "absent":  # no prediction: one gamma per round, the reference's
+                assert settled == [args[3] for args in steps]
+            routes.append(([len(gammas) for gammas in rounds], len(steps)))
+        if prediction == "computed":
+            assert len(routes[0][0]) == len(routes[2][0]) == 1  # POINT and UNIT: one round
+            assert sum(len(sizes) == 1 for sizes, _ in routes) > len(routes) / 2
+            # seed 109's prediction goes wrong twice; seed 2003's declined step is settled
+            # in the first round, on the whole grid
+            assert len(routes[19][0]) == 3 and len(routes[20][0]) == 1
+        elif prediction == "above the cap":
+            assert all(sizes[0] == 32 for sizes, _ in routes)  # 2, 4, ..., GAMMA_CAP
+        elif prediction != "absent":
+            assert sum(1 < len(sizes) < steps for sizes, steps in routes) > 10
 
     def test_one_probe_batch_holds_the_rows_of_the_one_delta_batches(self, monkeypatch):
-        # the plan builds the probe rows of all its deltas with one perturbed_vertex_rows call,
+        # a round builds the probe rows of all its deltas with one perturbed_vertex_rows call,
         # a delta per theta: its one probe batch holds exactly the rows, bitwise and as a
-        # multiset, of the probe batches its deltas get one by one, with the same verdicts
+        # multiset, of the probe batches its deltas get one by one, with the same verdicts.
+        # Every family's first round has more than one delta
         verdict, plans = hinf._crossing_verdict, []
 
         def recorded(crossings, g_rows, f_rows, deltas, *args):
@@ -971,9 +1005,9 @@ class TestPlannedBisection:
             patched.setattr(hinf, "_crossing_verdict", recorded)
             for kg, kf in planned_families():
                 family_norm_bisection(kg, kf)
-        assert len(plans) == len(planned_families())
+        assert len(plans) >= len(planned_families())
         compared = 0
-        for crossings, g_rows, f_rows, deltas, thetas in plans:
+        for crossings, g_rows, f_rows, deltas, thetas, _ in plans:
             batches = []
             with monkeypatch.context() as patched:
                 patched.setattr(hinf, "hurwitz_batch",
@@ -1051,12 +1085,12 @@ class TestPlannedBisection:
             assert np.array_equal(angles[mine], expected[d][3])
 
     def test_a_right_prediction_decides_every_step_together(self, monkeypatch):
-        # the point plant: every step is planned, the crossing test is asked once for all of
-        # their deltas (one root solve), and the probe rows of the steps with crossings go to
-        # one hurwitz_batch call; no step is decided alone
+        # the point plant: one round settles every step, the crossing test is asked once for
+        # all of their deltas (one root solve), and the probe rows of the steps with crossings
+        # go to one hurwitz_batch call; no step goes to the whole grid
         count = len(bisection_steps(*POINT))
-        asked, batches, alone = [], [], []
-        built, on_grid = hinf.level_crossings, hinf._hurwitz_on_grid
+        asked, batches, grids = [], [], []
+        built, on_grid = hinf.level_crossings, hinf._grid_verdict
 
         def counted(g_rows, f_rows):
             return rewired(built(g_rows, f_rows),
@@ -1065,15 +1099,30 @@ class TestPlannedBisection:
         monkeypatch.setattr(hinf, "level_crossings", counted)
         monkeypatch.setattr(hinf, "hurwitz_batch",
                             lambda rows: batches.append(len(rows)) or hurwitz_batch(rows))
-        monkeypatch.setattr(hinf, "_hurwitz_on_grid", lambda *args: alone.append(args) or
+        monkeypatch.setattr(hinf, "_grid_verdict", lambda *args: grids.append(args) or
                             on_grid(*args))
         assert family_norm_bisection(*POINT) == 1.4678649907665102
-        assert asked == [count] and len(batches) == 1 and alone == []
+        assert asked == [count] and len(batches) == 1 and grids == []
+
+    @pytest.mark.parametrize("seed, count, k, pinned, rounds", [
+        (109, 12, 11, 1.0066223154465028, [15, 4, 1]),
+        (4001, 40, 2, 1.272918701898956, [15, 3])])
+    def test_a_wrong_prediction_replans_the_steps_left(self, monkeypatch, seed, count, k,
+                                                       pinned, rounds):
+        # each verdict that differs from its prediction starts one more round, which asks the
+        # crossing test once for every gamma its replay has not settled: three calls for
+        # seed 109's grid miss, two for seed 4001's, where steps taken alone took five and four
+        kg, kf = family_of(perfbench_population().analyze_families(seed, count)[k])
+        asked, built = [], hinf.level_crossings
+        monkeypatch.setattr(hinf, "level_crossings", lambda g_rows, f_rows: rewired(
+            built(g_rows, f_rows), lambda deltas, found: asked.append(len(deltas)) or found))
+        assert family_norm_bisection(kg, kf) == pinned
+        assert asked == rounds
 
     def test_a_declined_planned_step_is_not_asked_again(self, monkeypatch):
-        # the peak at omega = 0: the plan asks the crossing test once, for all 20 of its
+        # the peak at omega = 0: one round asks the crossing test once, for all 20 of its
         # deltas, and the one it declines goes straight to the whole grid without asking the
-        # test again; hurwitz_batch gets the plan's probe batch and that step's 15 theta chunks
+        # test again; hurwitz_batch gets the round's probe batch and that step's 15 theta chunks
         kg, kf = family_of(perfbench_population().analyze_families(2003, 18)[17])
         asked, declined, batches = [], [], []
         built = hinf.level_crossings
@@ -1092,10 +1141,12 @@ class TestPlannedBisection:
         assert len(batches) == 16 and sum(batches) == 8848
 
     def test_errors_are_raised_at_the_step_that_raises_alone(self, monkeypatch):
-        # a probe row that fails when solved alone fails the plan's shared probe call; the
-        # steps then go one by one, and the error is the reference bisection's, naming the
-        # tuple and theta of that row. fail_on_row sends every Hermite verdict to roots, under
-        # which no crossing test is built, so both bisections get the test built before it
+        # a probe row that fails when solved alone fails each shared probe call that holds it;
+        # such a round settles its first gamma alone and the next round re-plans, until that
+        # row's step comes first and raises alone. The error is the reference bisection's,
+        # naming the tuple and theta of that row. fail_on_row sends every Hermite verdict to
+        # roots, under which no crossing test is built, so both bisections get the test built
+        # before it
         steps = bisection_steps(*WIDENED)
         crossings = steps[0][0]
         args = next(args for args in steps if len(crossings([args[3]])[1]))
@@ -1110,11 +1161,11 @@ class TestPlannedBisection:
             try:
                 return verdict(crossings, g_rows, f_rows, deltas, *args)
             except NoConvergenceError:
-                raised.append(len(deltas))
+                raised.append(list(deltas))
                 raise
 
         monkeypatch.setattr(hinf, "_crossing_verdict", recorded)
         with pytest.raises(NoConvergenceError, match=f"^{re.escape(str(reference.value))}$"):
             family_norm_bisection(*WIDENED)
-        assert raised[0] > 1  # the plan's shared probe call, then the step alone
-        assert raised[1:] == [1]
+        assert len(raised) > 1 and raised[-1] == [args[3]]  # last, the failing step alone
+        assert all(len(deltas) > 1 and args[3] in deltas for deltas in raised[:-1])

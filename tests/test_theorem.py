@@ -549,9 +549,10 @@ class TestAnalyze:
         # none is tested again before its norm. The oracle reads the vertex norms, and its
         # screen leaves no other row here unless it is made to clear none: one norm call then
         # takes the 61 distinct rows of the 49 other probes and the 20 draws (two of the six
-        # midpoints of each family's four vertices are its centre). The bisection's own gate
-        # follows; it plans from the twelve-vertex maximum analyze passes, so it takes no norm.
-        # theorem's names are recorded too, were it to test a closed loop itself
+        # midpoints of each family's four vertices are its centre). The bisection runs no gate
+        # of its own: its crossing test certifies the twelve g + f rows, the four matched sums
+        # among them. It plans from the twelve-vertex maximum analyze passes, so it takes no
+        # norm. theorem's names are recorded too, were it to test a closed loop itself
         calls = []
         for module, name in ((interval, "is_hurwitz_real"), (theorem, "is_hurwitz_real"),
                              (theorem, "hurwitz_batch"), (hinf, "is_hurwitz_real")):
@@ -573,8 +574,7 @@ class TestAnalyze:
                                     lambda nums, dens, gamma: np.zeros(len(nums), dtype=bool))
             calls.clear()
             analyze(widened_problem(seed=42, oracle_samples=20, theta_points=90))
-            assert calls == [("interval", 4), ("norms", 16), ("hinf", 16), *drawn,
-                             ("interval", 4)]
+            assert calls == [("interval", 4), ("norms", 16), ("hinf", 16), *drawn]
 
     @pytest.mark.parametrize("count", [2.5, True, 0])
     def test_theta_points_are_checked_before_any_work(self, monkeypatch, count):
