@@ -6,15 +6,17 @@ polynomial, and re-evaluates every candidate through the transfer
 function itself, each stage for a whole batch of rows at once: rows in,
 arrays of norms and frequencies out. Each row is scaled by an exact power
 of two first, so a row's scale alone cannot make its products overflow or
-underflow. The supremum may be approached only as w -> inf, so the at-infinity
-limit is always a candidate, and the frequency it is attained at is then
-the sentinel math.inf. A cheaper question, whether a row's peak is below a
-given gamma, is answered in float by hinf_norm_below from the level
-polynomial gamma^2 M_den - M_num, of degree n in x where the stationarity
-row has degree 2n - 1: stability.positive_on_halfline decides its sign on
-[0, inf) from Bernstein coefficients, without solving for roots. It only
-ever answers "below" or "undecided", and hinf_norm_batch stays the only
-route that computes a norm.
+underflow, and each stationarity row is cut at its own roundoff
+(stability.cut_roots), not at a fraction of its largest coefficient, so no
+cut depends on the frequency scale. The supremum may be approached only as
+w -> inf, so the at-infinity limit is always a candidate, and the frequency
+it is attained at is then the sentinel math.inf. A cheaper question,
+whether a row's peak is below a given gamma, is answered in float by
+hinf_norm_below from the level polynomial gamma^2 M_den - M_num, of degree
+n in x where the stationarity row has degree 2n - 1:
+stability.positive_on_halfline decides its sign on [0, inf) from Bernstein
+coefficients, without solving for roots. It only ever answers "below" or
+"undecided", and hinf_norm_batch stays the only route that computes a norm.
 
 The gamma-equivalence test and the family bisection ask whether the rows
 g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, and decide each
@@ -46,8 +48,8 @@ from .interval import IntervalPolynomial, sum_family_hurwitz
 from .poly import (RealPolynomial, as_float, check_count, check_width, degrees, distinct_rows,
                    eval_at_jomega, magnitude_bounds, magnitude_squared, multiply_rows,
                    scale_exponents)
-from .stability import (CROSSING_TOL, LevelCrossings, hurwitz_batch, is_hurwitz_real,
-                        level_crossings, positive_on_halfline, solve_rows)
+from .stability import (CROSSING_TOL, LevelCrossings, cut_roots, hurwitz_batch,
+                        is_hurwitz_real, level_crossings, positive_on_halfline)
 from .valueset import TWELVE_TUPLES, VertexTuple, check_families, perturbed_vertex_rows, tuple_rows
 
 __all__ = [
@@ -64,9 +66,8 @@ __all__ = [
 
 GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
-_NORM_CHUNK = 128  # stationarity rows per solve_rows call; bounds its (rows, d, d) arrays
-_TRIM_REL = 1e-14  # stationarity coefficients this small relative to the largest are dropped
 _LEVEL_ROUNDOFF = 64  # hinf_norm_below's level-row error bound, in (d+1) eps of |M| terms
+_EPS = np.finfo(float).eps
 
 
 def _improper(m: int, n: int) -> DegreeOrderError:
@@ -106,18 +107,28 @@ def sensitivity(g: RealPolynomial, f: RealPolynomial) -> RationalFunction:
     return RationalFunction(num=f, den=RealPolynomial(closed))
 
 
-def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray) -> np.ndarray:
+def _stationarity_rows(num_rows: np.ndarray, den_rows: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of M_num' * M_den - M_num * M_den', d/dx of each M_num/M_den times M_den^2 (a row
     0 if both are constant), each row first scaled as hinf_norm_batch says, num rows padded
-    and stacked on den rows. Both products sum their terms in the same order (padding adds zeros),
-    so where M_num and M_den share coefficients (f, f + g above deg g) they cancel exactly."""
+    and stacked on den rows, and the roundoff of each coefficient: 4 len eps times the same
+    two products with every term in absolute value, Mbar_num' * Mbar_den + Mbar_num * Mbar_den'
+    (Mbar as in magnitude_bounds). Both products sum their terms in the same order (padding
+    adds zeros), so where M_num and M_den share coefficients (f, f + g above deg g) they cancel
+    exactly."""
     count, width = len(num_rows), max(num_rows.shape[1], den_rows.shape[1])
+    if width == 1:
+        return np.zeros((count, 1)), np.zeros((count, 1))
     rows = np.zeros((2 * count, width))
     rows[:count, : num_rows.shape[1]], rows[count:, : den_rows.shape[1]] = num_rows, den_rows
-    m = magnitude_squared(np.ldexp(rows, -scale_exponents(rows)))  # [M_num; M_den]
-    # [M_den; M_num] times [M_num'; M_den'], M' kept as i * M_i at x^i, so x^0 is dropped after
-    products = multiply_rows(np.concatenate([m[count:], m[:count]]), m * np.arange(width))
-    return (products[:count] - products[count:])[:, 1:] if width > 1 else np.zeros((count, 1))
+    rows = np.ldexp(rows, -scale_exponents(rows))
+    m = np.concatenate([magnitude_squared(rows), magnitude_bounds(rows)])  # M and Mbar, num first
+    # [M_den; M_num; Mbar_den; Mbar_num] times [M_num'; M_den'; Mbar_num'; Mbar_den'], M' kept as
+    # i * M_i at x^i, so x^0 is dropped after
+    flipped = m.reshape(2, 2, count, width)[:, ::-1].reshape(4 * count, width)
+    products = multiply_rows(flipped, m * np.arange(width))[:, 1:]
+    (rising, falling), bounds = products.reshape(2, 2, count, 2 * width - 2)
+    return rising - falling, bounds.sum(axis=0) * (4 * (2 * width - 2) * _EPS)
 
 
 def _magnitudes(num_rows: np.ndarray, den_rows: np.ndarray, omegas: np.ndarray, dn: np.ndarray,
@@ -145,13 +156,13 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
 
     Malformed input (a non-finite coefficient or a zero denominator) raises ValueError naming
     its lowest row, before any other work. Each stage runs once over all byte-distinct row
-    pairs; trimmed stationarity rows of one length share solve_rows calls of at most
-    _NORM_CHUNK rows, which solve each companion matrix on its own, so every result equals
-    solving its row alone. Each num and den row is scaled by the exact power of two that puts
-    its largest coefficient in [0.5, 1) before its stationarity row is formed, which moves no
-    root and keeps every finite row's products finite, and the candidates are evaluated on the
-    rows as given. Any other failure is the lowest failing row's error as solved alone,
-    re-raised with `row` set and named in the message.
+    pairs. Each num and den row is scaled by the exact power of two that puts its largest
+    coefficient in [0.5, 1) before its stationarity row is formed, which moves no root and
+    keeps every finite row's products finite, and the candidates are evaluated on the rows as
+    given. The stationarity rows, whose tops cancel to roundoff where M_num and M_den share
+    their top terms, as a sensitivity's do, go with each coefficient's roundoff to one
+    stability.cut_roots call, which solves each row alone. Any other failure is the lowest
+    failing row's error as solved alone, re-raised with `row` set and named in the message.
     """
     num_rows = np.asarray(num_rows, dtype=float)
     den_rows = np.asarray(den_rows, dtype=float)
@@ -175,23 +186,13 @@ def hinf_norm_batch(num_rows, den_rows) -> tuple[np.ndarray, np.ndarray]:
         u = np.flatnonzero(bad)[first[bad].argmin()]
         failures.append((int(first[u]), _improper(dn[u], dd[u]) if dn[u] > dd[u] else
                          UnstableDenominatorError("H-infinity norm needs a Hurwitz denominator")))
-    stations = _stationarity_rows(nums, dens)
-    sizes = np.abs(stations)
-    kept = sizes > _TRIM_REL * sizes.max(axis=1, keepdims=True)
-    kept[:, 0] = True
-    lengths = stations.shape[1] - kept[:, ::-1].argmax(axis=1)
-    omegas = np.zeros((len(first), lengths.max(initial=1)))  # column 0 is x = 0
-    omegas[:, 1:] = np.nan  # no candidate
-    for length in sorted(set(lengths.tolist()) - {1}):
-        members = np.flatnonzero(lengths == length)
-        for start in range(0, len(members), _NORM_CHUNK):
-            chunk = members[start : start + _NORM_CHUNK]
-            roots, failed = solve_rows(stations[chunk, :length])
-            failures += [(int(first[chunk[i]]), err) for i, err in failed]
-            real = (np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)
-            omegas[chunk, 1:length] = np.sort(np.sqrt(np.where(real, roots.real, np.nan)), axis=1)
+    roots, _, failed = cut_roots(*_stationarity_rows(nums, dens))  # x = 0 is a candidate anyway
+    failures += [(int(first[i]), err) for i, err in failed]
     if failures:
         raise at_row(*min(failures, key=lambda failure: failure[0]))
+    real = (np.abs(roots.imag) <= 1e-8 * np.abs(roots)) & (roots.real > 0.0)
+    omegas = np.zeros((len(first), roots.shape[1] + 1))  # column 0 is x = 0, then NaN or roots
+    omegas[:, 1:] = np.sort(np.sqrt(np.where(real, roots.real, np.nan)), axis=1)
 
     mags, gains = _magnitudes(nums, dens, omegas, dn, dd)
     peaks = np.fmax.reduce(mags, axis=1)  # NaN is no peak; column 0 is never NaN
@@ -235,7 +236,7 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
         members = np.flatnonzero(clear & (top == degree))
         clear[members] = positive_on_halfline(
             level[members, : degree + 1],
-            _LEVEL_ROUNDOFF * (degree + 1) * np.finfo(float).eps * bound[members, : degree + 1])
+            _LEVEL_ROUNDOFF * (degree + 1) * _EPS * bound[members, : degree + 1])
     return clear
 
 

@@ -16,8 +16,10 @@ are all Hurwitz or none is, for a whole array of delta in flat arrays.
 Roots, the eigenvalues of batched companion matrices, serve root sets, the
 norms' stationary points, those level polynomials, the value-set edges and
 the rare rows whose Hermite verdict is within roundoff of the boundary;
-solve_rows names each row of a batch that fails alone, and near_nonnegative
-is the one rule for a level polynomial's roots on [0, inf). The norm
+solve_rows names each row of a batch that fails alone, cut_roots is the one
+route for rows whose ends may be roundoff (the stationary points, the edges
+and the Hermite fallback), and near_nonnegative is the one rule for a level
+polynomial's roots on [0, inf). The norm
 screen's level polynomials need only their sign there: positive_on_halfline
 reads it from Bernstein coefficients, by matrix products and halving, with
 no root solve.
@@ -45,6 +47,7 @@ __all__ = [
     "is_hurwitz_complex",
     "hurwitz_batch",
     "solve_rows",
+    "cut_roots",
     "near_nonnegative",
     "positive_on_halfline",
     "level_crossings",
@@ -58,6 +61,7 @@ ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
 LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
 CROSSING_TOL = 1e-6         # level-polynomial roots this near [0, inf), relative, are crossings
 PIECE_DEPTH = 12            # halvings of a Bernstein piece before positive_on_halfline gives up
+_ROOT_CHUNK = 128           # rows per solve_rows call of cut_roots; bounds its (rows, d, d) arrays
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,48 @@ def solve_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[tuple[int, Interval
     solved = [solve_rows(row[None, :]) for row in coeffs]
     return (np.concatenate([roots for roots, _ in solved]),
             [(i, err) for i, (_, failed) in enumerate(solved) for _, err in failed])
+
+
+def cut_roots(rows: np.ndarray, noise: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, IntervalHinfError]]]:
+    """Roots of ascending rows (B, w), real or complex, whose coefficients at or below their
+    noise (B, w) at either end count as 0: the top ones settle each row's degree, and the
+    bottom ones are the root 0, divided out. Gives (B, w-1) roots, NaN-padded; (B,) True where
+    the cut row vanishes at 0; and (row, error) of each row whose solve fails alone, by row.
+
+    Rows of one cut length share solve_rows calls of at most _ROOT_CHUNK rows, each matrix
+    solved on its own, so a row's roots are those of solving it alone. A row whose leading
+    coefficient fails LEADING_FLOOR is solved in z / 2^e, e the least exponent that makes that
+    coefficient the largest, and its roots are scaled back, exactly; every other row is solved
+    as given. A row with no coefficient left has no roots.
+    """
+    size = np.abs(rows)
+    nonzero = size > noise
+    low, high = nonzero.argmax(axis=1), rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    span = np.where(nonzero.any(axis=1), high - low, 0)
+    roots = np.full((len(rows), rows.shape[1] - 1), np.nan, dtype=complex)
+    failures = []
+    for length in sorted(set(span.tolist()) - {0}):
+        members = np.flatnonzero(span == length)
+        for start in range(0, len(members), _ROOT_CHUNK):
+            chunk = members[start : start + _ROOT_CHUNK, None]
+            at = low[chunk] + np.arange(length + 1)
+            c, sizes = rows[chunk, at], size[chunk, at]
+            weak = sizes[:, -1] <= LEADING_FLOOR * sizes.max(axis=1)
+            if weak.any():
+                power = np.arange(length + 1) - length  # of each coefficient, less the top's
+                with np.errstate(divide="ignore"):  # log2(0) is -inf, which no max picks
+                    bits = np.log2(sizes[weak]) - np.log2(sizes[weak, -1:])
+                e = np.ceil((bits[:, :-1] / -power[:-1]).max(axis=1))[:, None]
+                # exact powers of two (ldexp takes no complex rows): the largest coefficient to
+                # [0.5, 1), then z -> 2^e z
+                c[weak] *= np.exp2(e * power - scale_exponents(c[weak]))
+            z, failed = solve_rows(c)
+            if weak.any():
+                z[weak] *= np.exp2(e)
+            failures += [(int(chunk[i, 0]), err) for i, err in failed]
+            roots[chunk[:, 0], :length] = z
+    return roots, ~nonzero[:, 0], sorted(failures, key=lambda failure: failure[0])
 
 
 def near_nonnegative(roots: np.ndarray) -> np.ndarray:
@@ -312,9 +358,10 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     entries overflowed), the lowest such row is named in a NoConvergenceError. Else a row
     whose pivots do not stay positive plus HERMITE_ROUNDOFF is not Hurwitz. The rest, within
     HERMITE_ROUNDOFF of the boundary, are decided by their roots, each solved alone as a
-    complex row, and a failure there is that of the lowest such row, re-raised with `row` set
-    and named in the message. A row's verdict does not depend on its batch. Byte-identical
-    rows are tested once.
+    complex row by cut_roots with no noise: a row with the root 0 is not Hurwitz, and a weak
+    leading coefficient is solved in a scaled variable rather than refused. A failure there is
+    that of the lowest such row, re-raised with `row` set and named in the message. A row's
+    verdict does not depend on its batch. Byte-identical rows are tested once.
     """
     rows = np.ascontiguousarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
     if rows.ndim != 2 or rows.shape[1] < 2 or not np.isfinite(rows).all():
@@ -332,11 +379,11 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
     unsure = np.flatnonzero(~stable)[_positive_pivots(scaled[~stable], HERMITE_ROUNDOFF)]
     for u in sorted(unsure, key=first.__getitem__):
         k = int(first[u])
-        try:
-            stable[u] = (roots_batch(rows[k : k + 1].astype(complex))[0].real.max()
-                         < -HURWITZ_TOL)
-        except IntervalHinfError as err:
-            raise at_row(k, err)
+        row = rows[k : k + 1].astype(complex)
+        roots, zero, failed = cut_roots(row, np.zeros(row.shape))
+        if failed:
+            raise at_row(k, failed[0][1])
+        stable[u] = not zero[0] and not (roots.real >= -HURWITZ_TOL).any()
     return stable[inverse]
 
 

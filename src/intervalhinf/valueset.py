@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from .interval import IntervalPolynomial, vertex_rows
 from .poly import as_float, check_count, check_width, eval_many, multiply_rows
-from .stability import CROSSING_TOL, hurwitz_batch, solve_rows
+from .stability import CROSSING_TOL, cut_roots, hurwitz_batch
 
 __all__ = [
     "VertexTuple",
@@ -355,16 +355,15 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     line where h = Im q has a real root, and on the edge where t = -Re q / |d|^2 is in [0, 1]
     there.
 
-    A coefficient of h within its own roundoff, 4 * len(h) eps times the same coefficient of
-    |D| * |P|, counts as 0: unlike a cut relative to the row's largest coefficient, this does
-    not depend on the family's frequency scale. A zero lowest power gives the root omega = 0
-    exactly. The rest of each h is solved in omega / 2**e, e the least that makes its leading
-    coefficient the largest, as its degree is settled; rows of one length share a solve_rows
-    call, and a root failure raises the lowest failing edge's error, naming the edge. Roots
-    within CROSSING_TOL of the real axis, relative, count as real. A root where
-    d(j omega) = 0 gives no t: the edge is then the point p_b, an end of the edges beside it.
-    An h with no coefficient left (d(j omega) parallel to p_b(j omega) at every omega, as when
-    the edge's two vertices coincide) is skipped.
+    The rows h go to stability.cut_roots with their roundoff, 4 * len(h) eps times the same
+    coefficients of |D| * |P|: an end coefficient within it counts as 0, which unlike a cut
+    relative to the row's largest coefficient does not depend on the family's frequency scale,
+    and a zero lowest power gives the root omega = 0 exactly. A root failure raises the lowest
+    failing edge's error, naming the edge. Roots within CROSSING_TOL of the real axis,
+    relative, count as real. A root where d(j omega) = 0 gives no t: the edge is then the
+    point p_b, an end of the edges beside it. An h with no coefficient left (d(j omega)
+    parallel to p_b(j omega) at every omega, as when the edge's two vertices coincide) has no
+    root to solve, and only omega = 0 is tried.
     """
     g, f = vertex_rows(kg, len(kf.lower)), vertex_rows(kf)
     (ga, fa), (gb, fb) = ((g[gi], f[fi]) for gi, fi in map(_vertex_indices, zip(*EDGES)))
@@ -377,28 +376,12 @@ def _edge_crossing(kg: IntervalPolynomial, kf: IntervalPolynomial, delta: float,
     for k in np.flatnonzero(~np.isfinite(noise).all(axis=1))[:1]:
         raise NoConvergenceError(f"edge {EDGES[k][0].label}-{EDGES[k][1].label} "
                                  "polynomial is not finite")
-    nonzero = np.abs(h) > noise
-    live = nonzero.any(axis=1)
-    low, high = nonzero.argmax(axis=1), h.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    span = np.where(live, high - low, 0)
-    omegas = np.full(h.shape, np.nan)  # each row's roots, then omega = 0 in the last column
-    omegas[:, -1] = np.where(live & (low > 0), 0.0, np.nan)
-    failed = []
-    with np.errstate(all="ignore"):  # log2(0) is -inf and ignored; NaN is no root
-        for length in sorted(set(span.tolist()) - {0}):
-            members = np.flatnonzero(span == length)
-            c = np.take_along_axis(h[members], low[members, None] + np.arange(length + 1), axis=1)
-            power = np.arange(length + 1) - length  # of each coefficient, less the top's
-            bits = np.log2(np.abs(c)) - np.log2(np.abs(c[:, -1:]))
-            e = np.ceil((bits[:, :-1] / -power[:-1]).max(axis=1)).astype(int)[:, None]
-            z, errors = solve_rows(np.ldexp(c / np.abs(c[:, -1:]), e * power))
-            failed += [(int(members[i]), err) for i, err in errors]
-            z *= np.exp2(e)
-            omegas[members, :length] = np.where(
-                np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real, np.nan)
-        if failed:
-            k, err = min(failed, key=lambda failure: failure[0])
-            raise type(err)(f"edge {EDGES[k][0].label}-{EDGES[k][1].label}: {err}") from err
+    z, zero, failed = cut_roots(h, noise)
+    for k, err in failed[:1]:
+        raise type(err)(f"edge {EDGES[k][0].label}-{EDGES[k][1].label}: {err}") from err
+    with np.errstate(all="ignore"):  # NaN is no root
+        omegas = np.column_stack([np.where(np.abs(z.imag) <= CROSSING_TOL * np.abs(z), z.real,
+                                           np.nan), np.where(zero, 0.0, np.nan)])
         d, p = eval_many(rows, omegas)
         t = -(d * p.conj()).real / (d.real ** 2 + d.imag ** 2)
     return bool(((t >= 0.0) & (t <= 1.0)).any())

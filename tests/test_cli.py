@@ -268,6 +268,18 @@ class TestNorm:
         omega = float(res.output.split("omega ")[1].split("\n")[0])
         assert omega == pytest.approx(math.sqrt((1 + math.sqrt(3)) / 2), abs=1e-5)
 
+    def test_stationarity_top_within_roundoff_is_cut(self):
+        # the top of M_num' M_den - M_num M_den' of s(s + 1) / (c + 2s + s^2), c = 1.5 + 1e-13,
+        # is roundoff, which once exited 4 ("leading coefficient below degeneracy threshold").
+        # M_num / M_den exceeds 1 above x = c^2 / (2 (c - 1.5)), so the finite omega near
+        # c / sqrt(c - 1.5), about 4.7e6, is a real stationary point, where |S| rounds to 1
+        c = 1.5000000000001
+        res = run("norm", "--num", "0,1,1", "--den", f"{c!r},2,1")
+        assert res.exit_code == 0
+        assert res.output.startswith("exact: 1  attained near omega ")
+        omega = float(res.output.split("omega ")[1].split("\n")[0])
+        assert omega == pytest.approx(c / math.sqrt(c - 1.5), rel=1e-2)
+
     def test_identity(self):
         res = run("norm", "--num", "1,1", "--den", "1,1")
         assert "exact: 1 " in res.output

@@ -13,6 +13,7 @@ from intervalhinf.interval import IntervalPolynomial
 from intervalhinf.poly import distinct_rows, eval_many
 from intervalhinf.stability import (
     HURWITZ_TOL,
+    cut_roots,
     hurwitz_batch,
     is_hurwitz_complex,
     is_hurwitz_real,
@@ -79,7 +80,8 @@ def scaled_hermite(coeffs):
 
 def eigvalsh_verdicts(coeffs):
     """hurwitz_batch's rule before the Cholesky confirmation, kept as the reference: the
-    sign of every smallest eigenvalue, dead-zone rows by their roots, lowest failure named."""
+    sign of every smallest eigenvalue, dead-zone rows by their roots from cut_roots (a root
+    at 0 is not Hurwitz), lowest failure named."""
     rows = np.ascontiguousarray(coeffs, dtype=complex)
     scaled, first, inverse = scaled_hermite(rows)
     lam = _EIGVALSH(scaled)[:, 0]
@@ -87,12 +89,12 @@ def eigvalsh_verdicts(coeffs):
     dead = np.flatnonzero(np.abs(lam) <= stability.HERMITE_ROUNDOFF)
     for u in sorted(dead, key=first.__getitem__):
         k = int(first[u])
-        try:
-            stable[u] = stability.roots_batch(rows[k : k + 1])[0].real.max() < -HURWITZ_TOL
-        except IntervalHinfError as err:
+        roots, zero, failed = cut_roots(rows[k : k + 1], np.zeros((1, rows.shape[1])))
+        for _, err in failed:
             located = type(err)(f"row {k}: {err}")
             located.row = k
             raise located from err
+        stable[u] = not zero[0] and np.nanmax(roots.real) < -HURWITZ_TOL
     return stable[inverse]
 
 
@@ -534,6 +536,54 @@ def real_rows(*root_lists):
     return out
 
 
+class TestCutRoots:
+    def test_ends_within_their_noise_are_cut(self):
+        # x^2 (x - 1)(x - 2) with roundoff at both ends, and a row left with one coefficient:
+        # each end at or below its noise counts as 0, so the low zeros are the root 0, divided
+        # out, and a row with no coefficient left has no roots but vanishes at 0
+        rows = np.array([[1e-17, -2e-18, 2.0, -3.0, 1.0, 1e-16],
+                         [3.0, 1e-16, 0.0, 0.0, 0.0, 0.0],
+                         [1e-16, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        roots, zero, failed = cut_roots(rows, np.full(rows.shape, 1e-15))
+        assert failed == [] and zero.tolist() == [True, False, True]
+        assert roots.shape == (3, 5) and np.isnan(roots[:, 2:]).all() and np.isnan(roots[1:]).all()
+        assert sorted(roots[0, :2].real) == pytest.approx([1.0, 2.0], rel=1e-14)
+
+    def test_a_weak_leading_coefficient_is_solved_in_a_scaled_variable(self):
+        # (z + 1)(z + 1e13), real and rotated complex: its leading coefficient is 1e-13 of the
+        # largest, below LEADING_FLOOR, so roots_batch refuses it; solved in z / 2^44, exactly
+        # scaled, its roots come back. A row whose leading coefficient passes keeps the bits
+        # roots_batch gives it
+        weak = np.array([[1e13, 1e13 + 1.0, 1.0]])
+        with pytest.raises(DegenerateLeadingError):
+            roots_batch(weak)
+        for row in (weak, weak * np.exp(0.3j)):
+            roots, zero, failed = cut_roots(row, np.zeros(row.shape))
+            assert failed == [] and not zero[0]
+            assert sorted(roots[0].real) == pytest.approx([-1e13, -1.0], rel=1e-12)
+            assert np.abs(roots[0].imag).max() <= 1e-12 * np.abs(roots[0]).max()
+        plain = np.array([[2.0, -3.0, 1.0], [1.0, 1.0, 1.0]])
+        roots, _, _ = cut_roots(plain, np.zeros(plain.shape))
+        assert roots.tobytes() == roots_batch(plain)[0].tobytes()
+
+    def test_failing_rows_are_named_in_row_order(self, monkeypatch):
+        # rows of two cut lengths, solved length by length; each failing row is named once,
+        # lowest first, and its roots are NaN
+        rows = np.array([[2.0, 3.0, 1.0, 0.0], [6.0, 11.0, 6.0, 1.0], [2.0, 3.0, 1.0, 0.0],
+                         [1.0, 2.0, 1.0, 0.0]])
+        solve, stubbed = stability.roots_batch, ([6.0, 11.0, 6.0, 1.0], [1.0, 2.0, 1.0])
+
+        def failing(coeffs):
+            if any(np.array_equal(row, bad) for row in coeffs for bad in stubbed):
+                raise NoConvergenceError("stub")
+            return solve(coeffs)
+
+        monkeypatch.setattr(stability, "roots_batch", failing)
+        roots, _, failed = cut_roots(rows, np.zeros(rows.shape))
+        assert [(row, str(err)) for row, err in failed] == [(1, "stub"), (3, "stub")]
+        assert np.isnan(roots[[1, 3]]).all() and not np.isnan(roots[[0, 2], :2]).any()
+
+
 class TestPositiveOnHalfline:
     @pytest.mark.parametrize("r", SCALES)
     def test_roots_on_the_axis_fail_and_a_pair_just_off_it_clears(self, r):
@@ -631,40 +681,26 @@ class TestHurwitzBatch:
 
     @pytest.mark.parametrize("spread", [1, 2])
     def test_known_roots_agree_with_construction(self, monkeypatch, spread):
-        # 2,000 rows per degree 4..14; the verdict equals the constructed
-        # truth on every row, and only pinned rows are left to roots. A
-        # pinned row whose roots cannot be found raises, naming its row.
+        # 2,000 rows per degree 4..14; no row raises, the verdict equals the constructed truth
+        # on every row, and only pinned rows are left to roots. Rows are recorded as
+        # cut_roots gets them, before a row with a weak leading coefficient is scaled: at
+        # spread 2 such rows once raised DegenerateLeadingError.
         solved = []
 
-        def recorded(coeffs, **kwargs):
-            solved.append(np.asarray(coeffs)[0].tobytes())
-            return roots_batch(coeffs, **kwargs)
+        def recorded(rows, noise):
+            solved.append(np.asarray(rows)[0].tobytes())
+            return cut_roots(rows, noise)
 
-        monkeypatch.setattr(stability, "roots_batch", recorded)
+        monkeypatch.setattr(stability, "cut_roots", recorded)
         rng = np.random.default_rng(4100 + spread)
         for degree in range(4, 15):
             rows, truth, pinned = known_root_rows(rng, degree, spread, 2000)
             solved.clear()
-            got = np.zeros(len(rows), dtype=bool)
-            raised, start = [], 0
-            while start < len(rows):
-                try:
-                    got[start:] = hurwitz_batch(rows[start:])
-                    break
-                except IntervalHinfError as err:
-                    k = start + err.row
-                    assert str(err).startswith(f"row {err.row}: ")
-                    if k > start:  # every row below the named one has a verdict
-                        got[start:k] = hurwitz_batch(rows[start:k])
-                    raised.append(k)
-                    start = k + 1
+            got = hurwitz_batch(rows)
             index = {row.tobytes(): i for i, row in enumerate(rows)}
             fell_back = sorted({index[b] for b in solved})
             assert pinned[fell_back].all(), (degree, [i for i in fell_back if not pinned[i]])
-            assert pinned[raised].all()
-            decided = np.ones(len(rows), dtype=bool)
-            decided[raised] = False
-            wrong = np.flatnonzero(decided & (got != truth))
+            wrong = np.flatnonzero(got != truth)
             assert len(wrong) == 0, (degree, wrong)
 
 
@@ -672,14 +708,15 @@ class TestCholeskyConfirmation:
     @pytest.mark.parametrize("spread", [1, 2])
     def test_verdicts_equal_eigvalsh_reference(self, memo_roots, counted, spread):
         # known_root_rows of degree 4..14 in whole batches, then the rows the reference calls
-        # stable by sign alone in sub-batches of 48: identical verdicts and errors; a
+        # stable by sign alone in sub-batches of 48: identical verdicts, and no row raises; a
         # sub-batch whose eigenvalues all clear 10 * HERMITE_ROUNDOFF is confirmed by one
         # pivot test, less HERMITE_ROUNDOFF on the diagonal, and goes no further
         rng = np.random.default_rng(4100 + spread)
         for degree in range(4, 15):
             rows = known_root_rows(rng, degree, spread, 2000)[0]
-            assert (verdicts_or_errors(hurwitz_batch, rows)
-                    == verdicts_or_errors(eigvalsh_verdicts, rows)), degree
+            got = verdicts_or_errors(hurwitz_batch, rows)
+            assert got == verdicts_or_errors(eigvalsh_verdicts, rows), degree
+            assert all(isinstance(verdict, bool) for verdict in got), degree  # none raises
             lam = smallest_eigenvalues(rows)
             clear = lam > 10 * stability.HERMITE_ROUNDOFF
             near = ~clear & (lam > stability.HERMITE_ROUNDOFF)

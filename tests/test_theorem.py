@@ -271,11 +271,12 @@ class TestOracleScreen:
         assert oracle == reference_oracle(prob)
 
 
-def frequency_scaled(prob, a):
-    """prob with coefficient k of both families times 2^(a k), p(s) -> p(2^a s), exact in
-    floats: every norm is unchanged, and coefficient k of each level row moves by 2^(2a k)."""
+def frequency_scaled(prob, a, base=2.0):
+    """prob with coefficient k of both families times base^(a k), p(s) -> p(base^a s): every
+    norm is unchanged. With base 2 this is exact in floats, and coefficient k of each level
+    row moves by 2^(2a k)."""
     def scaled(family):
-        power = np.ldexp(1.0, a * np.arange(len(family.lower)))
+        power = base ** (a * np.arange(len(family.lower), dtype=float))
         return IntervalPolynomial(np.array(family.lower) * power, np.array(family.upper) * power)
 
     return AnalysisProblem(kg=scaled(prob.kg), kf=scaled(prob.kf), options=prob.options)
@@ -299,11 +300,12 @@ class TestOracleScreenKernel:
             rows = drawn[cleared]
             assert (hinf.hinf_norm_batch(fs[rows], dens[rows])[0] < peak).all(), k
 
-    @pytest.mark.parametrize("a", [-3, 3, 7, 10])
+    @pytest.mark.parametrize("a", [-10, -3, 3, 7, 10])
     def test_frequency_scaled_family_keeps_the_oracle(self, monkeypatch, a):
         # each row is centred on its own frequency scale, so at a = 7 and 10, level rows that
-        # span 2^56 and 2^80 still clear every draw and every non-vertex probe; a <= -5 is left
-        # out, because the exact norms there raise DegenerateLeadingError
+        # span 2^56 and 2^80 still clear every draw and every non-vertex probe; at a = -10 the
+        # exact norms, which once raised DegenerateLeadingError, cut their stationarity rows
+        # at their own roundoff
         prob = frequency_scaled(widened_problem(seed=42, oracle_samples=500), a)
         batch, sizes = theorem.hinf_norm_batch, []
 
@@ -514,6 +516,22 @@ class TestAnalyze:
         assert not report.family_stable
         assert report.worst_norm is None
         assert report.oracle is None
+
+    def test_frequency_scaled_widened_family_keeps_every_value(self):
+        # p(s) -> p(s / k) moves every frequency and no norm. At k = 2^10, 2^20 and 2^30, exact
+        # in floats, the worst norm, the oracle maximum and the bisection keep their bits; at
+        # k = 30 and 100 they stay within 1e-9. Before each stationarity row was cut at its own
+        # roundoff, k = 100 printed worst 1 at infinity and 2^10 exited 4
+        def values(prob):
+            report = analyze(prob)
+            return report.worst_norm, report.oracle.oracle_max, report.bisection_norm
+
+        prob = widened_problem(seed=42, oracle_samples=500)
+        want = values(prob)
+        for a in (10, 20, 30):
+            assert values(frequency_scaled(prob, -a)) == want, a
+        for k in (30.0, 100.0):
+            assert values(frequency_scaled(prob, -1, k)) == pytest.approx(want, rel=1e-9), k
 
     def test_repeat_run_is_identical(self):
         rng = np.random.default_rng(109)

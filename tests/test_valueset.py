@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (near_critical_cases, polygon_exterior_distance, random_stable_family,
                       resonant_family)
-from intervalhinf import valueset
+from intervalhinf import stability, valueset
 from intervalhinf.errors import DeltaRangeError, HullMismatchError, NoConvergenceError
 from intervalhinf.hinf import family_norm_bisection
 from intervalhinf.interval import IntervalPolynomial, sample_many, vertex_rows
@@ -582,14 +582,15 @@ def frequency_scaled(kg, kf, k):
 
 
 def solved_rows(monkeypatch):
-    """Record the number of rows of each root solve the edge route makes."""
-    rows, solve = [], valueset.solve_rows
+    """Record the number of rows of each root solve the edge route makes, where its kernel,
+    stability.cut_roots, calls solve_rows."""
+    rows, solve = [], stability.solve_rows
 
     def spy(coeffs):
         rows.append(len(coeffs))
         return solve(coeffs)
 
-    monkeypatch.setattr(valueset, "solve_rows", spy)
+    monkeypatch.setattr(stability, "solve_rows", spy)
     return rows
 
 
