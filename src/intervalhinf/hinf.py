@@ -23,11 +23,16 @@ g + (1 + delta e^{j theta}) f are Hurwitz over a theta grid, and decide each
 delta the same way (_decide), from the row pairs' level-crossing test
 (stability.level_crossings), built once. The test finds the thetas at which
 a row on the circle |c| = delta, c = delta e^{j theta}, has an imaginary-axis
-root. None at all certifies every row of the disk without matrix work;
-otherwise hurwitz_batch on the grid rows next to each crossing angle decides
-the delta, since between two crossings a pair's rows are all Hurwitz or none
-is. A delta the test declines goes to hurwitz_batch on the whole grid, in
-chunks of _THETA_CHUNK thetas. The bisection predicts its steps from the
+root. A level row that the Bernstein screen of hinf_norm_below clears
+(stability.positive_on_halfline, the same roundoff rule) has none and is never
+solved; only the rows it cannot clear go to the root solve. No crossing at
+all certifies every row of the disk without matrix work; otherwise
+hurwitz_batch on the grid rows next to the crossing angles decides the delta,
+since between two crossings a pair's rows are all Hurwitz or none is: first
+the rows of each delta's first crossing, where one unstable row settles the
+delta, then, for the deltas still open, the rows of every crossing. A delta
+the test declines goes to hurwitz_batch on the whole grid, in chunks of
+_THETA_CHUNK thetas. The bisection predicts its steps from the
 twelve-vertex maximum, the threshold the paper predicts, and decides them in
 rounds, each round's deltas with one root solve, one probe row build and one
 probe call; that maximum only orders the steps.
@@ -66,7 +71,6 @@ __all__ = [
 
 GAMMA_CAP = 2.0 ** 32
 _THETA_CHUNK = 48
-_LEVEL_ROUNDOFF = 64  # hinf_norm_below's level-row error bound, in (d+1) eps of |M| terms
 _EPS = np.finfo(float).eps
 
 
@@ -213,8 +217,8 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
     P = gamma^2 M_den - M_num in x = omega^2 (M as in magnitude_squared) is positive on
     [0, inf) when P(0) and P's leading coefficient, at the pair's larger degree, are above
     CROSSING_TOL relative to gamma^2 |M_den| + |M_num| there, and stability.positive_on_halfline
-    finds P positive by more than its roundoff bound, _LEVEL_ROUNDOFF (d+1) eps times
-    gamma^2 Mbar_den + Mbar_num, Mbar every other coefficient of |p| * |p|. Each pair is
+    finds P positive by more than its roundoff bound, stability.LEVEL_ROUNDOFF (d+1) eps
+    times gamma^2 Mbar_den + Mbar_num, Mbar every other coefficient of |p| * |p|. Each pair is
     decided on its own, so the caller passes distinct rows (the oracle dedupes its own); level
     rows of one degree share one call, and no root is solved; a row that is not finite is
     False. Stability is not checked: a norm also needs a Hurwitz denominator.
@@ -234,9 +238,8 @@ def hinf_norm_below(num_rows, den_rows, gamma: float) -> np.ndarray:
              & (level[pair, top] > CROSSING_TOL * size[pair, top]))
     for degree in sorted(set(top[clear].tolist()) - {0}):
         members = np.flatnonzero(clear & (top == degree))
-        clear[members] = positive_on_halfline(
-            level[members, : degree + 1],
-            _LEVEL_ROUNDOFF * (degree + 1) * _EPS * bound[members, : degree + 1])
+        clear[members] = positive_on_halfline(level[members, : degree + 1],
+                                              bound[members, : degree + 1])
     return clear
 
 
@@ -292,23 +295,33 @@ def _crossing_verdict(crossings: LevelCrossings | None, g_rows: np.ndarray, f_ro
     angles of a row pair, its rows on the circle are all Hurwitz or none is. So a delta is
     decided by the _theta_grid rows within two grid steps of each crossing angle of their pair,
     built by perturbed_vertex_rows as the grid's own rows are: they hold a row of every arc
-    that holds a grid theta, even for an angle off by up to one grid step. Each distinct
-    (delta, grid theta) probed is built once, by one perturbed_vertex_rows call with a delta
-    per theta, and every probe row goes to one hurwitz_batch call, which decides each row as
-    it would alone; a step is False if any of its probes is."""
+    that holds a grid theta, even for an angle off by up to one grid step. The probes go in two
+    stages on one path. Stage 1 probes the four rows of each delta's first crossing; a row
+    that is not Hurwitz is a grid row that is not, so its delta is False. Stage 2 probes every
+    crossing of each delta stage 1 left without an unstable row, the whole probe set of that
+    delta. In each stage, each distinct (delta, grid theta) probed is built once, by one
+    perturbed_vertex_rows call with a delta per theta, and every probe row goes to one
+    hurwitz_batch call, which decides each row as it would alone; a step is False if any of
+    its probes is."""
     if crossings is None:
         return [None] * len(deltas)
     decided, steps, pairs, angles = crossings(deltas)
     below = np.floor((angles + np.pi) * (len(thetas) / (2.0 * np.pi))).astype(int)
-    at = (below + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
-    steps, pairs = np.tile(steps, 4), np.tile(pairs, 4)
     unstable = np.zeros(len(deltas), dtype=bool)
-    if len(at):
-        probed, where = np.unique(steps * len(thetas) + at, return_inverse=True)
-        grid = perturbed_vertex_rows(g_rows, f_rows, np.asarray(deltas)[probed // len(thetas)],
-                                     thetas[probed % len(thetas)])
-        stable = _hurwitz_rows(grid[where * len(g_rows) + pairs], thetas[at], pairs, tuples)
-        unstable[steps[~stable]] = True
+
+    def probe(entries: np.ndarray) -> None:
+        at = (below[entries] + np.arange(-1, 3)[:, None]).ravel() % len(thetas)
+        step, pair = np.tile(steps[entries], 4), np.tile(pairs[entries], 4)
+        if len(at):
+            probed, where = np.unique(step * len(thetas) + at, return_inverse=True)
+            grid = perturbed_vertex_rows(g_rows, f_rows,
+                                         np.asarray(deltas)[probed // len(thetas)],
+                                         thetas[probed % len(thetas)])
+            stable = _hurwitz_rows(grid[where * len(g_rows) + pair], thetas[at], pair, tuples)
+            unstable[step[~stable]] = True
+
+    probe(np.unique(steps, return_index=True)[1])  # stage 1: each step's first crossing
+    probe(np.flatnonzero(~unstable[steps]))  # stage 2: every crossing of the steps left open
     return np.where(decided, ~unstable, None).tolist()
 
 

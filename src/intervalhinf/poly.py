@@ -138,15 +138,16 @@ def multiply_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Ascending coefficient rows (B, a+b-1) of the products of rows p (B, a) and q (B, b),
     real or complex, in np.result_type(p, q).
 
-    Each pair's outer product is laid out with its k-th row shifted k places, so summing the
-    shifted rows adds each anti-diagonal in ascending order of p's powers.
+    The outer products are laid out batch last, (a, a+b, B), with p's k-th power shifted k
+    places, so summing over p's powers adds each anti-diagonal of every pair in ascending
+    order of p's powers, padding zeros included, with the batch as the long inner loop.
     """
     count, a = p.shape
     b = q.shape[1]
-    skewed = np.zeros((count, a, a + b), dtype=np.result_type(p, q))
-    np.multiply(p[:, :, None], q[:, None, :], out=skewed[:, :, :b])
-    skewed.shape = (count, a * (a + b))
-    return skewed[:, : a * (a + b - 1)].reshape(count, a, a + b - 1).sum(axis=1)
+    skewed = np.zeros((a, a + b, count), dtype=np.result_type(p, q))
+    np.multiply(p.T[:, None, :], q.T[None, :, :], out=skewed[:, :b])
+    skewed.shape = (a * (a + b), count)
+    return skewed[: a * (a + b - 1)].reshape(a, a + b - 1, count).sum(axis=0).T
 
 
 def magnitude_squared(rows: np.ndarray) -> np.ndarray:

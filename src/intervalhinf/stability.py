@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (DegenerateLeadingError, IntervalHinfError, NoConvergenceError,
                      ZeroPolynomialError, at_row)
 from .poly import (ZERO_DEGREE, check_finite, degrees, distinct_rows, eval_at_jomega,
-                   eval_many, magnitude_squared, scale_exponents)
+                   eval_many, magnitude_bounds, magnitude_squared, scale_exponents)
 
 __all__ = [
     "StabilityVerdict",
@@ -61,7 +61,9 @@ ACCEPT_RESIDUAL = 1e-9      # normalized backward error bound
 LEADING_FLOOR = 1e-12       # |leading| / max|coeff| degeneracy threshold
 CROSSING_TOL = 1e-6         # level-polynomial roots this near [0, inf), relative, are crossings
 PIECE_DEPTH = 12            # halvings of a Bernstein piece before positive_on_halfline gives up
+LEVEL_ROUNDOFF = 64         # a level row's error bound, in (d+1) eps of its |M| terms (Mbar)
 _ROOT_CHUNK = 128           # rows per solve_rows call of cut_roots; bounds its (rows, d, d) arrays
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,13 @@ def _bernstein_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return to_bernstein, halves
 
 
-def positive_on_halfline(level_rows: np.ndarray, bound_rows: np.ndarray) -> np.ndarray:
+def positive_on_halfline(level_rows: np.ndarray, mbar_rows: np.ndarray) -> np.ndarray:
     """True for each ascending row P (K, d+1), d >= 1, that is positive on all of [0, inf) by
     more than its roundoff bound; False decides nothing.
 
-    bound_rows (K, d+1) are nonnegative bounds on the error of each coefficient. Each row is
+    mbar_rows (K, d+1) are the sums of the magnitudes of the terms that make each coefficient
+    (Mbar, as poly.magnitude_bounds gives them); the bound on a coefficient's error is
+    LEVEL_ROUNDOFF (d+1) eps times its Mbar, one rule for every level row. Each row is
     first centred on its own frequency scale, x -> 2^e x with e = rint(log2|P_0 / P_d| / d)
     (0 if that is not finite), which is exact. Its Bernstein coefficients on [0, 1], and
     those of its reversal x^d P(1/x) on [0, 1], which cover [1, inf], decide each piece: every
@@ -249,12 +253,12 @@ def positive_on_halfline(level_rows: np.ndarray, bound_rows: np.ndarray) -> np.n
     range test of Garloff (1986) and Zettler-Garloff (1998): matrix products, no root solve.
     """
     level = np.asarray(level_rows, dtype=float)
-    bound = np.asarray(bound_rows, dtype=float)
     count, width = level.shape
     if width < 2:
         raise ValueError("positive_on_halfline needs rows of degree >= 1")
     to_bernstein, halves = _bernstein_matrices(width - 1)
     with np.errstate(all="ignore"):  # a row that is not finite is False
+        bound = LEVEL_ROUNDOFF * width * _EPS * np.asarray(mbar_rows, dtype=float)
         e = np.rint(np.log2(np.abs(level[:, 0] / level[:, -1])) / (width - 1))
         e = np.where(np.isfinite(e), e, 0.0).astype(np.int64)[:, None] * np.arange(width)
         level, bound = np.ldexp(level, e), np.ldexp(bound, e)
@@ -391,34 +395,48 @@ def hurwitz_batch(coeffs: np.ndarray) -> np.ndarray:
 class LevelCrossings:
     """The level-crossing test of level_crossings over P distinct (g, f) row pairs: `pairs`
     holds the first index of each, a = shift(g + f) and b = shift(f) their rows, ma and mb
-    magnitude_squared(a) and magnitude_squared(b)."""
+    magnitude_squared(a) and magnitude_squared(b), ma_bar and mb_bar magnitude_bounds(a) and
+    magnitude_bounds(b)."""
 
     pairs: np.ndarray
     a: np.ndarray
     b: np.ndarray
     ma: np.ndarray
     mb: np.ndarray
+    ma_bar: np.ndarray
+    mb_bar: np.ndarray
 
     def __call__(self, deltas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(decided, steps, pairs, thetas): decided (D,) False where the test declines a
         delta; each crossing of a decided delta is one entry of steps (its index into deltas),
         pairs and thetas, every +theta first, then every -theta, by delta, then pair.
 
-        The level rows of every delta that passes the checks share one solve_rows call, and a
-        row that fails alone declines only its own delta. Every kernel works row by row, so
-        each delta's entries equal those of asking for it alone.
+        The level rows of every delta that passes the checks go to one positive_on_halfline
+        call, with Mbar = ma_bar + delta^2 mb_bar, and only the rows it cannot clear share one
+        solve_rows call: a cleared row is positive on [0, inf) beyond its roundoff, so its
+        pair has no crossing at that delta, and it is never solved. A solved row that fails
+        alone declines only its own delta. Every kernel works row by row, so each delta's
+        entries equal those of asking for it alone.
         """
         deltas = np.asarray(deltas, dtype=float)
         with np.errstate(all="ignore"):  # anything that overflows decides nothing
-            level = self.ma - (deltas * deltas)[:, None, None] * self.mb
+            d2 = (deltas * deltas)[:, None, None]
+            level = self.ma - d2 * self.mb
             ok = (np.isfinite(level).all(axis=(1, 2))
                   & (level[..., -1] > CROSSING_TOL * self.ma[:, -1]).all(axis=1)
                   & (np.abs(level[..., 0]) > CROSSING_TOL * self.ma[:, 0]).all(axis=1))
             x = np.full(level[..., 1:].shape, np.nan, dtype=complex)
             if ok.any():
-                roots, failed = solve_rows(level[ok].reshape(-1, level.shape[2]))
+                rows = level[ok].reshape(-1, level.shape[2])
+                mbar = (self.ma_bar + d2[ok] * self.mb_bar).reshape(rows.shape)
+                unclear = np.flatnonzero(~positive_on_halfline(rows, mbar))
+                roots = np.full((len(rows), rows.shape[1] - 1), np.nan, dtype=complex)
+                failed = []
+                if len(unclear):
+                    roots[unclear], failed = solve_rows(rows[unclear])
                 x[ok] = roots.reshape(-1, *x.shape[1:])
-                ok[np.flatnonzero(ok)[[row // len(self.pairs) for row, _ in failed]]] = False
+                declined = unclear[[row for row, _ in failed]] // len(self.pairs)
+                ok[np.flatnonzero(ok)[declined]] = False
             # NaN roots are never near; a declined delta's crossings are dropped below
             i, u, k = np.nonzero(near_nonnegative(x))  # by delta, then pair
             at = eval_at_jomega(np.stack([self.a[u], self.b[u]]),
@@ -438,7 +456,8 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | 
     pairs (P, n+1). Called with an array of deltas, it gives in flat arrays the delta index,
     pair index and theta of each imaginary-axis crossing of every delta it decides, and which
     deltas it decides. None instead of a test unless hurwitz_batch's first pivot test confirms
-    every g + f Hurwitz.
+    every g + f Hurwitz. The level rows' Mbar (magnitude_bounds of a and b) are built here
+    once, for the Bernstein screen that clears crossing-free rows before any root solve.
 
     With a = shift(g + f) and b = shift(f), the Taylor shift of hurwitz_batch, a + c b has the
     root j omega exactly when c = -a(j omega) / b(j omega). On the circle |c| = delta the
@@ -460,4 +479,5 @@ def level_crossings(g_rows: np.ndarray, f_rows: np.ndarray) -> LevelCrossings | 
     with np.errstate(all="ignore"):  # an overflow shows as a matrix or row that is not finite
         if not _positive_pivots(_unit_diagonal(_hermite_matrix(a)), -HERMITE_ROUNDOFF).all():
             return None
-        return LevelCrossings(first, a, b, magnitude_squared(a), magnitude_squared(b))
+        return LevelCrossings(first, a, b, magnitude_squared(a), magnitude_squared(b),
+                              magnitude_bounds(a), magnitude_bounds(b))

@@ -237,6 +237,20 @@ def reference_routh(rows):
     return ((column > 0.0) | (np.arange(n + 1) > deg[:, None])).all(axis=1), column
 
 
+def reference_multiply_rows(p, q):
+    """poly.multiply_rows by a loop over p's powers: for power k, a zero row with p_k * q at
+    columns k to k + b - 1, and the shifted rows, padding zeros included, added in ascending k
+    to a zero row, as numpy's sum adds its terms to its identity 0.0 (a sum of -0.0 is 0.0)."""
+    count, a = p.shape
+    b = q.shape[1]
+    total = np.zeros((count, a + b - 1), dtype=np.result_type(p, q))
+    for k in range(a):
+        shifted = np.zeros(total.shape, dtype=total.dtype)
+        shifted[:, k : k + b] = p[:, k : k + 1] * q
+        total = total + shifted
+    return total
+
+
 def reference_residuals(coeffs, roots):
     """stability._residuals by two eval_many passes: |p(z)|, and the real Horner of |c| at
     |z|, which overflows to inf."""

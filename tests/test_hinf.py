@@ -831,7 +831,8 @@ class TestLevelCrossings:
     def test_stable_probes_decide_a_step_with_crossings(self, monkeypatch):
         # at gamma = 1.4678895, just below the point plant's norm 1.46788983, the circle
         # crosses the axis, but the unstable arcs between crossing angles hold no grid theta:
-        # one probe batch decides the step stable, as the whole grid does
+        # the four probes of the first crossing are stable, so a second batch probes all four
+        # crossings and decides the step stable, as the whole grid does
         g_rows, f_rows = tuple_rows(*POINT, TWELVE_TUPLES[:1])
         thetas, delta = hinf._theta_grid(720), 1 / 1.4678895
         assert 1 / delta < GOLDEN
@@ -839,8 +840,23 @@ class TestLevelCrossings:
         decided, steps, _, _ = crossings([delta])
         assert decided.tolist() == [True] and (steps == 0).sum() == 4
         batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
-        assert verdict is True and len(batches) == 1
+        assert verdict is True and [len(rows) for rows in batches] == [4, 16]
         assert hinf._grid_verdict(g_rows, f_rows, delta, thetas) is True
+
+    def test_a_step_whose_first_crossing_probes_stable_is_decided_by_every_crossing(
+            self, monkeypatch):
+        # analyze_families(42, 120)[96], degree 3, at gamma = 1.0559082: the four probes of the
+        # step's first crossing are all Hurwitz, but a grid row is not. The second batch probes
+        # every crossing of the step and finds it, so the step is False, as the whole grid is
+        kg, kf = family_of(perfbench_population().analyze_families(42, 120)[96])
+        crossings, g_rows, f_rows, delta, thetas, _ = next(
+            args for args in bisection_steps(kg, kf) if abs(1 / args[3] - 1.0559082) < 1e-7)
+        decided, steps, _, _ = crossings([delta])
+        assert decided.tolist() == [True] and len(steps) == 8
+        batches, verdict = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
+        assert verdict is False and hinf._grid_verdict(g_rows, f_rows, delta, thetas) is False
+        assert [len(rows) for rows in batches] == [4, 32]
+        assert hurwitz_batch(batches[0]).all() and not hurwitz_batch(batches[1]).all()
 
     @pytest.mark.parametrize("decline_every", [0, 3])
     def test_all_stable_bisection_batches_only_declined_steps(self, monkeypatch, decline_every):
@@ -889,7 +905,9 @@ class TestLevelCrossings:
         g_rows, f_rows = tuple_rows(*WIDENED, TWELVE_TUPLES)
         near_one = 1.0 - 1e-13
         # at delta near 1 the level rows' leading coefficients are roundoff: roots_batch would
-        # raise DegenerateLeadingError, and the test declines before solving them
+        # raise DegenerateLeadingError, and the test declines before solving them. At 0.6 and
+        # 1 / 1.5 some level rows cross, so the screen cannot clear them: a solve that fails
+        # declines both
         a = stability._taylor_shift(g_rows + f_rows)
         b = stability._taylor_shift(f_rows)
         with pytest.raises(DegenerateLeadingError):
@@ -906,8 +924,11 @@ class TestLevelCrossings:
             def failing(coeffs):
                 raise DegenerateLeadingError("stub")
 
+            crossings = stability.level_crossings(g_rows, f_rows)
+            decided, steps, _, _ = crossings([0.6, 1 / 1.5])
+            assert decided.tolist() == [True, True] and set(steps.tolist()) == {0, 1}
             monkeypatch.setattr(stability, "roots_batch", failing)
-            decided, steps, _, _ = stability.level_crossings(g_rows, f_rows)([0.5, 0.6])
+            decided, steps, _, _ = crossings([0.6, 1 / 1.5])
             assert decided.tolist() == [False, False] and len(steps) == 0
 
     def test_crossing_at_zero_frequency_declines(self):
@@ -931,10 +952,10 @@ class TestLevelCrossings:
                 delta = args[3]
                 batches, _ = probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
                 decided, _, pairs, angles = crossings([delta])
-                assert decided[0] and len(batches) == (len(pairs) > 0)
+                assert decided[0] and len(batches) in ((1, 2) if len(pairs) else (0,))
                 grid = perturbed_vertex_rows(g_rows, f_rows, delta, thetas)
                 lowest = {row.tobytes(): i for i, row in reversed(list(enumerate(grid)))}
-                for row in batches[0] if batches else ():
+                for row in (row for rows in batches for row in rows):
                     k, p = divmod(lowest[row.tobytes()], len(g_rows))
                     gaps = np.abs((thetas[k] - angles[pairs == p] + np.pi) % (2 * np.pi) - np.pi)
                     assert gaps.min() <= 2 * step
@@ -1048,7 +1069,7 @@ class TestPlannedBisection:
             alone = [probe_batches(monkeypatch, crossings, g_rows, f_rows, delta, thetas)
                      for delta in deltas]
             assert together == [step for _, step in alone]
-            assert len(batches) <= 1
+            assert len(batches) <= 2  # each step's first crossing, then the steps left open
             assert (Counter(row.tobytes() for rows in batches for row in rows)
                     == Counter(row.tobytes() for rows, _ in alone for batch in rows
                                for row in batch))
@@ -1155,6 +1176,8 @@ class TestPlannedBisection:
         # the peak at omega = 0: one round asks the crossing test once, for all 20 of its
         # deltas, and the one it declines goes straight to the whole grid without asking the
         # test again; hurwitz_batch gets the round's probe batch and that step's 15 theta chunks
+        # of 576 rows. The probe batch holds the first crossing's rows of each step with
+        # crossings, 40 rows, and settles them all (every crossing's rows were 208)
         kg, kf = family_of(perfbench_population().analyze_families(2003, 18)[17])
         asked, declined, batches = [], [], []
         built = hinf.level_crossings
@@ -1170,7 +1193,49 @@ class TestPlannedBisection:
                             lambda rows: batches.append(len(rows)) or hurwitz_batch(rows))
         assert family_norm_bisection(kg, kf) == 5.613643646581144
         assert asked == [20] and declined == [1]
-        assert len(batches) == 16 and sum(batches) == 8848
+        assert batches == [40] + [576] * 15
+
+    def test_the_screen_and_the_first_crossings_cut_the_work(self, monkeypatch):
+        # over the bisections of analyze_families(42, 40): the level rows LevelCrossings sends
+        # to solve_rows and the probe rows _crossing_verdict sends to hurwitz_batch, exactly.
+        # Solving every level row that passes the checks and probing every crossing of every
+        # step took 5,539 and 7,944 rows; the Bernstein screen and the staged probes leave 677
+        # and 1,464
+        counts, active = Counter(), []  # rows counted, and the calls whose rows count
+        solve, batch, verdict, built = (stability.solve_rows, hinf.hurwitz_batch,
+                                        hinf._crossing_verdict, hinf.level_crossings)
+
+        def counted(name, fn):
+            def call(rows):
+                if name in active:
+                    counts[name] += len(rows)
+                return fn(rows)
+            return call
+
+        def within(name, fn):
+            def call(*args):
+                active.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    active.pop()
+            return call
+
+        class Counted(stability.LevelCrossings):
+            __call__ = within("solved", stability.LevelCrossings.__call__)
+
+        def counting(g_rows, f_rows):
+            crossings = built(g_rows, f_rows)
+            return Counted(*(getattr(crossings, field.name)
+                             for field in dataclasses.fields(crossings)))
+
+        monkeypatch.setattr(stability, "solve_rows", counted("solved", solve))
+        monkeypatch.setattr(hinf, "hurwitz_batch", counted("probed", batch))
+        monkeypatch.setattr(hinf, "_crossing_verdict", within("probed", verdict))
+        monkeypatch.setattr(hinf, "level_crossings", counting)
+        for fam in perfbench_population().analyze_families(42, 40):
+            family_norm_bisection(*family_of(fam))
+        assert counts == {"solved": 677, "probed": 1464}
 
     def test_errors_are_raised_at_the_step_that_raises_alone(self, monkeypatch):
         # a probe row that fails when solved alone fails each shared probe call that holds it;

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import reference_multiply_rows
 from intervalhinf.hinf import (check_gamma_equivalence, family_norm_bisection, hinf_norm_grid,
                                sensitivity)
 from intervalhinf.interval import IntervalPolynomial
@@ -171,7 +172,7 @@ class TestMagnitudeSquared:
 
 class TestMultiplyRows:
     def test_equals_loop_reference_and_convolve(self):
-        # each coefficient sums p_i * q_(k-i) in ascending i, bitwise as the loop below, and
+        # each coefficient sums p_i * q_(k-i) in ascending i, bitwise as the loop reference, and
         # row by row as the row alone; np.convolve sums in another order, so it agrees within
         # 1e-14 of the product of the coefficients' magnitudes
         rng = np.random.default_rng(103)
@@ -179,10 +180,7 @@ class TestMultiplyRows:
             p = rng.normal(size=(40, a)) * 10.0 ** rng.uniform(-3, 3, (40, a))
             q = rng.normal(size=(40, b)) * 10.0 ** rng.uniform(-3, 3, (40, b))
             out = multiply_rows(p, q)
-            loop = np.zeros((40, a + b - 1))
-            for i in range(a):
-                loop[:, i : i + b] += p[:, i : i + 1] * q
-            assert out.tobytes() == loop.tobytes()
+            assert out.tobytes() == reference_multiply_rows(p, q).tobytes()
             for row, x, y in zip(out, p, q):
                 assert row.tobytes() == multiply_rows(x[None, :], y[None, :])[0].tobytes()
                 bound = 1e-14 * np.convolve(np.abs(x), np.abs(y))
@@ -196,10 +194,25 @@ class TestMultiplyRows:
             for q in (rng.normal(size=(30, b)) + 1j * rng.normal(size=(30, b)),
                       rng.normal(size=(30, b))):
                 out = multiply_rows(p, q)
-                loop = np.zeros((30, a + b - 1), dtype=complex)
-                for i in range(a):
-                    loop[:, i : i + b] += p[:, i : i + 1] * q
-                assert out.dtype == complex and out.tobytes() == loop.tobytes()
+                assert out.dtype == complex
+                assert out.tobytes() == reference_multiply_rows(p, q).tobytes()
+
+
+    @pytest.mark.parametrize("count", [1, 2, 24, 565, 1130])
+    def test_batch_last_layout_equals_the_shifted_row_loop(self, count):
+        # bitwise the loop over shifted rows at every batch size, from one row to the oracle's
+        # batches, real and complex, with +-0.0 among the coefficients
+        rng = np.random.default_rng(count)
+        for a, b in ((1, 1), (1, 4), (4, 1), (7, 7), (15, 15), (29, 14), (14, 29)):
+            p, q = rng.normal(size=(2, count, max(a, b)))
+            p, q = p[:, :a], q[:, :b]
+            p[rng.random(p.shape) < 0.2] = -0.0
+            q[rng.random(q.shape) < 0.2] = 0.0
+            q[rng.random(q.shape) < 0.1] = -0.0
+            for x, y in ((p, q), (p + 1j * p[:, ::-1], q), (p, q - 1j * q[:, ::-1])):
+                out = multiply_rows(x, y)
+                assert out.shape == (count, a + b - 1) and out.dtype == np.result_type(x, y)
+                assert out.tobytes() == reference_multiply_rows(x, y).tobytes()
 
 
 class TestDistinctRows:

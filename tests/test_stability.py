@@ -516,14 +516,14 @@ class TestSolveRows:
         assert roots.tobytes() == solve(rows)[0].tobytes()
 
 
-EPS = np.finfo(float).eps
 SCALES = [0.3, 1.0, 3.0, 2.0 ** 40, 2.0 ** -40]
 
 
 def halfline(rows):
-    """positive_on_halfline of rows with a roundoff bound of 64 (d+1) eps |coefficient|."""
+    """positive_on_halfline of rows with Mbar = |coefficient|: a roundoff bound of
+    LEVEL_ROUNDOFF (d+1) eps |coefficient|."""
     rows = np.array(rows, dtype=float)
-    return stability.positive_on_halfline(rows, 64 * rows.shape[1] * EPS * np.abs(rows))
+    return stability.positive_on_halfline(rows, np.abs(rows))
 
 
 def real_rows(*root_lists):
